@@ -199,14 +199,6 @@ def lp_norm(f: LFunction, handle: LpHandle,
         _lp_norm_intervals(f, handle.p, f.codomain.norm_kind, cfg))
 
 
-def _tol_for(cfg: ToleranceConfig, *interval_lists: Sequence[Interval]) -> Fraction:
-    for ivs in interval_lists:
-        for iv in ivs:
-            if not certified.is_exact(iv):
-                return cfg.compare_tol
-    return Fraction(0)
-
-
 def verify_sup_representation(f: LFunction, handle: LpHandle,
                               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Exhaustively checks that E -> integral over E of ||f||**p is monotone
@@ -228,7 +220,7 @@ def verify_sup_representation(f: LFunction, handle: LpHandle,
         sums[mask] = [certified.iadd(prev[j], weighted[low][j])
                       for j in range(d)]
 
-    tol = _tol_for(cfg, *(powers[t] for t in range(m)))
+    tol = certified.tol_for(cfg.compare_tol, *(powers[t] for t in range(m)))
     full = (1 << m) - 1
     passed = True
     witness = None
@@ -322,7 +314,7 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
     nu = _lp_norm_intervals(u, p, u.codomain.norm_kind, cfg)
     nv = _lp_norm_intervals(v, q, dual_kind(u.codomain.norm_kind), cfg)
     rhs = [certified.imul(a, b) for a, b in zip(nu, nv)]
-    tol = _tol_for(cfg, nu, nv)
+    tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
     passed = True
     witness = None
@@ -354,7 +346,7 @@ def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
     nu = _lp_norm_intervals(u, p, kind, cfg)
     nv = _lp_norm_intervals(v, p, kind, cfg)
     rhs = [certified.iadd(a, b) for a, b in zip(nu, nv)]
-    tol = _tol_for(cfg, ns, nu, nv)
+    tol = certified.tol_for(cfg.compare_tol, ns, nu, nv)
 
     passed = True
     witness = None
@@ -484,7 +476,7 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                     continue
                 total = certified.iadd(total, certified.iscale(diff_norms[t][j], mass))
             bound.append(total)
-        tol = _tol_for(cfg, err, bound)
+        tol = certified.tol_for(cfg.compare_tol, err, bound)
         for j in range(d):
             ok, _ = certified.leq_with_slack(err[j], bound[j], tol)
             if not ok and passed:
@@ -536,7 +528,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
     terms = [u_star + w.scale_rational(Fraction(1, 2 ** n))
              for n in range(1, n_terms + 1)]
     norm_w = _lp_norm_intervals(w, p, kind, cfg)
-    tol = _tol_for(cfg, norm_w)
+    tol = certified.tol_for(cfg.compare_tol, norm_w)
 
     passed = True
     witness = None

@@ -5,6 +5,12 @@ with the contract that the true real value lies in ``[lo, hi]``.  Roots and
 rational powers are bracketed with integer Newton iteration (``math.isqrt``
 for square roots), so no binary floating point ever enters a result.
 
+Exponents whose denominator exceeds 64 go through a chain of nested square
+roots (``_pow_via_chain``).  All of its entries are nonnegative, so each
+level computes only the side it needs (the lower root of the lower end, the
+upper root of the upper end), the endpoint products are multiplied as plain
+integers, and the result is reduced to a ``Fraction`` once, on return.
+
 Comparison semantics used by all checkers:
 
 * ``leq_with_slack(a, b, tol)`` passes iff ``lo(a) <= hi(b) + tol``.  A true
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Tuple
+from typing import Sequence, Tuple
 
 Interval = Tuple[Fraction, Fraction]
 
@@ -33,24 +39,21 @@ def mid(iv: Interval) -> Fraction:
     return (iv[0] + iv[1]) / 2
 
 
-def width(iv: Interval) -> Fraction:
-    return iv[1] - iv[0]
-
-
 def is_exact(iv: Interval) -> bool:
     return iv[0] == iv[1]
 
 
+def tol_for(compare_tol: Fraction, *interval_lists: Sequence[Interval]) -> Fraction:
+    """compare_tol if any interval in the lists is inexact, else 0."""
+    for ivs in interval_lists:
+        for iv in ivs:
+            if not is_exact(iv):
+                return compare_tol
+    return _ZERO
+
+
 def iadd(a: Interval, b: Interval) -> Interval:
     return (a[0] + b[0], a[1] + b[1])
-
-
-def isub(a: Interval, b: Interval) -> Interval:
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def ineg(a: Interval) -> Interval:
-    return (-a[1], -a[0])
 
 
 def imul(a: Interval, b: Interval) -> Interval:
@@ -150,12 +153,29 @@ def root_bracket(q: Fraction, n: int, bits: int) -> Interval:
     return (Fraction(t_lo, scale), Fraction(t_hi, scale))
 
 
-def sqrt_bracket(q: Fraction, bits: int) -> Interval:
-    return root_bracket(q, 2, bits)
-
-
 _SMALL_ROOT_ORDER = 64
 _EXACT_POW_BIT_CAP = 1 << 16
+
+
+def _sqrt_side(num: int, den: int, bits: int, upper: bool) -> Tuple[int, int]:
+    """One side of ``root_bracket(num/den, 2, bits)`` for num/den >= 0 in
+    lowest terms, returned in lowest terms: exact rational squares (0 and 1
+    among them) take their exact root, anything else the lower or upper
+    ``t / 2**bits``."""
+    rd = isqrt(den)
+    if rd * rd == den:
+        rn = isqrt(num)
+        if rn * rn == num:
+            return rn, rd
+    scaled = num << (2 * bits)
+    if upper:
+        t = isqrt(-(-scaled // den)) + 1
+    else:
+        t = isqrt(scaled // den)
+        if t == 0:
+            return 0, 1
+    shift = min((t & -t).bit_length() - 1, bits)
+    return t >> shift, 1 << (bits - shift)
 
 
 def _pow_via_chain(q: Fraction, frac_exp: Fraction, bits: int) -> Interval:
@@ -165,29 +185,37 @@ def _pow_via_chain(q: Fraction, frac_exp: Fraction, bits: int) -> Interval:
     Works for any exponent denominator: the expansion is truncated at m bits
     and the residual factor q**delta, delta in [0, 2**-m), is absorbed by
     widening with the bracket of q**(2**-m).
+
+    Every entry of the chain is nonnegative, so the interval product is the
+    endpoint-wise product: the lower side only ever needs the lower square
+    root of the lower side, and likewise above.  Both sides are carried as
+    integer numerator/denominator pairs and reduced once on return.
     """
     work_bits = bits + 24
     levels = bits + 8
-    target = Fraction(1, 1 << bits)
+    u, v = frac_exp.numerator, frac_exp.denominator
     while True:
-        scaled = frac_exp * (1 << levels)
-        k = int(scaled)
-        residual_exact = scaled == k
-        chain: list[Interval] = []
-        cur = (q, q)
-        for _ in range(levels):
-            cur = (root_bracket(cur[0], 2, work_bits)[0],
-                   root_bracket(cur[1], 2, work_bits)[1])
-            chain.append(cur)
-        prod: Interval = (_ONE, _ONE)
-        for i in range(levels):
-            if (k >> (levels - 1 - i)) & 1:
-                prod = imul(prod, chain[i])
-        if not residual_exact:
-            last = chain[-1]
-            prod = imul(prod, (min(_ONE, last[0]), max(_ONE, last[1])))
-        if width(prod) <= target:
-            return prod
+        k, rem = divmod(u << levels, v)
+        lo_num = lo_den = hi_num = hi_den = 1
+        ln, ld = hn, hd = q.numerator, q.denominator
+        for i in range(levels - 1, -1, -1):
+            ln, ld = _sqrt_side(ln, ld, work_bits, False)
+            hn, hd = _sqrt_side(hn, hd, work_bits, True)
+            if (k >> i) & 1:
+                lo_num *= ln
+                lo_den *= ld
+                hi_num *= hn
+                hi_den *= hd
+        if rem:
+            # widen by [min(1, lo), max(1, hi)] of the last level
+            if ln < ld:
+                lo_num *= ln
+                lo_den *= ld
+            if hn > hd:
+                hi_num *= hn
+                hi_den *= hd
+        if (hi_num * lo_den - lo_num * hi_den) << bits <= hi_den * lo_den:
+            return (Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
         work_bits += 32
         levels += 16
 
@@ -226,6 +254,8 @@ def ipow_frac(a: Interval, r: Fraction, bits: int) -> Interval:
     """Bracket of x ** r over x in a, a nonnegative, r >= 0 (monotone)."""
     if a[0] < 0:
         raise ValueError("interval must be nonnegative")
+    if a[0] == a[1]:
+        return pow_bracket(a[0], r, bits)
     return (pow_bracket(a[0], r, bits)[0], pow_bracket(a[1], r, bits)[1])
 
 

@@ -287,9 +287,10 @@ def _cmd_dual_isometry(args) -> Report:
         v = _dual_function(args, rng)
         rep = duality.isometry_check(v, p, q, cfg)
         gaps.append({"trial": trial, "gap": rep.per_coordinate_gap})
-        if not rep.passed and witness is None:
+        if not rep.passed:
             failures += 1
-            witness = {"trial": trial}
+            if witness is None:
+                witness = {"trial": trial}
     return _report(args, [CheckReport(
         name="isometry",
         passed=failures == 0,

@@ -435,7 +435,7 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
         mass_corr = certified.pow_bracket(mu_total, power, bits)
         rhs = [certified.imul(certified.ipow_frac(certified.iabs(iv), s, bits),
                               mass_corr) for iv in fv]
-        tol = _bootstrap_tol(cfg, lhs, rhs)
+        tol = certified.tol_for(cfg.compare_tol, lhs, rhs)
         holds = True
         for j in range(d):
             ok, _ = certified.leq_with_slack(lhs[j], rhs[j], tol)
@@ -471,14 +471,6 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
                  "rhs": step.rhs} for step in trace],
     )
     return report, trace
-
-
-def _bootstrap_tol(cfg: ToleranceConfig, *lists: Sequence[Interval]) -> Fraction:
-    for ivs in lists:
-        for iv in ivs:
-            if not certified.is_exact(iv):
-                return cfg.compare_tol
-    return Fraction(0)
 
 
 def ess_sup_lower_bound(v: DualFunction, eps_list: Sequence[Fraction],

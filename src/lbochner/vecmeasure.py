@@ -138,8 +138,7 @@ def variation(G: VectorMeasure, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
     total = _partition_norm_sum(G, atomic, cfg)
     exhaustive = False
     if G.space.size <= exhaustive_cap:
-        tol = Fraction(0) if all(certified.is_exact(iv) for iv in total) \
-            else cfg.compare_tol
+        tol = certified.tol_for(cfg.compare_tol, total)
         for partition in enumerate_partitions(G.space, exhaustive_cap):
             candidate = _partition_norm_sum(G, partition, cfg)
             for j in range(G.codomain.scalar_dim):

@@ -1,4 +1,5 @@
 import decimal
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,105 @@ class TestPowBracket:
             certified.pow_bracket(Fraction(-1), Fraction(1, 2), 40)
         with pytest.raises(ValueError):
             certified.pow_bracket(Fraction(2), Fraction(-1), 40)
+
+
+def fraction_chain(q, frac_exp, bits, rounds=None):
+    """Reference power chain: interval products on Fraction pairs and
+    two-sided root brackets at every level.  ``rounds`` collects how many
+    widening rounds each call took."""
+    work_bits = bits + 24
+    levels = bits + 8
+    target = Fraction(1, 1 << bits)
+    n_rounds = 0
+    while True:
+        n_rounds += 1
+        scaled = frac_exp * (1 << levels)
+        k = int(scaled)
+        residual_exact = scaled == k
+        chain = []
+        cur = (q, q)
+        for _ in range(levels):
+            cur = (certified.root_bracket(cur[0], 2, work_bits)[0],
+                   certified.root_bracket(cur[1], 2, work_bits)[1])
+            chain.append(cur)
+        prod = (Fraction(1), Fraction(1))
+        for i in range(levels):
+            if (k >> (levels - 1 - i)) & 1:
+                prod = certified.imul(prod, chain[i])
+        if not residual_exact:
+            last = chain[-1]
+            prod = certified.imul(prod, (min(Fraction(1), last[0]),
+                                         max(Fraction(1), last[1])))
+        if prod[1] - prod[0] <= target:
+            if rounds is not None:
+                rounds.append(n_rounds)
+            return prod
+        work_bits += 32
+        levels += 16
+
+
+def fraction_ipow_frac(a, r, bits):
+    """Reference ipow_frac: one pow_bracket per endpoint."""
+    return (certified.pow_bracket(a[0], r, bits)[0],
+            certified.pow_bracket(a[1], r, bits)[1])
+
+
+def _chain_grid():
+    rng = random.Random(20240906)
+    cases = [
+        # exact rational squares at the first levels: the chain starts
+        # non-dyadic (4/9 -> 2/3, 16/81 -> 4/9 -> 2/3)
+        (Fraction(4, 9), Fraction(1, 3 ** 10), 42),
+        (Fraction(16, 81), Fraction(37, 65), 42),
+        (Fraction(16, 81), Fraction(999, 1000), 20),
+        (Fraction(9, 4), Fraction(3, 2 ** 20), 42),
+        # dyadic exponents: the truncated expansion is exact, no residual
+        (Fraction(7, 5), Fraction(2 ** 20 - 1, 2 ** 20), 42),
+        (Fraction(3, 10), Fraction(5, 2 ** 12), 20),
+        # a 64-bit prime near 2**64 needs more levels than the first round
+        (Fraction(2 ** 64 - 59), Fraction(999, 1000), 42),
+        (Fraction(1, 2 ** 64 - 59), Fraction(1, 65), 20),
+        # a round whose width lies within a factor two of 2**-bits
+        (Fraction(24919), Fraction(22342, 3 ** 10), 20),
+    ]
+    for _ in range(10):
+        num = rng.getrandbits(64) | 1
+        den = rng.getrandbits(64) | 1
+        q = Fraction(min(num, den), max(num, den))   # q < 1
+        if rng.random() < 0.5:
+            q = 1 / q                                # q > 1
+        den_exp = rng.choice([3 ** 10, 65, 1000])
+        frac_exp = Fraction(rng.randrange(1, den_exp), den_exp)
+        cases.append((q, frac_exp, rng.choice([20, 42])))
+    return cases
+
+
+class TestPowChainOracle:
+    """The integer chain must return exactly the reference chain's
+    rationals, not merely a valid bracket."""
+
+    def test_chain_matches_reference(self):
+        rounds = []
+        for q, frac_exp, bits in _chain_grid():
+            expected = fraction_chain(q, frac_exp, bits, rounds)
+            assert certified._pow_via_chain(q, frac_exp, bits) == expected, \
+                (q, frac_exp, bits)
+        assert max(rounds) > 1   # the widening loop was exercised
+
+    def test_pow_bracket_and_ipow_frac_match_reference(self, monkeypatch):
+        for q, frac_exp, bits in _chain_grid()[:12]:
+            r = 1 + frac_exp
+            degenerate = (q, q)
+            wide = (q, q + Fraction(1, 3))
+            actual = [certified.pow_bracket(q, r, bits),
+                      certified.ipow_frac(degenerate, r, bits),
+                      certified.ipow_frac(wide, r, bits)]
+            with monkeypatch.context() as m:
+                m.setattr(certified, "_pow_via_chain", fraction_chain)
+                expected = [certified.pow_bracket(q, r, bits),
+                            fraction_ipow_frac(degenerate, r, bits),
+                            fraction_ipow_frac(wide, r, bits)]
+            assert actual == expected, (q, r, bits)
 
 
 class TestIntervalOps:

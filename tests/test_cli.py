@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from lbochner import serialize
+from lbochner import duality, serialize
 from lbochner.bochner import LFunction
 from lbochner.cli import main
 from lbochner.falgebra import LElement
@@ -76,6 +78,29 @@ class TestExitCodes:
         names = {c["name"]: c["verdict"] for c in doc["checks"]}
         assert names["rn-density"] == "FAIL"
 
+    def test_dual_isometry_counts_every_failing_trial(self, tmp_path,
+                                                     monkeypatch):
+        real = duality.isometry_check
+        calls = []
+
+        def failing_on_trials_0_and_2(*args, **kwargs):
+            rep = real(*args, **kwargs)
+            calls.append(rep)
+            if len(calls) in (1, 3):
+                return dataclasses.replace(rep, passed=False)
+            return rep
+
+        monkeypatch.setattr(duality, "isometry_check", failing_on_trials_0_and_2)
+        out = tmp_path / "report.json"
+        code = main(["dual", "isometry", "--trials", "3", "--seed", "5",
+                     "--out", str(out)])
+        assert code == 1
+        assert len(calls) == 3
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["verdict"] == "FAIL"
+        assert check["details"]["failures"] == 2
+        assert check["witness"] == {"trial": 0}
+
 
 class TestOutputs:
     def test_rnp_probe_csv(self, tmp_path, capsys):
@@ -134,3 +159,23 @@ class TestDeterminism:
         main(["rn", "density", "--seed", "1", "--out", str(a)])
         main(["rn", "density", "--seed", "2", "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestGoldenReports:
+    """The report bytes are part of the contract: a change that only makes
+    the checks faster must leave these digests where they are."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["suite", "all", "--seed", "42"],
+         "11130b134caacdfbe165be571c8dbbfe20a3390d44ca78d6555046ffc8087e48"),
+        (["run", "bootstrap", "--p", "3", "--nmax", "20", "--atoms", "4",
+          "--dim", "3", "--seed", "42"],
+         "ca218a0a2850ea0fc4a7c9b3a7e35b94d6a5fb43e3ce06c512fc7e1517d8cbf5"),
+        (["dual", "isometry", "--norm", "two", "--p", "3", "--trials", "5",
+          "--seed", "42"],
+         "b6494e0d28307eea068cc8a7b1c298dbb581fc9de61888c1ab694c2440b65848"),
+    ], ids=["suite-all", "run-bootstrap", "dual-isometry"])
+    def test_report_sha256(self, argv, digest, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
