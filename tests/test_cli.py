@@ -174,7 +174,36 @@ class TestGoldenReports:
         (["dual", "isometry", "--norm", "two", "--p", "3", "--trials", "5",
           "--seed", "42"],
          "b6494e0d28307eea068cc8a7b1c298dbb581fc9de61888c1ab694c2440b65848"),
-    ], ids=["suite-all", "run-bootstrap", "dual-isometry"])
+        (["check", "holder", "--norm", "two", "--p", "3/2", "--trials", "20",
+          "--seed", "42"],
+         "eb55ce5385902b0eb291f04da70c27d66660db103facfc5a8f285c24ec684c46"),
+        (["check", "minkowski", "--norm", "one", "--p", "5/2", "--trials",
+          "20", "--seed", "42"],
+         "a7104a35e79234763fa2ac6c2b4a94a375f7cb071e470e3cf61f1a40b830e496"),
+        (["check", "sup-rep", "--norm", "two", "--rank", "2", "--p", "3/2",
+          "--seed", "42"],
+         "5e9297cf53eb0c83c29cfc3c355f792b913139550f100fefda144fa8b9e21900"),
+        (["check", "chebyshev", "--norm", "two", "--seed", "42"],
+         "fe81b0c16fa94ab31a334fc59209403c37b4581210f16d7b6ec3092be556cc3c"),
+        (["run", "dct", "--seed", "42"],
+         "b16bc1b3aa8787e40de4f0c06e3e4afb5ebf10d23e88e8f59473d554f7564c7d"),
+        (["run", "completeness", "--p", "3", "--norm", "two", "--seed", "42"],
+         "95cefd19461718a5c7fd5a8a729ce76b73e47362b3762a82cddcb5ed46f3edcd"),
+        (["dual", "isometry", "--norm", "one", "--p", "1", "--trials", "5",
+          "--seed", "42"],
+         "708581457ec68638fe2c02889d9f6c42a94155617c4f9d248fcf63ca1f50fa66"),
+        (["dual", "isometry", "--norm", "sup", "--p", "inf", "--trials", "5",
+          "--seed", "42"],
+         "f4afd4e4cfb619af4c401de3f73c801bdeb4db5787a3c7ab1ffdaed4f1bd0de1"),
+        (["dual", "represent", "--norm", "two", "--p", "2", "--seed", "42"],
+         "596fa8a897e17464dadb98faad055bcde351111c6cf9c45ed163d154272277f5"),
+        (["dual", "roundtrip", "--norm", "two", "--p", "2", "--trials", "5",
+          "--seed", "42"],
+         "6ea73a73b4ce2d09bd8482fbffeff55466507b7d9c9a031d4c356e16a286baf9"),
+    ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
+            "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
+            "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
+            "dual-represent", "dual-roundtrip"])
     def test_report_sha256(self, argv, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 0
