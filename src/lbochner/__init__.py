@@ -6,7 +6,6 @@ sums; p-th roots carry certified error brackets.  See the README for the
 module map and the command line front end.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .falgebra import (
     ApproxReal,
     ConvergenceCertificate,
@@ -30,7 +29,6 @@ __all__ = [
     "DualFunction",
     "Functional",
     "INF",
-    "KERNEL_BACKEND",
     "LElement",
     "LFunction",
     "LpHandle",

@@ -1,39 +1,2 @@
-"""Kernel backend selection.
-
-The compiled extension is preferred; the pure-Python twin is used when the
-extension is unavailable or when ``LBOCHNER_PURE_PYTHON=1`` is set.  Both
-expose the same functions with identical exact semantics.
-"""
-
-import os
-
-_NAMES = [
-    "vadd", "vsub", "vmul", "vneg", "vabs", "vsup", "vinf",
-    "vleq", "vpow", "vrecip", "vscale", "vaxpy",
-]
-
-if os.environ.get("LBOCHNER_PURE_PYTHON") == "1":
-    from . import _pykernel as _impl
-    BACKEND = "python"
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[attr-defined]
-        BACKEND = "c"
-    except ImportError:
-        from . import _pykernel as _impl
-        BACKEND = "python"
-
-vadd = _impl.vadd
-vsub = _impl.vsub
-vmul = _impl.vmul
-vneg = _impl.vneg
-vabs = _impl.vabs
-vsup = _impl.vsup
-vinf = _impl.vinf
-vleq = _impl.vleq
-vpow = _impl.vpow
-vrecip = _impl.vrecip
-vscale = _impl.vscale
-vaxpy = _impl.vaxpy
-
-__all__ = _NAMES + ["BACKEND"]
+"""Rational-vector loops behind :class:`lbochner.falgebra.LElement`; the
+implementation lives in :mod:`._pykernel`."""

@@ -1,9 +1,8 @@
-"""Pure-Python rational vector kernel.
+"""Rational vector kernel: the hot inner loops of the scalar algebra.
 
-Reference implementation of the hot inner loops; the compiled twin in
-``_ckernel.pyx`` must match it value-for-value.  Vectors are passed as two
-parallel tuples of ints ``(nums, dens)`` with every coordinate reduced and
-every denominator positive.
+Vectors are passed as two parallel tuples of ints ``(nums, dens)`` with
+every coordinate reduced and every denominator positive; every result is
+returned in that form.
 """
 
 from math import gcd

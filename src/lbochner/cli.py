@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import bochner, duality, lmodule, measure, serialize, vecmeasure
-from ._kernel import BACKEND
 from .falgebra import LElement, ToleranceConfig
 from .bochner import INF, LFunction, LpHandle, TruncatedSequenceSpec
 from .lmodule import ModuleSpace, NormKind
@@ -504,8 +503,7 @@ def _add_common(sub, *, trials: int = 100, atoms: int = 4, rank: int = 2,
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lbochner",
-        description="Exact checks for lattice-valued function spaces "
-                    f"(kernel backend: {BACKEND})")
+        description="Exact checks for lattice-valued function spaces")
     top = parser.add_subparsers(dest="group", required=True)
 
     check = top.add_parser("check", help="inequality and axiom checkers")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import _kernel as _k
+from ._kernel import _pykernel as _k
 from . import certified
 from .certified import Interval
 
@@ -39,7 +39,7 @@ class LElement:
     """An element of the d-dimensional rational product algebra.
 
     Stored as parallel tuples of reduced numerators and positive
-    denominators, the form the kernel backends operate on directly.
+    denominators, the form the kernel loops operate on directly.
     """
 
     __slots__ = ("nums", "dens")
