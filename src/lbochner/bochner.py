@@ -159,36 +159,45 @@ def _atom_norm_intervals(f: LFunction, kind: NormKind,
     return [norm_intervals(v.entries, kind, cfg) for v in f.values]
 
 
-def _atom_norm_p(f: LFunction, p: Fraction, kind: NormKind,
-                 cfg: ToleranceConfig) -> List[List[Interval]]:
-    """Per atom, per scalar coordinate: certified bracket of ||f(t)||**p."""
+def power_sums_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
+                               masses: Sequence[Fraction], s: Fraction,
+                               cfg: ToleranceConfig) -> List[Interval]:
+    """Per scalar coordinate: bracket of the sum over non-null atoms t of
+    mu(t) * ||f(t)||**s, from the per-atom, per-coordinate norm brackets."""
     bits = cfg.root_bits + 2
-    out = []
-    for norms in _atom_norm_intervals(f, kind, cfg):
-        out.append([certified.ipow_frac(iv, p, bits) for iv in norms])
-    return out
+    total = [certified.exact(Fraction(0))] * len(atom_norms[0])
+    for norms, mass in zip(atom_norms, masses):
+        if mass == 0:
+            continue
+        total = [certified.iadd(a, certified.iscale(
+                     certified.ipow_frac(b, s, bits), mass))
+                 for a, b in zip(total, norms)]
+    return total
 
 
-def _lp_norm_intervals(f: LFunction, p: Exponent, kind: NormKind,
+def lp_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
+                       masses: Sequence[Fraction], p: Exponent,
                        cfg: ToleranceConfig) -> List[Interval]:
-    d = f.codomain.scalar_dim
+    """Per scalar coordinate: bracket of the p-norm of a function given by
+    its per-atom norm brackets; null atoms are skipped.  At p = INF this is
+    the largest atom norm (0 when every atom is null)."""
     if p is INF:
-        out = [certified.exact(Fraction(0))] * d
-        for t, norms in enumerate(_atom_norm_intervals(f, kind, cfg)):
-            if f.space.masses[t] == 0:
+        out = [certified.exact(Fraction(0))] * len(atom_norms[0])
+        for norms, mass in zip(atom_norms, masses):
+            if mass == 0:
                 continue
             out = [certified.imax(a, b) for a, b in zip(out, norms)]
         return out
     bits = cfg.root_bits + 2
-    total = [certified.exact(Fraction(0))] * d
-    for t, powers in enumerate(_atom_norm_p(f, p, kind, cfg)):
-        mass = f.space.masses[t]
-        if mass == 0:
-            continue
-        total = [certified.iadd(a, certified.iscale(b, mass))
-                 for a, b in zip(total, powers)]
     inv_p = Fraction(1) / p
-    return [certified.ipow_frac(iv, inv_p, bits) for iv in total]
+    return [certified.ipow_frac(iv, inv_p, bits)
+            for iv in power_sums_from_atom_norms(atom_norms, masses, p, cfg)]
+
+
+def _lp_norm_intervals(f: LFunction, p: Exponent, kind: NormKind,
+                       cfg: ToleranceConfig) -> List[Interval]:
+    return lp_from_atom_norms(_atom_norm_intervals(f, kind, cfg),
+                              f.space.masses, p, cfg)
 
 
 def lp_norm(f: LFunction, handle: LpHandle,
@@ -207,7 +216,9 @@ def verify_sup_representation(f: LFunction, handle: LpHandle,
         raise ValueError("sup representation needs a finite exponent")
     m = f.space.size
     d = f.codomain.scalar_dim
-    powers = _atom_norm_p(f, handle.p, f.codomain.norm_kind, cfg)
+    bits = cfg.root_bits + 2
+    powers = [[certified.ipow_frac(iv, handle.p, bits) for iv in norms]
+              for norms in _atom_norm_intervals(f, f.codomain.norm_kind, cfg)]
     weighted = [[certified.iscale(powers[t][j], f.space.masses[t])
                  for j in range(d)] for t in range(m)]
 
@@ -375,7 +386,6 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     kind = h.codomain.norm_kind
-    d = h.codomain.scalar_dim
     min_mass = min((mass for mass in h.space.masses if mass > 0))
     passed = True
     witness = None
@@ -383,15 +393,11 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
     for n, hn in enumerate(hs):
         hn._check(h)
         norms = _atom_norm_intervals(hn - h, kind, cfg)
-        for j in range(d):
+        integrals = lp_from_atom_norms(norms, h.space.masses, Fraction(1), cfg)
+        for j, total in enumerate(integrals):
             level = [t for t in range(h.space.size)
                      if norms[t][j][0] >= gamma]  # certified members only
             mu_level = sum((h.space.masses[t] for t in level), Fraction(0))
-            total = certified.exact(Fraction(0))
-            for t, mass in enumerate(h.space.masses):
-                if mass == 0:
-                    continue
-                total = certified.iadd(total, certified.iscale(norms[t][j], mass))
             ok, slack = certified.leq_with_slack(
                 certified.exact(gamma * mu_level), total, Fraction(0))
             vanishes = total[1] < gamma * min_mass
@@ -468,14 +474,9 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                     raise DominatorViolation(n, t)
         err = norm_intervals((integrate(gn) - lim_integral).entries, kind, cfg)
         diff_norms = _atom_norm_intervals(gn - spec.limit, kind, cfg)
-        bound = []
-        for j in range(d):
-            total = certified.exact(tail_term)
-            for t, mass in enumerate(spec.space.masses):
-                if mass == 0:
-                    continue
-                total = certified.iadd(total, certified.iscale(diff_norms[t][j], mass))
-            bound.append(total)
+        bound = [certified.iadd(iv, certified.exact(tail_term))
+                 for iv in lp_from_atom_norms(diff_norms, spec.space.masses,
+                                              Fraction(1), cfg)]
         tol = certified.tol_for(cfg.compare_tol, err, bound)
         for j in range(d):
             ok, _ = certified.leq_with_slack(err[j], bound[j], tol)

@@ -306,7 +306,7 @@ def _cmd_dual_represent(args) -> Report:
     rng = rng_for(args.seed, 43)
     v = _dual_function(args, rng)
     H = duality.build_F(v, p)
-    v_back = duality.represent(H, seed=args.seed, cfg=cfg)
+    v_back = duality.represent(H, cfg=cfg)
     ok = all(
         v_back.values[t].coeffs == v.values[t].coeffs
         for t in range(v.space.size) if v.space.masses[t] > 0)

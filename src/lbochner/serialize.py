@@ -16,11 +16,8 @@ from .duality import DualFunction
 from .falgebra import LElement
 from .lmodule import Functional, ModuleSpace, ModuleVector, NormKind
 from .measure import MeasurableSet, MeasureSpace
+from .reports import format_rational
 from .vecmeasure import VectorMeasure
-
-
-def format_rational(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def parse_rational(s: Any, where: str = "value") -> Fraction:

@@ -16,6 +16,7 @@ from lbochner.bochner import (
     integrate,
     integrate_over,
     is_conjugate_pair,
+    lp_from_atom_norms,
     lp_norm,
     run_completeness_harness,
     run_dct_experiment,
@@ -141,6 +142,29 @@ class TestLpNorm:
         handle = LpHandle(Fraction(1), space, MOD)
         doubled = f.scale_rational(Fraction(-2))
         assert lp_norm(doubled, handle) == lp_norm(f, handle).scale(2)
+
+
+class TestLpFromAtomNorms:
+    # per atom, per coordinate; the null atom's bracket is negative, so
+    # raising it to a power would raise ValueError
+    NORMS = [[(Fraction(3), Fraction(3)), (Fraction(1), Fraction(1))],
+             [(Fraction(-1), Fraction(9)), (Fraction(-1), Fraction(9))],
+             [(Fraction(4), Fraction(4)), (Fraction(0), Fraction(0))]]
+    MASSES = [Fraction(1), Fraction(0), Fraction(1)]
+
+    @pytest.mark.parametrize("p,expected", [
+        (Fraction(1), [Fraction(7), Fraction(1)]),
+        (Fraction(2), [Fraction(5), Fraction(1)]),  # sqrt(9 + 16), sqrt(1)
+        (INF, [Fraction(4), Fraction(1)]),
+    ], ids=["p1", "p2", "inf"])
+    def test_null_atoms_skipped(self, p, expected):
+        got = lp_from_atom_norms(self.NORMS, self.MASSES, p, ToleranceConfig())
+        assert got == [(q, q) for q in expected]
+
+    def test_inf_starts_from_zero(self):
+        got = lp_from_atom_norms(self.NORMS[1:2], [Fraction(0)], INF,
+                                 ToleranceConfig())
+        assert got == [(Fraction(0), Fraction(0))] * 2
 
 
 class TestSupRepresentation:

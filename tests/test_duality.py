@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from lbochner import duality
 from lbochner.bochner import INF, LFunction, LpHandle, lp_norm
 from lbochner.duality import (
     DualFunction,
@@ -34,7 +35,7 @@ from lbochner.sampling import (
     random_module_vector,
     rng_for,
 )
-from lbochner.vecmeasure import NotAbsolutelyContinuous
+from lbochner.vecmeasure import DensityResult, NotAbsolutelyContinuous
 
 
 def L(*coords):
@@ -265,6 +266,57 @@ class TestRepresent:
         H = LpOperator(space, PRIMAL,
                        ((L(0, 0),), (L(1, 0),)), Fraction(1))
         with pytest.raises(NotAbsolutelyContinuous):
+            represent(H)
+
+
+def _off_by_one(f, t):
+    """f with coordinate 0 of entry 0 at atom t raised by one."""
+    first = f.values[t].entries[0]
+    bumped = LElement([first[0] + 1, *first.coords[1:]])
+    values = list(f.values)
+    values[t] = ModuleVector(f.codomain, (bumped, *f.values[t].entries[1:]))
+    return LFunction(f.space, f.codomain, tuple(values))
+
+
+class TestRepresentOffBasis:
+    """represent() verifies the basis only; by linearity it then agrees with
+    the operator on every input, which seeded random inputs confirm here."""
+
+    @staticmethod
+    def _operator(p, kind):
+        rng = rng_for(59, int(p), ord(kind.value[0]))
+        primal = ModuleSpace(2, 2, kind)
+        space = random_measure_space(rng, 4, null_atoms=1)
+        v = DualFunction(space, tuple(
+            random_functional(rng, primal) for _ in range(4)))
+        return build_F(v, p), rng
+
+    @staticmethod
+    def _random_input(rng, H):
+        return LFunction(H.space, H.codomain, tuple(
+            random_module_vector(rng, H.codomain)
+            for _ in range(H.space.size)))
+
+    @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.TWO])
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(2)])
+    def test_agrees_on_random_inputs(self, p, kind):
+        H, rng = self._operator(p, kind)
+        v = represent(H)
+        for _ in range(25):
+            u = self._random_input(rng, H)
+            assert H(u) == pairing(u, v)
+
+    def test_off_density_raises(self, monkeypatch):
+        H, _ = self._operator(Fraction(2), NormKind.TWO)
+        t = next(i for i, m in enumerate(H.space.masses) if m > 0)
+        real = duality.rn_density
+
+        def off_density(G):
+            res = real(G)
+            return DensityResult(_off_by_one(res.density, t), res.verified_sets)
+
+        monkeypatch.setattr(duality, "rn_density", off_density)
+        with pytest.raises(AssertionError):
             represent(H)
 
 
