@@ -269,15 +269,6 @@ class TestRepresent:
             represent(H)
 
 
-def _off_by_one(f, t):
-    """f with coordinate 0 of entry 0 at atom t raised by one."""
-    first = f.values[t].entries[0]
-    bumped = LElement([first[0] + 1, *first.coords[1:]])
-    values = list(f.values)
-    values[t] = ModuleVector(f.codomain, (bumped, *f.values[t].entries[1:]))
-    return LFunction(f.space, f.codomain, tuple(values))
-
-
 class TestRepresentOffBasis:
     """represent() verifies the basis only; by linearity it then agrees with
     the operator on every input, which seeded random inputs confirm here."""
@@ -291,19 +282,15 @@ class TestRepresentOffBasis:
             random_functional(rng, primal) for _ in range(4)))
         return build_F(v, p), rng
 
-    @staticmethod
-    def _random_input(rng, H):
-        return LFunction(H.space, H.codomain, tuple(
-            random_module_vector(rng, H.codomain)
-            for _ in range(H.space.size)))
-
     @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.TWO])
     @pytest.mark.parametrize("p", [Fraction(1), Fraction(2)])
     def test_agrees_on_random_inputs(self, p, kind):
         H, rng = self._operator(p, kind)
         v = represent(H)
         for _ in range(25):
-            u = self._random_input(rng, H)
+            u = LFunction(H.space, H.codomain, tuple(
+                random_module_vector(rng, H.codomain)
+                for _ in range(H.space.size)))
             assert H(u) == pairing(u, v)
 
     def test_off_density_raises(self, monkeypatch):
@@ -312,8 +299,16 @@ class TestRepresentOffBasis:
         real = duality.rn_density
 
         def off_density(G):
+            # coordinate 0 of entry 0 at atom t raised by one
             res = real(G)
-            return DensityResult(_off_by_one(res.density, t), res.verified_sets)
+            g = res.density
+            first = g.values[t].entries[0]
+            values = list(g.values)
+            values[t] = ModuleVector(g.codomain, (
+                LElement([first[0] + 1, *first.coords[1:]]),
+                *g.values[t].entries[1:]))
+            return DensityResult(LFunction(g.space, g.codomain, tuple(values)),
+                                 res.verified_sets)
 
         monkeypatch.setattr(duality, "rn_density", off_density)
         with pytest.raises(AssertionError):
