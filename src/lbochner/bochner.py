@@ -10,6 +10,7 @@ carry certified brackets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -24,7 +25,13 @@ from .falgebra import (
     check_order_convergence,
 )
 from .lmodule import ModuleSpace, ModuleVector, NormKind, norm_intervals, collapse_intervals, NormValue
-from .measure import MeasurableSet, MeasureSpace, SpaceMismatch
+from .measure import (
+    MeasurableSet,
+    MeasureSpace,
+    SpaceMismatch,
+    TooManySubsets,
+    subset_sums,
+)
 from .reports import CheckReport
 from .sampling import random_module_vector, rng_for
 
@@ -208,90 +215,111 @@ def lp_norm(f: LFunction, handle: LpHandle,
         _lp_norm_intervals(f, handle.p, f.codomain.norm_kind, cfg))
 
 
+SUP_REP_MAX_ATOMS = 16
+
+
 def verify_sup_representation(f: LFunction, handle: LpHandle,
                               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Exhaustively checks that E -> integral over E of ||f||**p is monotone
-    under inclusion and attains its supremum at the whole space."""
+    under inclusion and attains its supremum at the whole space.
+
+    For each scalar coordinate, every bracket end of the weighted atom terms
+    mu(t) * ||f(t)||**p and the tolerance are put over one common
+    denominator, so the 2**m lower and upper subset sums are plain integers
+    and each comparison is ``leq_with_slack``'s rule lo(a) <= hi(b) + tol,
+    scaled by that denominator.  Spaces above ``SUP_REP_MAX_ATOMS`` atoms
+    are refused before anything is allocated."""
     if handle.is_inf:
         raise ValueError("sup representation needs a finite exponent")
     m = f.space.size
+    if m > SUP_REP_MAX_ATOMS:
+        raise TooManySubsets(f"{m} atoms exceeds the sup-representation "
+                             f"cap {SUP_REP_MAX_ATOMS}")
     d = f.codomain.scalar_dim
     bits = cfg.root_bits + 2
     powers = [[certified.ipow_frac(iv, handle.p, bits) for iv in norms]
               for norms in _atom_norm_intervals(f, f.codomain.norm_kind, cfg)]
-    weighted = [[certified.iscale(powers[t][j], f.space.masses[t])
-                 for j in range(d)] for t in range(m)]
+    weighted = [[certified.iscale(iv, mass) for iv in row]
+                for row, mass in zip(powers, f.space.masses)]
+    tol = certified.tol_for(cfg.compare_tol, *powers)
 
-    # subset sums by dynamic programming over bitmasks
-    sums: List[List[Interval]] = [[certified.exact(Fraction(0))] * d
-                                  for _ in range(1 << m)]
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        prev = sums[mask ^ (1 << low)]
-        sums[mask] = [certified.iadd(prev[j], weighted[low][j])
-                      for j in range(d)]
+    lo_sums: List[List[int]] = []
+    hi_plus_tol: List[List[int]] = []
+    at_full: List[Interval] = []
+    for j in range(d):
+        column = [row[j] for row in weighted]
+        den = math.lcm(tol.denominator,
+                       *(end.denominator for iv in column for end in iv))
+        lo = subset_sums([_over(iv[0], den) for iv in column], 0)
+        hi = subset_sums([_over(iv[1], den) for iv in column], 0)
+        tol_j = _over(tol, den)
+        lo_sums.append(lo)
+        hi_plus_tol.append([s + tol_j for s in hi])
+        at_full.append((Fraction(lo[-1], den), Fraction(hi[-1], den)))
 
-    tol = certified.tol_for(cfg.compare_tol, *(powers[t] for t in range(m)))
-    full = (1 << m) - 1
-    passed = True
-    witness = None
-
-    for mask in range(1 << m):
-        for j in range(d):
-            ok, _ = certified.leq_with_slack(sums[mask][j], sums[full][j], tol)
-            if not ok:
-                passed = False
-                witness = {"subset_mask": mask, "coordinate": j}
-                break
-        if not passed:
-            break
-
-    # single-atom extensions certify monotonicity along every chain
-    if passed:
-        for mask in range(1 << m):
-            for t in range(m):
-                if (mask >> t) & 1:
-                    continue
-                bigger = mask | (1 << t)
-                for j in range(d):
-                    ok, _ = certified.leq_with_slack(
-                        sums[mask][j], sums[bigger][j], tol)
-                    if not ok:
-                        passed = False
-                        witness = {"subset_mask": mask, "atom": t,
-                                   "coordinate": j}
-                        break
-
-    # exhaustive pair check at small sizes
-    pairs_checked = 0
-    if passed and m <= 6:
-        for mask in range(1 << m):
-            sub = mask
-            while True:
-                for j in range(d):
-                    ok, _ = certified.leq_with_slack(
-                        sums[sub][j], sums[mask][j], tol)
-                    if not ok:
-                        passed = False
-                        witness = {"subset_mask": sub, "superset_mask": mask,
-                                   "coordinate": j}
-                pairs_checked += 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            if not passed:
-                break
-
+    witness, pairs_checked = _first_sup_rep_failure(lo_sums, hi_plus_tol, m)
     return CheckReport(
         name="sup-representation",
-        passed=passed,
+        passed=witness is None,
         details={
             "subsets": 1 << m,
             "pairs_checked": pairs_checked,
-            "max_at_full_space": collapse_intervals(sums[full]),
+            "max_at_full_space": collapse_intervals(at_full),
         },
         witness=witness,
     )
+
+
+def _over(q: Fraction, den: int) -> int:
+    """The numerator of q written over den, a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+def _first_sup_rep_failure(lo: Sequence[Sequence[int]],
+                           hi_plus_tol: Sequence[Sequence[int]],
+                           m: int) -> Tuple[Optional[dict], int]:
+    """The witness of the first failing comparison lo(a) <= hi(b) + tol, in
+    bitmask order, over three passes: every subset against the whole space,
+    every single-atom extension, and at m <= 6 every subset pair.  Also
+    returns the number of pairs the pair pass checked."""
+    full = (1 << m) - 1
+    coords = range(len(lo))
+
+    def first_bad_coordinate(a: int, b: int) -> Optional[int]:
+        for j in coords:
+            if lo[j][a] > hi_plus_tol[j][b]:
+                return j
+        return None
+
+    for mask in range(full + 1):
+        j = first_bad_coordinate(mask, full)
+        if j is not None:
+            return {"subset_mask": mask, "coordinate": j}, 0
+
+    # single-atom extensions certify monotonicity along every chain
+    for mask in range(full + 1):
+        for t in range(m):
+            if (mask >> t) & 1:
+                continue
+            j = first_bad_coordinate(mask, mask | (1 << t))
+            if j is not None:
+                return {"subset_mask": mask, "atom": t, "coordinate": j}, 0
+
+    # exhaustive pair check at small sizes
+    pairs_checked = 0
+    if m <= 6:
+        for mask in range(full + 1):
+            sub = mask
+            while True:
+                pairs_checked += 1
+                j = first_bad_coordinate(sub, mask)
+                if j is not None:
+                    return ({"subset_mask": sub, "superset_mask": mask,
+                             "coordinate": j}, pairs_checked)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+    return None, pairs_checked
 
 
 def _pairing_abs(u: ModuleVector, v: ModuleVector) -> LElement:

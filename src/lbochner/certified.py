@@ -17,6 +17,12 @@ Comparison semantics used by all checkers:
   inequality always passes (the bracket contains the true value); a false one
   fails once its margin exceeds the bracket widths plus ``tol``.
 * ``eq_within(a, b, tol)`` compares midpoints, reporting the gap.
+
+The subset table of ``bochner.verify_sup_representation`` applies the
+``leq_with_slack`` rule without building brackets: for each scalar
+coordinate it writes every bracket end of its atom terms, and ``tol``, over
+one common denominator, sums the ends as integers and compares
+lo(a) <= hi(b) + tol as integers scaled by that denominator.
 """
 
 from __future__ import annotations

@@ -301,12 +301,11 @@ def _cmd_dual_isometry(args) -> Report:
 
 
 def _cmd_dual_represent(args) -> Report:
-    cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     rng = rng_for(args.seed, 43)
     v = _dual_function(args, rng)
     H = duality.build_F(v, p)
-    v_back = duality.represent(H, cfg=cfg)
+    v_back = duality.represent(H)
     ok = all(
         v_back.values[t].coeffs == v.values[t].coeffs
         for t in range(v.space.size) if v.space.masses[t] > 0)
@@ -347,8 +346,9 @@ def _cmd_rn_density(args) -> Report:
     try:
         result = vecmeasure.rn_density(G, seed=args.seed)
         density_check = CheckReport(
-            name="rn-density", passed=True,
-            details={"verified_sets": result.verified_sets})
+            name="rn-density", passed=result.passed,
+            details={"verified_sets": result.verified_sets},
+            witness=result.witness)
     except vecmeasure.NotAbsolutelyContinuous as exc:
         density_check = CheckReport(
             name="rn-density", passed=False,
@@ -363,10 +363,11 @@ def _cmd_rn_variation(args) -> Report:
     result = vecmeasure.variation(G, cfg)
     return _report(args, [CheckReport(
         name="variation",
-        passed=True,
+        passed=result.passed,
         details={"variation": result.variation,
                  "exhaustive_checked": result.exhaustive_checked,
                  "blocks": len(result.attaining_partition.blocks)},
+        witness=result.witness,
     )])
 
 
@@ -441,10 +442,12 @@ def _cmd_suite_all(args) -> Report:
         ModuleSpace(2, 2, NormKind.SUP)))
     result = vecmeasure.rn_density(G, seed=seed)
     checks.append(CheckReport(
-        name="rn-density", passed=True,
-        details={"verified_sets": result.verified_sets}))
-    vecmeasure.variation(G, cfg)
-    checks.append(CheckReport(name="variation", passed=True, details={}))
+        name="rn-density", passed=result.passed,
+        details={"verified_sets": result.verified_sets},
+        witness=result.witness))
+    varied = vecmeasure.variation(G, cfg)
+    checks.append(CheckReport(name="variation", passed=varied.passed,
+                              details={}, witness=varied.witness))
 
     checks.append(duality.roundtrip_check(
         Fraction(1), INF, 25, seed, cfg=cfg))

@@ -515,8 +515,7 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
     )
 
 
-def represent(H: LpOperator,
-              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> DualFunction:
+def represent(H: LpOperator) -> DualFunction:
     """Surjectivity construction: read the operator's basis action as a
     dual-module-valued set function, solve for its density, and verify the
     pairing reproduces the operator on every basis function.
@@ -529,9 +528,12 @@ def represent(H: LpOperator,
     atom_values = tuple(
         ModuleVector(dual_space, tuple(row)) for row in H.basis_action)
     G = VectorMeasure(H.space, dual_space, atom_values)
-    density = rn_density(G).density
+    result = rn_density(G)
+    if not result.passed:
+        raise AssertionError(
+            f"density verification failed on subset {result.witness['subset']}")
     v = DualFunction(H.space, tuple(
-        Functional(primal, val.entries) for val in density.values))
+        Functional(primal, val.entries) for val in result.density.values))
 
     # basis verification; exact
     for t in range(H.space.size):

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .falgebra import RationalLike, as_rational
 
 
 class TooManyAtoms(ValueError):
     """Partition enumeration refused: Bell-number growth."""
+
+
+class TooManySubsets(ValueError):
+    """Subset table refused: 2**m growth."""
 
 
 class SpaceMismatch(ValueError):
@@ -72,11 +76,12 @@ class MeasureSpace:
     def subset_of_names(self, names: Iterable[str]) -> "MeasurableSet":
         return MeasurableSet(self, frozenset(self.index_of(n) for n in names))
 
+    def subset_of_mask(self, mask: int) -> "MeasurableSet":
+        return self.subset(i for i in range(self.size) if (mask >> i) & 1)
+
     def all_subsets(self) -> Iterator["MeasurableSet"]:
-        m = self.size
-        for mask in range(1 << m):
-            yield MeasurableSet(
-                self, frozenset(i for i in range(m) if (mask >> i) & 1))
+        for mask in range(1 << self.size):
+            yield self.subset_of_mask(mask)
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,21 @@ class MeasurableSet:
 
 def measure_of(F: MeasurableSet) -> Fraction:
     return sum((F.space.masses[i] for i in F.members), Fraction(0))
+
+
+T = TypeVar("T")
+
+
+def subset_sums(terms: Sequence[T], zero: T) -> List[T]:
+    """Indexed by bitmask: entry ``mask`` is ``zero`` plus the terms whose
+    bit is set in ``mask``.  Each entry is one addition away from the entry
+    without its lowest set bit, so the whole table costs 2**len(terms)
+    additions."""
+    sums = [zero] * (1 << len(terms))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
+    return sums
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import certified
 from .falgebra import (
@@ -38,6 +38,7 @@ from .measure import (
     enumerate_partitions,
     measure_of,
     rademacher_set,
+    subset_sums,
 )
 from .reports import CheckReport
 
@@ -93,14 +94,14 @@ def check_mu_continuity(G: VectorMeasure,
     if G.space.size <= table_cap:
         series = []
         kind = G.codomain.norm_kind
-        for F in G.space.all_subsets():
-            mu = measure_of(F)
-            val = evaluate(G, F)
+        masses = subset_sums(G.space.masses, Fraction(0))
+        values = subset_sums(G.atom_values, G.codomain.zero())
+        for mask, (mu, val) in enumerate(zip(masses, values)):
             norms = norm_intervals(val.entries, kind, cfg)
             if mu == 0 and any(iv != (0, 0) for iv in norms):
                 if passed:
                     passed = False
-                    witness = {"subset": F.names()}
+                    witness = {"subset": G.space.subset_of_mask(mask).names()}
             series.append({"mu": mu,
                            "value_norm": [certified.mid(iv) for iv in norms]})
     return CheckReport(
@@ -117,6 +118,11 @@ class VariationResult:
     variation: NormValue
     attaining_partition: Partition
     exhaustive_checked: bool
+    witness: Optional[Dict[str, Any]] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def _partition_norm_sum(G: VectorMeasure, partition: Partition,
@@ -133,28 +139,36 @@ def _partition_norm_sum(G: VectorMeasure, partition: Partition,
 def variation(G: VectorMeasure, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
               exhaustive_cap: int = 5) -> VariationResult:
     """Total variation: the norm sum over the atomic partition.  For small
-    spaces every partition is enumerated and certified dominated by it."""
+    spaces every partition is enumerated and certified dominated by it; the
+    witness names the first partition and coordinate that is not."""
     atomic = atomic_partition(G.space)
     total = _partition_norm_sum(G, atomic, cfg)
-    exhaustive = False
-    if G.space.size <= exhaustive_cap:
+    exhaustive = G.space.size <= exhaustive_cap
+    witness = None
+    if exhaustive:
         tol = certified.tol_for(cfg.compare_tol, total)
         for partition in enumerate_partitions(G.space, exhaustive_cap):
             candidate = _partition_norm_sum(G, partition, cfg)
-            for j in range(G.codomain.scalar_dim):
-                ok, _ = certified.leq_with_slack(candidate[j], total[j], tol)
-                if not ok:
-                    raise AssertionError(
-                        "refinement monotonicity violated; variation is not "
-                        "attained at the atomic partition")
-        exhaustive = True
-    return VariationResult(collapse_intervals(total), atomic, exhaustive)
+            bad = [j for j in range(G.codomain.scalar_dim)
+                   if not certified.leq_with_slack(candidate[j], total[j],
+                                                   tol)[0]]
+            if bad:
+                witness = {"partition": [B.names() for B in partition.blocks],
+                           "coordinate": bad[0]}
+                break
+    return VariationResult(collapse_intervals(total), atomic, exhaustive,
+                           witness)
 
 
 @dataclass
 class DensityResult:
     density: LFunction
     verified_sets: int
+    witness: Optional[Dict[str, Any]] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def rn_density(G: VectorMeasure, seed: int = 0,
@@ -162,7 +176,9 @@ def rn_density(G: VectorMeasure, seed: int = 0,
                sample_count: int = 1000) -> DensityResult:
     """Solves G(F) = integral of g over F for g by atomwise division and
     verifies the identity on every subset (or a seeded sample when the
-    power set is too large)."""
+    power set is too large).  The two sides stay independent: G(F) is built
+    from G's atom values, the integral from mu(t) * g(t).  Verification
+    stops at the first subset where they differ, which is the witness."""
     vals = []
     for t, mass in enumerate(G.space.masses):
         if mass == 0:
@@ -176,20 +192,27 @@ def rn_density(G: VectorMeasure, seed: int = 0,
     g = LFunction(G.space, G.codomain, tuple(vals))
 
     m = G.space.size
-    verified = 0
     if m <= exhaustive_cap:
-        subsets = G.space.all_subsets()
+        zero = G.codomain.zero()
+        lhs = subset_sums(G.atom_values, zero)
+        rhs = subset_sums([integrate_over(g, G.space.singleton(t))
+                           for t in range(m)], zero)
+        comparisons = zip(range(1 << m), lhs, rhs)
     else:
         rng = random.Random(seed)
-        subsets = (G.space.subset(
-            [i for i in range(m) if rng.random() < 0.5])
-            for _ in range(sample_count))
-    for F in subsets:
-        lhs = evaluate(G, F)
-        rhs = integrate_over(g, F)
-        if lhs.entries != rhs.entries:
-            raise AssertionError(
-                f"density verification failed on subset {F.names()}")
+
+        def sampled():
+            for _ in range(sample_count):
+                mask = sum(1 << i for i in range(m) if rng.random() < 0.5)
+                F = G.space.subset_of_mask(mask)
+                yield mask, evaluate(G, F), integrate_over(g, F)
+
+        comparisons = sampled()
+    verified = 0
+    for mask, lhs_value, rhs_value in comparisons:
+        if lhs_value.entries != rhs_value.entries:
+            return DensityResult(
+                g, verified, {"subset": G.space.subset_of_mask(mask).names()})
         verified += 1
     return DensityResult(g, verified)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lbochner import bochner, certified
 from lbochner.bochner import (
     INF,
     DominatorViolation,
@@ -24,9 +25,16 @@ from lbochner.bochner import (
     verify_sup_representation,
 )
 from lbochner.falgebra import LElement, ToleranceConfig
-from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, value_intervals
-from lbochner.measure import MeasureSpace
-from lbochner.sampling import random_module_vector, rng_for
+from lbochner.lmodule import (
+    ModuleSpace,
+    ModuleVector,
+    NormKind,
+    collapse_intervals,
+    norm_intervals,
+    value_intervals,
+)
+from lbochner.measure import MeasureSpace, TooManySubsets
+from lbochner.sampling import random_measure_space, random_module_vector, rng_for
 
 
 def L(*coords):
@@ -197,6 +205,155 @@ class TestSupRepresentation:
         rep = verify_sup_representation(f, LpHandle(Fraction(2), space, MOD))
         assert rep.passed
         assert rep.details["subsets"] == 1024
+
+
+def interval_sup_rep(f, p, cfg):
+    """The subset table as (lo, hi) Fraction brackets with every comparison
+    a ``leq_with_slack`` call, as the checker computed it before its integer
+    table; returns (verdict, max_at_full_space, pairs_checked)."""
+    m = f.space.size
+    d = f.codomain.scalar_dim
+    bits = cfg.root_bits + 2
+    powers = [[certified.ipow_frac(iv, p, bits)
+               for iv in norm_intervals(v.entries, f.codomain.norm_kind, cfg)]
+              for v in f.values]
+    weighted = [[certified.iscale(powers[t][j], f.space.masses[t])
+                 for j in range(d)] for t in range(m)]
+    sums = [[certified.exact(Fraction(0))] * d for _ in range(1 << m)]
+    for mask in range(1, 1 << m):
+        low = (mask & -mask).bit_length() - 1
+        prev = sums[mask ^ (1 << low)]
+        sums[mask] = [certified.iadd(prev[j], weighted[low][j])
+                      for j in range(d)]
+    tol = certified.tol_for(cfg.compare_tol, *powers)
+    full = (1 << m) - 1
+
+    def leq(a, b):
+        return all(certified.leq_with_slack(sums[a][j], sums[b][j], tol)[0]
+                   for j in range(d))
+
+    passed = all(leq(mask, full) for mask in range(1 << m))
+    passed = passed and all(leq(mask, mask | (1 << t))
+                            for mask in range(1 << m) for t in range(m)
+                            if not (mask >> t) & 1)
+    pairs_checked = 0
+    if passed and m <= 6:
+        for mask in range(1 << m):
+            sub = mask
+            while True:
+                passed = passed and leq(sub, mask)
+                pairs_checked += 1
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+    return passed, collapse_intervals(sums[full]), pairs_checked
+
+
+class TestSupRepIntegerTable:
+    """The integer table against the bracket table it replaced, and the
+    first-failure witnesses of the three passes."""
+
+    @pytest.mark.parametrize("m,kind,rank,p,null_atoms", [
+        (12, NormKind.SUP, 1, Fraction(2), 0),     # exact: tol = 0
+        (8, NormKind.TWO, 2, Fraction(3, 2), 0),   # brackets: tol != 0
+        (6, NormKind.TWO, 2, Fraction(3, 2), 1),   # pair pass, null atom
+        (5, NormKind.ONE, 2, Fraction(3), 2),
+        (4, NormKind.SUP, 1, Fraction(1), 1),
+    ])
+    def test_matches_interval_table(self, m, kind, rank, p, null_atoms):
+        rng = rng_for(404, m, rank)
+        codomain = ModuleSpace(rank, 2, kind)
+        space = random_measure_space(rng, m, null_atoms=null_atoms)
+        f = LFunction(space, codomain, tuple(
+            random_module_vector(rng, codomain) for _ in range(m)))
+        cfg = ToleranceConfig()
+        rep = verify_sup_representation(f, LpHandle(p, space, codomain), cfg)
+        passed, at_full, pairs_checked = interval_sup_rep(f, p, cfg)
+        assert rep.passed and passed
+        assert rep.details["max_at_full_space"] == at_full
+        assert rep.details["pairs_checked"] == pairs_checked
+        assert pairs_checked == (3 ** m if m <= 6 else 0)
+        assert isinstance(at_full, LElement) == (kind is not NormKind.TWO)
+
+    @pytest.mark.parametrize("depth", [Fraction(1, 2), Fraction(2)])
+    def test_tolerance_rule_matches_leq_with_slack(self, monkeypatch, depth):
+        # a term depth * tol below zero among bracketed ones: within the
+        # tolerance it passes, beyond it fails, as leq_with_slack decides
+        cfg = ToleranceConfig()
+        codomain = ModuleSpace(2, 2, NormKind.TWO)
+        space = MeasureSpace.build(["a", "b", "c", "d"], [1, 2, 3, 4])
+        rng = rng_for(405)
+        f = LFunction(space, codomain, tuple(
+            random_module_vector(rng, codomain) for _ in range(4)))
+        below = -depth * cfg.compare_tol
+        self._corrupt(monkeypatch, {1: (below, below)})
+        p = Fraction(3, 2)
+        rep = verify_sup_representation(f, LpHandle(p, space, codomain), cfg)
+        passed, at_full, _ = interval_sup_rep(f, p, cfg)
+        assert rep.passed == passed == (depth < 1)
+        assert rep.details["max_at_full_space"] == at_full
+
+    @staticmethod
+    def _corrupt(monkeypatch, by_mass):
+        """Replace the weighted term of the atom with the given mass."""
+        real = certified.iscale
+
+        def iscale(a, c):
+            return by_mass[c] if c in by_mass else real(a, c)
+
+        monkeypatch.setattr(certified, "iscale", iscale)
+
+    @staticmethod
+    def _run(*norms):
+        space = MeasureSpace.build(["a", "b", "c"][:len(norms)],
+                                   range(1, len(norms) + 1))
+        codomain = ModuleSpace(1, 1, NormKind.SUP)
+        f = LFunction(space, codomain, tuple(
+            ModuleVector(codomain, (L(n),)) for n in norms))
+        return verify_sup_representation(
+            f, LpHandle(Fraction(1), space, codomain))
+
+    def test_negative_term_fails_against_full_space(self, monkeypatch):
+        # terms -1, 2, 3: the full space sums to 4, and {b, c} (mask 6) is
+        # the first subset above it
+        self._corrupt(monkeypatch, {1: (Fraction(-1), Fraction(-1))})
+        rep = self._run(1, 1, 1)
+        assert not rep.passed
+        assert rep.witness == {"subset_mask": 6, "coordinate": 0}
+
+    def test_extension_pass_reports_first_failure(self, monkeypatch):
+        # terms [0, 100], -1, 0: no subset exceeds the full space, and
+        # adding b fails from {} (mask 0) and again from {c} (mask 4)
+        self._corrupt(monkeypatch, {1: (Fraction(0), Fraction(100)),
+                                    2: (Fraction(-1), Fraction(-1))})
+        rep = self._run(1, 1, 0)
+        assert not rep.passed
+        assert rep.witness == {"subset_mask": 0, "atom": 1, "coordinate": 0}
+        assert rep.details["pairs_checked"] == 0
+
+    def test_pair_pass_reports_first_failure(self, monkeypatch):
+        # an inverted bracket [5, 0] at a passes the first two passes but
+        # not the pair ({a}, {a})
+        self._corrupt(monkeypatch, {1: (Fraction(5), Fraction(0)),
+                                    2: (Fraction(0), Fraction(10))})
+        rep = self._run(1, 1)
+        assert not rep.passed
+        assert rep.witness == {"subset_mask": 1, "superset_mask": 1,
+                               "coordinate": 0}
+        assert rep.details["pairs_checked"] == 2
+
+    def test_atom_cap_refused_before_allocation(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("table work started above the cap")
+
+        monkeypatch.setattr(bochner, "subset_sums", unreachable)
+        monkeypatch.setattr(certified, "ipow_frac", unreachable)
+        m = bochner.SUP_REP_MAX_ATOMS + 1
+        space = MeasureSpace.build([f"a{i}" for i in range(m)], [1] * m)
+        f = LFunction.zero(space, MOD)
+        with pytest.raises(TooManySubsets):
+            verify_sup_representation(f, LpHandle(Fraction(2), space, MOD))
+        assert issubclass(TooManySubsets, ValueError)
 
 
 class TestHolder:

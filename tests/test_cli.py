@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lbochner import duality, serialize
+from lbochner import bochner, duality, serialize, vecmeasure
 from lbochner.bochner import LFunction
 from lbochner.cli import main
 from lbochner.falgebra import LElement
@@ -100,6 +100,104 @@ class TestExitCodes:
         assert check["verdict"] == "FAIL"
         assert check["details"]["failures"] == 2
         assert check["witness"] == {"trial": 0}
+
+
+class TestFailurePaths:
+    """A violated check ends in a FAIL report with a witness and exit 1,
+    never in a traceback; an oversized table is refused with exit 2."""
+
+    @staticmethod
+    def _off_integral(f, E):
+        # the density term of atom 0 one unit too large
+        value = bochner.integrate_over(f, E)
+        if 0 in E.members:
+            return value + f.codomain.basis_vector(0)
+        return value
+
+    @staticmethod
+    def _heavy_blocks(monkeypatch):
+        # every block of two or more atoms 10 heavier than its atoms
+        real = vecmeasure.evaluate
+
+        def evaluate(G, F):
+            value = real(G, F)
+            if len(F.members) > 1:
+                return value + G.codomain.basis_vector(0).scale_rational(10)
+            return value
+
+        monkeypatch.setattr(vecmeasure, "evaluate", evaluate)
+
+    @staticmethod
+    def _measure_doc(tmp_path):
+        space = MeasureSpace.build(["a", "b", "c"], [1, 2, 0])
+        codomain = ModuleSpace(1, 2, NormKind.SUP)
+        G = VectorMeasure(space, codomain, tuple(
+            ModuleVector(codomain, (LElement(v),))
+            for v in ([2, -2], [4, 6], [0, 0])))
+        return write_json(tmp_path / "g.json",
+                          serialize.vector_measure_to_doc(G))
+
+    @staticmethod
+    def _checks(out):
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "FAIL"
+        return {c["name"]: c for c in doc["checks"]}
+
+    def test_density_mismatch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(vecmeasure, "integrate_over", self._off_integral)
+        out = tmp_path / "report.json"
+        code = main(["rn", "density", "--measure", self._measure_doc(tmp_path),
+                     "--out", str(out)])
+        assert code == 1
+        checks = self._checks(out)
+        assert checks["mu-continuity"]["verdict"] == "PASS"
+        assert checks["rn-density"]["verdict"] == "FAIL"
+        assert checks["rn-density"]["witness"] == {"subset": ["a"]}
+        assert checks["rn-density"]["details"] == {"verified_sets": 1}
+
+    def test_variation_refinement_violation(self, tmp_path, monkeypatch):
+        self._heavy_blocks(monkeypatch)
+        out = tmp_path / "report.json"
+        code = main(["rn", "variation", "--measure",
+                     self._measure_doc(tmp_path), "--out", str(out)])
+        assert code == 1
+        check = self._checks(out)["variation"]
+        assert check["verdict"] == "FAIL"
+        assert check["witness"] == {"partition": [["a", "b", "c"]],
+                                    "coordinate": 0}
+
+    def test_suite_all_takes_density_and_variation_verdicts(
+            self, tmp_path, monkeypatch):
+        # duality's represent solves densities too; only the suite's own
+        # density check sees the corrupted term
+        real_density = vecmeasure.rn_density
+
+        def density_with_off_term(G, seed=0):
+            with monkeypatch.context() as patch:
+                patch.setattr(vecmeasure, "integrate_over", self._off_integral)
+                return real_density(G, seed=seed)
+
+        monkeypatch.setattr(vecmeasure, "rn_density", density_with_off_term)
+        self._heavy_blocks(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["suite", "all", "--seed", "42", "--out", str(out)]) == 1
+        checks = self._checks(out)
+        failed = {name for name, c in checks.items() if c["verdict"] == "FAIL"}
+        assert failed == {"rn-density", "variation"}
+        assert checks["rn-density"]["witness"] == {"subset": ["a0"]}
+        assert "partition" in checks["variation"]["witness"]
+
+    def test_sup_rep_atom_cap(self, tmp_path, capsys):
+        m = bochner.SUP_REP_MAX_ATOMS + 1
+        assert main(["check", "sup-rep", "--atoms", str(m)]) == 2
+        assert "error:" in capsys.readouterr().err
+        space = MeasureSpace.build([f"a{i}" for i in range(m)], [1] * m)
+        f = LFunction.zero(space, ModuleSpace(1, 2, NormKind.SUP))
+        fn = write_json(tmp_path / "f.json", serialize.lfunction_to_doc(f))
+        out = tmp_path / "report.json"
+        assert main(["check", "sup-rep", "--fn", fn, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputs:

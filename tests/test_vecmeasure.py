@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from lbochner import bochner, certified, vecmeasure
 from lbochner.bochner import LFunction, integrate_over
-from lbochner.falgebra import LElement, ZeroDivisor
-from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind
-from lbochner.measure import MeasureSpace, enumerate_partitions
-from lbochner.sampling import random_module_vector, rng_for
+from lbochner.falgebra import DEFAULT_TOLERANCES, LElement, ZeroDivisor
+from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, norm_intervals
+from lbochner.measure import (
+    MeasureSpace,
+    enumerate_partitions,
+    measure_of,
+    subset_sums,
+)
+from lbochner.sampling import random_measure_space, random_module_vector, rng_for
 from lbochner.vecmeasure import (
     NotAbsolutelyContinuous,
     VectorMeasure,
@@ -101,6 +107,25 @@ class TestVariation:
         G = vm(space, L(-3, "7/2"))
         assert variation(G).variation == L(3, "7/2")
 
+    def test_refinement_violation_fails_with_witness(self, monkeypatch):
+        # every block of two or more atoms weighs 10 more: the first
+        # partition enumerated, the single block {a, b}, already exceeds
+        # the atomic sum
+        space = MeasureSpace.build(["a", "b"], [1, 1])
+        G = vm(space, L(1, -1), L(-2, 3))
+        real = vecmeasure.evaluate
+
+        def heavy_blocks(G, F):
+            value = real(G, F)
+            if len(F.members) > 1:
+                return value + ModuleVector(MOD, (L(10, 0),))
+            return value
+
+        monkeypatch.setattr(vecmeasure, "evaluate", heavy_blocks)
+        result = variation(G)
+        assert not result.passed
+        assert result.witness == {"partition": [["a", "b"]], "coordinate": 0}
+
     def test_refinement_monotonicity_exhaustive(self):
         rng = rng_for(42, 2)
         space = MeasureSpace.build(list("abcde"), [1, 1, 2, "1/2", 1])
@@ -151,6 +176,85 @@ class TestRnDensity:
         g = rn_density(G3).density
         for F in space3.all_subsets():
             assert integrate_over(g, F) == evaluate(G3, F)
+
+
+def seeded_measure(seed, m, kind, null_atoms=1):
+    rng = rng_for(seed, m)
+    codomain = ModuleSpace(2, 2, kind)
+    space = random_measure_space(rng, m, null_atoms=null_atoms)
+    g = LFunction(space, codomain, tuple(
+        random_module_vector(rng, codomain) for _ in range(m)))
+    return VectorMeasure.from_density(g)
+
+
+def off_integral(atom):
+    """integrate_over, one unit too large in entry 0 on every set that
+    contains the given atom."""
+    def integral(f, E):
+        value = bochner.integrate_over(f, E)
+        if atom in E.members:
+            return value + f.codomain.basis_vector(0)
+        return value
+    return integral
+
+
+class TestSubsetTables:
+    """The prefix-sum tables against the per-subset sums they replaced."""
+
+    def test_subset_sums_by_bitmask(self):
+        terms = [Fraction(1, 2), Fraction(3), Fraction(-5, 7)]
+        got = subset_sums(terms, Fraction(0))
+        assert len(got) == 8
+        for mask, total in enumerate(got):
+            assert total == sum((terms[i] for i in range(3) if mask >> i & 1),
+                                Fraction(0))
+
+    @pytest.mark.parametrize("m,kind", [
+        (6, NormKind.SUP), (7, NormKind.TWO), (10, NormKind.ONE)])
+    def test_mu_continuity_series(self, m, kind):
+        G = seeded_measure(505, m, kind)
+        expected = []
+        for F in G.space.all_subsets():
+            norms = norm_intervals(evaluate(G, F).entries,
+                                   G.codomain.norm_kind, DEFAULT_TOLERANCES)
+            expected.append({"mu": measure_of(F),
+                             "value_norm": [certified.mid(iv) for iv in norms]})
+        rep = check_mu_continuity(G)
+        assert rep.passed
+        assert rep.series == expected
+
+    @pytest.mark.parametrize("m,kind", [(6, NormKind.SUP), (10, NormKind.TWO)])
+    def test_density_identity_table(self, m, kind):
+        G = seeded_measure(506, m, kind)
+        result = rn_density(G)
+        assert result.passed and result.witness is None
+        assert result.verified_sets == 2 ** m
+        for F in G.space.all_subsets():
+            assert evaluate(G, F) == integrate_over(result.density, F)
+
+    def test_sampled_density_identity(self):
+        G = seeded_measure(507, 6, NormKind.SUP)
+        result = rn_density(G, seed=3, exhaustive_cap=4, sample_count=40)
+        assert result.passed
+        assert result.verified_sets == 40
+
+    def test_corrupted_atom_value_fails(self, monkeypatch):
+        # the density term of atom a2 one unit off: the table first
+        # disagrees on the singleton {a2}, mask 4, after masks 0..3 agreed
+        G = seeded_measure(508, 6, NormKind.SUP)
+        monkeypatch.setattr(vecmeasure, "integrate_over", off_integral(2))
+        result = rn_density(G)
+        assert not result.passed
+        assert result.witness == {"subset": ["a2"]}
+        assert result.verified_sets == 4
+
+    def test_corrupted_atom_value_fails_when_sampled(self, monkeypatch):
+        G = seeded_measure(508, 6, NormKind.SUP)
+        monkeypatch.setattr(vecmeasure, "integrate_over", off_integral(2))
+        result = rn_density(G, seed=3, exhaustive_cap=4, sample_count=40)
+        assert not result.passed
+        assert "a2" in result.witness["subset"]
+        assert result.verified_sets < 40
 
 
 class TestSelfConsistency:
