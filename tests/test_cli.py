@@ -298,10 +298,19 @@ class TestGoldenReports:
         (["dual", "roundtrip", "--norm", "two", "--p", "2", "--trials", "5",
           "--seed", "42"],
          "6ea73a73b4ce2d09bd8482fbffeff55466507b7d9c9a031d4c356e16a286baf9"),
+        (["check", "norm-axioms", "--seed", "42"],
+         "145d52745d7a2df9ab7774d38cdabbc9cc0bba3d7fd1ff661a21f79cfc267021"),
+        (["run", "rnp-probe", "--seed", "42"],
+         "3976c536cf168ab550ce4ac5610113e4ef3a106917defaa72da77e48c6c546b5"),
+        (["rn", "density", "--seed", "42"],
+         "23e8f3936542f3ce23ef9902ec2be582a733d9e986579fd2218584d94a9bbb30"),
+        (["rn", "variation", "--seed", "42"],
+         "02882319439a341edac9435b511e9206945832ce03486fe14c76836c832a8678"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
-            "dual-represent", "dual-roundtrip"])
+            "dual-represent", "dual-roundtrip", "check-norm-axioms",
+            "run-rnp-probe", "rn-density", "rn-variation"])
     def test_report_sha256(self, argv, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 0
