@@ -98,13 +98,6 @@ class LFunction:
         return LFunction(self.space, self.codomain,
                          tuple(v.scale_rational(c) for v in self.values))
 
-    def restrict(self, E: MeasurableSet) -> "LFunction":
-        if E.space != self.space:
-            raise SpaceMismatch("set on a different measure space")
-        return LFunction(self.space, self.codomain, tuple(
-            v if i in E.members else self.codomain.zero()
-            for i, v in enumerate(self.values)))
-
     def _check(self, other: "LFunction") -> None:
         if self.space != other.space or self.codomain != other.codomain:
             raise SpaceMismatch("functions on different spaces")
@@ -355,23 +348,17 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
     rhs = [certified.imul(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
-    passed = True
-    witness = None
-    slack = []
-    for j in range(d):
-        ok, s = certified.leq_with_slack(lhs[j], rhs[j], tol)
-        slack.append(s)
-        if not ok and passed:
-            passed = False
-            witness = {"coordinate": j, "lhs": certified.mid(lhs[j]),
-                       "rhs": certified.mid(rhs[j])}
-    return CheckReport(
+    verdicts = [certified.leq_with_slack(a, b, tol) for a, b in zip(lhs, rhs)]
+    report = CheckReport(
         name="holder",
-        passed=passed,
         details={"lhs": collapse_intervals(lhs), "rhs": collapse_intervals(rhs),
-                 "slack": slack, "tolerance": tol},
-        witness=witness,
+                 "slack": [s for _, s in verdicts], "tolerance": tol},
     )
+    for j, (ok, _) in enumerate(verdicts):
+        if not ok:
+            report.fail({"coordinate": j, "lhs": certified.mid(lhs[j]),
+                         "rhs": certified.mid(rhs[j])})
+    return report
 
 
 def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
@@ -380,29 +367,22 @@ def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
         raise ValueError("need 1 <= p < infinity")
     u._check(v)
     kind = u.codomain.norm_kind
-    d = u.codomain.scalar_dim
     ns = _lp_norm_intervals(u + v, p, kind, cfg)
     nu = _lp_norm_intervals(u, p, kind, cfg)
     nv = _lp_norm_intervals(v, p, kind, cfg)
     rhs = [certified.iadd(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, ns, nu, nv)
 
-    passed = True
-    witness = None
-    slack = []
-    for j in range(d):
-        ok, s = certified.leq_with_slack(ns[j], rhs[j], tol)
-        slack.append(s)
-        if not ok and passed:
-            passed = False
-            witness = {"coordinate": j}
-    return CheckReport(
+    verdicts = [certified.leq_with_slack(a, b, tol) for a, b in zip(ns, rhs)]
+    report = CheckReport(
         name="minkowski",
-        passed=passed,
         details={"lhs": collapse_intervals(ns), "rhs": collapse_intervals(rhs),
-                 "slack": slack, "tolerance": tol},
-        witness=witness,
+                 "slack": [s for _, s in verdicts], "tolerance": tol},
     )
+    for j, (ok, _) in enumerate(verdicts):
+        if not ok:
+            report.fail({"coordinate": j})
+    return report
 
 
 def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
@@ -415,9 +395,8 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
         raise ValueError("gamma must be positive")
     kind = h.codomain.norm_kind
     min_mass = min((mass for mass in h.space.masses if mass > 0))
-    passed = True
-    witness = None
-    series = []
+    report = CheckReport(name="chebyshev-step",
+                         details={"gamma": gamma, "terms": len(hs)}, series=[])
     for n, hn in enumerate(hs):
         hn._check(h)
         norms = _atom_norm_intervals(hn - h, kind, cfg)
@@ -431,18 +410,13 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
             vanishes = total[1] < gamma * min_mass
             if vanishes and mu_level != 0:
                 ok = False
-            series.append({"n": n, "coordinate": j, "level_measure": mu_level,
-                           "integral": certified.mid(total), "slack": slack})
-            if not ok and passed:
-                passed = False
-                witness = {"n": n, "coordinate": j, "level_measure": mu_level}
-    return CheckReport(
-        name="chebyshev-step",
-        passed=passed,
-        details={"gamma": gamma, "terms": len(hs)},
-        witness=witness,
-        series=series,
-    )
+            report.series.append({
+                "n": n, "coordinate": j, "level_measure": mu_level,
+                "integral": certified.mid(total), "slack": slack})
+            if not ok:
+                report.fail({"n": n, "coordinate": j,
+                             "level_measure": mu_level})
+    return report
 
 
 @dataclass
@@ -489,9 +463,12 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
     lim_integral = integrate(spec.limit)
     tail_term = 2 * phi * spec.tail_mass
 
-    passed = True
-    witness = None
-    series = []
+    report = CheckReport(
+        name="dominated-convergence",
+        details={"n_max": n_max, "tail_mass": spec.tail_mass,
+                 "scalar_bound": phi},
+        series=[],
+    )
     prev_bound: Optional[List[Interval]] = None
     for n in range(n_max + 1):
         gn = _term_function(spec, n)
@@ -507,36 +484,19 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                                               Fraction(1), cfg)]
         tol = certified.tol_for(cfg.compare_tol, err, bound)
         for j in range(d):
-            ok, _ = certified.leq_with_slack(err[j], bound[j], tol)
-            if not ok and passed:
-                passed = False
-                witness = {"n": n, "coordinate": j}
+            if not certified.leq_with_slack(err[j], bound[j], tol)[0]:
+                report.fail({"n": n, "coordinate": j})
         if prev_bound is not None:
             for j in range(d):
-                ok, _ = certified.leq_with_slack(bound[j], prev_bound[j], tol)
-                if not ok and passed:
-                    passed = False
-                    witness = {"n": n, "coordinate": j, "bound_not_monotone": True}
+                if not certified.leq_with_slack(bound[j], prev_bound[j],
+                                                tol)[0]:
+                    report.fail({"n": n, "coordinate": j,
+                                 "bound_not_monotone": True})
         prev_bound = bound
-        series.append({"n": n,
-                       "error": [certified.mid(iv) for iv in err],
-                       "bound": [certified.mid(iv) for iv in bound]})
-    return CheckReport(
-        name="dominated-convergence",
-        passed=passed,
-        details={"n_max": n_max, "tail_mass": spec.tail_mass,
-                 "scalar_bound": phi},
-        witness=witness,
-        series=series,
-    )
-
-
-def simple_approximation(f: LFunction, n: int) -> LFunction:
-    """Truncation to the first n atoms (zero beyond); the canonical simple
-    approximating sequence on a truncated countable space."""
-    vals = tuple(f.values[t] if t < n else f.codomain.zero()
-                 for t in range(f.space.size))
-    return LFunction(f.space, f.codomain, vals)
+        report.series.append({"n": n,
+                              "error": [certified.mid(iv) for iv in err],
+                              "bound": [certified.mid(iv) for iv in bound]})
+    return report
 
 
 def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
@@ -558,9 +518,12 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
              for n in range(1, n_terms + 1)]
     norm_w = _lp_norm_intervals(w, p, kind, cfg)
     tol = certified.tol_for(cfg.compare_tol, norm_w)
-
-    passed = True
-    witness = None
+    report = CheckReport(
+        name="completeness-harness",
+        details={"terms": n_terms, "p": p,
+                 "norm_w": collapse_intervals(norm_w)},
+        series=[],
+    )
 
     # pairwise envelope: ||u_n - u_m||_p <= 2**(1-k) ||w||_p for n, m >= k
     for k in range(1, n_terms + 1):
@@ -569,11 +532,9 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
             for b in range(a, n_terms + 1):
                 diff = _lp_norm_intervals(terms[a - 1] - terms[b - 1], p, kind, cfg)
                 for j in range(d):
-                    ok, _ = certified.leq_with_slack(diff[j], eps[j], tol)
-                    if not ok and passed:
-                        passed = False
-                        witness = {"stage": "pairwise", "k": k, "n": a, "m": b,
-                                   "coordinate": j}
+                    if not certified.leq_with_slack(diff[j], eps[j], tol)[0]:
+                        report.fail({"stage": "pairwise", "k": k, "n": a,
+                                     "m": b, "coordinate": j})
 
     # pointwise limit: per atom and entry, an envelope certificate
     for t in range(space.size):
@@ -583,15 +544,13 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
             envelope = [(wt.scale(Fraction(1, 2 ** n)), n - 1)
                         for n in range(1, n_terms + 1)]
             cert = check_order_convergence(seq, u_star.values[t].entries[i], envelope)
-            if not cert.passed and passed:
-                passed = False
-                witness = {"stage": "pointwise", "atom": t, "entry": i,
-                           "violation": cert.first_violation}
+            if not cert.passed:
+                report.fail({"stage": "pointwise", "atom": t, "entry": i,
+                             "violation": cert.first_violation})
 
     # closing estimate and exact residual
     mu_root = certified.pow_bracket(space.total_mass,
                                     Fraction(1) / p, cfg.root_bits + 2)
-    series = []
     for n in range(1, n_terms + 1):
         resid = _lp_norm_intervals(u_star - terms[n - 1], p, kind, cfg)
         expected = [certified.iscale(iv, Fraction(1, 2 ** n)) for iv in norm_w]
@@ -606,19 +565,11 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
                                                  cfg.compare_tol)
             le_tol = Fraction(0) if certified.is_exact(bound[j]) else cfg.compare_tol
             ok_le, _ = certified.leq_with_slack(resid[j], bound[j], le_tol)
-            if (not ok_eq or not ok_le) and passed:
-                passed = False
-                witness = {"stage": "closing", "n": n, "coordinate": j,
-                           "gap": gap}
-        series.append({"n": n,
-                       "residual": [certified.mid(iv) for iv in resid],
-                       "expected": [certified.mid(iv) for iv in expected]})
-
-    return CheckReport(
-        name="completeness-harness",
-        passed=passed,
-        details={"terms": n_terms, "p": p,
-                 "norm_w": collapse_intervals(norm_w)},
-        witness=witness,
-        series=series,
-    )
+            if not ok_eq or not ok_le:
+                report.fail({"stage": "closing", "n": n, "coordinate": j,
+                             "gap": gap})
+        report.series.append({
+            "n": n,
+            "residual": [certified.mid(iv) for iv in resid],
+            "expected": [certified.mid(iv) for iv in expected]})
+    return report

@@ -74,13 +74,6 @@ def iscale(a: Interval, c: Fraction) -> Interval:
     return (a[1] * c, a[0] * c)
 
 
-def idiv(a: Interval, b: Interval) -> Interval:
-    if b[0] <= 0 <= b[1]:
-        raise ZeroDivisionError("interval divisor straddles zero")
-    quotients = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return (min(quotients), max(quotients))
-
-
 def iabs(a: Interval) -> Interval:
     if a[0] >= 0:
         return a
@@ -91,21 +84,6 @@ def iabs(a: Interval) -> Interval:
 
 def imax(a: Interval, b: Interval) -> Interval:
     return (max(a[0], b[0]), max(a[1], b[1]))
-
-
-def ipow_int(a: Interval, k: int) -> Interval:
-    if k < 0:
-        raise ValueError("negative integer exponent not supported")
-    if k == 0:
-        return (_ONE, _ONE)
-    if a[0] >= 0:
-        return (a[0] ** k, a[1] ** k)
-    lo, hi = a[0] ** k, a[1] ** k
-    if k % 2 == 1:
-        return (lo, hi)
-    if a[1] <= 0:
-        return (hi, lo)
-    return (_ZERO, max(lo, hi))
 
 
 def int_nth_root(x: int, n: int) -> int:

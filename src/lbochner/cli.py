@@ -106,30 +106,29 @@ def _holder_pair(args, rng, cfg):
     return u, v
 
 
+def _over_trials(check: CheckReport, n: int, run_trial) -> CheckReport:
+    """Runs run_trial(trial) for each of n trials; every failing trial
+    counts, and the first names the witness together with the trial
+    report's own, if it has one (an ``IsometryReport`` has none)."""
+    for trial in range(n):
+        rep = run_trial(trial)
+        if not rep.passed:
+            own = getattr(rep, "witness", None) or {}
+            check.fail({"trial": trial, **own})
+    check.details["failures"] = check.failures
+    return check
+
+
 def _cmd_check_holder(args) -> Report:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
-    checks = []
     rng = rng_for(args.seed, 13)
     n = args.trials if not (args.u or args.v) else 1
-    failures = 0
-    witness = None
-    for trial in range(n):
-        u, v = _holder_pair(args, rng, cfg)
-        rep = bochner.check_holder(u, v, p, q, cfg)
-        if not rep.passed:
-            failures += 1
-            if witness is None:
-                witness = {"trial": trial, **(rep.witness or {})}
-    checks.append(CheckReport(
-        name="holder",
-        passed=failures == 0,
-        details={"pairs": n, "failures": failures,
-                 "p": _exponent_str(p), "q": _exponent_str(q)},
-        witness=witness,
-    ))
-    return _report(args, checks)
+    check = CheckReport(name="holder", details={
+        "pairs": n, "p": _exponent_str(p), "q": _exponent_str(q)})
+    return _report(args, [_over_trials(check, n, lambda trial: (
+        bochner.check_holder(*_holder_pair(args, rng, cfg), p, q, cfg)))])
 
 
 def _cmd_check_minkowski(args) -> Report:
@@ -139,21 +138,10 @@ def _cmd_check_minkowski(args) -> Report:
         raise ValueError("minkowski needs a finite exponent")
     rng = rng_for(args.seed, 17)
     n = args.trials if not (args.u or args.v) else 1
-    failures = 0
-    witness = None
-    for trial in range(n):
-        u, v = _holder_pair(args, rng, cfg)
-        rep = bochner.check_minkowski(u, v, p, cfg)
-        if not rep.passed:
-            failures += 1
-            if witness is None:
-                witness = {"trial": trial, **(rep.witness or {})}
-    return _report(args, [CheckReport(
-        name="minkowski",
-        passed=failures == 0,
-        details={"pairs": n, "failures": failures, "p": _exponent_str(p)},
-        witness=witness,
-    )])
+    check = CheckReport(name="minkowski",
+                        details={"pairs": n, "p": _exponent_str(p)})
+    return _report(args, [_over_trials(check, n, lambda trial: (
+        bochner.check_minkowski(*_holder_pair(args, rng, cfg), p, cfg)))])
 
 
 def _cmd_check_sup_rep(args) -> Report:
@@ -278,42 +266,33 @@ def _cmd_dual_isometry(args) -> Report:
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
     rng = rng_for(args.seed, 41)
-    failures = 0
-    witness = None
-    gaps = []
     n = args.trials if not args.v else 1
-    for trial in range(n):
-        v = _dual_function(args, rng)
-        rep = duality.isometry_check(v, p, q, cfg)
-        gaps.append({"trial": trial, "gap": rep.per_coordinate_gap})
-        if not rep.passed:
-            failures += 1
-            if witness is None:
-                witness = {"trial": trial}
-    return _report(args, [CheckReport(
-        name="isometry",
-        passed=failures == 0,
-        details={"trials": n, "failures": failures,
-                 "p": _exponent_str(p), "q": _exponent_str(q)},
-        witness=witness,
-        series=gaps,
-    )])
+    check = CheckReport(name="isometry", series=[], details={
+        "trials": n, "p": _exponent_str(p), "q": _exponent_str(q)})
+
+    def trial_isometry(trial):
+        rep = duality.isometry_check(_dual_function(args, rng), p, q, cfg)
+        check.series.append({"trial": trial, "gap": rep.per_coordinate_gap})
+        return rep
+
+    return _report(args, [_over_trials(check, n, trial_isometry)])
 
 
 def _cmd_dual_represent(args) -> Report:
     p = _parse_exponent(args.p)
     rng = rng_for(args.seed, 43)
     v = _dual_function(args, rng)
-    H = duality.build_F(v, p)
-    v_back = duality.represent(H)
-    ok = all(
-        v_back.values[t].coeffs == v.values[t].coeffs
-        for t in range(v.space.size) if v.space.masses[t] > 0)
-    return _report(args, [CheckReport(
-        name="represent",
-        passed=ok,
-        details={"atoms": v.space.size, "p": _exponent_str(p)},
-    )])
+    check = CheckReport(name="represent",
+                        details={"atoms": v.space.size, "p": _exponent_str(p)})
+    try:
+        v_back = duality.represent(duality.build_F(v, p))
+    except duality.RepresentationMismatch as exc:
+        check.fail(exc.witness)
+    else:
+        for t, mass in enumerate(v.space.masses):
+            if mass > 0 and v_back.values[t].coeffs != v.values[t].coeffs:
+                check.fail({"atom": v.space.atom_names[t]})
+    return _report(args, [check])
 
 
 def _cmd_dual_roundtrip(args) -> Report:
@@ -339,20 +318,22 @@ def _vector_measure(args, rng) -> vecmeasure.VectorMeasure:
     return vecmeasure.VectorMeasure.from_density(g)
 
 
+def _density_check(G: vecmeasure.VectorMeasure) -> CheckReport:
+    result = vecmeasure.rn_density(G)
+    return CheckReport(name="rn-density", passed=result.passed,
+                       details={"verified_sets": result.verified_sets},
+                       witness=result.witness)
+
+
 def _cmd_rn_density(args) -> Report:
     rng = rng_for(args.seed, 47)
     G = _vector_measure(args, rng)
     continuity = vecmeasure.check_mu_continuity(G, _tolerances(args))
     try:
-        result = vecmeasure.rn_density(G, seed=args.seed)
-        density_check = CheckReport(
-            name="rn-density", passed=result.passed,
-            details={"verified_sets": result.verified_sets},
-            witness=result.witness)
+        density_check = _density_check(G)
     except vecmeasure.NotAbsolutelyContinuous as exc:
-        density_check = CheckReport(
-            name="rn-density", passed=False,
-            details={}, witness={"error": str(exc)})
+        density_check = CheckReport(name="rn-density")
+        density_check.fail({"error": str(exc)})
     return _report(args, [continuity, density_check])
 
 
@@ -396,19 +377,19 @@ def _cmd_suite_all(args) -> Report:
         p = Fraction(p_str)
         q = bochner.conjugate_exponent(p)
         rng = rng_for(seed, 67, int(p * 2))
-        failures = 0
+        check = CheckReport(name=f"holder-minkowski-p{p_str}",
+                            details={"pairs": 50})
         for _ in range(50):
             space = random_measure_space(rng, 3)
             codomain = ModuleSpace(1, 2, NormKind.SUP)
             u = _random_lfunction(rng, space, codomain)
             v = _random_lfunction(rng, space, codomain)
             if not bochner.check_holder(u, v, p, q, cfg).passed:
-                failures += 1
+                check.fail()
             if not bochner.check_minkowski(u, v, p, cfg).passed:
-                failures += 1
-        checks.append(CheckReport(
-            name=f"holder-minkowski-p{p_str}", passed=failures == 0,
-            details={"pairs": 50, "failures": failures}))
+                check.fail()
+        check.details["failures"] = check.failures
+        checks.append(check)
 
     rng = rng_for(seed, 71)
     space = random_measure_space(rng, 6)
@@ -440,11 +421,7 @@ def _cmd_suite_all(args) -> Report:
     G = vecmeasure.VectorMeasure.from_density(_random_lfunction(
         rng, random_measure_space(rng, 4, null_atoms=1),
         ModuleSpace(2, 2, NormKind.SUP)))
-    result = vecmeasure.rn_density(G, seed=seed)
-    checks.append(CheckReport(
-        name="rn-density", passed=result.passed,
-        details={"verified_sets": result.verified_sets},
-        witness=result.witness))
+    checks.append(_density_check(G))
     varied = vecmeasure.variation(G, cfg)
     checks.append(CheckReport(name="variation", passed=varied.passed,
                               details={}, witness=varied.witness))

@@ -58,6 +58,15 @@ class ZeroNorm(ValueError):
     """The bootstrap's division needs strictly positive atom norms."""
 
 
+class RepresentationMismatch(AssertionError):
+    """``represent`` failed its own verification; ``witness`` names the
+    stage (density or basis) and where."""
+
+    def __init__(self, witness: dict):
+        super().__init__(f"representation failed: {witness}")
+        self.witness = witness
+
+
 @dataclass(frozen=True)
 class DualFunction:
     """A map atom -> functional on the primal module: a member of the
@@ -291,25 +300,16 @@ def operator_norm_certified(H: LpOperator, trials: int = 8, seed: int = 0,
     compare_tol."""
     closed = operator_norm_intervals(H, cfg)
     lower = operator_norm_sampled_lower_bound(H, trials, seed, cfg)
-    d = len(closed)
-    passed = True
-    witness = None
-    gaps = []
-    for j in range(d):
-        gap = closed[j][1] - lower[j]
-        gaps.append(gap)
-        if gap > cfg.compare_tol or gap < -cfg.compare_tol:
-            if passed:
-                passed = False
-                witness = {"coordinate": j, "gap": gap}
+    gaps = [iv[1] - low for iv, low in zip(closed, lower)]
     report = CheckReport(
         name="operator-norm-certificate",
-        passed=passed,
         details={"closed_form": collapse_intervals(closed),
                  "sampled_lower_bound": LElement(lower),
                  "interval_widths": gaps},
-        witness=witness,
     )
+    for j, gap in enumerate(gaps):
+        if abs(gap) > cfg.compare_tol:
+            report.fail({"coordinate": j, "gap": gap})
     return collapse_intervals(closed), report
 
 
@@ -376,8 +376,7 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
     mu_total = v.space.total_mass
     inv_p = Fraction(1) / p
 
-    passed = True
-    witness = None
+    report = CheckReport(name="bootstrap-chain")
     trace: List[BootstrapStep] = []
     s = Fraction(0)
     power = Fraction(1)
@@ -393,12 +392,9 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
         tol = certified.tol_for(cfg.compare_tol, lhs, rhs)
         holds = True
         for j in range(d):
-            ok, _ = certified.leq_with_slack(lhs[j], rhs[j], tol)
-            if not ok:
+            if not certified.leq_with_slack(lhs[j], rhs[j], tol)[0]:
                 holds = False
-                if passed:
-                    passed = False
-                    witness = {"n": n, "coordinate": j}
+                report.fail({"n": n, "coordinate": j})
         trace.append(BootstrapStep(
             n, s, [certified.mid(iv) for iv in lhs],
             [certified.mid(iv) for iv in rhs], holds))
@@ -411,20 +407,14 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
     for j in range(d):
         ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
         limit_gaps.append(gap)
-        if check_limit and not ok and passed:
-            passed = False
-            witness = {"stage": "limit", "coordinate": j, "gap": gap}
+        if check_limit and not ok:
+            report.fail({"stage": "limit", "coordinate": j, "gap": gap})
 
-    report = CheckReport(
-        name="bootstrap-chain",
-        passed=passed,
-        details={"p": p, "n_max": n_max, "limit_tol": limit_tol,
-                 "limit_gaps": limit_gaps,
-                 "target_norm": collapse_intervals(fv)},
-        witness=witness,
-        series=[{"n": step.n, "exponent": step.exponent, "lhs": step.lhs,
-                 "rhs": step.rhs} for step in trace],
-    )
+    report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
+                      "limit_gaps": limit_gaps,
+                      "target_norm": collapse_intervals(fv)}
+    report.series = [{"n": step.n, "exponent": step.exponent,
+                      "lhs": step.lhs, "rhs": step.rhs} for step in trace]
     return report, trace
 
 
@@ -441,9 +431,8 @@ def ess_sup_lower_bound(v: DualFunction, eps_list: Sequence[Fraction],
     else:
         fv = dual_lp_norm_intervals(v, INF, cfg)
 
-    passed = True
-    witness = None
-    rows = []
+    report = CheckReport(name="ess-sup-lower-bound",
+                         details={"eps_count": len(eps_list)}, series=[])
     for eps in eps_list:
         if eps <= 0:
             raise ValueError("eps values must be positive")
@@ -451,19 +440,13 @@ def ess_sup_lower_bound(v: DualFunction, eps_list: Sequence[Fraction],
             exceed = [t for t in range(v.space.size)
                       if atom_norms[t][j][0] > fv[j][1] + eps]
             mu_exceed = sum((v.space.masses[t] for t in exceed), Fraction(0))
-            rows.append({"eps": eps, "coordinate": j,
-                         "exceed_atoms": [v.space.atom_names[t] for t in exceed],
-                         "mu": mu_exceed})
-            if mu_exceed != 0 and passed:
-                passed = False
-                witness = {"eps": eps, "coordinate": j, "mu": mu_exceed}
-    return CheckReport(
-        name="ess-sup-lower-bound",
-        passed=passed,
-        details={"eps_count": len(eps_list)},
-        witness=witness,
-        series=rows,
-    )
+            report.series.append({
+                "eps": eps, "coordinate": j,
+                "exceed_atoms": [v.space.atom_names[t] for t in exceed],
+                "mu": mu_exceed})
+            if mu_exceed != 0:
+                report.fail({"eps": eps, "coordinate": j, "mu": mu_exceed})
+    return report
 
 
 def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
@@ -522,7 +505,9 @@ def represent(H: LpOperator) -> DualFunction:
 
     Both sides are linear, so agreement on the basis is agreement
     everywhere: it fixes H's row at atom t to mu(t) * v(t), and H(u) and
-    the pairing are sums of exactly those products."""
+    the pairing are sums of exactly those products.  A failed verification
+    raises ``RepresentationMismatch`` with the failing subset or basis
+    function as its witness."""
     primal = H.codomain
     dual_space = primal.dual()
     atom_values = tuple(
@@ -530,8 +515,7 @@ def represent(H: LpOperator) -> DualFunction:
     G = VectorMeasure(H.space, dual_space, atom_values)
     result = rn_density(G)
     if not result.passed:
-        raise AssertionError(
-            f"density verification failed on subset {result.witness['subset']}")
+        raise RepresentationMismatch({"stage": "density", **result.witness})
     v = DualFunction(H.space, tuple(
         Functional(primal, val.entries) for val in result.density.values))
 
@@ -541,7 +525,9 @@ def represent(H: LpOperator) -> DualFunction:
             u = LFunction.indicator_times(
                 primal.basis_vector(i), H.space.singleton(t))
             if H(u) != pairing(u, v):
-                raise AssertionError("representation failed on a basis function")
+                raise RepresentationMismatch({
+                    "stage": "basis", "atom": H.space.atom_names[t],
+                    "entry": i})
     return v
 
 
@@ -552,42 +538,40 @@ def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Bijectivity of the representation on seeded data: dual functions
     round-trip through their operators exactly at positive-mass atoms,
-    operators round-trip on the full basis, and every trial is isometric."""
+    operators round-trip on the full basis, and every trial is isometric.
+    A trial whose ``represent`` fails its own verification fails the check
+    with that witness."""
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
     primal = ModuleSpace(rank, scalar_dim, norm_kind)
-    passed = True
-    witness = None
-    rows = []
+    report = CheckReport(
+        name="duality-roundtrip",
+        details={"trials": trials, "atoms": m, "rank": rank,
+                 "scalar_dim": scalar_dim, "norm_kind": norm_kind},
+        series=[],
+    )
     for trial in range(trials):
         rng = rng_for(seed, trial)
         space = random_measure_space(rng, m, null_atoms=null_atoms)
         v = DualFunction(space, tuple(
             random_functional(rng, primal) for _ in range(m)))
         H = build_F(v, p)
-        v_back = represent(H)
-        for t in range(m):
-            if space.masses[t] == 0:
-                continue
-            if v_back.values[t].coeffs != v.values[t].coeffs:
-                passed = False
-                witness = {"trial": trial, "atom": t, "stage": "dual-roundtrip"}
-        H_back = build_F(v_back, p)
-        if H_back.basis_action != H.basis_action:
-            if passed:
-                passed = False
-                witness = {"trial": trial, "stage": "operator-roundtrip"}
+        try:
+            v_back = represent(H)
+        except RepresentationMismatch as exc:
+            report.fail({"trial": trial, **exc.witness})
+        else:
+            for t in range(m):
+                if (space.masses[t] != 0
+                        and v_back.values[t].coeffs != v.values[t].coeffs):
+                    report.fail({"trial": trial, "atom": t,
+                                 "stage": "dual-roundtrip"})
+            if build_F(v_back, p).basis_action != H.basis_action:
+                report.fail({"trial": trial, "stage": "operator-roundtrip"})
         iso = isometry_check(v, p, q, cfg, bootstrap_n=4)
-        if not iso.passed and passed:
-            passed = False
-            witness = {"trial": trial, "stage": "isometry"}
-        rows.append({"trial": trial, "p": Fraction(0) if p is INF else p,
-                     "gap": iso.per_coordinate_gap})
-    return CheckReport(
-        name="duality-roundtrip",
-        passed=passed,
-        details={"trials": trials, "atoms": m, "rank": rank,
-                 "scalar_dim": scalar_dim, "norm_kind": norm_kind},
-        witness=witness,
-        series=rows,
-    )
+        if not iso.passed:
+            report.fail({"trial": trial, "stage": "isometry"})
+        report.series.append({"trial": trial,
+                              "p": Fraction(0) if p is INF else p,
+                              "gap": iso.per_coordinate_gap})
+    return report

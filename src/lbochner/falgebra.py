@@ -139,9 +139,6 @@ class LElement:
     def is_nonnegative(self) -> bool:
         return all(n >= 0 for n in self.nums)
 
-    def is_strictly_positive(self) -> bool:
-        return all(n > 0 for n in self.nums)
-
     def intervals(self) -> List[Interval]:
         return [certified.exact(q) for q in self.coords]
 
@@ -332,22 +329,4 @@ def check_order_convergence(seq: Sequence[LElement], limit: LElement,
             j = _first_exceeding(abs(seq[n] - limit), eps)
             if j is not None:
                 return ConvergenceCertificate(env, False, (n, j))
-    return ConvergenceCertificate(env, True)
-
-
-def check_cauchy(seq: Sequence[LElement],
-                 envelope: Envelope) -> ConvergenceCertificate:
-    """As check_order_convergence, over all pairs n, m >= threshold; a
-    violation reports the larger index of the offending pair."""
-    if not seq:
-        raise ValueError("empty sequence")
-    d = seq[0].dim
-    _validate_envelope(envelope, d)
-    env = tuple((eps, idx) for eps, idx in envelope)
-    for eps, idx in env:
-        for n in range(idx, len(seq)):
-            for m in range(n + 1, len(seq)):
-                j = _first_exceeding(abs(seq[n] - seq[m]), eps)
-                if j is not None:
-                    return ConvergenceCertificate(env, False, (m, j))
     return ConvergenceCertificate(env, True)

@@ -10,7 +10,6 @@ general form of a bounded linear map into the scalars.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -287,51 +286,3 @@ def alignment_vector(phi: Functional, primal_norm_kind: NormKind) -> ModuleVecto
                 entries[best_i][j] = Fraction(1 if cj > 0 else -1)
         return ModuleVector(space, tuple(LElement(e) for e in entries))
     return ModuleVector(space, phi.coeffs)
-
-
-def _scaled_pairing_lower_bound(phi: Functional, x: ModuleVector,
-                                kind: NormKind,
-                                cfg: ToleranceConfig) -> List[Fraction]:
-    """Per-coordinate certified lower bound on the dual norm contributed by
-    x: the ratio |phi(x)| / ||x||, with the norm overestimated by its
-    bracket's upper endpoint so the quotient never overshoots."""
-    d = phi.space.scalar_dim
-    val = abs(apply(phi, x))
-    nx = norm_intervals(x.entries, kind, cfg)
-    out = []
-    for j in range(d):
-        hi = nx[j][1]
-        if hi <= 0:
-            out.append(Fraction(0))
-        else:
-            out.append(val[j] / hi)
-    return out
-
-
-def operator_norm_sample_lower_bound(
-        phi: Functional, primal_norm_kind: NormKind, trials: int, seed: int,
-        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LElement:
-    """Max of |phi(x)| over sampled unit-ball vectors plus the alignment
-    candidate; a certified lower bound, attaining dual_norm for sup/one."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    d = phi.space.scalar_dim
-    k = phi.space.rank
-    space = ModuleSpace(k, d, primal_norm_kind)
-    best = [Fraction(0)] * d
-
-    candidates = [alignment_vector(phi, primal_norm_kind)]
-    for _ in range(trials):
-        entries = tuple(
-            LElement([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(d)])
-            for _ in range(k))
-        candidates.append(ModuleVector(space, entries))
-
-    for x in candidates:
-        contrib = _scaled_pairing_lower_bound(phi, x, primal_norm_kind, cfg)
-        for j in range(d):
-            if contrib[j] > best[j]:
-                best[j] = contrib[j]
-    return LElement(best)

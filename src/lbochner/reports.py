@@ -18,14 +18,25 @@ TOOL_VERSION = "lbochner 0.1.0"
 
 @dataclass
 class CheckReport:
+    """One check's verdict.  A check starts passing; ``fail`` is the one
+    place the first-failure rule lives: every call counts, and the first
+    call's witness is the one reported."""
+
     name: str
-    passed: bool
+    passed: bool = True
     details: Dict[str, Any] = field(default_factory=dict)
     witness: Optional[Dict[str, Any]] = None
     series: Optional[List[Dict[str, Any]]] = None
+    failures: int = 0
 
     def __bool__(self) -> bool:
         return self.passed
+
+    def fail(self, witness: Optional[Dict[str, Any]] = None) -> None:
+        if self.passed:
+            self.passed = False
+            self.witness = witness
+        self.failures += 1
 
 
 @dataclass

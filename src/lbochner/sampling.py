@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .falgebra import LElement
 from .lmodule import Functional, ModuleSpace, ModuleVector
-from .measure import MeasurableSet, MeasureSpace
+from .measure import MeasureSpace
 
 
 def rng_for(seed: int, *stream: int) -> random.Random:
@@ -36,12 +36,6 @@ def random_positive_fraction(rng: random.Random, max_num: int = 12,
 def random_lelement(rng: random.Random, d: int, max_num: int = 12,
                     max_den: int = 12, signed: bool = True) -> LElement:
     return LElement([random_fraction(rng, max_num, max_den, signed)
-                     for _ in range(d)])
-
-
-def random_positive_lelement(rng: random.Random, d: int, max_num: int = 12,
-                             max_den: int = 12) -> LElement:
-    return LElement([random_positive_fraction(rng, max_num, max_den)
                      for _ in range(d)])
 
 
@@ -74,8 +68,3 @@ def random_measure_space(rng: random.Random, m: int, null_atoms: int = 0,
         total = sum(masses)
         masses = [q / total for q in masses]
     return MeasureSpace(names, tuple(masses))
-
-
-def random_measurable_set(rng: random.Random, space: MeasureSpace) -> MeasurableSet:
-    members = [i for i in range(space.size) if rng.random() < 0.5]
-    return space.subset(members)

@@ -7,7 +7,6 @@ attained at the atomic partition (certified by refinement monotonicity)."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
@@ -81,36 +80,27 @@ def check_mu_continuity(G: VectorMeasure,
                         cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                         table_cap: int = 10) -> CheckReport:
     """Passes iff every null atom carries the zero value; for small spaces
-    also emits the (mu(F), ||G(F)||) modulus table over all subsets."""
-    passed = True
-    witness = None
+    also emits the (mu(F), ||G(F)||) modulus table over all subsets.
+
+    The atoms decide the verdict: mu(F) = 0 only when every atom of F is
+    null, and G(F) is the sum of their values, so a subset can fail only
+    through a null atom that already failed on its own."""
+    report = CheckReport(name="mu-continuity",
+                         details={"atoms": G.space.size})
     for t, mass in enumerate(G.space.masses):
         if mass == 0 and not G.atom_values[t].is_zero():
-            passed = False
-            witness = {"atom": G.space.atom_names[t]}
-            break
+            report.fail({"atom": G.space.atom_names[t]})
 
-    series = None
     if G.space.size <= table_cap:
-        series = []
         kind = G.codomain.norm_kind
         masses = subset_sums(G.space.masses, Fraction(0))
         values = subset_sums(G.atom_values, G.codomain.zero())
-        for mask, (mu, val) in enumerate(zip(masses, values)):
-            norms = norm_intervals(val.entries, kind, cfg)
-            if mu == 0 and any(iv != (0, 0) for iv in norms):
-                if passed:
-                    passed = False
-                    witness = {"subset": G.space.subset_of_mask(mask).names()}
-            series.append({"mu": mu,
-                           "value_norm": [certified.mid(iv) for iv in norms]})
-    return CheckReport(
-        name="mu-continuity",
-        passed=passed,
-        details={"atoms": G.space.size},
-        witness=witness,
-        series=series,
-    )
+        report.series = [
+            {"mu": mu,
+             "value_norm": [certified.mid(iv)
+                            for iv in norm_intervals(val.entries, kind, cfg)]}
+            for mu, val in zip(masses, values)]
+    return report
 
 
 @dataclass
@@ -171,14 +161,17 @@ class DensityResult:
         return self.witness is None
 
 
-def rn_density(G: VectorMeasure, seed: int = 0,
-               exhaustive_cap: int = 10,
-               sample_count: int = 1000) -> DensityResult:
+def rn_density(G: VectorMeasure) -> DensityResult:
     """Solves G(F) = integral of g over F for g by atomwise division and
-    verifies the identity on every subset (or a seeded sample when the
-    power set is too large).  The two sides stay independent: G(F) is built
-    from G's atom values, the integral from mu(t) * g(t).  Verification
-    stops at the first subset where they differ, which is the witness."""
+    verifies the identity on every singleton.  The two sides stay
+    independent: G(F) is built from G's atom values, the integral from
+    mu(t) * g(t).
+
+    Both sides are sums over the atoms of F, so agreement on the singletons
+    is agreement on all 2**m subsets.  In bitmask order the first failing
+    subset is the singleton of the smallest failing atom t, mask 2**t, so
+    the witness is that singleton with 2**t subsets verified before it; a
+    pass verifies all 2**m."""
     vals = []
     for t, mass in enumerate(G.space.masses):
         if mass == 0:
@@ -191,30 +184,12 @@ def rn_density(G: VectorMeasure, seed: int = 0,
             vals.append(G.atom_values[t].scale_rational(Fraction(1) / mass))
     g = LFunction(G.space, G.codomain, tuple(vals))
 
-    m = G.space.size
-    if m <= exhaustive_cap:
-        zero = G.codomain.zero()
-        lhs = subset_sums(G.atom_values, zero)
-        rhs = subset_sums([integrate_over(g, G.space.singleton(t))
-                           for t in range(m)], zero)
-        comparisons = zip(range(1 << m), lhs, rhs)
-    else:
-        rng = random.Random(seed)
-
-        def sampled():
-            for _ in range(sample_count):
-                mask = sum(1 << i for i in range(m) if rng.random() < 0.5)
-                F = G.space.subset_of_mask(mask)
-                yield mask, evaluate(G, F), integrate_over(g, F)
-
-        comparisons = sampled()
-    verified = 0
-    for mask, lhs_value, rhs_value in comparisons:
-        if lhs_value.entries != rhs_value.entries:
-            return DensityResult(
-                g, verified, {"subset": G.space.subset_of_mask(mask).names()})
-        verified += 1
-    return DensityResult(g, verified)
+    for t in range(G.space.size):
+        integral = integrate_over(g, G.space.singleton(t))
+        if G.atom_values[t].entries != integral.entries:
+            return DensityResult(g, 1 << t,
+                                 {"subset": [G.space.atom_names[t]]})
+    return DensityResult(g, 1 << G.space.size)
 
 
 def solve_self_consistency(block_masses: List[Fraction], d: int) -> List[LElement]:
@@ -295,12 +270,8 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
             row.append(dist)
         matrix.append(row)
 
-    passed = (fixed_point_ok and continuity.passed and variation_ok
-              and bound_ok)
-    series = [{"row": a, "distances": matrix[a]} for a in range(n_sets)]
-    return CheckReport(
+    report = CheckReport(
         name="rnp-probe",
-        passed=passed,
         details={
             "levels": levels,
             "n_sets": n_sets,
@@ -313,6 +284,9 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
             "reference_separation_half": space.total_mass / 2,
             "reference_separation_third": space.total_mass / 3,
         },
-        witness=None if passed else {"stage": "see details"},
-        series=series,
+        series=[{"row": a, "distances": matrix[a]} for a in range(n_sets)],
     )
+    if not (fixed_point_ok and continuity.passed and variation_ok
+            and bound_ok):
+        report.fail({"stage": "see details"})
+    return report

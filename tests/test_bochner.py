@@ -21,7 +21,6 @@ from lbochner.bochner import (
     lp_norm,
     run_completeness_harness,
     run_dct_experiment,
-    simple_approximation,
     verify_sup_representation,
 )
 from lbochner.falgebra import LElement, ToleranceConfig
@@ -605,23 +604,3 @@ class TestLpNormAxioms:
                 rhs = certified.iscale(base[j], alam[j])
                 ok, _ = certified.eq_within(lhs[j], rhs, cfg.compare_tol)
                 assert ok
-
-
-class TestSimpleApproximation:
-    def test_full_and_empty(self, base):
-        space, f = base
-        assert simple_approximation(f, 2).values == f.values
-        assert simple_approximation(f, 5).values == f.values
-        g0 = simple_approximation(f, 0)
-        assert all(v.is_zero() for v in g0.values)
-
-    def test_residual_is_tail_sum(self):
-        space = MeasureSpace.build(["a", "b", "c"], ["1/2", "1/4", "1/8"])
-        f = fn(space, L(2, 1), L(4, 4), L(8, 0))
-        handle = LpHandle(Fraction(1), space, MOD)
-        for n in range(4):
-            residual = lp_norm(simple_approximation(f, n) - f, handle)
-            tail = LElement.zero(2)
-            for t in range(n, 3):
-                tail = tail + abs(f.values[t].entries[0]).scale(space.masses[t])
-            assert residual == tail

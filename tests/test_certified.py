@@ -207,15 +207,6 @@ class TestIntervalOps:
         assert certified.iabs((Fraction(-3), Fraction(-1))) == (1, 3)
         assert certified.iabs((Fraction(-2), Fraction(5))) == (0, 5)
 
-    def test_pow_int_even_straddle(self):
-        assert certified.ipow_int((Fraction(-2), Fraction(3)), 2) == (0, 9)
-
-    def test_div(self):
-        assert certified.idiv((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4))) \
-            == (Fraction(1, 4), Fraction(1))
-        with pytest.raises(ZeroDivisionError):
-            certified.idiv((Fraction(1), Fraction(1)), (Fraction(-1), Fraction(1)))
-
     def test_leq_with_slack_semantics(self):
         exact = certified.exact
         ok, slack = certified.leq_with_slack(exact(Fraction(1)), exact(Fraction(2)),

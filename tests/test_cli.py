@@ -172,10 +172,10 @@ class TestFailurePaths:
         # density check sees the corrupted term
         real_density = vecmeasure.rn_density
 
-        def density_with_off_term(G, seed=0):
+        def density_with_off_term(G):
             with monkeypatch.context() as patch:
                 patch.setattr(vecmeasure, "integrate_over", self._off_integral)
-                return real_density(G, seed=seed)
+                return real_density(G)
 
         monkeypatch.setattr(vecmeasure, "rn_density", density_with_off_term)
         self._heavy_blocks(monkeypatch)
@@ -186,6 +186,28 @@ class TestFailurePaths:
         assert failed == {"rn-density", "variation"}
         assert checks["rn-density"]["witness"] == {"subset": ["a0"]}
         assert "partition" in checks["variation"]["witness"]
+
+    @pytest.mark.parametrize("argv,name,witness", [
+        (["dual", "represent"], "represent",
+         {"stage": "density", "subset": ["a0"]}),
+        (["dual", "roundtrip", "--trials", "2"], "duality-roundtrip",
+         {"trial": 0, "stage": "density", "subset": ["a0"]}),
+    ], ids=["represent", "roundtrip"])
+    def test_represent_mismatch(self, argv, name, witness, tmp_path,
+                                monkeypatch):
+        # the density solver inside represent reports a failing subset
+        real = duality.rn_density
+
+        def failing_density(G):
+            return vecmeasure.DensityResult(real(G).density, 0,
+                                            {"subset": ["a0"]})
+
+        monkeypatch.setattr(duality, "rn_density", failing_density)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        check = self._checks(out)[name]
+        assert check["verdict"] == "FAIL"
+        assert check["witness"] == witness
 
     def test_sup_rep_atom_cap(self, tmp_path, capsys):
         m = bochner.SUP_REP_MAX_ATOMS + 1

@@ -311,8 +311,10 @@ class TestRepresentOffBasis:
                                  res.verified_sets)
 
         monkeypatch.setattr(duality, "rn_density", off_density)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError) as raised:
             represent(H)
+        assert raised.value.witness == {
+            "stage": "basis", "atom": H.space.atom_names[t], "entry": 0}
 
 
 class TestRoundtrip:
@@ -328,6 +330,26 @@ class TestRoundtrip:
         assert rep.passed
         for row in rep.series:
             assert all(g <= cfg.compare_tol for g in row["gap"])
+
+    def test_witness_is_the_first_failing_atom(self, monkeypatch):
+        # every coefficient of the represented density one too large: every
+        # positive-mass atom of every trial fails, and the first one counts
+        real = duality.represent
+
+        def shifted(H):
+            v = real(H)
+            return DualFunction(v.space, tuple(
+                Functional(f.space, tuple(c + LElement.unit(c.dim)
+                                          for c in f.coeffs))
+                for f in v.values))
+
+        monkeypatch.setattr(duality, "represent", shifted)
+        rep = roundtrip_check(Fraction(2), Fraction(2), 3, 42)
+        assert not rep.passed
+        space = random_measure_space(rng_for(42, 0), 3, null_atoms=1)
+        first = next(t for t, mass in enumerate(space.masses) if mass > 0)
+        assert rep.witness == {"trial": 0, "atom": first,
+                               "stage": "dual-roundtrip"}
 
     def test_trivial_space_scalar_duality(self):
         # one atom, rank one, scalar dimension one: |F_v| = |v|

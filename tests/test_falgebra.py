@@ -13,7 +13,6 @@ from lbochner.falgebra import (
     ZeroDivisor,
     abs_,
     add,
-    check_cauchy,
     check_order_convergence,
     inf,
     leq,
@@ -213,35 +212,3 @@ class TestOrderConvergence:
             check_order_convergence(seq, L(0), [(L(1), 0), (L(2), 0)])
         with pytest.raises(ValueError):
             check_order_convergence(seq, L(0), [])
-
-
-class TestCauchy:
-    def test_geometric_partial_sums(self):
-        total = Fraction(0)
-        seq = []
-        for n in range(1, 16):
-            total += Fraction(1, 2 ** n)
-            seq.append(LElement.constant(total, 2))
-        envelope = [(LElement.constant(Fraction(2, 2 ** k), 2), k - 1)
-                    for k in range(1, 16)]
-        assert check_cauchy(seq, envelope).passed
-
-    def test_constant_passes(self):
-        seq = [L(3, 4)] * 5
-        assert check_cauchy(seq, [(L(0, 0), 0)]).passed
-
-    def test_unbounded_fails(self):
-        seq = [L(n, 0) for n in range(1, 10)]
-        envelope = [(L(Fraction(1, k), Fraction(1, k)), k - 1)
-                    for k in range(1, 10)]
-        assert not check_cauchy(seq, envelope).passed
-
-    def test_convergence_implies_cauchy_with_doubled_envelope(self):
-        seq = [L(Fraction(1, n ** 2), Fraction((-1) ** n, 3 ** n))
-               for n in range(1, 12)]
-        envelope = [(L(Fraction(1, k), Fraction(1, k)), k - 1)
-                    for k in range(1, 12)]
-        cert = check_order_convergence(seq, LElement.zero(2), envelope)
-        assert cert.passed
-        doubled = [(eps + eps, idx) for eps, idx in envelope]
-        assert check_cauchy(seq, doubled).passed

@@ -14,7 +14,6 @@ from lbochner.lmodule import (
     dual_kind,
     dual_norm,
     norm,
-    operator_norm_sample_lower_bound,
     value_intervals,
 )
 from lbochner.sampling import (
@@ -171,31 +170,3 @@ class TestDualNorm:
             x = random_module_vector(rng, space_sup)
             phi = Functional(space_sup, x.entries)
             assert dual_norm(phi, NormKind.ONE) == norm(x)
-
-
-class TestSampledLowerBound:
-    @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE])
-    def test_alignment_makes_it_exact(self, kind):
-        rng = rng_for(11, int(kind is NormKind.ONE))
-        space = ModuleSpace(3, 2, kind)
-        for _ in range(50):
-            phi = random_functional(rng, space)
-            got = operator_norm_sample_lower_bound(phi, kind, trials=3, seed=5)
-            assert got == dual_norm(phi, kind)
-
-    def test_zero_functional(self):
-        space = ModuleSpace(2, 2, NormKind.SUP)
-        phi = Functional(space, (L(0, 0), L(0, 0)))
-        assert operator_norm_sample_lower_bound(phi, NormKind.SUP, 5, 1) == L(0, 0)
-
-    def test_always_below_closed_form_two_norm(self):
-        cfg = ToleranceConfig()
-        rng = rng_for(12, 6)
-        space = ModuleSpace(3, 2, NormKind.TWO)
-        for _ in range(200):
-            phi = random_functional(rng, space)
-            lower = operator_norm_sample_lower_bound(phi, NormKind.TWO, 5, 21)
-            upper = value_intervals(dual_norm(phi, NormKind.TWO))
-            for j in range(2):
-                assert lower[j] <= upper[j][1]
-                assert upper[j][1] - lower[j] <= cfg.compare_tol

@@ -232,12 +232,6 @@ class TestSubsetTables:
         for F in G.space.all_subsets():
             assert evaluate(G, F) == integrate_over(result.density, F)
 
-    def test_sampled_density_identity(self):
-        G = seeded_measure(507, 6, NormKind.SUP)
-        result = rn_density(G, seed=3, exhaustive_cap=4, sample_count=40)
-        assert result.passed
-        assert result.verified_sets == 40
-
     def test_corrupted_atom_value_fails(self, monkeypatch):
         # the density term of atom a2 one unit off: the table first
         # disagrees on the singleton {a2}, mask 4, after masks 0..3 agreed
@@ -248,13 +242,30 @@ class TestSubsetTables:
         assert result.witness == {"subset": ["a2"]}
         assert result.verified_sets == 4
 
-    def test_corrupted_atom_value_fails_when_sampled(self, monkeypatch):
-        G = seeded_measure(508, 6, NormKind.SUP)
-        monkeypatch.setattr(vecmeasure, "integrate_over", off_integral(2))
-        result = rn_density(G, seed=3, exhaustive_cap=4, sample_count=40)
+
+class TestDensityBySingletons:
+    """rn_density compares the singletons only: both sides of the identity
+    are sums over the atoms of F, so agreement on every singleton is
+    agreement on all 2**m subsets, at any m.  Twelve atoms give a power
+    set of 4096 subsets that the solver never enumerates."""
+
+    def test_twelve_atoms_verify_every_subset(self):
+        G = seeded_measure(507, 12, NormKind.TWO)
+        result = rn_density(G)
+        assert result.passed and result.witness is None
+        assert result.verified_sets == 2 ** 12
+        rng = rng_for(507, 0)
+        for _ in range(200):
+            F = G.space.subset_of_mask(rng.randrange(2 ** 12))
+            assert evaluate(G, F) == integrate_over(result.density, F)
+
+    def test_twelve_atoms_corrupted_atom_fails(self, monkeypatch):
+        G = seeded_measure(508, 12, NormKind.SUP)
+        monkeypatch.setattr(vecmeasure, "integrate_over", off_integral(9))
+        result = rn_density(G)
         assert not result.passed
-        assert "a2" in result.witness["subset"]
-        assert result.verified_sets < 40
+        assert result.witness == {"subset": ["a9"]}
+        assert result.verified_sets == 2 ** 9
 
 
 class TestSelfConsistency:
