@@ -163,16 +163,32 @@ def power_sums_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
                                masses: Sequence[Fraction], s: Fraction,
                                cfg: ToleranceConfig) -> List[Interval]:
     """Per scalar coordinate: bracket of the sum over non-null atoms t of
-    mu(t) * ||f(t)||**s, from the per-atom, per-coordinate norm brackets."""
+    mu(t) * ||f(t)||**s, from the per-atom, per-coordinate norm brackets.
+
+    The lower ends mu(t) * lo(||f(t)||)**s and the upper ends are kept as
+    integer numerator/denominator pairs (``certified.ipow_ends``) and each
+    end's sum is taken over one common denominator."""
     bits = cfg.root_bits + 2
-    total = [certified.exact(Fraction(0))] * len(atom_norms[0])
+    # per coordinate: lower-end numerators and denominators, then upper
+    ends = [([], [], [], []) for _ in atom_norms[0]]
     for norms, mass in zip(atom_norms, masses):
-        if mass == 0:
+        mn, md = mass.numerator, mass.denominator
+        if mn == 0:
             continue
-        total = [certified.iadd(a, certified.iscale(
-                     certified.ipow_frac(b, s, bits), mass))
-                 for a, b in zip(total, norms)]
-    return total
+        for iv, (lo_nums, lo_dens, hi_nums, hi_dens) in zip(norms, ends):
+            ln, ld, hn, hd = certified.ipow_ends(iv, s, bits)
+            lo_nums.append(mn * ln)
+            lo_dens.append(md * ld)
+            hi_nums.append(mn * hn)
+            hi_dens.append(md * hd)
+    out: List[Interval] = []
+    for lo_nums, lo_dens, hi_nums, hi_dens in ends:
+        lo = certified.common_denominator_sum(lo_nums, lo_dens)
+        if lo_nums == hi_nums and lo_dens == hi_dens:
+            out.append((lo, lo))
+        else:
+            out.append((lo, certified.common_denominator_sum(hi_nums, hi_dens)))
+    return out
 
 
 def lp_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],

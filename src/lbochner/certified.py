@@ -5,6 +5,20 @@ with the contract that the true real value lies in ``[lo, hi]``.  Roots and
 rational powers are bracketed with integer Newton iteration (``math.isqrt``
 for square roots), so no binary floating point ever enters a result.
 
+The p-norm pipeline runs on numerator/denominator pairs.  ``root_bracket``
+tests and extracts roots on the radicand's numerator and denominator and
+builds only the two endpoints.  ``pow_ends`` (and ``ipow_ends`` over an
+interval) is the integer core of ``pow_bracket`` (and ``ipow_frac``): it
+returns the bracket of q ** r as unreduced (lo_num, lo_den, hi_num, hi_den),
+multiplying the exact factor q ** floor(r) in as integers; ``pow_bracket``
+and ``ipow_frac`` reduce its ends once.  ``common_denominator_sum`` adds
+numerator/denominator pairs over one common denominator and reduces once:
+``lmodule.norm_intervals`` uses it for the one-norm and for the two-norm's
+sum of squares, and ``bochner.power_sums_from_atom_norms`` for the lower and
+the upper ends of mu(t) * ||f(t)||**s.  Every fractional root still goes
+through ``root_bracket`` (or the chain below), with the same radicands as
+the ``Fraction`` formulation, so the brackets are the same rationals.
+
 Exponents whose denominator exceeds 64 go through a chain of nested square
 roots (``_pow_via_chain``).  All of its entries are nonnegative, so each
 level computes only the side it needs (the lower root of the lower end, the
@@ -27,6 +41,7 @@ lo(a) <= hi(b) + tol as integers scaled by that denominator.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence, Tuple
@@ -34,7 +49,6 @@ from typing import Sequence, Tuple
 Interval = Tuple[Fraction, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def exact(q: Fraction) -> Interval:
@@ -109,31 +123,26 @@ def int_nth_root(x: int, n: int) -> int:
     return r
 
 
-def _perfect_root(q: Fraction, n: int):
-    """Exact n-th root of q >= 0 if q is a perfect n-th power, else None."""
-    rn = int_nth_root(q.numerator, n)
-    if rn ** n != q.numerator:
-        return None
-    rd = int_nth_root(q.denominator, n)
-    if rd ** n != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def root_bracket(q: Fraction, n: int, bits: int) -> Interval:
-    """Certified bracket of q ** (1/n) for q >= 0; exact for perfect powers."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0 or q == 1 or n == 1:
-        return (q, q)
-    ex = _perfect_root(q, n)
-    if ex is not None:
-        return (ex, ex)
-    scale = 1 << bits
+    """Certified bracket of q ** (1/n) for q >= 0; exact for perfect powers.
+
+    All tests run on q's numerator and denominator; the two endpoints are
+    the only fractions built."""
     num, den = q.numerator, q.denominator
-    scaled = num * scale ** n
+    if num < 0:
+        raise ValueError("negative radicand")
+    if num == 0 or num == den or n == 1:
+        return (q, q)
+    rn = int_nth_root(num, n)
+    if rn ** n == num:
+        rd = int_nth_root(den, n)
+        if rd ** n == den:
+            ex = Fraction(rn, rd)
+            return (ex, ex)
+    scaled = num << (bits * n)
     t_lo = int_nth_root(scaled // den, n)
     t_hi = int_nth_root(-(-scaled // den), n) + 1
+    scale = 1 << bits
     return (Fraction(t_lo, scale), Fraction(t_hi, scale))
 
 
@@ -204,43 +213,72 @@ def _pow_via_chain(q: Fraction, frac_exp: Fraction, bits: int) -> Interval:
         levels += 16
 
 
+def pow_ends(q: Fraction, r: Fraction, bits: int) -> Tuple[int, int, int, int]:
+    """Integer core of ``pow_bracket``: the bracket of q ** r as
+    (lo_num, lo_den, hi_num, hi_den), for q >= 0 and r >= 0.
+
+    The ends need not be in lowest terms; the exact integer-power factor
+    q ** floor(r) multiplies the fractional bracket as numerator and
+    denominator.  Fractional exponents with denominator up to 64 take one
+    ``root_bracket`` of q ** u, larger ones the square-root chain."""
+    num, den = q.numerator, q.denominator
+    if num < 0:
+        raise ValueError("negative base")
+    if r.numerator < 0:
+        raise ValueError("negative exponent not supported")
+    if r.numerator == 0:
+        return 1, 1, 1, 1
+    if num == 0 or num == den:
+        return num, den, num, den
+    int_part, u = divmod(r.numerator, r.denominator)
+    bn, bd = num ** int_part, den ** int_part
+    if u == 0:
+        return bn, bd, bn, bd
+    if bn > bd:
+        # the exact integer-power factor magnifies the fractional bracket
+        bits += max(0, bn.bit_length() - bd.bit_length()) + 2
+    # r is in lowest terms, so u / r.denominator is too
+    v = r.denominator
+    if (v <= _SMALL_ROOT_ORDER and (num.bit_length() + den.bit_length()) * u
+            <= _EXACT_POW_BIT_CAP):
+        lo, hi = root_bracket(q ** u, v, bits + 4)
+    else:
+        lo, hi = _pow_via_chain(q, Fraction(u, v), bits + 2)
+    return (bn * lo.numerator, bd * lo.denominator,
+            bn * hi.numerator, bd * hi.denominator)
+
+
+def ipow_ends(a: Interval, r: Fraction, bits: int) -> Tuple[int, int, int, int]:
+    """``pow_ends`` over x in a, a nonnegative (x ** r is monotone): the
+    lower end of lo(a) ** r and the upper end of hi(a) ** r."""
+    lo, hi = a
+    if lo is hi or lo == hi:
+        return pow_ends(lo, r, bits)
+    return pow_ends(lo, r, bits)[:2] + pow_ends(hi, r, bits)[2:]
+
+
+def _bracket(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> Interval:
+    lo = Fraction(lo_num, lo_den)
+    if lo_num * hi_den == hi_num * lo_den:
+        return (lo, lo)
+    return (lo, Fraction(hi_num, hi_den))
+
+
 def pow_bracket(q: Fraction, r: Fraction, bits: int) -> Interval:
     """Certified bracket of q ** r for q >= 0, r >= 0; exact when detectable."""
-    if q < 0:
-        raise ValueError("negative base")
-    if r < 0:
-        raise ValueError("negative exponent not supported")
-    if r == 0:
-        return (_ONE, _ONE)
-    if q == 0 or q == 1:
-        return (q, q)
-    int_part, frac_num = divmod(r.numerator, r.denominator)
-    base = q ** int_part
-    if frac_num == 0:
-        return (base, base)
-    eff_bits = bits
-    if base > 1:
-        # the exact integer-power factor magnifies the fractional bracket
-        eff_bits += max(0, base.numerator.bit_length()
-                        - base.denominator.bit_length()) + 2
-    frac_exp = Fraction(frac_num, r.denominator)
-    u, v = frac_exp.numerator, frac_exp.denominator
-    if v <= _SMALL_ROOT_ORDER:
-        size = (q.numerator.bit_length() + q.denominator.bit_length()) * u
-        if size <= _EXACT_POW_BIT_CAP:
-            iv = root_bracket(q ** u, v, eff_bits + 4)
-            return iscale(iv, base) if base != 1 else iv
-    iv = _pow_via_chain(q, frac_exp, eff_bits + 2)
-    return iscale(iv, base) if base != 1 else iv
+    return _bracket(*pow_ends(q, r, bits))
 
 
 def ipow_frac(a: Interval, r: Fraction, bits: int) -> Interval:
     """Bracket of x ** r over x in a, a nonnegative, r >= 0 (monotone)."""
-    if a[0] < 0:
-        raise ValueError("interval must be nonnegative")
-    if a[0] == a[1]:
-        return pow_bracket(a[0], r, bits)
-    return (pow_bracket(a[0], r, bits)[0], pow_bracket(a[1], r, bits)[1])
+    return _bracket(*ipow_ends(a, r, bits))
+
+
+def common_denominator_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
+    """The sum of nums[i] / dens[i], taken over the least common multiple
+    of the denominators and reduced once."""
+    den = math.lcm(*dens)
+    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
 
 
 def leq_with_slack(lhs: Interval, rhs: Interval, tol: Fraction) -> Tuple[bool, Fraction]:

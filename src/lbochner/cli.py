@@ -109,7 +109,7 @@ def _holder_pair(args, rng, cfg):
 def _over_trials(check: CheckReport, n: int, run_trial) -> CheckReport:
     """Runs run_trial(trial) for each of n trials; every failing trial
     counts, and the first names the witness together with the trial
-    report's own, if it has one (an ``IsometryReport`` has none)."""
+    report's own, if it has one."""
     for trial in range(n):
         rep = run_trial(trial)
         if not rep.passed:
@@ -466,10 +466,18 @@ def _emit(report: Report, args) -> None:
         sys.stdout.buffer.write(data)
 
 
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        # zero trials would check nothing and still print PASS
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(sub, *, trials: int = 100, atoms: int = 4, rank: int = 2,
                 dim: int = 2, norm: str = "sup") -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--trials", type=int, default=trials)
+    sub.add_argument("--trials", type=_positive_int, default=trials)
     sub.add_argument("--tol", type=str, default=None,
                      help="comparison tolerance as a rational, e.g. 1/1073741824")
     sub.add_argument("--out", type=str, default=None)

@@ -329,6 +329,7 @@ class IsometryReport:
     per_coordinate_gap: List[Fraction]
     bootstrap_trace: List[BootstrapStep]
     passed: bool
+    witness: Optional[dict] = None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -455,7 +456,9 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
     """Per-coordinate equality of the operator norm of the pairing against
     the conjugate-exponent norm of v; exact where both sides are rational,
     within compare_tol otherwise.  For 1 < p < infinity with strictly
-    positive atom norms the exponent-chain trace is attached."""
+    positive atom norms the exponent-chain trace is attached.  A failing
+    report's witness names the first unequal coordinate with both bracket
+    midpoints and their gap, or else the first failing chain step."""
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
@@ -465,7 +468,7 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
 
     exact = all(certified.is_exact(iv) for iv in fv + nv)
     tol = Fraction(0) if exact else cfg.compare_tol
-    passed = True
+    witness: Optional[dict] = None
     gaps = []
     for j in range(d):
         if exact:
@@ -474,8 +477,9 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
         else:
             ok, gap = certified.eq_within(fv[j], nv[j], tol)
         gaps.append(gap)
-        if not ok:
-            passed = False
+        if not ok and witness is None:
+            witness = {"coordinate": j, "operator_norm": certified.mid(fv[j]),
+                       "dual_norm": certified.mid(nv[j]), "gap": gap}
 
     trace: List[BootstrapStep] = []
     if p is not INF and p > 1:
@@ -484,8 +488,8 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
             # redundant here (norm equality is checked directly above)
             rep, trace = _bootstrap(v, p, bootstrap_n, cfg,
                                     DEFAULT_LIMIT_TOL, check_limit=False)
-            if not rep.passed:
-                passed = False
+            if not rep.passed and witness is None:
+                witness = {"stage": "bootstrap", **rep.witness}
         except ZeroNorm:
             trace = []
 
@@ -494,7 +498,8 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
         v_norm=collapse_intervals(nv),
         per_coordinate_gap=gaps,
         bootstrap_trace=trace,
-        passed=passed,
+        passed=witness is None,
+        witness=witness,
     )
 
 

@@ -153,30 +153,35 @@ NormValue = Union[LElement, Tuple[ApproxReal, ...]]
 def norm_intervals(entries: Sequence[LElement], kind: NormKind,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Interval]:
     """Per-scalar-coordinate certified brackets of the chosen norm.
-    Exact coordinates come back as degenerate brackets."""
-    d = entries[0].dim
+    Exact coordinates come back as degenerate brackets.
+
+    Each coordinate works on the entries' numerators and denominators: the
+    sup by cross-multiplication, the one- and two-norm sums over one common
+    denominator.  A fraction is built only for the result (and, for the
+    two-norm, for the radicand of its ``root_bracket``)."""
     out: List[Interval] = []
+    columns = zip(zip(*(e.nums for e in entries)),
+                  zip(*(e.dens for e in entries)))
     if kind is NormKind.SUP:
-        for j in range(d):
-            best = Fraction(0)
-            for e in entries:
-                v = abs(e[j])
-                if v > best:
-                    best = v
-            out.append(certified.exact(best))
+        for nums, dens in columns:
+            best_num, best_den = 0, 1
+            for n, d in zip(nums, dens):
+                if n < 0:
+                    n = -n
+                if n * best_den > best_num * d:
+                    best_num, best_den = n, d
+            best = Fraction(best_num, best_den)
+            out.append((best, best))
     elif kind is NormKind.ONE:
-        for j in range(d):
-            total = Fraction(0)
-            for e in entries:
-                total += abs(e[j])
-            out.append(certified.exact(total))
+        for nums, dens in columns:
+            total = certified.common_denominator_sum(
+                [abs(n) for n in nums], dens)
+            out.append((total, total))
     else:
         bits = cfg.root_bits + 2
-        for j in range(d):
-            sq = Fraction(0)
-            for e in entries:
-                v = e[j]
-                sq += v * v
+        for nums, dens in columns:
+            sq = certified.common_denominator_sum(
+                [n * n for n in nums], [d * d for d in dens])
             out.append(certified.root_bracket(sq, 2, bits))
     return out
 

@@ -1,4 +1,5 @@
 import decimal
+import random
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,184 @@ class TestLpFromAtomNorms:
         got = lp_from_atom_norms(self.NORMS[1:2], [Fraction(0)], INF,
                                  ToleranceConfig())
         assert got == [(Fraction(0), Fraction(0))] * 2
+
+
+# The Fraction code that the integer p-norm pipeline replaced, kept as the
+# oracle the pipeline must reproduce rational for rational.
+
+def fraction_root_bracket(q, n, bits):
+    if q == 0 or q == 1 or n == 1:
+        return (q, q)
+    rn = certified.int_nth_root(q.numerator, n)
+    rd = certified.int_nth_root(q.denominator, n)
+    if rn ** n == q.numerator and rd ** n == q.denominator:
+        return (Fraction(rn, rd),) * 2
+    scale = 1 << bits
+    scaled = q.numerator * scale ** n
+    return (Fraction(certified.int_nth_root(scaled // q.denominator, n), scale),
+            Fraction(certified.int_nth_root(-(-scaled // q.denominator), n)
+                     + 1, scale))
+
+
+def fraction_norm_intervals(entries, kind, bits):
+    out = []
+    for j in range(entries[0].dim):
+        if kind is NormKind.SUP:
+            best = max((abs(e[j]) for e in entries), default=Fraction(0))
+            out.append((best, best))
+        elif kind is NormKind.ONE:
+            total = sum((abs(e[j]) for e in entries), Fraction(0))
+            out.append((total, total))
+        else:
+            sq = sum((e[j] * e[j] for e in entries), Fraction(0))
+            out.append(fraction_root_bracket(sq, 2, bits))
+    return out
+
+
+def fraction_pow_bracket(q, r, bits):
+    if r == 0:
+        return (Fraction(1), Fraction(1))
+    if q == 0 or q == 1:
+        return (q, q)
+    int_part, frac_num = divmod(r.numerator, r.denominator)
+    base = q ** int_part
+    if frac_num == 0:
+        return (base, base)
+    if base > 1:
+        bits += max(0, base.numerator.bit_length()
+                    - base.denominator.bit_length()) + 2
+    frac_exp = Fraction(frac_num, r.denominator)
+    u, v = frac_exp.numerator, frac_exp.denominator
+    size = (q.numerator.bit_length() + q.denominator.bit_length()) * u
+    if v <= 64 and size <= 1 << 16:
+        lo, hi = fraction_root_bracket(q ** u, v, bits + 4)
+    else:
+        lo, hi = certified._pow_via_chain(q, frac_exp, bits + 2)
+    return (lo * base, hi * base)
+
+
+def fraction_ipow_frac(a, r, bits):
+    if a[0] == a[1]:
+        return fraction_pow_bracket(a[0], r, bits)
+    return (fraction_pow_bracket(a[0], r, bits)[0],
+            fraction_pow_bracket(a[1], r, bits)[1])
+
+
+def fraction_power_sums(atom_norms, masses, s, bits):
+    total = [(Fraction(0), Fraction(0))] * len(atom_norms[0])
+    for norms, mass in zip(atom_norms, masses):
+        if mass == 0:
+            continue
+        total = [(a[0] + mass * lo, a[1] + mass * hi)
+                 for a, (lo, hi) in zip(
+                     total, (fraction_ipow_frac(b, s, bits) for b in norms))]
+    return total
+
+
+def fraction_lp(atom_norms, masses, p, bits):
+    if p is INF:
+        out = [(Fraction(0), Fraction(0))] * len(atom_norms[0])
+        for norms, mass in zip(atom_norms, masses):
+            if mass != 0:
+                out = [(max(a[0], b[0]), max(a[1], b[1]))
+                       for a, b in zip(out, norms)]
+        return out
+    return [fraction_ipow_frac(iv, 1 / p, bits)
+            for iv in fraction_power_sums(atom_norms, masses, p, bits)]
+
+
+class TestPNormOracle:
+    """norm_intervals, pow_bracket, power_sums_from_atom_norms and
+    lp_from_atom_norms return exactly the Fraction code's brackets.  The
+    grid has null atoms, an all-zero coordinate, 64-bit numerators, exact
+    (sup, one) and wide (two, widened) brackets, integer and fractional
+    exponents, and exponents whose denominator exceeds 64, which take the
+    square-root chain."""
+
+    CFG = ToleranceConfig()
+    BITS = CFG.root_bits + 2
+    MASSES = [Fraction(0), Fraction(1, 3), Fraction(2), Fraction(5, 7)]
+    EXPONENTS = [Fraction(1), Fraction(2), Fraction(3), Fraction(3, 2),
+                 Fraction(5, 2), Fraction(7, 4),
+                 # bootstrap-style partial sums: denominators 81 and 100
+                 sum((Fraction(1, 3 ** k) for k in range(5)), Fraction(0)),
+                 Fraction(127, 100)]
+
+    @staticmethod
+    def _coordinate(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return Fraction(rng.getrandbits(64) - (1 << 63),
+                        rng.getrandbits(64 if kind == 2 else 8) | 1)
+
+    def _atoms(self):
+        """Per atom, the entries of its value; coordinate 2 is zero in
+        every entry of every atom."""
+        rng = random.Random(20240906)
+        return [[LElement([self._coordinate(rng), self._coordinate(rng), 0])
+                 for _ in range(rank)]
+                for rank in (1, 2, 3, 2)]
+
+    def _atom_norms(self, kind):
+        return [norm_intervals(entries, kind, self.CFG)
+                for entries in self._atoms()]
+
+    @staticmethod
+    def _widened(atom_norms):
+        # wide brackets whose ends are both in lowest terms
+        return [[(lo, hi + Fraction(1, 3)) for lo, hi in norms]
+                for norms in atom_norms]
+
+    def _norm_grids(self):
+        """(kind, atom norms) with exact (sup, one) and wide (two) brackets,
+        and each widened."""
+        for kind in NormKind:
+            atom_norms = self._atom_norms(kind)
+            yield kind, atom_norms
+            yield kind, self._widened(atom_norms)
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    def test_norm_intervals(self, kind):
+        for entries in self._atoms():
+            assert (norm_intervals(entries, kind, self.CFG)
+                    == fraction_norm_intervals(entries, kind, self.BITS))
+        zero = [LElement.zero(3)] * 2
+        assert norm_intervals(zero, kind, self.CFG) == [(0, 0)] * 3
+        if kind is NormKind.TWO:
+            assert any(lo != hi for norms in self._atom_norms(kind)
+                       for lo, hi in norms)
+
+    def test_pow_bracket(self):
+        ends = {end for _, atom_norms in self._norm_grids()
+                for norms in atom_norms for iv in norms for end in iv}
+        cases = [(q, r) for r in self.EXPONENTS + [Fraction(0)]
+                 for q in sorted(ends)]
+        # above the exact-power bit cap: the chain at denominator 64
+        cases.append((Fraction(3 ** 700, 2 ** 11 + 1), Fraction(63, 64)))
+        for q, r in cases:
+            assert (certified.pow_bracket(q, r, self.BITS)
+                    == fraction_pow_bracket(q, r, self.BITS)), (q, r)
+
+    @pytest.mark.parametrize("s", EXPONENTS, ids=str)
+    def test_power_sums_and_lp(self, s):
+        for kind, atom_norms in self._norm_grids():
+            got = bochner.power_sums_from_atom_norms(
+                atom_norms, self.MASSES, s, self.CFG)
+            assert got == fraction_power_sums(
+                atom_norms, self.MASSES, s, self.BITS), kind
+            assert (lp_from_atom_norms(atom_norms, self.MASSES, s, self.CFG)
+                    == fraction_lp(atom_norms, self.MASSES, s, self.BITS)), kind
+
+    def test_inf_and_all_null(self):
+        for kind, atom_norms in self._norm_grids():
+            assert (lp_from_atom_norms(atom_norms, self.MASSES, INF, self.CFG)
+                    == fraction_lp(atom_norms, self.MASSES, INF, self.BITS))
+            null = [Fraction(0)] * len(self.MASSES)
+            assert bochner.power_sums_from_atom_norms(
+                atom_norms, null, Fraction(3, 2), self.CFG) == [(0, 0)] * 3
 
 
 class TestSupRepresentation:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +209,42 @@ class TestFailurePaths:
         check = self._checks(out)[name]
         assert check["verdict"] == "FAIL"
         assert check["witness"] == witness
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "norm-axioms"], ["check", "holder"], ["check", "minkowski"],
+        ["check", "chebyshev"], ["dual", "isometry"], ["dual", "roundtrip"],
+    ], ids=" ".join)
+    def test_zero_trials_is_usage_error(self, argv, tmp_path, capsys):
+        # zero trials would check nothing and print PASS
+        out = tmp_path / "report.json"
+        assert main([*argv, "--trials", "0", "--out", str(out)]) == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1"], ["--norm", "two", "--p", "3"],
+    ], ids=["exact", "bracketed"])
+    def test_isometry_witness(self, argv, tmp_path, monkeypatch):
+        # negative control: the operator norm one unit too large at
+        # coordinate 1
+        real = duality.operator_norm_intervals
+
+        def shifted(H, cfg):
+            ivs = real(H, cfg)
+            ivs[1] = (ivs[1][0] + 1, ivs[1][1] + 1)
+            return ivs
+
+        monkeypatch.setattr(duality, "operator_norm_intervals", shifted)
+        out = tmp_path / "report.json"
+        assert main(["dual", "isometry", *argv, "--trials", "3",
+                     "--out", str(out)]) == 1
+        check = self._checks(out)["isometry"]
+        assert check["details"]["failures"] == 3
+        witness = check["witness"]
+        assert {k: witness[k] for k in ("trial", "coordinate", "gap")} == {
+            "trial": 0, "coordinate": 1, "gap": "1/1"}
+        assert (Fraction(witness["operator_norm"])
+                - Fraction(witness["dual_norm"])) == 1
 
     def test_sup_rep_atom_cap(self, tmp_path, capsys):
         m = bochner.SUP_REP_MAX_ATOMS + 1
