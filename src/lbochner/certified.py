@@ -20,10 +20,15 @@ through ``root_bracket`` (or the chain below), with the same radicands as
 the ``Fraction`` formulation, so the brackets are the same rationals.
 
 Exponents whose denominator exceeds 64 go through a chain of nested square
-roots (``_pow_via_chain``).  All of its entries are nonnegative, so each
-level computes only the side it needs (the lower root of the lower end, the
-upper root of the upper end), the endpoint products are multiplied as plain
-integers, and the result is reduced to a ``Fraction`` once, on return.
+roots (``_pow_via_chain``).  The ladder q ** (1/2), q ** (1/4), ... of those
+roots (``_sqrt_ladder``) depends only on the base and the working
+precision, so one ladder per (base, precision) is built, memoised, and
+shared by every exponent taken of that base: the exponent bootstrap takes
+one base to every s_n.  All of its entries are nonnegative, so each level
+holds only the side it needs (the lower root of the lower end, the upper
+root of the upper end).  The chain multiplies the levels its exponent's
+bits select as plain integers and returns the unreduced ends to
+``pow_ends``; ``pow_bracket`` and ``ipow_frac`` reduce each end once.
 
 Comparison semantics used by all checkers:
 
@@ -41,6 +46,7 @@ lo(a) <= hi(b) + tol as integers scaled by that denominator.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from math import isqrt
@@ -171,36 +177,56 @@ def _sqrt_side(num: int, den: int, bits: int, upper: bool) -> Tuple[int, int]:
     return t >> shift, 1 << (bits - shift)
 
 
-def _pow_via_chain(q: Fraction, frac_exp: Fraction, bits: int) -> Interval:
+@functools.lru_cache(maxsize=128)
+def _sqrt_ladder(num: int, den: int, work_bits: int,
+                 levels: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The nested square roots q ** (2 ** -i), i = 1 .. levels, of
+    q = num/den >= 0 in lowest terms, as per-level (ln, ld, hn, hd): the
+    lower root of the level above's lower end and the upper root of its
+    upper end, each in lowest terms.
+
+    The ladder depends on the base and the precision only, so one ladder
+    serves every exponent taken of the same base."""
+    ladder = []
+    ln, ld = hn, hd = num, den
+    for _ in range(levels):
+        ln, ld = _sqrt_side(ln, ld, work_bits, False)
+        hn, hd = _sqrt_side(hn, hd, work_bits, True)
+        ladder.append((ln, ld, hn, hd))
+    return tuple(ladder)
+
+
+def _pow_via_chain(q: Fraction, frac_exp: Fraction,
+                   bits: int) -> Tuple[int, int, int, int]:
     """Bracket q ** frac_exp, 0 < frac_exp < 1, via nested certified square
-    roots along the binary expansion of the exponent.
+    roots along the binary expansion of the exponent, as unreduced
+    (lo_num, lo_den, hi_num, hi_den).
 
     Works for any exponent denominator: the expansion is truncated at m bits
     and the residual factor q**delta, delta in [0, 2**-m), is absorbed by
     widening with the bracket of q**(2**-m).
 
     Every entry of the chain is nonnegative, so the interval product is the
-    endpoint-wise product: the lower side only ever needs the lower square
-    root of the lower side, and likewise above.  Both sides are carried as
-    integer numerator/denominator pairs and reduced once on return.
+    endpoint-wise product: the lower side multiplies the lower ends of the
+    ``_sqrt_ladder`` levels the exponent's bits select, and likewise above.
+    A bracket wider than 2**-bits asks for a deeper, finer ladder.
     """
     work_bits = bits + 24
     levels = bits + 8
     u, v = frac_exp.numerator, frac_exp.denominator
     while True:
         k, rem = divmod(u << levels, v)
+        ladder = _sqrt_ladder(q.numerator, q.denominator, work_bits, levels)
         lo_num = lo_den = hi_num = hi_den = 1
-        ln, ld = hn, hd = q.numerator, q.denominator
-        for i in range(levels - 1, -1, -1):
-            ln, ld = _sqrt_side(ln, ld, work_bits, False)
-            hn, hd = _sqrt_side(hn, hd, work_bits, True)
-            if (k >> i) & 1:
+        for i, (ln, ld, hn, hd) in enumerate(ladder, 1):
+            if (k >> (levels - i)) & 1:
                 lo_num *= ln
                 lo_den *= ld
                 hi_num *= hn
                 hi_den *= hd
         if rem:
             # widen by [min(1, lo), max(1, hi)] of the last level
+            ln, ld, hn, hd = ladder[-1]
             if ln < ld:
                 lo_num *= ln
                 lo_den *= ld
@@ -208,7 +234,7 @@ def _pow_via_chain(q: Fraction, frac_exp: Fraction, bits: int) -> Interval:
                 hi_num *= hn
                 hi_den *= hd
         if (hi_num * lo_den - lo_num * hi_den) << bits <= hi_den * lo_den:
-            return (Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+            return lo_num, lo_den, hi_num, hi_den
         work_bits += 32
         levels += 16
 
@@ -242,10 +268,11 @@ def pow_ends(q: Fraction, r: Fraction, bits: int) -> Tuple[int, int, int, int]:
     if (v <= _SMALL_ROOT_ORDER and (num.bit_length() + den.bit_length()) * u
             <= _EXACT_POW_BIT_CAP):
         lo, hi = root_bracket(q ** u, v, bits + 4)
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
     else:
-        lo, hi = _pow_via_chain(q, Fraction(u, v), bits + 2)
-    return (bn * lo.numerator, bd * lo.denominator,
-            bn * hi.numerator, bd * hi.denominator)
+        ln, ld, hn, hd = _pow_via_chain(q, Fraction(u, v), bits + 2)
+    return bn * ln, bd * ld, bn * hn, bd * hd
 
 
 def ipow_ends(a: Interval, r: Fraction, bits: int) -> Tuple[int, int, int, int]:

@@ -350,18 +350,24 @@ def bootstrap_lower_bound(v: DualFunction, p: Fraction, n_max: int,
     truncation gap at level n is of order q/p**(n+1), so a tolerance finer
     than that is unattainable for non-constant data.
     """
-    report, _ = _bootstrap(v, p, n_max, cfg, limit_tol, check_limit=True)
+    if p is INF or p <= 1:
+        raise ValueError("need 1 < p < infinity")
+    atom_norms = _dual_atom_norms(v, cfg)
+    fv = lp_from_atom_norms(atom_norms, v.space.masses,
+                            conjugate_exponent(p), cfg)
+    report, _ = _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
+                           check_limit=True)
     return report
 
 
 def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
                cfg: ToleranceConfig, limit_tol: Fraction,
+               atom_norms: List[List[Interval]], fv: List[Interval],
                check_limit: bool) -> Tuple[CheckReport, List[BootstrapStep]]:
-    if p is INF or p <= 1:
-        raise ValueError("need 1 < p < infinity")
-    q = conjugate_exponent(p)
+    """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
+    given v's dual atom norms and the brackets fv of its conjugate-exponent
+    norm; the limit comparison decides the verdict only if check_limit."""
     d = v.primal_space.scalar_dim
-    atom_norms = _dual_atom_norms(v, cfg)
     for t, mass in enumerate(v.space.masses):
         if mass == 0:
             continue
@@ -373,7 +379,6 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
                     f"coordinate; the bootstrap divides by it")
 
     bits = cfg.root_bits + 2
-    fv = dual_lp_norm_intervals(v, q, cfg)
     mu_total = v.space.total_mass
     inv_p = Fraction(1) / p
 
@@ -463,7 +468,8 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
     fv = operator_norm_intervals(H, cfg)
-    nv = dual_lp_norm_intervals(v, q, cfg)
+    atom_norms = _dual_atom_norms(v, cfg)
+    nv = lp_from_atom_norms(atom_norms, v.space.masses, q, cfg)
     d = v.primal_space.scalar_dim
 
     exact = all(certified.is_exact(iv) for iv in fv + nv)
@@ -486,8 +492,8 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
         try:
             # the chain inequalities are asserted; the limit comparison is
             # redundant here (norm equality is checked directly above)
-            rep, trace = _bootstrap(v, p, bootstrap_n, cfg,
-                                    DEFAULT_LIMIT_TOL, check_limit=False)
+            rep, trace = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
+                                    atom_norms, nv, check_limit=False)
             if not rep.passed and witness is None:
                 witness = {"stage": "bootstrap", **rep.witness}
         except ZeroNorm:
@@ -575,7 +581,7 @@ def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,
                 report.fail({"trial": trial, "stage": "operator-roundtrip"})
         iso = isometry_check(v, p, q, cfg, bootstrap_n=4)
         if not iso.passed:
-            report.fail({"trial": trial, "stage": "isometry"})
+            report.fail({"trial": trial, "stage": "isometry", **iso.witness})
         report.series.append({"trial": trial,
                               "p": Fraction(0) if p is INF else p,
                               "gap": iso.per_coordinate_gap})

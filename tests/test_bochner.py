@@ -225,7 +225,8 @@ def fraction_pow_bracket(q, r, bits):
     if v <= 64 and size <= 1 << 16:
         lo, hi = fraction_root_bracket(q ** u, v, bits + 4)
     else:
-        lo, hi = certified._pow_via_chain(q, frac_exp, bits + 2)
+        ln, ld, hn, hd = certified._pow_via_chain(q, frac_exp, bits + 2)
+        lo, hi = Fraction(ln, ld), Fraction(hn, hd)
     return (lo * base, hi * base)
 
 

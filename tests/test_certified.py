@@ -168,16 +168,31 @@ def _chain_grid():
     return cases
 
 
+def fraction_chain_ends(q, frac_exp, bits):
+    """``fraction_chain`` with the integer-ends return of the chain."""
+    lo, hi = fraction_chain(q, frac_exp, bits)
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
+def _chain_brackets(cases):
+    out = []
+    for q, frac_exp, bits in cases:
+        ln, ld, hn, hd = certified._pow_via_chain(q, frac_exp, bits)
+        out.append((Fraction(ln, ld), Fraction(hn, hd)))
+    return out
+
+
 class TestPowChainOracle:
     """The integer chain must return exactly the reference chain's
     rationals, not merely a valid bracket."""
 
     def test_chain_matches_reference(self):
         rounds = []
-        for q, frac_exp, bits in _chain_grid():
-            expected = fraction_chain(q, frac_exp, bits, rounds)
-            assert certified._pow_via_chain(q, frac_exp, bits) == expected, \
-                (q, frac_exp, bits)
+        grid = _chain_grid()
+        expected = [fraction_chain(q, frac_exp, bits, rounds)
+                    for q, frac_exp, bits in grid]
+        certified._sqrt_ladder.cache_clear()
+        assert _chain_brackets(grid) == expected
         assert max(rounds) > 1   # the widening loop was exercised
 
     def test_pow_bracket_and_ipow_frac_match_reference(self, monkeypatch):
@@ -189,11 +204,61 @@ class TestPowChainOracle:
                       certified.ipow_frac(degenerate, r, bits),
                       certified.ipow_frac(wide, r, bits)]
             with monkeypatch.context() as m:
-                m.setattr(certified, "_pow_via_chain", fraction_chain)
+                m.setattr(certified, "_pow_via_chain", fraction_chain_ends)
                 expected = [certified.pow_bracket(q, r, bits),
                             fraction_ipow_frac(degenerate, r, bits),
                             fraction_ipow_frac(wide, r, bits)]
             assert actual == expected, (q, r, bits)
+
+
+class TestSqrtLadder:
+    """The memoised ladder must not change a bracket: the chain gives the
+    same rationals from a cold cache, a warm one, and in any call order."""
+
+    @staticmethod
+    def _grid():
+        # every base also at 16 more bits: its first round asks for as many
+        # levels as the coarser call's second round, at another precision
+        return [(q, e, b) for q, e, bits in _chain_grid()
+                for b in (bits, bits + 16)]
+
+    def test_cold_warm_and_reversed_agree(self):
+        grid = self._grid()
+        cold = []
+        for case in grid:
+            certified._sqrt_ladder.cache_clear()
+            cold += _chain_brackets([case])
+        certified._sqrt_ladder.cache_clear()
+        first = _chain_brackets(grid)
+        warm = _chain_brackets(grid)
+        certified._sqrt_ladder.cache_clear()
+        backwards = _chain_brackets(grid[::-1])[::-1]
+        assert first == cold
+        assert warm == cold
+        assert backwards == cold
+
+    def test_one_ladder_per_base_across_the_bootstrap_exponents(self):
+        # s_n = sum_{k <= n} 3**-k has denominator 3**n > 64 from n = 4 on
+        certified._sqrt_ladder.cache_clear()
+        q = Fraction(5, 7)
+        s, power = Fraction(0), Fraction(1)
+        for n in range(13):
+            s += power
+            power /= 3
+            if n >= 4:
+                certified.pow_bracket(q, s, 42)
+        info = certified._sqrt_ladder.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+
+    def test_ladder_levels_and_precision(self):
+        ladder = certified._sqrt_ladder(2, 1, 40, 30)
+        assert len(ladder) == 30
+        assert certified._sqrt_ladder(2, 1, 72, 30) != ladder
+        lo, hi = Fraction(2), Fraction(2)
+        for ln, ld, hn, hd in ladder:
+            lo = certified.root_bracket(lo, 2, 40)[0]
+            hi = certified.root_bracket(hi, 2, 40)[1]
+            assert (Fraction(ln, ld), Fraction(hn, hd)) == (lo, hi)
 
 
 class TestIntervalOps:

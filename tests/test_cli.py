@@ -221,10 +221,8 @@ class TestFailurePaths:
         assert "--trials: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["--p", "1"], ["--norm", "two", "--p", "3"],
-    ], ids=["exact", "bracketed"])
-    def test_isometry_witness(self, argv, tmp_path, monkeypatch):
+    @staticmethod
+    def _shift_operator_norm(monkeypatch):
         # negative control: the operator norm one unit too large at
         # coordinate 1
         real = duality.operator_norm_intervals
@@ -235,6 +233,12 @@ class TestFailurePaths:
             return ivs
 
         monkeypatch.setattr(duality, "operator_norm_intervals", shifted)
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1"], ["--norm", "two", "--p", "3"],
+    ], ids=["exact", "bracketed"])
+    def test_isometry_witness(self, argv, tmp_path, monkeypatch):
+        self._shift_operator_norm(monkeypatch)
         out = tmp_path / "report.json"
         assert main(["dual", "isometry", *argv, "--trials", "3",
                      "--out", str(out)]) == 1
@@ -243,6 +247,21 @@ class TestFailurePaths:
         witness = check["witness"]
         assert {k: witness[k] for k in ("trial", "coordinate", "gap")} == {
             "trial": 0, "coordinate": 1, "gap": "1/1"}
+        assert (Fraction(witness["operator_norm"])
+                - Fraction(witness["dual_norm"])) == 1
+
+    def test_roundtrip_isometry_witness(self, tmp_path, monkeypatch):
+        # the round trip's isometry stage names the coordinate and the gap
+        self._shift_operator_norm(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["dual", "roundtrip", "--trials", "2",
+                     "--out", str(out)]) == 1
+        check = self._checks(out)["duality-roundtrip"]
+        assert [row["gap"][1] for row in check["series"]] == ["1/1", "1/1"]
+        witness = check["witness"]
+        assert {k: witness[k] for k in ("trial", "stage", "coordinate",
+                                        "gap")} == {
+            "trial": 0, "stage": "isometry", "coordinate": 1, "gap": "1/1"}
         assert (Fraction(witness["operator_norm"])
                 - Fraction(witness["dual_norm"])) == 1
 
@@ -322,55 +341,62 @@ class TestGoldenReports:
     """The report bytes are part of the contract: a change that only makes
     the checks faster must leave these digests where they are."""
 
-    @pytest.mark.parametrize("argv,digest", [
-        (["suite", "all", "--seed", "42"],
+    @pytest.mark.parametrize("argv,code,digest", [
+        (["suite", "all", "--seed", "42"], 0,
          "11130b134caacdfbe165be571c8dbbfe20a3390d44ca78d6555046ffc8087e48"),
         (["run", "bootstrap", "--p", "3", "--nmax", "20", "--atoms", "4",
-          "--dim", "3", "--seed", "42"],
+          "--dim", "3", "--seed", "42"], 0,
          "ca218a0a2850ea0fc4a7c9b3a7e35b94d6a5fb43e3ce06c512fc7e1517d8cbf5"),
         (["dual", "isometry", "--norm", "two", "--p", "3", "--trials", "5",
-          "--seed", "42"],
+          "--seed", "42"], 0,
          "b6494e0d28307eea068cc8a7b1c298dbb581fc9de61888c1ab694c2440b65848"),
         (["check", "holder", "--norm", "two", "--p", "3/2", "--trials", "20",
-          "--seed", "42"],
+          "--seed", "42"], 0,
          "eb55ce5385902b0eb291f04da70c27d66660db103facfc5a8f285c24ec684c46"),
         (["check", "minkowski", "--norm", "one", "--p", "5/2", "--trials",
-          "20", "--seed", "42"],
+          "20", "--seed", "42"], 0,
          "a7104a35e79234763fa2ac6c2b4a94a375f7cb071e470e3cf61f1a40b830e496"),
         (["check", "sup-rep", "--norm", "two", "--rank", "2", "--p", "3/2",
-          "--seed", "42"],
+          "--seed", "42"], 0,
          "5e9297cf53eb0c83c29cfc3c355f792b913139550f100fefda144fa8b9e21900"),
-        (["check", "chebyshev", "--norm", "two", "--seed", "42"],
+        (["check", "chebyshev", "--norm", "two", "--seed", "42"], 0,
          "fe81b0c16fa94ab31a334fc59209403c37b4581210f16d7b6ec3092be556cc3c"),
-        (["run", "dct", "--seed", "42"],
+        (["run", "dct", "--seed", "42"], 0,
          "b16bc1b3aa8787e40de4f0c06e3e4afb5ebf10d23e88e8f59473d554f7564c7d"),
         (["run", "completeness", "--p", "3", "--norm", "two", "--seed", "42"],
-         "95cefd19461718a5c7fd5a8a729ce76b73e47362b3762a82cddcb5ed46f3edcd"),
+         0, "95cefd19461718a5c7fd5a8a729ce76b73e47362b3762a82cddcb5ed46f3edcd"),
         (["dual", "isometry", "--norm", "one", "--p", "1", "--trials", "5",
-          "--seed", "42"],
+          "--seed", "42"], 0,
          "708581457ec68638fe2c02889d9f6c42a94155617c4f9d248fcf63ca1f50fa66"),
         (["dual", "isometry", "--norm", "sup", "--p", "inf", "--trials", "5",
-          "--seed", "42"],
+          "--seed", "42"], 0,
          "f4afd4e4cfb619af4c401de3f73c801bdeb4db5787a3c7ab1ffdaed4f1bd0de1"),
-        (["dual", "represent", "--norm", "two", "--p", "2", "--seed", "42"],
+        (["dual", "represent", "--norm", "two", "--p", "2", "--seed", "42"], 0,
          "596fa8a897e17464dadb98faad055bcde351111c6cf9c45ed163d154272277f5"),
         (["dual", "roundtrip", "--norm", "two", "--p", "2", "--trials", "5",
-          "--seed", "42"],
+          "--seed", "42"], 0,
          "6ea73a73b4ce2d09bd8482fbffeff55466507b7d9c9a031d4c356e16a286baf9"),
-        (["check", "norm-axioms", "--seed", "42"],
+        (["check", "norm-axioms", "--seed", "42"], 0,
          "145d52745d7a2df9ab7774d38cdabbc9cc0bba3d7fd1ff661a21f79cfc267021"),
-        (["run", "rnp-probe", "--seed", "42"],
+        (["run", "rnp-probe", "--seed", "42"], 0,
          "3976c536cf168ab550ce4ac5610113e4ef3a106917defaa72da77e48c6c546b5"),
-        (["rn", "density", "--seed", "42"],
+        (["rn", "density", "--seed", "42"], 0,
          "23e8f3936542f3ce23ef9902ec2be582a733d9e986579fd2218584d94a9bbb30"),
-        (["rn", "variation", "--seed", "42"],
+        (["rn", "variation", "--seed", "42"], 0,
          "02882319439a341edac9435b511e9206945832ce03486fe14c76836c832a8678"),
+        # fails its limit stage: the known midpoint-comparison fault
+        (["run", "bootstrap", "--tol", "1/2"], 1,
+         "2c21645cdcb93936c5262738472a6dde70e4a20fb1b92a713cc6185484771cff"),
+        (["dual", "roundtrip", "--norm", "two", "--p", "3", "--trials", "5",
+          "--seed", "42"], 0,
+         "e41c8763550ec46f2f24db3c0d8c677ca500f3fda8399c4f10a10a4effbabb66"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
             "dual-represent", "dual-roundtrip", "check-norm-axioms",
-            "run-rnp-probe", "rn-density", "rn-variation"])
-    def test_report_sha256(self, argv, digest, tmp_path):
+            "run-rnp-probe", "rn-density", "rn-variation",
+            "run-bootstrap-loose-tol", "dual-roundtrip-p3"])
+    def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
-        assert main([*argv, "--out", str(out)]) == 0
+        assert main([*argv, "--out", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
