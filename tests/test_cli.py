@@ -390,12 +390,17 @@ class TestGoldenReports:
         (["dual", "roundtrip", "--norm", "two", "--p", "3", "--trials", "5",
           "--seed", "42"], 0,
          "e41c8763550ec46f2f24db3c0d8c677ca500f3fda8399c4f10a10a4effbabb66"),
+        # the exact contraction path at p = 1, q = inf
+        (["check", "holder", "--norm", "one", "--p", "1", "--trials", "20",
+          "--seed", "42"], 0,
+         "61a3501b5faca90e052646412547555a58840a7a3d703dfadb567cd9bdb1f0e0"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
             "dual-represent", "dual-roundtrip", "check-norm-axioms",
             "run-rnp-probe", "rn-density", "rn-variation",
-            "run-bootstrap-loose-tol", "dual-roundtrip-p3"])
+            "run-bootstrap-loose-tol", "dual-roundtrip-p3",
+            "check-holder-p1"])
     def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == code
