@@ -24,7 +24,16 @@ from .falgebra import (
     axpy,
     check_order_convergence,
 )
-from .lmodule import ModuleSpace, ModuleVector, NormKind, norm_intervals, collapse_intervals, NormValue
+from .lmodule import (
+    ModuleSpace,
+    ModuleVector,
+    NormKind,
+    NormValue,
+    collapse_intervals,
+    contract,
+    dual_kind,
+    norm_intervals,
+)
 from .measure import (
     MeasurableSet,
     MeasureSpace,
@@ -331,13 +340,6 @@ def _first_sup_rep_failure(lo: Sequence[Sequence[int]],
     return None, pairs_checked
 
 
-def _pairing_abs(u: ModuleVector, v: ModuleVector) -> LElement:
-    acc = LElement.zero(u.space.scalar_dim)
-    for a, b in zip(u.entries, v.entries):
-        acc = acc + a * b
-    return abs(acc)
-
-
 def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Integral of |<u, v>| against ||u||_p * ||v||_q.
@@ -354,11 +356,10 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
     for t, mass in enumerate(u.space.masses):
         if mass == 0:
             continue
-        val = _pairing_abs(u.values[t], v.values[t])
+        val = abs(contract(u.values[t].entries, v.values[t].entries))
         lhs = [certified.iadd(lhs[j], certified.exact(val[j] * mass))
                for j in range(d)]
 
-    from .lmodule import dual_kind
     nu = _lp_norm_intervals(u, p, u.codomain.norm_kind, cfg)
     nv = _lp_norm_intervals(v, q, dual_kind(u.codomain.norm_kind), cfg)
     rhs = [certified.imul(a, b) for a, b in zip(nu, nv)]
@@ -468,6 +469,8 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Tracks e_n = ||integral(g_n) - integral(g)|| against the computable
     bound integral of ||g_n - g|| plus twice the truncated tail allowance."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     kind = spec.codomain.norm_kind
     d = spec.codomain.scalar_dim
     m = spec.space.size

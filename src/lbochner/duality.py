@@ -1,7 +1,6 @@
 """The dual representation machinery: the integral pairing, operator norms
 on the p-norm function spaces, the isometry verification with its exponent
-bootstrap and essential-sup case, and the surjectivity round-trip through
-the density solver.
+bootstrap, and the surjectivity round-trip through the density solver.
 
 On a finite atomic base the function space is a free module of rank m*k, so
 every bounded linear map into the scalars is determined by its action on
@@ -11,10 +10,9 @@ for its density turns the surjectivity proof into a verified round-trip.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import certified
 from .certified import Interval
@@ -38,9 +36,8 @@ from .lmodule import (
     ModuleVector,
     NormKind,
     NormValue,
-    alignment_vector,
-    apply,
     collapse_intervals,
+    contract,
     dual_kind,
     norm_intervals,
 )
@@ -121,13 +118,8 @@ class LpOperator:
         if (u.codomain.rank != self.codomain.rank
                 or u.codomain.scalar_dim != self.codomain.scalar_dim):
             raise SpaceMismatch("function has an incompatible codomain")
-        acc = LElement.zero(self.codomain.scalar_dim)
-        for t in range(self.space.size):
-            row = self.basis_action[t]
-            val = u.values[t]
-            for i in range(self.codomain.rank):
-                acc = acc + row[i] * val.entries[i]
-        return acc
+        return contract([c for row in self.basis_action for c in row],
+                        [e for val in u.values for e in val.entries])
 
 
 def pairing(u: LFunction, v: DualFunction) -> LElement:
@@ -142,7 +134,7 @@ def pairing(u: LFunction, v: DualFunction) -> LElement:
     for t, mass in enumerate(u.space.masses):
         if mass == 0:
             continue
-        acc = acc + apply(v.values[t], u.values[t]).scale(mass)
+        acc = acc + contract(v.values[t].coeffs, u.values[t].entries).scale(mass)
     return acc
 
 
@@ -204,130 +196,11 @@ def operator_norm(H: LpOperator,
     return collapse_intervals(operator_norm_intervals(H, cfg))
 
 
-def _scale_coordinatewise(vec: ModuleVector, weights: Sequence[Fraction]) -> ModuleVector:
-    entries = []
-    for e in vec.entries:
-        coords = e.coords
-        entries.append(LElement([coords[j] * weights[j]
-                                 for j in range(len(coords))]))
-    return ModuleVector(vec.space, tuple(entries))
-
-
-def operator_norm_sampled_lower_bound(
-        H: LpOperator, trials: int, seed: int,
-        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Fraction]:
-    """Certified per-coordinate lower bound on the operator norm from unit-
-    ball candidates: the classical extremal construction plus random draws."""
-    v = _recover_dual(H)
-    space = v.space
-    primal = v.primal_space
-    kind = primal.norm_kind
-    d = primal.scalar_dim
-    p = H.declared_p
-    q = conjugate_exponent(p)
-    atom_norms = _dual_atom_norms(v, cfg)
-    zero = primal.zero()
-    bits = cfg.root_bits + 2
-
-    candidates: List[List[ModuleVector]] = []
-
-    positive = [t for t in range(space.size) if space.masses[t] > 0]
-    aligned = {t: alignment_vector(v.values[t], kind) for t in positive}
-
-    if p == 1:
-        # concentrate per coordinate on the atom with the largest dual norm
-        values = [zero for _ in range(space.size)]
-        best_atoms: List[int] = []
-        for j in range(d):
-            best_atoms.append(max(
-                positive, key=lambda t: atom_norms[t][j][0]))
-        for t in set(best_atoms):
-            weights = [Fraction(1) if best_atoms[j] == t else Fraction(0)
-                       for j in range(d)]
-            values[t] = _scale_coordinatewise(aligned[t], weights)
-        candidates.append(values)
-    else:
-        # u(t) = ||v(t)||**(q-1) aligned(t), rational weights from below
-        values = []
-        for t in range(space.size):
-            if space.masses[t] == 0:
-                values.append(zero)
-                continue
-            weights = []
-            for j in range(d):
-                iv = atom_norms[t][j]
-                if q is INF:
-                    weights.append(Fraction(1))
-                else:
-                    w = certified.ipow_frac(certified.iabs(iv), q - 1, bits)
-                    weights.append(w[0])
-            values.append(_scale_coordinatewise(aligned[t], weights))
-        candidates.append(values)
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        vals = []
-        for t in range(space.size):
-            entries = tuple(
-                LElement([Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-                          for _ in range(d)])
-                for _ in range(primal.rank))
-            vals.append(ModuleVector(primal, entries))
-        candidates.append(vals)
-
-    best = [Fraction(0)] * d
-    for values in candidates:
-        u = LFunction(space, primal, tuple(values))
-        hval = abs(H(u))
-        nu = lp_from_atom_norms(
-            [norm_intervals(val.entries, kind, cfg) for val in values],
-            space.masses, p, cfg)
-        for j in range(d):
-            hi = nu[j][1]
-            if hi <= 0:
-                continue
-            contrib = hval[j] / hi
-            if contrib > best[j]:
-                best[j] = contrib
-    return best
-
-
-def operator_norm_certified(H: LpOperator, trials: int = 8, seed: int = 0,
-                            cfg: ToleranceConfig = DEFAULT_TOLERANCES
-                            ) -> Tuple[NormValue, CheckReport]:
-    """Closed-form value packaged with the [sampled lower, closed-form
-    upper] certificate; passes when the interval is narrower than
-    compare_tol."""
-    closed = operator_norm_intervals(H, cfg)
-    lower = operator_norm_sampled_lower_bound(H, trials, seed, cfg)
-    gaps = [iv[1] - low for iv, low in zip(closed, lower)]
-    report = CheckReport(
-        name="operator-norm-certificate",
-        details={"closed_form": collapse_intervals(closed),
-                 "sampled_lower_bound": LElement(lower),
-                 "interval_widths": gaps},
-    )
-    for j, gap in enumerate(gaps):
-        if abs(gap) > cfg.compare_tol:
-            report.fail({"coordinate": j, "gap": gap})
-    return collapse_intervals(closed), report
-
-
-@dataclass
-class BootstrapStep:
-    n: int
-    exponent: Fraction
-    lhs: List[Fraction]
-    rhs: List[Fraction]
-    holds: bool
-
-
 @dataclass
 class IsometryReport:
     fv_norm: NormValue
     v_norm: NormValue
     per_coordinate_gap: List[Fraction]
-    bootstrap_trace: List[BootstrapStep]
     passed: bool
     witness: Optional[dict] = None
 
@@ -352,18 +225,19 @@ def bootstrap_lower_bound(v: DualFunction, p: Fraction, n_max: int,
     """
     if p is INF or p <= 1:
         raise ValueError("need 1 < p < infinity")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     atom_norms = _dual_atom_norms(v, cfg)
     fv = lp_from_atom_norms(atom_norms, v.space.masses,
                             conjugate_exponent(p), cfg)
-    report, _ = _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
-                           check_limit=True)
-    return report
+    return _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
+                      check_limit=True)
 
 
 def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
                cfg: ToleranceConfig, limit_tol: Fraction,
                atom_norms: List[List[Interval]], fv: List[Interval],
-               check_limit: bool) -> Tuple[CheckReport, List[BootstrapStep]]:
+               check_limit: bool) -> CheckReport:
     """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
     given v's dual atom norms and the brackets fv of its conjugate-exponent
     norm; the limit comparison decides the verdict only if check_limit."""
@@ -382,12 +256,9 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
     mu_total = v.space.total_mass
     inv_p = Fraction(1) / p
 
-    report = CheckReport(name="bootstrap-chain")
-    trace: List[BootstrapStep] = []
+    report = CheckReport(name="bootstrap-chain", series=[])
     s = Fraction(0)
     power = Fraction(1)
-    last_lhs: Optional[List[Interval]] = None
-    s_last = Fraction(1)
     for n in range(n_max + 1):
         s += power
         power *= inv_p
@@ -396,19 +267,14 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
         rhs = [certified.imul(certified.ipow_frac(certified.iabs(iv), s, bits),
                               mass_corr) for iv in fv]
         tol = certified.tol_for(cfg.compare_tol, lhs, rhs)
-        holds = True
         for j in range(d):
             if not certified.leq_with_slack(lhs[j], rhs[j], tol)[0]:
-                holds = False
                 report.fail({"n": n, "coordinate": j})
-        trace.append(BootstrapStep(
-            n, s, [certified.mid(iv) for iv in lhs],
-            [certified.mid(iv) for iv in rhs], holds))
-        last_lhs = lhs
-        s_last = s
+        report.series.append({"n": n, "exponent": s,
+                              "lhs": [certified.mid(iv) for iv in lhs],
+                              "rhs": [certified.mid(iv) for iv in rhs]})
 
-    limit = [certified.ipow_frac(iv, Fraction(1) / s_last, bits)
-             for iv in last_lhs]
+    limit = [certified.ipow_frac(iv, Fraction(1) / s, bits) for iv in lhs]
     limit_gaps = []
     for j in range(d):
         ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
@@ -419,39 +285,6 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
     report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
                       "limit_gaps": limit_gaps,
                       "target_norm": collapse_intervals(fv)}
-    report.series = [{"n": step.n, "exponent": step.exponent,
-                      "lhs": step.lhs, "rhs": step.rhs} for step in trace]
-    return report, trace
-
-
-def ess_sup_lower_bound(v: DualFunction, eps_list: Sequence[Fraction],
-                        cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                        fv_norm_override: Optional[LElement] = None) -> CheckReport:
-    """The p = 1 closing step: atoms whose norm exceeds the operator norm by
-    eps must form a null set, forcing the essential sup under the operator
-    norm.  Passing a lowered override is the negative control."""
-    d = v.primal_space.scalar_dim
-    atom_norms = _dual_atom_norms(v, cfg)
-    if fv_norm_override is not None:
-        fv = fv_norm_override.intervals()
-    else:
-        fv = dual_lp_norm_intervals(v, INF, cfg)
-
-    report = CheckReport(name="ess-sup-lower-bound",
-                         details={"eps_count": len(eps_list)}, series=[])
-    for eps in eps_list:
-        if eps <= 0:
-            raise ValueError("eps values must be positive")
-        for j in range(d):
-            exceed = [t for t in range(v.space.size)
-                      if atom_norms[t][j][0] > fv[j][1] + eps]
-            mu_exceed = sum((v.space.masses[t] for t in exceed), Fraction(0))
-            report.series.append({
-                "eps": eps, "coordinate": j,
-                "exceed_atoms": [v.space.atom_names[t] for t in exceed],
-                "mu": mu_exceed})
-            if mu_exceed != 0:
-                report.fail({"eps": eps, "coordinate": j, "mu": mu_exceed})
     return report
 
 
@@ -461,9 +294,10 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
     """Per-coordinate equality of the operator norm of the pairing against
     the conjugate-exponent norm of v; exact where both sides are rational,
     within compare_tol otherwise.  For 1 < p < infinity with strictly
-    positive atom norms the exponent-chain trace is attached.  A failing
-    report's witness names the first unequal coordinate with both bracket
-    midpoints and their gap, or else the first failing chain step."""
+    positive atom norms the exponent-chain inequalities are asserted as
+    well.  A failing report's witness names the first unequal coordinate
+    with both bracket midpoints and their gap, or else the first failing
+    chain step as ``{"stage": "bootstrap", "n": ..., "coordinate": ...}``."""
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
@@ -487,23 +321,21 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
             witness = {"coordinate": j, "operator_norm": certified.mid(fv[j]),
                        "dual_norm": certified.mid(nv[j]), "gap": gap}
 
-    trace: List[BootstrapStep] = []
     if p is not INF and p > 1:
         try:
             # the chain inequalities are asserted; the limit comparison is
             # redundant here (norm equality is checked directly above)
-            rep, trace = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
-                                    atom_norms, nv, check_limit=False)
+            rep = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
+                             atom_norms, nv, check_limit=False)
             if not rep.passed and witness is None:
                 witness = {"stage": "bootstrap", **rep.witness}
         except ZeroNorm:
-            trace = []
+            pass
 
     return IsometryReport(
         fv_norm=collapse_intervals(fv),
         v_norm=collapse_intervals(nv),
         per_coordinate_gap=gaps,
-        bootstrap_trace=trace,
         passed=witness is None,
         witness=witness,
     )

@@ -143,26 +143,6 @@ class LElement:
         return [certified.exact(q) for q in self.coords]
 
 
-def add(a: LElement, b: LElement) -> LElement:
-    return a + b
-
-
-def sub(a: LElement, b: LElement) -> LElement:
-    return a - b
-
-
-def mul(a: LElement, b: LElement) -> LElement:
-    return a * b
-
-
-def neg(a: LElement) -> LElement:
-    return -a
-
-
-def abs_(a: LElement) -> LElement:
-    return abs(a)
-
-
 def sup(a: LElement, b: LElement) -> LElement:
     a._check(b)
     return LElement._raw(*_k.vsup(a.nums, a.dens, b.nums, b.dens))
@@ -171,10 +151,6 @@ def sup(a: LElement, b: LElement) -> LElement:
 def inf(a: LElement, b: LElement) -> LElement:
     a._check(b)
     return LElement._raw(*_k.vinf(a.nums, a.dens, b.nums, b.dens))
-
-
-def leq(a: LElement, b: LElement) -> bool:
-    return a <= b
 
 
 def sgn(a: LElement) -> LElement:

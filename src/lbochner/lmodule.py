@@ -138,13 +138,20 @@ class Functional:
         return all(c.is_zero() for c in self.coeffs)
 
 
+def contract(a: Sequence[LElement], b: Sequence[LElement]) -> LElement:
+    """sum_i a[i] * b[i] over two equally long, nonempty sequences: the one
+    contraction behind functionals, the integral pairing, operators and the
+    Hölder integrand."""
+    acc = LElement.zero(a[0].dim)
+    for x, y in zip(a, b, strict=True):
+        acc = acc + x * y
+    return acc
+
+
 def apply(phi: Functional, x: ModuleVector) -> LElement:
     if phi.space.rank != x.space.rank or phi.space.scalar_dim != x.space.scalar_dim:
         raise ShapeMismatch("functional and vector shapes disagree")
-    acc = LElement.zero(phi.space.scalar_dim)
-    for c, e in zip(phi.coeffs, x.entries):
-        acc = acc + c * e
-    return acc
+    return contract(phi.coeffs, x.entries)
 
 
 NormValue = Union[LElement, Tuple[ApproxReal, ...]]

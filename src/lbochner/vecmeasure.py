@@ -126,18 +126,22 @@ def _partition_norm_sum(G: VectorMeasure, partition: Partition,
     return total
 
 
-def variation(G: VectorMeasure, cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-              exhaustive_cap: int = 5) -> VariationResult:
-    """Total variation: the norm sum over the atomic partition.  For small
-    spaces every partition is enumerated and certified dominated by it; the
-    witness names the first partition and coordinate that is not."""
+VARIATION_EXHAUSTIVE_MAX_ATOMS = 5
+
+
+def variation(G: VectorMeasure,
+              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> VariationResult:
+    """Total variation: the norm sum over the atomic partition.  Up to
+    ``VARIATION_EXHAUSTIVE_MAX_ATOMS`` atoms every partition is enumerated
+    and certified dominated by it; the witness names the first partition
+    and coordinate that is not."""
     atomic = atomic_partition(G.space)
     total = _partition_norm_sum(G, atomic, cfg)
-    exhaustive = G.space.size <= exhaustive_cap
+    exhaustive = G.space.size <= VARIATION_EXHAUSTIVE_MAX_ATOMS
     witness = None
     if exhaustive:
         tol = certified.tol_for(cfg.compare_tol, total)
-        for partition in enumerate_partitions(G.space, exhaustive_cap):
+        for partition in enumerate_partitions(G.space):
             candidate = _partition_norm_sum(G, partition, cfg)
             bad = [j for j in range(G.codomain.scalar_dim)
                    if not certified.leq_with_slack(candidate[j], total[j],

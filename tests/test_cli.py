@@ -221,6 +221,16 @@ class TestFailurePaths:
         assert "--trials: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["run", "bootstrap"], ["run", "dct"]],
+                             ids=" ".join)
+    def test_negative_nmax_is_usage_error(self, argv, tmp_path, capsys):
+        # an empty exponent chain or series would end in a traceback or a
+        # vacuous PASS
+        out = tmp_path / "report.json"
+        assert main([*argv, "--nmax", "-1", "--out", str(out)]) == 2
+        assert "error: n_max must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _shift_operator_norm(monkeypatch):
         # negative control: the operator norm one unit too large at

@@ -11,10 +11,8 @@ from lbochner.duality import (
     bootstrap_lower_bound,
     build_F,
     dual_lp_norm,
-    ess_sup_lower_bound,
     isometry_check,
     operator_norm,
-    operator_norm_certified,
     pairing,
     represent,
     roundtrip_check,
@@ -126,17 +124,6 @@ class TestOperatorNorm:
         H = build_F(v, Fraction(2))
         assert operator_norm(H) == L(2, 3)
 
-    def test_certified_interval_narrow(self, two_atoms):
-        cfg = ToleranceConfig()
-        rng = rng_for(54, 4)
-        for p in (Fraction(1), Fraction(2)):
-            for _ in range(50):
-                v = dual_fn(two_atoms, random_lelement(rng, 2),
-                            random_lelement(rng, 2))
-                H = build_F(v, p)
-                _, cert = operator_norm_certified(H, trials=4, seed=9)
-                assert cert.passed, cert.witness
-
     def test_null_atom_charge_rejected(self):
         space = MeasureSpace.build(["a", "b"], [1, 0])
         H = LpOperator(space, PRIMAL,
@@ -166,7 +153,29 @@ class TestIsometry:
         assert rep.passed
         for iv in value_intervals(rep.fv_norm):
             assert iv[0] <= 3 or iv[0] <= 4  # brackets around |coefficient|
-        assert len(rep.bootstrap_trace) > 0
+
+    def test_failing_chain_step_is_the_witness(self, monkeypatch):
+        # negative control: lift the lhs of chain step n = 2 at coordinate 1
+        # above its rhs; the norms still agree, so only the chain can fail
+        real = duality.power_sums_from_atom_norms
+        steps = []
+
+        def lifted(atom_norms, masses, s, cfg):
+            lhs = real(atom_norms, masses, s, cfg)
+            steps.append(s)
+            if len(steps) == 3:
+                lo, hi = lhs[1]
+                lhs[1] = (lo + 1, hi + 1)
+            return lhs
+
+        monkeypatch.setattr(duality, "power_sums_from_atom_norms", lifted)
+        space = MeasureSpace.build(["a"], [1])
+        v = dual_fn(space, L(3, 4))
+        rep = isometry_check(v, Fraction(2), Fraction(2))
+        assert not rep.passed
+        assert rep.witness == {"stage": "bootstrap", "n": 2, "coordinate": 1}
+        assert all(g == 0 for g in rep.per_coordinate_gap)
+        assert len(steps) == 7  # n = 0..6 with the default bootstrap_n
 
     def test_exactness_p1_sup_and_one(self):
         rng = rng_for(55, 5)
@@ -223,27 +232,6 @@ class TestBootstrap:
             assert rep.passed
             for gap in rep.details["limit_gaps"]:
                 assert gap <= Fraction(1, 2 ** 20)
-
-
-class TestEssSup:
-    def test_no_exceedance(self, two_atoms):
-        v = dual_fn(two_atoms, L(3, 1), L(4, 1))
-        rep = ess_sup_lower_bound(v, [Fraction(1, 10), Fraction(1, 100)])
-        assert rep.passed
-        assert all(row["mu"] == 0 for row in rep.series)
-
-    def test_constant_dual(self, two_atoms):
-        v = dual_fn(two_atoms, L(2, 2), L(2, 2))
-        rep = ess_sup_lower_bound(v, [Fraction(1, 7)])
-        assert rep.passed
-
-    def test_corrupted_norm_is_flagged(self, two_atoms):
-        v = dual_fn(two_atoms, L(3, 1), L(4, 1))
-        lowered = L(1, "1/2")
-        rep = ess_sup_lower_bound(v, [Fraction(1, 10)],
-                                  fv_norm_override=lowered)
-        assert not rep.passed
-        assert rep.witness["mu"] > 0
 
 
 class TestRepresent:
