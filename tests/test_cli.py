@@ -404,13 +404,20 @@ class TestGoldenReports:
         (["check", "holder", "--norm", "one", "--p", "1", "--trials", "20",
           "--seed", "42"], 0,
          "61a3501b5faca90e052646412547555a58840a7a3d703dfadb567cd9bdb1f0e0"),
+        # the toleranced two-norm axiom comparisons
+        (["check", "norm-axioms", "--norm", "two", "--seed", "7"], 0,
+         "5fe4aa7210324cf4c8315749d7fda1f9dae383d22550f6f685163bba5ac66094"),
+        # above the exhaustive cap: no partition enumeration, bracketed sums
+        (["rn", "variation", "--atoms", "6", "--norm", "two", "--seed", "7"],
+         0, "c95c6f2b7c084a0ea591dcd4d53bacd5b886f891e6d7cb711e4873fa5732d781"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
             "dual-represent", "dual-roundtrip", "check-norm-axioms",
             "run-rnp-probe", "rn-density", "rn-variation",
             "run-bootstrap-loose-tol", "dual-roundtrip-p3",
-            "check-holder-p1"])
+            "check-holder-p1", "check-norm-axioms-two",
+            "rn-variation-nonexhaustive"])
     def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == code
