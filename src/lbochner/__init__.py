@@ -8,7 +8,6 @@ module map and the command line front end.
 
 from .falgebra import (
     ApproxReal,
-    ConvergenceCertificate,
     DimensionMismatch,
     LElement,
     ToleranceConfig,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReal",
-    "ConvergenceCertificate",
     "DimensionMismatch",
     "DualFunction",
     "Functional",

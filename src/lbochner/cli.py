@@ -79,15 +79,7 @@ def _cmd_check_norm_axioms(args) -> Report:
         x = random_module_vector(rng, space)
         y = random_module_vector(rng, space)
         samples.append((lam, x, y))
-    rep = lmodule.check_norm_axioms(space, samples, cfg)
-    check = CheckReport(
-        name=f"norm-axioms-{args.norm}",
-        passed=rep.passed,
-        details={"trials": args.trials, "axiom1": rep.axiom1,
-                 "axiom2": rep.axiom2, "axiom3": rep.axiom3},
-        witness=rep.witness1 or rep.witness2 or rep.witness3,
-    )
-    return _report(args, [check])
+    return _report(args, [lmodule.check_norm_axioms(space, samples, cfg)])
 
 
 def _holder_pair(args, rng, cfg):
@@ -113,8 +105,7 @@ def _over_trials(check: CheckReport, n: int, run_trial) -> CheckReport:
     for trial in range(n):
         rep = run_trial(trial)
         if not rep.passed:
-            own = getattr(rep, "witness", None) or {}
-            check.fail({"trial": trial, **own})
+            check.fail({"trial": trial, **(rep.witness or {})})
     check.details["failures"] = check.failures
     return check
 
@@ -272,7 +263,7 @@ def _cmd_dual_isometry(args) -> Report:
 
     def trial_isometry(trial):
         rep = duality.isometry_check(_dual_function(args, rng), p, q, cfg)
-        check.series.append({"trial": trial, "gap": rep.per_coordinate_gap})
+        check.series.append({"trial": trial, "gap": rep.details["gaps"]})
         return rep
 
     return _report(args, [_over_trials(check, n, trial_isometry)])
@@ -318,19 +309,12 @@ def _vector_measure(args, rng) -> vecmeasure.VectorMeasure:
     return vecmeasure.VectorMeasure.from_density(g)
 
 
-def _density_check(G: vecmeasure.VectorMeasure) -> CheckReport:
-    result = vecmeasure.rn_density(G)
-    return CheckReport(name="rn-density", passed=result.passed,
-                       details={"verified_sets": result.verified_sets},
-                       witness=result.witness)
-
-
 def _cmd_rn_density(args) -> Report:
     rng = rng_for(args.seed, 47)
     G = _vector_measure(args, rng)
     continuity = vecmeasure.check_mu_continuity(G, _tolerances(args))
     try:
-        density_check = _density_check(G)
+        _, density_check = vecmeasure.rn_density(G)
     except vecmeasure.NotAbsolutelyContinuous as exc:
         density_check = CheckReport(name="rn-density")
         density_check.fail({"error": str(exc)})
@@ -341,15 +325,7 @@ def _cmd_rn_variation(args) -> Report:
     cfg = _tolerances(args)
     rng = rng_for(args.seed, 53)
     G = _vector_measure(args, rng)
-    result = vecmeasure.variation(G, cfg)
-    return _report(args, [CheckReport(
-        name="variation",
-        passed=result.passed,
-        details={"variation": result.variation,
-                 "exhaustive_checked": result.exhaustive_checked,
-                 "blocks": len(result.attaining_partition.blocks)},
-        witness=result.witness,
-    )])
+    return _report(args, [vecmeasure.variation(G, cfg)])
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +345,8 @@ def _cmd_suite_all(args) -> Report:
             samples.append((lam, random_module_vector(rng, space),
                             random_module_vector(rng, space)))
         rep = lmodule.check_norm_axioms(space, samples, cfg)
-        checks.append(CheckReport(
-            name=f"norm-axioms-{kind.value}", passed=rep.passed,
-            details={"trials": 100}))
+        rep.details = {"trials": 100}
+        checks.append(rep)
 
     for p_str in ("1", "2", "3"):
         p = Fraction(p_str)
@@ -421,10 +396,10 @@ def _cmd_suite_all(args) -> Report:
     G = vecmeasure.VectorMeasure.from_density(_random_lfunction(
         rng, random_measure_space(rng, 4, null_atoms=1),
         ModuleSpace(2, 2, NormKind.SUP)))
-    checks.append(_density_check(G))
+    checks.append(vecmeasure.rn_density(G)[1])
     varied = vecmeasure.variation(G, cfg)
-    checks.append(CheckReport(name="variation", passed=varied.passed,
-                              details={}, witness=varied.witness))
+    varied.details = {}
+    checks.append(varied)
 
     checks.append(duality.roundtrip_check(
         Fraction(1), INF, 25, seed, cfg=cfg))

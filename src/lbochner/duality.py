@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import certified
 from .certified import Interval
@@ -196,18 +196,6 @@ def operator_norm(H: LpOperator,
     return collapse_intervals(operator_norm_intervals(H, cfg))
 
 
-@dataclass
-class IsometryReport:
-    fv_norm: NormValue
-    v_norm: NormValue
-    per_coordinate_gap: List[Fraction]
-    passed: bool
-    witness: Optional[dict] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 DEFAULT_LIMIT_TOL = Fraction(1, 2 ** 20)
 
 
@@ -290,14 +278,15 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
 
 def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                   bootstrap_n: int = 6) -> IsometryReport:
+                   bootstrap_n: int = 6) -> CheckReport:
     """Per-coordinate equality of the operator norm of the pairing against
     the conjugate-exponent norm of v; exact where both sides are rational,
     within compare_tol otherwise.  For 1 < p < infinity with strictly
     positive atom norms the exponent-chain inequalities are asserted as
-    well.  A failing report's witness names the first unequal coordinate
-    with both bracket midpoints and their gap, or else the first failing
-    chain step as ``{"stage": "bootstrap", "n": ..., "coordinate": ...}``."""
+    well.  ``details`` carries both norms and the per-coordinate gaps.  A
+    failing report's witness names the first unequal coordinate with both
+    bracket midpoints and their gap, or else the first failing chain step
+    as ``{"stage": "bootstrap", "n": ..., "coordinate": ...}``."""
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
@@ -308,7 +297,7 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
 
     exact = all(certified.is_exact(iv) for iv in fv + nv)
     tol = Fraction(0) if exact else cfg.compare_tol
-    witness: Optional[dict] = None
+    report = CheckReport(name="isometry")
     gaps = []
     for j in range(d):
         if exact:
@@ -317,28 +306,23 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
         else:
             ok, gap = certified.eq_within(fv[j], nv[j], tol)
         gaps.append(gap)
-        if not ok and witness is None:
-            witness = {"coordinate": j, "operator_norm": certified.mid(fv[j]),
-                       "dual_norm": certified.mid(nv[j]), "gap": gap}
+        if not ok:
+            report.fail({"coordinate": j, "operator_norm": certified.mid(fv[j]),
+                         "dual_norm": certified.mid(nv[j]), "gap": gap})
+    report.details = {"operator_norm": collapse_intervals(fv),
+                      "dual_norm": collapse_intervals(nv), "gaps": gaps}
 
     if p is not INF and p > 1:
         try:
             # the chain inequalities are asserted; the limit comparison is
             # redundant here (norm equality is checked directly above)
-            rep = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
-                             atom_norms, nv, check_limit=False)
-            if not rep.passed and witness is None:
-                witness = {"stage": "bootstrap", **rep.witness}
+            chain = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
+                               atom_norms, nv, check_limit=False)
+            if not chain.passed:
+                report.fail({"stage": "bootstrap", **chain.witness})
         except ZeroNorm:
             pass
-
-    return IsometryReport(
-        fv_norm=collapse_intervals(fv),
-        v_norm=collapse_intervals(nv),
-        per_coordinate_gap=gaps,
-        passed=witness is None,
-        witness=witness,
-    )
+    return report
 
 
 def represent(H: LpOperator) -> DualFunction:
@@ -356,11 +340,11 @@ def represent(H: LpOperator) -> DualFunction:
     atom_values = tuple(
         ModuleVector(dual_space, tuple(row)) for row in H.basis_action)
     G = VectorMeasure(H.space, dual_space, atom_values)
-    result = rn_density(G)
-    if not result.passed:
-        raise RepresentationMismatch({"stage": "density", **result.witness})
+    density, check = rn_density(G)
+    if not check.passed:
+        raise RepresentationMismatch({"stage": "density", **check.witness})
     v = DualFunction(H.space, tuple(
-        Functional(primal, val.entries) for val in result.density.values))
+        Functional(primal, val.entries) for val in density.values))
 
     # basis verification; exact
     for t in range(H.space.size):
@@ -416,5 +400,5 @@ def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,
             report.fail({"trial": trial, "stage": "isometry", **iso.witness})
         report.series.append({"trial": trial,
                               "p": Fraction(0) if p is INF else p,
-                              "gap": iso.per_coordinate_gap})
+                              "gap": iso.details["gaps"]})
     return report

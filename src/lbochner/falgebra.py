@@ -256,18 +256,6 @@ def root(a: LElement, r: RationalLike,
 Envelope = Sequence[Tuple[LElement, int]]
 
 
-@dataclass
-class ConvergenceCertificate:
-    """Outcome of an envelope-certified convergence or Cauchy check."""
-
-    envelope: Tuple[Tuple[LElement, int], ...]
-    passed: bool
-    first_violation: Optional[Tuple[int, int]] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
 def _validate_envelope(envelope: Envelope, d: int) -> None:
     if not envelope:
         raise ValueError("envelope must be nonempty")
@@ -291,18 +279,19 @@ def _first_exceeding(diff: LElement, eps: LElement) -> Optional[int]:
     return None
 
 
-def check_order_convergence(seq: Sequence[LElement], limit: LElement,
-                            envelope: Envelope) -> ConvergenceCertificate:
-    """Pass iff |seq[n] - limit| <= eps for every n >= threshold, for every
-    (eps, threshold) in the envelope.  Thresholds index the supplied list."""
+def first_envelope_violation(seq: Sequence[LElement], limit: LElement,
+                             envelope: Envelope) -> Optional[Tuple[int, int]]:
+    """The first (n, coordinate) with |seq[n] - limit| > eps for some
+    (eps, threshold) in the envelope and n >= threshold, or None if the
+    envelope certifies the convergence.  Thresholds index the supplied
+    list."""
     if not seq:
         raise ValueError("empty sequence")
     d = limit.dim
     _validate_envelope(envelope, d)
-    env = tuple((eps, idx) for eps, idx in envelope)
-    for eps, idx in env:
+    for eps, idx in envelope:
         for n in range(idx, len(seq)):
             j = _first_exceeding(abs(seq[n] - limit), eps)
             if j is not None:
-                return ConvergenceCertificate(env, False, (n, j))
-    return ConvergenceCertificate(env, True)
+                return n, j
+    return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from . import certified
 from .certified import Interval
@@ -24,6 +24,7 @@ from .falgebra import (
     ToleranceConfig,
     sgn,
 )
+from .reports import CheckReport
 
 
 class ShapeMismatch(ValueError):
@@ -218,31 +219,25 @@ def dual_norm(phi: Functional, primal_norm_kind: NormKind,
         norm_intervals(phi.coeffs, dual_kind(primal_norm_kind), cfg))
 
 
-@dataclass
-class NormAxiomReport:
-    axiom1: bool
-    axiom2: bool
-    axiom3: bool
-    witness1: Optional[dict] = None
-    witness2: Optional[dict] = None
-    witness3: Optional[dict] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.axiom1 and self.axiom2 and self.axiom3
-
-
 def check_norm_axioms(space: ModuleSpace,
                       samples: Sequence[Tuple[LElement, ModuleVector, ModuleVector]],
-                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormAxiomReport:
-    """Verify the three norm axioms on (lambda, x, y) samples.
+                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
+    """Verify the three norm axioms on (lambda, x, y) samples; ``details``
+    says which axioms held, and the witness is the first failing sample.
 
     Definiteness and homogeneity/triangle are exact for sup/one norms; the
     two-norm compares certified midpoints within compare_tol.
     """
     exact_kind = space.norm_kind is not NormKind.TWO
     tol = Fraction(0) if exact_kind else cfg.compare_tol
-    report = NormAxiomReport(True, True, True)
+    report = CheckReport(
+        name=f"norm-axioms-{space.norm_kind.value}",
+        details={"trials": len(samples),
+                 "axiom1": True, "axiom2": True, "axiom3": True})
+
+    def violated(axiom: str, witness: dict) -> None:
+        report.details[axiom] = False
+        report.fail(witness)
 
     for idx, (lam, x, y) in enumerate(samples):
         nx = norm_intervals(x.entries, space.norm_kind, cfg)
@@ -250,9 +245,7 @@ def check_norm_axioms(space: ModuleSpace,
         # axiom 1: ||x|| = 0 iff x = 0
         norm_zero = all(iv == (0, 0) for iv in nx)
         if norm_zero != x.is_zero():
-            if report.axiom1:
-                report.axiom1 = False
-                report.witness1 = {"sample": idx, "x_is_zero": x.is_zero()}
+            violated("axiom1", {"sample": idx, "x_is_zero": x.is_zero()})
             continue
 
         # axiom 2: ||lam x|| = |lam| ||x||
@@ -261,9 +254,8 @@ def check_norm_axioms(space: ModuleSpace,
         rhs = [certified.iscale(iv, alam[j]) for j, iv in enumerate(nx)]
         for j in range(space.scalar_dim):
             ok, gap = certified.eq_within(lhs[j], rhs[j], tol)
-            if not ok and report.axiom2:
-                report.axiom2 = False
-                report.witness2 = {"sample": idx, "coordinate": j, "gap": gap}
+            if not ok:
+                violated("axiom2", {"sample": idx, "coordinate": j, "gap": gap})
 
         # axiom 3: ||x + y|| <= ||x|| + ||y||
         ns = norm_intervals((x + y).entries, space.norm_kind, cfg)
@@ -271,9 +263,9 @@ def check_norm_axioms(space: ModuleSpace,
         for j in range(space.scalar_dim):
             ok, slack = certified.leq_with_slack(
                 ns[j], certified.iadd(nx[j], ny[j]), tol)
-            if not ok and report.axiom3:
-                report.axiom3 = False
-                report.witness3 = {"sample": idx, "coordinate": j, "slack": slack}
+            if not ok:
+                violated("axiom3", {"sample": idx, "coordinate": j,
+                                    "slack": slack})
 
     return report
 

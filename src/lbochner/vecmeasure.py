@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from . import certified
 from .falgebra import (
@@ -23,7 +23,6 @@ from .lmodule import (
     ModuleSpace,
     ModuleVector,
     NormKind,
-    NormValue,
     collapse_intervals,
     norm_intervals,
 )
@@ -76,11 +75,14 @@ def evaluate(G: VectorMeasure, F: MeasurableSet) -> ModuleVector:
     return acc
 
 
+CONTINUITY_TABLE_MAX_ATOMS = 10
+
+
 def check_mu_continuity(G: VectorMeasure,
-                        cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-                        table_cap: int = 10) -> CheckReport:
-    """Passes iff every null atom carries the zero value; for small spaces
-    also emits the (mu(F), ||G(F)||) modulus table over all subsets.
+                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
+    """Passes iff every null atom carries the zero value; up to
+    ``CONTINUITY_TABLE_MAX_ATOMS`` atoms also emits the (mu(F), ||G(F)||)
+    modulus table over all subsets.
 
     The atoms decide the verdict: mu(F) = 0 only when every atom of F is
     null, and G(F) is the sum of their values, so a subset can fail only
@@ -91,7 +93,7 @@ def check_mu_continuity(G: VectorMeasure,
         if mass == 0 and not G.atom_values[t].is_zero():
             report.fail({"atom": G.space.atom_names[t]})
 
-    if G.space.size <= table_cap:
+    if G.space.size <= CONTINUITY_TABLE_MAX_ATOMS:
         kind = G.codomain.norm_kind
         masses = subset_sums(G.space.masses, Fraction(0))
         values = subset_sums(G.atom_values, G.codomain.zero())
@@ -101,18 +103,6 @@ def check_mu_continuity(G: VectorMeasure,
                             for iv in norm_intervals(val.entries, kind, cfg)]}
             for mu, val in zip(masses, values)]
     return report
-
-
-@dataclass
-class VariationResult:
-    variation: NormValue
-    attaining_partition: Partition
-    exhaustive_checked: bool
-    witness: Optional[Dict[str, Any]] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
 
 
 def _partition_norm_sum(G: VectorMeasure, partition: Partition,
@@ -130,7 +120,7 @@ VARIATION_EXHAUSTIVE_MAX_ATOMS = 5
 
 
 def variation(G: VectorMeasure,
-              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> VariationResult:
+              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Total variation: the norm sum over the atomic partition.  Up to
     ``VARIATION_EXHAUSTIVE_MAX_ATOMS`` atoms every partition is enumerated
     and certified dominated by it; the witness names the first partition
@@ -138,34 +128,23 @@ def variation(G: VectorMeasure,
     atomic = atomic_partition(G.space)
     total = _partition_norm_sum(G, atomic, cfg)
     exhaustive = G.space.size <= VARIATION_EXHAUSTIVE_MAX_ATOMS
-    witness = None
+    report = CheckReport(name="variation", details={
+        "variation": collapse_intervals(total),
+        "exhaustive_checked": exhaustive,
+        "blocks": len(atomic.blocks)})
     if exhaustive:
         tol = certified.tol_for(cfg.compare_tol, total)
         for partition in enumerate_partitions(G.space):
             candidate = _partition_norm_sum(G, partition, cfg)
-            bad = [j for j in range(G.codomain.scalar_dim)
-                   if not certified.leq_with_slack(candidate[j], total[j],
-                                                   tol)[0]]
-            if bad:
-                witness = {"partition": [B.names() for B in partition.blocks],
-                           "coordinate": bad[0]}
-                break
-    return VariationResult(collapse_intervals(total), atomic, exhaustive,
-                           witness)
+            for j in range(G.codomain.scalar_dim):
+                if not certified.leq_with_slack(candidate[j], total[j], tol)[0]:
+                    report.fail({"partition": [B.names()
+                                               for B in partition.blocks],
+                                 "coordinate": j})
+    return report
 
 
-@dataclass
-class DensityResult:
-    density: LFunction
-    verified_sets: int
-    witness: Optional[Dict[str, Any]] = None
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
-
-
-def rn_density(G: VectorMeasure) -> DensityResult:
+def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
     """Solves G(F) = integral of g over F for g by atomwise division and
     verifies the identity on every singleton.  The two sides stay
     independent: G(F) is built from G's atom values, the integral from
@@ -188,12 +167,15 @@ def rn_density(G: VectorMeasure) -> DensityResult:
             vals.append(G.atom_values[t].scale_rational(Fraction(1) / mass))
     g = LFunction(G.space, G.codomain, tuple(vals))
 
+    report = CheckReport(name="rn-density",
+                         details={"verified_sets": 1 << G.space.size})
     for t in range(G.space.size):
         integral = integrate_over(g, G.space.singleton(t))
         if G.atom_values[t].entries != integral.entries:
-            return DensityResult(g, 1 << t,
-                                 {"subset": [G.space.atom_names[t]]})
-    return DensityResult(g, 1 << G.space.size)
+            report.fail({"subset": [G.space.atom_names[t]]})
+            report.details["verified_sets"] = 1 << t
+            break
+    return g, report
 
 
 def solve_self_consistency(block_masses: List[Fraction], d: int) -> List[LElement]:
@@ -218,8 +200,9 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
     (iii) builds the fair-sign set family and verifies the displayed
     distance bound |T(1_A) - T(1_B)| <= mu(A delta B) exactly, emitting the
     pairwise distance matrix."""
-    if n_sets > levels:
-        raise ValueError("n_sets must be at most levels")
+    if not 1 <= n_sets <= levels:
+        # an empty fair-sign family would compare nothing and still pass
+        raise ValueError("n_sets must be between 1 and levels")
     space = dyadic_space(levels)
     half_blocks = space.size // 2
     blocks = [space.subset((2 * i, 2 * i + 1)) for i in range(half_blocks)]
@@ -247,7 +230,7 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
         return total
 
     # (ii) absolute continuity and the variation bound with ||T|| = 1
-    continuity = check_mu_continuity(G, cfg, table_cap=min(levels * 2, 8))
+    continuity = check_mu_continuity(G, cfg)
     operator_norm_value = LElement.unit(d)  # ess-sup of the unit density
     variation_ok = True
     for partition in (atomic_partition(space),

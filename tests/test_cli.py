@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -88,7 +87,7 @@ class TestExitCodes:
             rep = real(*args, **kwargs)
             calls.append(rep)
             if len(calls) in (1, 3):
-                return dataclasses.replace(rep, passed=False)
+                rep.fail()
             return rep
 
         monkeypatch.setattr(duality, "isometry_check", failing_on_trials_0_and_2)
@@ -200,8 +199,9 @@ class TestFailurePaths:
         real = duality.rn_density
 
         def failing_density(G):
-            return vecmeasure.DensityResult(real(G).density, 0,
-                                            {"subset": ["a0"]})
+            density, check = real(G)
+            check.fail({"subset": ["a0"]})
+            return density, check
 
         monkeypatch.setattr(duality, "rn_density", failing_density)
         out = tmp_path / "report.json"
@@ -221,15 +221,52 @@ class TestFailurePaths:
         assert "--trials: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["run", "bootstrap"], ["run", "dct"]],
-                             ids=" ".join)
-    def test_negative_nmax_is_usage_error(self, argv, tmp_path, capsys):
-        # an empty exponent chain or series would end in a traceback or a
-        # vacuous PASS
+    @pytest.mark.parametrize("argv,error", [
+        (["run", "bootstrap", "--nmax", "-1"], "n_max must be >= 0"),
+        (["run", "dct", "--nmax", "-1"], "n_max must be >= 0"),
+        (["run", "rnp-probe", "--sets", "0"],
+         "n_sets must be between 1 and levels"),
+    ], ids=["run bootstrap", "run dct", "run rnp-probe"])
+    def test_negative_nmax_is_usage_error(self, argv, error, tmp_path,
+                                          capsys):
+        # an empty exponent chain, series or set family would end in a
+        # traceback or a vacuous PASS
         out = tmp_path / "report.json"
-        assert main([*argv, "--nmax", "-1", "--out", str(out)]) == 2
-        assert "error: n_max must be >= 0" in capsys.readouterr().err
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def _doubled_scaling(monkeypatch):
+        # negative control: x.scale(lam) scales by 2 lam, so homogeneity
+        # fails wherever lam x is not zero
+        real = ModuleVector.scale
+        monkeypatch.setattr(ModuleVector, "scale",
+                            lambda self, lam: real(self, lam + lam))
+
+    def test_norm_axioms_witness(self, tmp_path, monkeypatch):
+        self._doubled_scaling(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["check", "norm-axioms", "--out", str(out)]) == 1
+        check = self._checks(out)["norm-axioms-sup"]
+        assert check["details"] == {"trials": 100, "axiom1": True,
+                                    "axiom2": False, "axiom3": True}
+        witness = check["witness"]
+        assert {k: witness[k] for k in ("sample", "coordinate")} == {
+            "sample": 0, "coordinate": 0}
+        assert Fraction(witness["gap"]) > 0
+
+    def test_suite_all_keeps_norm_axioms_witness(self, tmp_path,
+                                                 monkeypatch):
+        self._doubled_scaling(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["suite", "all", "--seed", "42", "--out", str(out)]) == 1
+        checks = self._checks(out)
+        for kind in ("sup", "one", "two"):
+            check = checks[f"norm-axioms-{kind}"]
+            assert check["verdict"] == "FAIL"
+            assert check["details"] == {"trials": 100}
+            assert set(check["witness"]) == {"sample", "coordinate", "gap"}
 
     @staticmethod
     def _shift_operator_norm(monkeypatch):

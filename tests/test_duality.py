@@ -33,7 +33,7 @@ from lbochner.sampling import (
     random_module_vector,
     rng_for,
 )
-from lbochner.vecmeasure import DensityResult, NotAbsolutelyContinuous
+from lbochner.vecmeasure import NotAbsolutelyContinuous
 
 
 def L(*coords):
@@ -137,9 +137,9 @@ class TestIsometry:
         v = dual_fn(two_atoms, L(3, 1), L(4, 1))
         rep = isometry_check(v, Fraction(1), INF)
         assert rep.passed
-        assert rep.fv_norm == L(4, 1)
-        assert rep.v_norm == L(4, 1)
-        assert all(g == 0 for g in rep.per_coordinate_gap)
+        assert rep.details["operator_norm"] == L(4, 1)
+        assert rep.details["dual_norm"] == L(4, 1)
+        assert all(g == 0 for g in rep.details["gaps"])
 
     def test_zero_dual(self, two_atoms):
         v = dual_fn(two_atoms, L(0, 0), L(0, 0))
@@ -151,7 +151,7 @@ class TestIsometry:
         v = dual_fn(space, L(3, 4))
         rep = isometry_check(v, Fraction(2), Fraction(2))
         assert rep.passed
-        for iv in value_intervals(rep.fv_norm):
+        for iv in value_intervals(rep.details["operator_norm"]):
             assert iv[0] <= 3 or iv[0] <= 4  # brackets around |coefficient|
 
     def test_failing_chain_step_is_the_witness(self, monkeypatch):
@@ -174,7 +174,7 @@ class TestIsometry:
         rep = isometry_check(v, Fraction(2), Fraction(2))
         assert not rep.passed
         assert rep.witness == {"stage": "bootstrap", "n": 2, "coordinate": 1}
-        assert all(g == 0 for g in rep.per_coordinate_gap)
+        assert all(g == 0 for g in rep.details["gaps"])
         assert len(steps) == 7  # n = 0..6 with the default bootstrap_n
 
     def test_exactness_p1_sup_and_one(self):
@@ -187,7 +187,7 @@ class TestIsometry:
                     random_functional(rng, primal) for _ in range(3)))
                 rep = isometry_check(v, Fraction(1), INF)
                 assert rep.passed
-                assert all(g == 0 for g in rep.per_coordinate_gap)
+                assert all(g == 0 for g in rep.details["gaps"])
 
 
 class TestBootstrap:
@@ -288,15 +288,13 @@ class TestRepresentOffBasis:
 
         def off_density(G):
             # coordinate 0 of entry 0 at atom t raised by one
-            res = real(G)
-            g = res.density
+            g, check = real(G)
             first = g.values[t].entries[0]
             values = list(g.values)
             values[t] = ModuleVector(g.codomain, (
                 LElement([first[0] + 1, *first.coords[1:]]),
                 *g.values[t].entries[1:]))
-            return DensityResult(LFunction(g.space, g.codomain, tuple(values)),
-                                 res.verified_sets)
+            return LFunction(g.space, g.codomain, tuple(values)), check
 
         monkeypatch.setattr(duality, "rn_density", off_density)
         with pytest.raises(AssertionError) as raised:

@@ -11,7 +11,7 @@ from lbochner.falgebra import (
     LElement,
     ToleranceConfig,
     ZeroDivisor,
-    check_order_convergence,
+    first_envelope_violation,
     inf,
     pow_int,
     recip,
@@ -181,30 +181,27 @@ class TestOrderConvergence:
         seq = [L(Fraction(1, n), Fraction(1, 2 ** n)) for n in range(1, 21)]
         envelope = [(L(Fraction(1, k), Fraction(1, k)), k - 1)
                     for k in range(1, 21)]
-        cert = check_order_convergence(seq, LElement.zero(2), envelope)
-        assert cert.passed
+        assert first_envelope_violation(seq, LElement.zero(2), envelope) is None
 
     def test_constant_sequence_passes(self):
         seq = [L(5, 5)] * 6
         envelope = [(L(1, 1), 0), (L("1/8", "1/8"), 0), (L(0, 0), 0)]
-        assert check_order_convergence(seq, L(5, 5), envelope).passed
+        assert first_envelope_violation(seq, L(5, 5), envelope) is None
 
     def test_oscillation_fails_at_first_coordinate(self):
         seq = [L((-1) ** n, 0) for n in range(1, 13)]
         envelope = [(L(Fraction(1, k), Fraction(1, k)), k - 1)
                     for k in range(1, 13)]
-        cert = check_order_convergence(seq, LElement.zero(2), envelope)
-        assert not cert.passed
-        n, coord = cert.first_violation
-        assert coord == 0
+        # |seq[1]| = 1 exceeds the second epsilon, 1/2, from index 1 on
+        assert first_envelope_violation(seq, LElement.zero(2), envelope) == (1, 0)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            check_order_convergence([], LElement.zero(1), [(LElement.unit(1), 0)])
+            first_envelope_violation([], LElement.zero(1), [(LElement.unit(1), 0)])
 
     def test_envelope_must_be_nonincreasing(self):
         seq = [L(0)] * 3
         with pytest.raises(ValueError):
-            check_order_convergence(seq, L(0), [(L(1), 0), (L(2), 0)])
+            first_envelope_violation(seq, L(0), [(L(1), 0), (L(2), 0)])
         with pytest.raises(ValueError):
-            check_order_convergence(seq, L(0), [])
+            first_envelope_violation(seq, L(0), [])

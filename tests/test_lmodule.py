@@ -77,7 +77,7 @@ class TestNormAxioms:
             samples.append((lam, random_module_vector(rng, space),
                             random_module_vector(rng, space)))
         report = check_norm_axioms(space, samples)
-        assert report.passed, (report.witness1, report.witness2, report.witness3)
+        assert report.passed, report.witness
 
     def test_zero_vector_has_zero_norm(self):
         assert norm(SUP2.zero()) == LElement.zero(2)

@@ -85,6 +85,12 @@ class TestMuContinuity:
         rep = check_mu_continuity(G3)
         assert len(rep.series) == 8  # all subsets of three atoms
 
+    def test_no_modulus_table_above_the_cap(self):
+        m = vecmeasure.CONTINUITY_TABLE_MAX_ATOMS + 1
+        G = seeded_measure(509, m, NormKind.SUP)
+        rep = check_mu_continuity(G)
+        assert rep.passed and rep.series is None
+
 
 class TestVariation:
     def test_spec_example(self):
@@ -93,19 +99,19 @@ class TestVariation:
         space = MeasureSpace.build(["a", "b"], [1, 1])
         G = vm(space, L(1, -1), L(-2, 3))
         result = variation(G)
-        assert result.variation == L(3, 4)
-        assert result.exhaustive_checked
+        assert result.details["variation"] == L(3, 4)
+        assert result.details["exhaustive_checked"]
         coarse = evaluate(G, space.full_set())
         assert abs(coarse.entries[0]) == L(1, 2)
 
     def test_zero_measure(self, space3):
         zero = vm(space3, L(0, 0), L(0, 0), L(0, 0))
-        assert variation(zero).variation == L(0, 0)
+        assert variation(zero).details["variation"] == L(0, 0)
 
     def test_single_atom(self):
         space = MeasureSpace.build(["a"], [1])
         G = vm(space, L(-3, "7/2"))
-        assert variation(G).variation == L(3, "7/2")
+        assert variation(G).details["variation"] == L(3, "7/2")
 
     def test_refinement_violation_fails_with_witness(self, monkeypatch):
         # every block of two or more atoms weighs 10 more: the first
@@ -133,23 +139,22 @@ class TestVariation:
             G = VectorMeasure(space, MOD, tuple(
                 random_module_vector(rng, MOD) for _ in range(5)))
             result = variation(G)
-            assert result.exhaustive_checked
+            assert result.details["exhaustive_checked"]
             # atomic partition dominates every coarser one in the order
             for partition in enumerate_partitions(space):
                 total = LElement.zero(2)
                 for block in partition.blocks:
                     total = total + abs(evaluate(G, block).entries[0])
-                assert total <= result.variation
+                assert total <= result.details["variation"]
 
 
 class TestRnDensity:
     def test_spec_example(self, space3, G3):
-        result = rn_density(G3)
-        g = result.density
+        g, result = rn_density(G3)
         assert g.values[0].entries[0] == L(2, 2)
         assert g.values[1].entries[0] == L(2, 3)
         assert g.values[2].entries[0] == L(0, 0)
-        assert result.verified_sets == 8
+        assert result.details["verified_sets"] == 8
 
     def test_not_absolutely_continuous(self, space3):
         bad = vm(space3, L(2, 2), L(4, 6), L(1, 0))
@@ -165,7 +170,7 @@ class TestRnDensity:
             g = LFunction(space, codomain, tuple(
                 random_module_vector(rng, codomain) for _ in range(5)))
             G = VectorMeasure.from_density(g)
-            back = rn_density(G).density
+            back, _ = rn_density(G)
             for t in range(5):
                 if space.masses[t] > 0:
                     assert back.values[t] == g.values[t]
@@ -173,7 +178,7 @@ class TestRnDensity:
                     assert back.values[t].is_zero()
 
     def test_density_reintegrates(self, space3, G3):
-        g = rn_density(G3).density
+        g, _ = rn_density(G3)
         for F in space3.all_subsets():
             assert integrate_over(g, F) == evaluate(G3, F)
 
@@ -226,21 +231,21 @@ class TestSubsetTables:
     @pytest.mark.parametrize("m,kind", [(6, NormKind.SUP), (10, NormKind.TWO)])
     def test_density_identity_table(self, m, kind):
         G = seeded_measure(506, m, kind)
-        result = rn_density(G)
+        density, result = rn_density(G)
         assert result.passed and result.witness is None
-        assert result.verified_sets == 2 ** m
+        assert result.details["verified_sets"] == 2 ** m
         for F in G.space.all_subsets():
-            assert evaluate(G, F) == integrate_over(result.density, F)
+            assert evaluate(G, F) == integrate_over(density, F)
 
     def test_corrupted_atom_value_fails(self, monkeypatch):
         # the density term of atom a2 one unit off: the table first
         # disagrees on the singleton {a2}, mask 4, after masks 0..3 agreed
         G = seeded_measure(508, 6, NormKind.SUP)
         monkeypatch.setattr(vecmeasure, "integrate_over", off_integral(2))
-        result = rn_density(G)
+        density, result = rn_density(G)
         assert not result.passed
         assert result.witness == {"subset": ["a2"]}
-        assert result.verified_sets == 4
+        assert result.details["verified_sets"] == 4
 
 
 class TestDensityBySingletons:
@@ -251,21 +256,21 @@ class TestDensityBySingletons:
 
     def test_twelve_atoms_verify_every_subset(self):
         G = seeded_measure(507, 12, NormKind.TWO)
-        result = rn_density(G)
+        density, result = rn_density(G)
         assert result.passed and result.witness is None
-        assert result.verified_sets == 2 ** 12
+        assert result.details["verified_sets"] == 2 ** 12
         rng = rng_for(507, 0)
         for _ in range(200):
             F = G.space.subset_of_mask(rng.randrange(2 ** 12))
-            assert evaluate(G, F) == integrate_over(result.density, F)
+            assert evaluate(G, F) == integrate_over(density, F)
 
     def test_twelve_atoms_corrupted_atom_fails(self, monkeypatch):
         G = seeded_measure(508, 12, NormKind.SUP)
         monkeypatch.setattr(vecmeasure, "integrate_over", off_integral(9))
-        result = rn_density(G)
+        density, result = rn_density(G)
         assert not result.passed
         assert result.witness == {"subset": ["a9"]}
-        assert result.verified_sets == 2 ** 9
+        assert result.details["verified_sets"] == 2 ** 9
 
 
 class TestSelfConsistency:
@@ -304,6 +309,12 @@ class TestRnpProbe:
     def test_sets_capped_by_levels(self):
         with pytest.raises(ValueError):
             rnp_probe(2, 3)
+
+    @pytest.mark.parametrize("n_sets", [0, -2])
+    def test_empty_family_refused(self, n_sets):
+        # no fair-sign set would be compared, and the probe would pass
+        with pytest.raises(ValueError):
+            rnp_probe(2, n_sets)
 
     def test_reference_separations_recorded(self):
         rep = rnp_probe(3, 2)
