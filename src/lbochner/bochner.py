@@ -577,13 +577,9 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
         bound = [certified.imul(certified.iscale(iv, Fraction(2, 2 ** n)), mu_root)
                  for iv in norm_w]
         for j in range(d):
-            if certified.is_exact(resid[j]) and certified.is_exact(expected[j]):
-                ok_eq = resid[j] == expected[j]
-                gap = abs(resid[j][0] - expected[j][0])
-            else:
-                ok_eq, gap = certified.eq_within(resid[j], expected[j],
-                                                 cfg.compare_tol)
-            le_tol = Fraction(0) if certified.is_exact(bound[j]) else cfg.compare_tol
+            eq_tol = certified.tol_for(cfg.compare_tol, (resid[j], expected[j]))
+            ok_eq, gap = certified.eq_within(resid[j], expected[j], eq_tol)
+            le_tol = certified.tol_for(cfg.compare_tol, (bound[j],))
             ok_le, _ = certified.leq_with_slack(resid[j], bound[j], le_tol)
             if not ok_eq or not ok_le:
                 report.fail({"stage": "closing", "n": n, "coordinate": j,

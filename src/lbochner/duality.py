@@ -295,16 +295,11 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
     nv = lp_from_atom_norms(atom_norms, v.space.masses, q, cfg)
     d = v.primal_space.scalar_dim
 
-    exact = all(certified.is_exact(iv) for iv in fv + nv)
-    tol = Fraction(0) if exact else cfg.compare_tol
+    tol = certified.tol_for(cfg.compare_tol, fv, nv)
     report = CheckReport(name="isometry")
     gaps = []
     for j in range(d):
-        if exact:
-            ok = fv[j] == nv[j]
-            gap = abs(fv[j][0] - nv[j][0])
-        else:
-            ok, gap = certified.eq_within(fv[j], nv[j], tol)
+        ok, gap = certified.eq_within(fv[j], nv[j], tol)
         gaps.append(gap)
         if not ok:
             report.fail({"coordinate": j, "operator_norm": certified.mid(fv[j]),

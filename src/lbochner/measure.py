@@ -168,12 +168,15 @@ def atomic_partition(space: MeasureSpace) -> Partition:
     return Partition(tuple(space.singleton(i) for i in range(space.size)))
 
 
-def enumerate_partitions(space: MeasureSpace,
-                         max_atoms: int = 10) -> List[Partition]:
-    """Every set partition of the atoms, exactly once (Bell(m) of them)."""
+PARTITION_MAX_ATOMS = 10
+
+
+def enumerate_partitions(space: MeasureSpace) -> List[Partition]:
+    """Every set partition of the atoms, exactly once (Bell(m) of them);
+    refused above ``PARTITION_MAX_ATOMS`` atoms."""
     m = space.size
-    if m > max_atoms:
-        raise TooManyAtoms(f"{m} atoms exceeds cap {max_atoms}")
+    if m > PARTITION_MAX_ATOMS:
+        raise TooManyAtoms(f"{m} atoms exceeds cap {PARTITION_MAX_ATOMS}")
 
     out: List[Partition] = []
 

@@ -1,5 +1,6 @@
 """Module-valued set functions: additivity, absolute continuity, variation,
-the density solver, and the density-failure probe on dyadic spaces.
+the density solver, and the probe that replays the failure of the
+Radon-Nikodym property in L1 on dyadic spaces.
 
 A set function is stored by its atom values, which makes it finitely
 additive by construction; on a finite space the variation supremum is
@@ -12,19 +13,16 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import certified
-from .falgebra import (
-    DEFAULT_TOLERANCES,
-    LElement,
-    ToleranceConfig,
-    ZeroDivisor,
-)
-from .bochner import LFunction, integrate_over
+from .falgebra import DEFAULT_TOLERANCES, LElement, ToleranceConfig
+from .bochner import LFunction, LpHandle, integrate_over, lp_norm
 from .lmodule import (
     ModuleSpace,
     ModuleVector,
     NormKind,
     collapse_intervals,
+    norm,
     norm_intervals,
+    value_intervals,
 )
 from .measure import (
     MeasurableSet,
@@ -34,7 +32,6 @@ from .measure import (
     atomic_partition,
     dyadic_space,
     enumerate_partitions,
-    measure_of,
     rademacher_set,
     subset_sums,
 )
@@ -178,102 +175,89 @@ def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
     return g, report
 
 
-def solve_self_consistency(block_masses: List[Fraction], d: int) -> List[LElement]:
-    """Positive solutions of x**2 = mass**2 per block, the fixed point that
-    makes the probe's operator well-defined."""
-    out = []
-    for i, mass in enumerate(block_masses):
-        if mass == 0:
-            raise ZeroDivisor(f"block {i} has zero mass; the fixed point "
-                              f"would have a zero coordinate")
-        out.append(LElement.constant(mass, d))
-    return out
+RNP_PROBE_MAX_LEVELS = 8
+
+
+def _indicator_measure(levels: int, n: int, d: int) -> VectorMeasure:
+    """G(F) = 1_F in L1 of the level-``levels`` dyadic space, restricted to
+    the level-n dyadic algebra.  L1 is the one-norm module with one entry
+    per fine atom t, holding mu(t) times the function's value there, so the
+    value at the level-n atom I is mu(t) * 1 at each fine atom t inside I
+    and 0 elsewhere.  Level 0 is the trivial algebra: one atom of mass 1,
+    named by the empty binary address."""
+    space = dyadic_space(n) if n else MeasureSpace.build([""], [1])
+    fine = 1 << levels
+    X = ModuleSpace(fine, d, NormKind.ONE)
+    mass, zero = LElement.constant(Fraction(1, fine), d), LElement.zero(d)
+    width = fine >> n
+    return VectorMeasure(space, X, tuple(
+        ModuleVector(X, tuple(mass if t // width == i else zero
+                              for t in range(fine)))
+        for i in range(space.size)))
 
 
 def rnp_probe(levels: int, n_sets: int, d: int = 1,
               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Replays the density-failure construction on a dyadic space.
+    """Replays the failure of the Radon-Nikodym property in L1 (Diestel &
+    Uhl, *Vector Measures*, ch. III) on the level-``levels`` dyadic space
+    with G(F) = 1_F, in three exact stages, each of which can fail:
 
-    (i) solves the self-consistency equation on a disjoint block family and
-    verifies the positive root equals the block mass exactly; (ii) checks
-    absolute continuity and the variation bound through the operator norm;
-    (iii) builds the fair-sign set family and verifies the displayed
-    distance bound |T(1_A) - T(1_B)| <= mu(A delta B) exactly, emitting the
-    pairwise distance matrix."""
+    1. variation: |G|(S) = mu(S) = 1 in every coordinate;
+    2. separation: ||G(A_a) - G(A_b)|| = 1/2 for the first ``n_sets``
+       fair-sign sets, a != b; the series is the distance matrix;
+    3. martingale: the density g_n of G on the level-n dyadic algebra
+       passes ``rn_density``, and lifted to the fine atoms
+       ||g_{n+1} - g_n|| = 1 in L1(mu; L1) for n < levels, so the
+       martingale (g_n) is not Cauchy.
+
+    The witness names the first failing stage, where it failed and the
+    offending value."""
+    if levels > RNP_PROBE_MAX_LEVELS:
+        raise ValueError(f"levels above {RNP_PROBE_MAX_LEVELS} rejected "
+                         f"(4**levels entries)")
     if not 1 <= n_sets <= levels:
         # an empty fair-sign family would compare nothing and still pass
         raise ValueError("n_sets must be between 1 and levels")
-    space = dyadic_space(levels)
-    half_blocks = space.size // 2
-    blocks = [space.subset((2 * i, 2 * i + 1)) for i in range(half_blocks)]
-    block_masses = [measure_of(B) for B in blocks]
+    measures = [_indicator_measure(levels, n, d) for n in range(levels + 1)]
+    G = measures[-1]
+    space = G.space
+    report = CheckReport(name="rnp-probe",
+                         details={"levels": levels, "n_sets": n_sets})
 
-    # (i) fixed point: G(B)**2 = mu(B)**2, positive root
-    g_blocks = solve_self_consistency(block_masses, d)
-    fixed_point_ok = all(
-        g_blocks[i] == LElement.constant(block_masses[i], d)
-        and (g_blocks[i] * g_blocks[i]
-             == LElement.constant(block_masses[i] ** 2, d))
-        for i in range(half_blocks))
+    var = variation(G, cfg)
+    if not var.passed:
+        report.fail({"stage": "variation", **var.witness})
+    for j, iv in enumerate(value_intervals(var.details["variation"])):
+        if iv != certified.exact(Fraction(1)):
+            report.fail({"stage": "variation", "coordinate": j,
+                         "value": certified.mid(iv)})
 
-    # induced operator: T(u) = sum_j integral over block j of u; since the
-    # blocks cover the space this is integration against the unit density
-    codomain = ModuleSpace(1, d, NormKind.SUP)
-    unit_vec = ModuleVector(codomain, (LElement.unit(d),))
-    G = VectorMeasure(space, codomain, tuple(
-        unit_vec.scale_rational(mass) for mass in space.masses))
+    half = LElement.constant(Fraction(1, 2), d)
+    values = [evaluate(G, rademacher_set(space, n + 1))
+              for n in range(n_sets)]
+    matrix = [[norm(a - b, cfg) for b in values] for a in values]
+    for a, row in enumerate(matrix):
+        for b, dist in enumerate(row):
+            if a != b and dist != half:
+                report.fail({"stage": "separation", "pair": [a, b],
+                             "value": dist})
+    report.series = [{"row": a, "distances": row}
+                     for a, row in enumerate(matrix)]
 
-    def T(u: LFunction) -> LElement:
-        total = LElement.zero(d)
-        for B in blocks:
-            total = total + integrate_over(u, B).entries[0]
-        return total
-
-    # (ii) absolute continuity and the variation bound with ||T|| = 1
-    continuity = check_mu_continuity(G, cfg)
-    operator_norm_value = LElement.unit(d)  # ess-sup of the unit density
-    variation_ok = True
-    for partition in (atomic_partition(space),
-                      Partition(tuple(blocks))):
-        for B in partition.blocks:
-            lhs = abs(T(LFunction.indicator_times(unit_vec, B)))
-            indicator_l1 = measure_of(B)
-            rhs = operator_norm_value.scale(indicator_l1)
-            if not (lhs <= rhs):
-                variation_ok = False
-
-    # (iii) fair-sign family distances
-    fam = [rademacher_set(space, n + 1) for n in range(n_sets)]
-    t_values = [T(LFunction.indicator_times(unit_vec, F)) for F in fam]
-    matrix = []
-    bound_ok = True
-    for a in range(n_sets):
-        row = []
-        for b in range(n_sets):
-            dist = abs(t_values[a] - t_values[b])
-            delta = measure_of(fam[a].symmetric_difference(fam[b]))
-            if not (dist <= LElement.constant(delta, d)):
-                bound_ok = False
-            row.append(dist)
-        matrix.append(row)
-
-    report = CheckReport(
-        name="rnp-probe",
-        details={
-            "levels": levels,
-            "n_sets": n_sets,
-            "block_masses": block_masses,
-            "fixed_point_equals_mass": fixed_point_ok,
-            "mu_continuity": continuity.passed,
-            "variation_bound": variation_ok,
-            "distance_bound": bound_ok,
-            "pairwise_sym_diff_measure": Fraction(1, 2) if n_sets > 1 else None,
-            "reference_separation_half": space.total_mass / 2,
-            "reference_separation_third": space.total_mass / 3,
-        },
-        series=[{"row": a, "distances": matrix[a]} for a in range(n_sets)],
-    )
-    if not (fixed_point_ok and continuity.passed and variation_ok
-            and bound_ok):
-        report.fail({"stage": "see details"})
+    lifted = []
+    for n, G_n in enumerate(measures):
+        g, density = rn_density(G_n)
+        if not density.passed:
+            report.fail({"stage": "martingale", "level": n,
+                         "density": density.witness})
+        width = space.size // G_n.space.size
+        lifted.append(LFunction(space, G.codomain, tuple(
+            g.values[t // width] for t in range(space.size))))
+    handle = LpHandle(Fraction(1), space, G.codomain)
+    gaps = [lp_norm(h - g, handle, cfg) for g, h in zip(lifted, lifted[1:])]
+    for n, gap in enumerate(gaps):
+        if gap != LElement.unit(d):
+            report.fail({"stage": "martingale", "level": n, "value": gap})
+    report.details.update(variation=var.details["variation"],
+                          martingale_gaps=gaps)
     return report

@@ -293,14 +293,20 @@ def test_criterion_11_surjectivity_roundtrip():
         assert all(g == 0 for g in row["gap"])
 
 
-@criterion(12, "RNP probe: fixed point and distance bounds at levels <= 6")
+@criterion(12, "RNP probe: variation 1, distances 1/2, martingale gaps 1, "
+               "levels <= 6")
 def test_criterion_12_rnp_probe():
+    one, half = LElement.unit(1), LElement.constant(Fraction(1, 2), 1)
     for levels in range(1, 7):
         rep = rnp_probe(levels, levels, d=1, cfg=CFG)
         assert rep.passed, rep.witness
-        assert rep.details["fixed_point_equals_mass"]
-        assert rep.details["distance_bound"]
+        assert rep.details["variation"] == one
+        assert rep.details["martingale_gaps"] == [one] * levels
         assert len(rep.series) == levels  # the emitted distance matrix
+        for row in rep.series:
+            assert all(dist == half
+                       for b, dist in enumerate(row["distances"])
+                       if b != row["row"])
 
 
 @criterion(13, "determinism: suite all --seed 42 byte-identical, <2 min")

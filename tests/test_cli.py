@@ -169,7 +169,8 @@ class TestFailurePaths:
     def test_suite_all_takes_density_and_variation_verdicts(
             self, tmp_path, monkeypatch):
         # duality's represent solves densities too; only the suite's own
-        # density check sees the corrupted term
+        # density check and the probe's martingale stage see the
+        # corrupted term
         real_density = vecmeasure.rn_density
 
         def density_with_off_term(G):
@@ -183,8 +184,10 @@ class TestFailurePaths:
         assert main(["suite", "all", "--seed", "42", "--out", str(out)]) == 1
         checks = self._checks(out)
         failed = {name for name, c in checks.items() if c["verdict"] == "FAIL"}
-        assert failed == {"rn-density", "variation"}
+        assert failed == {"rn-density", "variation", "rnp-probe"}
         assert checks["rn-density"]["witness"] == {"subset": ["a0"]}
+        assert checks["rnp-probe"]["witness"] == {
+            "stage": "martingale", "level": 0, "density": {"subset": [""]}}
         assert "partition" in checks["variation"]["witness"]
 
     @pytest.mark.parametrize("argv,name,witness", [
@@ -226,7 +229,11 @@ class TestFailurePaths:
         (["run", "dct", "--nmax", "-1"], "n_max must be >= 0"),
         (["run", "rnp-probe", "--sets", "0"],
          "n_sets must be between 1 and levels"),
-    ], ids=["run bootstrap", "run dct", "run rnp-probe"])
+        (["run", "rnp-probe", "--levels",
+          str(vecmeasure.RNP_PROBE_MAX_LEVELS + 1)],
+         f"levels above {vecmeasure.RNP_PROBE_MAX_LEVELS} rejected"),
+    ], ids=["run bootstrap", "run dct", "run rnp-probe",
+            "run rnp-probe over the cap"])
     def test_negative_nmax_is_usage_error(self, argv, error, tmp_path,
                                           capsys):
         # an empty exponent chain, series or set family would end in a
@@ -235,6 +242,59 @@ class TestFailurePaths:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rnp_probe_variation_refinement_violation(self, tmp_path,
+                                                      monkeypatch):
+        # at 4 atoms every partition is enumerated; the heavy blocks beat
+        # the atomic one, so the variation report itself fails
+        self._heavy_blocks(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["run", "rnp-probe", "--levels", "2", "--sets", "2",
+                     "--out", str(out)]) == 1
+        check = self._checks(out)["rnp-probe"]
+        assert check["witness"] == {"stage": "variation", "coordinate": 0,
+                                    "partition": [["00", "01", "10", "11"]]}
+
+    def test_rnp_probe_rnp_codomain(self, tmp_path, monkeypatch):
+        # negative control: G(F) = mu(F) in the rank-1 sup module, a
+        # codomain with the density property.  Every fair-sign set has
+        # mass 1/2, so no two are apart, and the densities are all 1.
+        real = vecmeasure._indicator_measure
+
+        def scalar_measure(levels, n, d):
+            space = real(levels, n, d).space
+            X = ModuleSpace(1, d, NormKind.SUP)
+            return VectorMeasure(space, X, tuple(
+                ModuleVector(X, (LElement.constant(mass, d),))
+                for mass in space.masses))
+
+        monkeypatch.setattr(vecmeasure, "_indicator_measure", scalar_measure)
+        out = tmp_path / "report.json"
+        assert main(["run", "rnp-probe", "--out", str(out)]) == 1
+        check = self._checks(out)["rnp-probe"]
+        assert check["witness"] == {"stage": "separation", "pair": [0, 1],
+                                    "value": ["0/1"]}
+        assert check["details"]["variation"] == ["1/1"]
+        assert check["details"]["martingale_gaps"] == [["0/1"]] * 4
+
+    def test_rnp_probe_corrupted_measure(self, tmp_path, monkeypatch):
+        # negative control: the fine atom 0 carries twice its mass
+        real = vecmeasure._indicator_measure
+
+        def corrupted(levels, n, d):
+            G = real(levels, n, d)
+            if n < levels:
+                return G
+            values = list(G.atom_values)
+            values[0] = values[0].scale_rational(2)
+            return VectorMeasure(G.space, G.codomain, tuple(values))
+
+        monkeypatch.setattr(vecmeasure, "_indicator_measure", corrupted)
+        out = tmp_path / "report.json"
+        assert main(["run", "rnp-probe", "--out", str(out)]) == 1
+        check = self._checks(out)["rnp-probe"]
+        assert check["witness"] == {"stage": "variation", "coordinate": 0,
+                                    "value": "17/16"}
 
     @staticmethod
     def _doubled_scaling(monkeypatch):
@@ -390,7 +450,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("argv,code,digest", [
         (["suite", "all", "--seed", "42"], 0,
-         "11130b134caacdfbe165be571c8dbbfe20a3390d44ca78d6555046ffc8087e48"),
+         "583b600845a98d43848208c3987dfd87fe069479f095c51f8269c2c59c75283e"),
         (["run", "bootstrap", "--p", "3", "--nmax", "20", "--atoms", "4",
           "--dim", "3", "--seed", "42"], 0,
          "ca218a0a2850ea0fc4a7c9b3a7e35b94d6a5fb43e3ce06c512fc7e1517d8cbf5"),
@@ -426,7 +486,7 @@ class TestGoldenReports:
         (["check", "norm-axioms", "--seed", "42"], 0,
          "145d52745d7a2df9ab7774d38cdabbc9cc0bba3d7fd1ff661a21f79cfc267021"),
         (["run", "rnp-probe", "--seed", "42"], 0,
-         "3976c536cf168ab550ce4ac5610113e4ef3a106917defaa72da77e48c6c546b5"),
+         "9c40d858ee62570547b142a2748284cc379f430871a4af6ab896dae13710b37f"),
         (["rn", "density", "--seed", "42"], 0,
          "23e8f3936542f3ce23ef9902ec2be582a733d9e986579fd2218584d94a9bbb30"),
         (["rn", "variation", "--seed", "42"], 0,

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from lbochner.measure import (
+    PARTITION_MAX_ATOMS,
     MeasureSpace,
     Partition,
     SpaceMismatch,
@@ -78,9 +79,10 @@ class TestPartitions:
             assert union == set(range(4))
 
     def test_cap(self):
-        space = MeasureSpace.build([f"a{i}" for i in range(5)], [1] * 5)
+        m = PARTITION_MAX_ATOMS + 1
+        space = MeasureSpace.build([f"a{i}" for i in range(m)], [1] * m)
         with pytest.raises(TooManyAtoms):
-            enumerate_partitions(space, max_atoms=4)
+            enumerate_partitions(space)
 
     def test_invalid_partitions_rejected(self):
         space = MeasureSpace.build(list("ab"), [1, 1])

@@ -4,7 +4,7 @@ import pytest
 
 from lbochner import bochner, certified, vecmeasure
 from lbochner.bochner import LFunction, integrate_over
-from lbochner.falgebra import DEFAULT_TOLERANCES, LElement, ZeroDivisor
+from lbochner.falgebra import DEFAULT_TOLERANCES, LElement
 from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, norm_intervals
 from lbochner.measure import (
     MeasureSpace,
@@ -20,7 +20,6 @@ from lbochner.vecmeasure import (
     evaluate,
     rn_density,
     rnp_probe,
-    solve_self_consistency,
     variation,
 )
 
@@ -273,33 +272,18 @@ class TestDensityBySingletons:
         assert result.details["verified_sets"] == 2 ** 9
 
 
-class TestSelfConsistency:
-    def test_positive_root(self):
-        got = solve_self_consistency([Fraction(1, 4)] * 4, 2)
-        assert all(x == LElement.constant(Fraction(1, 4), 2) for x in got)
-
-    def test_zero_mass_raises(self):
-        with pytest.raises(ZeroDivisor):
-            solve_self_consistency([Fraction(1, 2), Fraction(0)], 1)
-
-
 class TestRnpProbe:
-    def test_levels3_block_masses(self):
-        rep = rnp_probe(3, 3)
-        assert rep.passed
-        assert rep.details["block_masses"] == [Fraction(1, 4)] * 4
-        assert rep.details["fixed_point_equals_mass"]
-
     def test_distance_bound_and_matrix(self):
-        rep = rnp_probe(4, 4)
-        assert rep.passed
-        assert rep.details["distance_bound"]
-        assert rep.details["pairwise_sym_diff_measure"] == Fraction(1, 2)
-        assert len(rep.series) == 4
-        # T(1_F) = mu(F) = 1/2 for every family member: distances vanish
-        for row in rep.series:
-            for dist in row["distances"]:
-                assert dist == LElement.zero(1)
+        for d in (1, 2):
+            rep = rnp_probe(4, 4, d=d)
+            assert rep.passed, rep.witness
+            one, half = LElement.unit(d), LElement.constant(Fraction(1, 2), d)
+            assert rep.details["variation"] == one
+            assert rep.details["martingale_gaps"] == [one] * 4
+            # fair-sign sets differ on half the mass: G(A) stays 1/2 apart
+            assert [row["distances"] for row in rep.series] == [
+                [LElement.zero(d) if a == b else half for b in range(4)]
+                for a in range(4)]
 
     def test_single_set_trivial(self):
         rep = rnp_probe(2, 1)
@@ -316,7 +300,17 @@ class TestRnpProbe:
         with pytest.raises(ValueError):
             rnp_probe(2, n_sets)
 
-    def test_reference_separations_recorded(self):
-        rep = rnp_probe(3, 2)
-        assert rep.details["reference_separation_half"] == Fraction(1, 2)
-        assert rep.details["reference_separation_third"] == Fraction(1, 3)
+    def test_martingale_gap_witness(self, monkeypatch):
+        # negative control: every gap measured twice as long
+        real = vecmeasure.lp_norm
+        monkeypatch.setattr(vecmeasure, "lp_norm",
+                            lambda f, handle, cfg: real(f, handle, cfg).scale(2))
+        rep = rnp_probe(3, 3)
+        assert rep.witness == {"stage": "martingale", "level": 0,
+                               "value": LElement.constant(2, 1)}
+        assert rep.failures == 3
+
+    def test_levels_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(vecmeasure, "_indicator_measure", None)
+        with pytest.raises(ValueError, match="levels above"):
+            rnp_probe(vecmeasure.RNP_PROBE_MAX_LEVELS + 1, 1)
