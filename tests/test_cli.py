@@ -507,6 +507,13 @@ class TestGoldenReports:
         # above the exhaustive cap: no partition enumeration, bracketed sums
         (["rn", "variation", "--atoms", "6", "--norm", "two", "--seed", "7"],
          0, "c95c6f2b7c084a0ea591dcd4d53bacd5b886f891e6d7cb711e4873fa5732d781"),
+        # primal and dual norm kinds differ (two-norm cases cannot tell)
+        (["dual", "represent", "--norm", "sup", "--p", "1", "--seed", "42"],
+         0,
+         "d6d5da0cce0e590d1491cb5fae3e868a9a9567a530836975714f202077ddb074"),
+        (["dual", "roundtrip", "--norm", "one", "--p", "3", "--trials", "5",
+          "--seed", "42"], 0,
+         "4a4c0aaff498b01ee19462ad3d75d4f4cdf06ad3e0934e04fed727dae212ecc0"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
@@ -514,8 +521,36 @@ class TestGoldenReports:
             "run-rnp-probe", "rn-density", "rn-variation",
             "run-bootstrap-loose-tol", "dual-roundtrip-p3",
             "check-holder-p1", "check-norm-axioms-two",
-            "rn-variation-nonexhaustive"])
+            "rn-variation-nonexhaustive", "dual-represent-sup-p1",
+            "dual-roundtrip-one-p3"])
     def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == code
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # a dual document of today's format: "codomain" names the primal
+    # (sup-norm) module, so the atom values are measured in the one-norm;
+    # atom c is null
+    SUP_DUAL_DOC = {
+        "space": {"atoms": ["a", "b", "c"], "masses": ["1/2", "1/3", "0/1"]},
+        "codomain": {"rank": 2, "d": 2, "norm_kind": "sup"},
+        "values": {"a": [["1/2", "-3/4"], ["2/1", "1/5"]],
+                   "b": [["-1/3", "5/2"], ["0/1", "7/4"]],
+                   "c": [["1/1", "-1/1"], ["3/2", "1/1"]]},
+    }
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["dual", "isometry", "--p", "3"],
+         "09fa11b34d5665126b129b14f4fcc7df456d222768a1f57ca81e0bc601bb7536"),
+        (["dual", "represent", "--p", "3"],
+         "2354c4083139e2ab6bf061336b3a069c61869ea1358dd37326027be52261d1f3"),
+    ], ids=["dual-isometry-sup-document", "dual-represent-sup-document"])
+    def test_dual_document_report_sha256(self, argv, digest, tmp_path,
+                                         monkeypatch):
+        # the config echoes the document path, so it is kept relative
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "v.json", self.SUP_DUAL_DOC)
+        assert main([*argv, "--v", "v.json", "--out", "report.json"]) == 0
+        digest_now = hashlib.sha256(
+            (tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest_now == digest
