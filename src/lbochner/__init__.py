@@ -11,21 +11,18 @@ from .falgebra import (
     DimensionMismatch,
     LElement,
     ToleranceConfig,
-    ZeroDivisor,
 )
-from .lmodule import Functional, ModuleSpace, ModuleVector, NormKind
+from .lmodule import ModuleSpace, ModuleVector, NormKind
 from .measure import MeasurableSet, MeasureSpace, Partition, TooManyAtoms
 from .bochner import INF, LFunction, LpHandle
 from .vecmeasure import NotAbsolutelyContinuous, VectorMeasure
-from .duality import DualFunction, LpOperator, ZeroNorm
+from .duality import LpOperator, ZeroNorm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReal",
     "DimensionMismatch",
-    "DualFunction",
-    "Functional",
     "INF",
     "LElement",
     "LFunction",
@@ -41,7 +38,6 @@ __all__ = [
     "ToleranceConfig",
     "TooManyAtoms",
     "VectorMeasure",
-    "ZeroDivisor",
     "ZeroNorm",
     "__version__",
 ]

@@ -55,64 +55,12 @@ def vabs(an, ad):
     return tuple(-n if n < 0 else n for n in an), ad
 
 
-def vsup(an, ad, bn, bd):
-    m = len(an)
-    rn = [0] * m
-    rd = [0] * m
-    for i in range(m):
-        if an[i] * bd[i] >= bn[i] * ad[i]:
-            rn[i] = an[i]
-            rd[i] = ad[i]
-        else:
-            rn[i] = bn[i]
-            rd[i] = bd[i]
-    return tuple(rn), tuple(rd)
-
-
-def vinf(an, ad, bn, bd):
-    m = len(an)
-    rn = [0] * m
-    rd = [0] * m
-    for i in range(m):
-        if an[i] * bd[i] <= bn[i] * ad[i]:
-            rn[i] = an[i]
-            rd[i] = ad[i]
-        else:
-            rn[i] = bn[i]
-            rd[i] = bd[i]
-    return tuple(rn), tuple(rd)
-
-
 def vleq(an, ad, bn, bd):
     m = len(an)
     for i in range(m):
         if an[i] * bd[i] > bn[i] * ad[i]:
             return False
     return True
-
-
-def vpow(an, ad, k):
-    # reduced fractions stay reduced under powers; no gcd needed
-    if k == 0:
-        return (1,) * len(an), (1,) * len(an)
-    return tuple(n ** k for n in an), tuple(d ** k for d in ad)
-
-
-def vrecip(an, ad):
-    m = len(an)
-    rn = [0] * m
-    rd = [0] * m
-    for i in range(m):
-        n = an[i]
-        if n == 0:
-            raise ZeroDivisionError(f"zero coordinate at index {i}")
-        if n < 0:
-            rn[i] = -ad[i]
-            rd[i] = -n
-        else:
-            rn[i] = ad[i]
-            rd[i] = n
-    return tuple(rn), tuple(rd)
 
 
 def vscale(an, ad, cn, cd):

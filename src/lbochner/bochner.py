@@ -163,8 +163,8 @@ def integrate_over(f: LFunction, E: MeasurableSet) -> ModuleVector:
     return ModuleVector(f.codomain, tuple(acc))
 
 
-def _atom_norm_intervals(f: LFunction, kind: NormKind,
-                         cfg: ToleranceConfig) -> List[List[Interval]]:
+def atom_norm_intervals(f: LFunction, kind: NormKind,
+                        cfg: ToleranceConfig) -> List[List[Interval]]:
     return [norm_intervals(v.entries, kind, cfg) for v in f.values]
 
 
@@ -219,9 +219,9 @@ def lp_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
             for iv in power_sums_from_atom_norms(atom_norms, masses, p, cfg)]
 
 
-def _lp_norm_intervals(f: LFunction, p: Exponent, kind: NormKind,
-                       cfg: ToleranceConfig) -> List[Interval]:
-    return lp_from_atom_norms(_atom_norm_intervals(f, kind, cfg),
+def lp_norm_intervals(f: LFunction, p: Exponent, kind: NormKind,
+                      cfg: ToleranceConfig) -> List[Interval]:
+    return lp_from_atom_norms(atom_norm_intervals(f, kind, cfg),
                               f.space.masses, p, cfg)
 
 
@@ -230,7 +230,7 @@ def lp_norm(f: LFunction, handle: LpHandle,
     if handle.base != f.space or handle.codomain != f.codomain:
         raise SpaceMismatch("handle does not match the function")
     return collapse_intervals(
-        _lp_norm_intervals(f, handle.p, f.codomain.norm_kind, cfg))
+        lp_norm_intervals(f, handle.p, f.codomain.norm_kind, cfg))
 
 
 SUP_REP_MAX_ATOMS = 16
@@ -256,7 +256,7 @@ def verify_sup_representation(f: LFunction, handle: LpHandle,
     d = f.codomain.scalar_dim
     bits = cfg.root_bits + 2
     powers = [[certified.ipow_frac(iv, handle.p, bits) for iv in norms]
-              for norms in _atom_norm_intervals(f, f.codomain.norm_kind, cfg)]
+              for norms in atom_norm_intervals(f, f.codomain.norm_kind, cfg)]
     weighted = [[certified.iscale(iv, mass) for iv in row]
                 for row, mass in zip(powers, f.space.masses)]
     tol = certified.tol_for(cfg.compare_tol, *powers)
@@ -360,8 +360,8 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
         lhs = [certified.iadd(lhs[j], certified.exact(val[j] * mass))
                for j in range(d)]
 
-    nu = _lp_norm_intervals(u, p, u.codomain.norm_kind, cfg)
-    nv = _lp_norm_intervals(v, q, dual_kind(u.codomain.norm_kind), cfg)
+    nu = lp_norm_intervals(u, p, u.codomain.norm_kind, cfg)
+    nv = lp_norm_intervals(v, q, dual_kind(u.codomain.norm_kind), cfg)
     rhs = [certified.imul(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
@@ -384,9 +384,9 @@ def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
         raise ValueError("need 1 <= p < infinity")
     u._check(v)
     kind = u.codomain.norm_kind
-    ns = _lp_norm_intervals(u + v, p, kind, cfg)
-    nu = _lp_norm_intervals(u, p, kind, cfg)
-    nv = _lp_norm_intervals(v, p, kind, cfg)
+    ns = lp_norm_intervals(u + v, p, kind, cfg)
+    nu = lp_norm_intervals(u, p, kind, cfg)
+    nv = lp_norm_intervals(v, p, kind, cfg)
     rhs = [certified.iadd(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, ns, nu, nv)
 
@@ -416,7 +416,7 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
                          details={"gamma": gamma, "terms": len(hs)}, series=[])
     for n, hn in enumerate(hs):
         hn._check(h)
-        norms = _atom_norm_intervals(hn - h, kind, cfg)
+        norms = atom_norm_intervals(hn - h, kind, cfg)
         integrals = lp_from_atom_norms(norms, h.space.masses, Fraction(1), cfg)
         for j, total in enumerate(integrals):
             level = [t for t in range(h.space.size)
@@ -491,13 +491,13 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
     prev_bound: Optional[List[Interval]] = None
     for n in range(n_max + 1):
         gn = _term_function(spec, n)
-        norms = _atom_norm_intervals(gn, kind, cfg)
+        norms = atom_norm_intervals(gn, kind, cfg)
         for t in range(m):
             for j in range(d):
                 if norms[t][j][0] > spec.dominator[t][j]:
                     raise DominatorViolation(n, t)
         err = norm_intervals((integrate(gn) - lim_integral).entries, kind, cfg)
-        diff_norms = _atom_norm_intervals(gn - spec.limit, kind, cfg)
+        diff_norms = atom_norm_intervals(gn - spec.limit, kind, cfg)
         bound = [certified.iadd(iv, certified.exact(tail_term))
                  for iv in lp_from_atom_norms(diff_norms, spec.space.masses,
                                               Fraction(1), cfg)]
@@ -535,7 +535,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
         random_module_vector(rng, codomain) for _ in range(space.size)))
     terms = [u_star + w.scale_rational(Fraction(1, 2 ** n))
              for n in range(1, n_terms + 1)]
-    norm_w = _lp_norm_intervals(w, p, kind, cfg)
+    norm_w = lp_norm_intervals(w, p, kind, cfg)
     tol = certified.tol_for(cfg.compare_tol, norm_w)
     report = CheckReport(
         name="completeness-harness",
@@ -549,7 +549,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
         eps = [certified.iscale(iv, Fraction(2, 2 ** k)) for iv in norm_w]
         for a in range(k, n_terms + 1):
             for b in range(a, n_terms + 1):
-                diff = _lp_norm_intervals(terms[a - 1] - terms[b - 1], p, kind, cfg)
+                diff = lp_norm_intervals(terms[a - 1] - terms[b - 1], p, kind, cfg)
                 for j in range(d):
                     if not certified.leq_with_slack(diff[j], eps[j], tol)[0]:
                         report.fail({"stage": "pairwise", "k": k, "n": a,
@@ -572,7 +572,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
     mu_root = certified.pow_bracket(space.total_mass,
                                     Fraction(1) / p, cfg.root_bits + 2)
     for n in range(1, n_terms + 1):
-        resid = _lp_norm_intervals(u_star - terms[n - 1], p, kind, cfg)
+        resid = lp_norm_intervals(u_star - terms[n - 1], p, kind, cfg)
         expected = [certified.iscale(iv, Fraction(1, 2 ** n)) for iv in norm_w]
         bound = [certified.imul(certified.iscale(iv, Fraction(2, 2 ** n)), mu_root)
                  for iv in norm_w]

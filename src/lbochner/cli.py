@@ -21,7 +21,6 @@ from .lmodule import ModuleSpace, NormKind
 from .reports import CheckReport, Report, report_to_json_bytes, series_to_csv
 from .sampling import (
     random_fraction,
-    random_functional,
     random_measure_space,
     random_module_vector,
     rng_for,
@@ -33,7 +32,7 @@ DEFAULT_SEED = 42
 def _parse_exponent(s: str):
     if s in ("inf", "infinity", "oo"):
         return INF
-    p = Fraction(s)
+    p = serialize.parse_rational(s, "--p")
     if p < 1:
         raise ValueError(f"exponent must be >= 1 or inf, got {s}")
     return p
@@ -46,7 +45,7 @@ def _exponent_str(p) -> str:
 def _tolerances(args) -> ToleranceConfig:
     if args.tol is None:
         return ToleranceConfig()
-    compare = Fraction(args.tol)
+    compare = serialize.parse_rational(args.tol, "--tol")
     return ToleranceConfig(root_tol=compare / 2 ** 10, compare_tol=compare)
 
 
@@ -152,13 +151,14 @@ def _cmd_check_sup_rep(args) -> Report:
 
 def _cmd_check_chebyshev(args) -> Report:
     cfg = _tolerances(args)
+    gamma = serialize.parse_rational(args.gamma, "--gamma")
     rng = rng_for(args.seed, 23)
     space = random_measure_space(rng, args.atoms)
     codomain = ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
     h = _random_lfunction(rng, space, codomain)
     w = _random_lfunction(rng, space, codomain)
     hs = [h + w.scale_rational(Fraction(1, 2 ** n)) for n in range(args.trials)]
-    rep = bochner.check_chebyshev_step(hs, h, Fraction(args.gamma), cfg)
+    rep = bochner.check_chebyshev_step(hs, h, gamma, cfg)
     return _report(args, [rep])
 
 
@@ -210,26 +210,26 @@ def _cmd_run_completeness(args) -> Report:
     return _report(args, [rep])
 
 
-def _bootstrap_dual(seed: int, atoms: int, dim: int) -> duality.DualFunction:
+def _bootstrap_dual(seed: int, atoms: int, dim: int) -> LFunction:
     # probability space and atom norms inside [1/2, 2]: keeps the truncation
     # gap of the exponent chain provably under the 2**-20 allowance
     rng = rng_for(seed, 37)
     space = random_measure_space(rng, atoms, normalize=True)
-    primal = ModuleSpace(1, dim, NormKind.SUP)
-    funcs = []
+    dual = ModuleSpace(1, dim, NormKind.SUP).dual()
+    values = []
     for _ in range(atoms):
         coords = [Fraction(rng.randint(4, 8), rng.randint(4, 8))
                   * (1 if rng.random() < 0.5 else -1) for _ in range(dim)]
-        funcs.append(lmodule.Functional(primal, (LElement(coords),)))
-    return duality.DualFunction(space, tuple(funcs))
+        values.append(lmodule.ModuleVector(dual, (LElement(coords),)))
+    return LFunction(space, dual, tuple(values))
 
 
 def _cmd_run_bootstrap(args) -> Report:
     cfg = _tolerances(args)
+    limit_tol = serialize.parse_rational(args.limit_tol, "--limit-tol")
     v = _bootstrap_dual(args.seed, args.atoms, args.dim)
     rep = duality.bootstrap_lower_bound(v, _parse_exponent(args.p),
-                                        args.nmax, cfg,
-                                        limit_tol=Fraction(args.limit_tol))
+                                        args.nmax, cfg, limit_tol=limit_tol)
     return _report(args, [rep])
 
 
@@ -242,14 +242,13 @@ def _cmd_run_rnp_probe(args) -> Report:
 # ---------------------------------------------------------------------------
 # dual subcommands
 
-def _dual_function(args, rng) -> duality.DualFunction:
+def _dual_function(args, rng) -> LFunction:
     if getattr(args, "v", None):
         return serialize.dual_function_from_doc(
             serialize.load_json(args.v), args.v)
     space = random_measure_space(rng, args.atoms)
     primal = ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    return duality.DualFunction(space, tuple(
-        random_functional(rng, primal) for _ in range(space.size)))
+    return _random_lfunction(rng, space, primal.dual())
 
 
 def _cmd_dual_isometry(args) -> Report:
@@ -281,7 +280,7 @@ def _cmd_dual_represent(args) -> Report:
         check.fail(exc.witness)
     else:
         for t, mass in enumerate(v.space.masses):
-            if mass > 0 and v_back.values[t].coeffs != v.values[t].coeffs:
+            if mass > 0 and v_back.values[t] != v.values[t]:
                 check.fail({"atom": v.space.atom_names[t]})
     return _report(args, [check])
 

@@ -6,6 +6,10 @@ On a finite atomic base the function space is a free module of rank m*k, so
 every bounded linear map into the scalars is determined by its action on
 the canonical basis; representing that action as a set function and solving
 for its density turns the surjectivity proof into a verified round-trip.
+
+A dual function is an ``LFunction`` whose codomain is the dual module of
+the primal one (``ModuleSpace.dual()``), so its conjugate-exponent norm is
+the ordinary p-norm of ``bochner`` in that codomain's norm kind.
 """
 
 from __future__ import annotations
@@ -25,27 +29,26 @@ from .bochner import (
     Exponent,
     INF,
     LFunction,
+    atom_norm_intervals,
     conjugate_exponent,
     is_conjugate_pair,
     lp_from_atom_norms,
+    lp_norm_intervals,
     power_sums_from_atom_norms,
 )
 from .lmodule import (
-    Functional,
     ModuleSpace,
     ModuleVector,
     NormKind,
     NormValue,
     collapse_intervals,
     contract,
-    dual_kind,
-    norm_intervals,
 )
 from .measure import MeasureSpace, SpaceMismatch
 from .reports import CheckReport
 from .sampling import (
-    random_functional,
     random_measure_space,
+    random_module_vector,
     rng_for,
 )
 from .vecmeasure import NotAbsolutelyContinuous, VectorMeasure, rn_density
@@ -62,37 +65,6 @@ class RepresentationMismatch(AssertionError):
     def __init__(self, witness: dict):
         super().__init__(f"representation failed: {witness}")
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class DualFunction:
-    """A map atom -> functional on the primal module: a member of the
-    conjugate-exponent function space."""
-
-    space: MeasureSpace
-    values: Tuple[Functional, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.space.size:
-            raise ValueError("one functional per atom required")
-        primal = self.values[0].space
-        for f in self.values:
-            if f.space != primal:
-                raise SpaceMismatch("functionals on different module spaces")
-
-    @property
-    def primal_space(self) -> ModuleSpace:
-        return self.values[0].space
-
-    def __add__(self, other: "DualFunction") -> "DualFunction":
-        if self.space != other.space:
-            raise SpaceMismatch("dual functions on different measure spaces")
-        return DualFunction(self.space, tuple(
-            a + b for a, b in zip(self.values, other.values)))
-
-    def scale(self, lam: LElement) -> "DualFunction":
-        return DualFunction(self.space, tuple(
-            f.scale(lam) for f in self.values))
 
 
 @dataclass(frozen=True)
@@ -122,35 +94,31 @@ class LpOperator:
                         [e for val in u.values for e in val.entries])
 
 
-def pairing(u: LFunction, v: DualFunction) -> LElement:
-    """Integral of v(t)(u(t)): the action of the represented operator."""
-    if u.space != v.space:
-        raise SpaceMismatch("different measure spaces")
-    primal = v.primal_space
-    if (u.codomain.rank != primal.rank
-            or u.codomain.scalar_dim != primal.scalar_dim):
-        raise SpaceMismatch("incompatible ranks")
-    acc = LElement.zero(primal.scalar_dim)
+def pairing(u: LFunction, v: LFunction) -> LElement:
+    """Integral of v(t)(u(t)) for a dual function v: the action of the
+    represented operator."""
+    u._check_pairable(v)
+    acc = LElement.zero(v.codomain.scalar_dim)
     for t, mass in enumerate(u.space.masses):
         if mass == 0:
             continue
-        acc = acc + contract(v.values[t].coeffs, u.values[t].entries).scale(mass)
+        acc = acc + contract(v.values[t].entries, u.values[t].entries).scale(mass)
     return acc
 
 
-def build_F(v: DualFunction, p: Exponent) -> LpOperator:
+def build_F(v: LFunction, p: Exponent) -> LpOperator:
     """The operator with action row v(t) * mu(t), so that applying it
-    agrees with the pairing against v."""
+    agrees with the pairing against the dual function v."""
     rows = tuple(
-        tuple(c.scale(v.space.masses[t]) for c in v.values[t].coeffs)
+        tuple(c.scale(v.space.masses[t]) for c in v.values[t].entries)
         for t in range(v.space.size))
-    return LpOperator(v.space, v.primal_space, rows, p)
+    return LpOperator(v.space, v.codomain.dual(), rows, p)
 
 
-def _recover_dual(H: LpOperator) -> DualFunction:
+def _recover_dual(H: LpOperator) -> LFunction:
     """Invert the mass weighting; an operator charging a null atom is not
     induced by any density and is unbounded for the p-norm."""
-    primal = H.codomain
+    dual = H.codomain.dual()
     values = []
     for t, mass in enumerate(H.space.masses):
         row = H.basis_action[t]
@@ -158,29 +126,12 @@ def _recover_dual(H: LpOperator) -> DualFunction:
             if any(not c.is_zero() for c in row):
                 raise NotAbsolutelyContinuous(
                     f"operator charges null atom {H.space.atom_names[t]!r}")
-            values.append(Functional(primal, tuple(row)))
+            values.append(ModuleVector(dual, tuple(row)))
         else:
             inv = Fraction(1) / mass
-            values.append(Functional(primal, tuple(
+            values.append(ModuleVector(dual, tuple(
                 c.scale(inv) for c in row)))
-    return DualFunction(H.space, tuple(values))
-
-
-def _dual_atom_norms(v: DualFunction, cfg: ToleranceConfig) -> List[List[Interval]]:
-    kind = dual_kind(v.primal_space.norm_kind)
-    return [norm_intervals(f.coeffs, kind, cfg) for f in v.values]
-
-
-def dual_lp_norm_intervals(v: DualFunction, q: Exponent,
-                           cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Interval]:
-    """Per-coordinate brackets of the conjugate-exponent norm of v, with the
-    atom values measured in the dual module norm."""
-    return lp_from_atom_norms(_dual_atom_norms(v, cfg), v.space.masses, q, cfg)
-
-
-def dual_lp_norm(v: DualFunction, q: Exponent,
-                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
-    return collapse_intervals(dual_lp_norm_intervals(v, q, cfg))
+    return LFunction(H.space, dual, tuple(values))
 
 
 def operator_norm_intervals(H: LpOperator,
@@ -188,7 +139,8 @@ def operator_norm_intervals(H: LpOperator,
     """Closed form for the least bound: the conjugate-exponent norm of the
     representing dual function."""
     v = _recover_dual(H)
-    return dual_lp_norm_intervals(v, conjugate_exponent(H.declared_p), cfg)
+    return lp_norm_intervals(v, conjugate_exponent(H.declared_p),
+                             v.codomain.norm_kind, cfg)
 
 
 def operator_norm(H: LpOperator,
@@ -199,7 +151,7 @@ def operator_norm(H: LpOperator,
 DEFAULT_LIMIT_TOL = Fraction(1, 2 ** 20)
 
 
-def bootstrap_lower_bound(v: DualFunction, p: Fraction, n_max: int,
+def bootstrap_lower_bound(v: LFunction, p: Fraction, n_max: int,
                           cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                           limit_tol: Fraction = DEFAULT_LIMIT_TOL) -> CheckReport:
     """The exponent-chain estimate: with s_n the partial geometric sums of
@@ -215,21 +167,24 @@ def bootstrap_lower_bound(v: DualFunction, p: Fraction, n_max: int,
         raise ValueError("need 1 < p < infinity")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    atom_norms = _dual_atom_norms(v, cfg)
+    if limit_tol <= 0:
+        # a zero allowance cannot hold on non-constant data
+        raise ValueError("limit_tol must be > 0")
+    atom_norms = atom_norm_intervals(v, v.codomain.norm_kind, cfg)
     fv = lp_from_atom_norms(atom_norms, v.space.masses,
                             conjugate_exponent(p), cfg)
     return _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
                       check_limit=True)
 
 
-def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
+def _bootstrap(v: LFunction, p: Fraction, n_max: int,
                cfg: ToleranceConfig, limit_tol: Fraction,
                atom_norms: List[List[Interval]], fv: List[Interval],
                check_limit: bool) -> CheckReport:
     """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
     given v's dual atom norms and the brackets fv of its conjugate-exponent
     norm; the limit comparison decides the verdict only if check_limit."""
-    d = v.primal_space.scalar_dim
+    d = v.codomain.scalar_dim
     for t, mass in enumerate(v.space.masses):
         if mass == 0:
             continue
@@ -276,7 +231,7 @@ def _bootstrap(v: DualFunction, p: Fraction, n_max: int,
     return report
 
 
-def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
+def isometry_check(v: LFunction, p: Exponent, q: Exponent,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
                    bootstrap_n: int = 6) -> CheckReport:
     """Per-coordinate equality of the operator norm of the pairing against
@@ -291,9 +246,9 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
     fv = operator_norm_intervals(H, cfg)
-    atom_norms = _dual_atom_norms(v, cfg)
+    atom_norms = atom_norm_intervals(v, v.codomain.norm_kind, cfg)
     nv = lp_from_atom_norms(atom_norms, v.space.masses, q, cfg)
-    d = v.primal_space.scalar_dim
+    d = v.codomain.scalar_dim
 
     tol = certified.tol_for(cfg.compare_tol, fv, nv)
     report = CheckReport(name="isometry")
@@ -320,7 +275,7 @@ def isometry_check(v: DualFunction, p: Exponent, q: Exponent,
     return report
 
 
-def represent(H: LpOperator) -> DualFunction:
+def represent(H: LpOperator) -> LFunction:
     """Surjectivity construction: read the operator's basis action as a
     dual-module-valued set function, solve for its density, and verify the
     pairing reproduces the operator on every basis function.
@@ -335,11 +290,9 @@ def represent(H: LpOperator) -> DualFunction:
     atom_values = tuple(
         ModuleVector(dual_space, tuple(row)) for row in H.basis_action)
     G = VectorMeasure(H.space, dual_space, atom_values)
-    density, check = rn_density(G)
+    v, check = rn_density(G)
     if not check.passed:
         raise RepresentationMismatch({"stage": "density", **check.witness})
-    v = DualFunction(H.space, tuple(
-        Functional(primal, val.entries) for val in density.values))
 
     # basis verification; exact
     for t in range(H.space.size):
@@ -365,7 +318,7 @@ def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,
     with that witness."""
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
-    primal = ModuleSpace(rank, scalar_dim, norm_kind)
+    dual = ModuleSpace(rank, scalar_dim, norm_kind).dual()
     report = CheckReport(
         name="duality-roundtrip",
         details={"trials": trials, "atoms": m, "rank": rank,
@@ -375,8 +328,8 @@ def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,
     for trial in range(trials):
         rng = rng_for(seed, trial)
         space = random_measure_space(rng, m, null_atoms=null_atoms)
-        v = DualFunction(space, tuple(
-            random_functional(rng, primal) for _ in range(m)))
+        v = LFunction(space, dual, tuple(
+            random_module_vector(rng, dual) for _ in range(m)))
         H = build_F(v, p)
         try:
             v_back = represent(H)
@@ -384,8 +337,7 @@ def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,
             report.fail({"trial": trial, **exc.witness})
         else:
             for t in range(m):
-                if (space.masses[t] != 0
-                        and v_back.values[t].coeffs != v.values[t].coeffs):
+                if space.masses[t] != 0 and v_back.values[t] != v.values[t]:
                     report.fail({"trial": trial, "atom": t,
                                  "stage": "dual-roundtrip"})
             if build_F(v_back, p).basis_action != H.basis_action:

@@ -25,10 +25,6 @@ class DimensionMismatch(ValueError):
     """Operands live in algebras of different dimension."""
 
 
-class ZeroDivisor(ZeroDivisionError):
-    """Reciprocal of an element with a zero coordinate."""
-
-
 def as_rational(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -143,32 +139,9 @@ class LElement:
         return [certified.exact(q) for q in self.coords]
 
 
-def sup(a: LElement, b: LElement) -> LElement:
-    a._check(b)
-    return LElement._raw(*_k.vsup(a.nums, a.dens, b.nums, b.dens))
-
-
-def inf(a: LElement, b: LElement) -> LElement:
-    a._check(b)
-    return LElement._raw(*_k.vinf(a.nums, a.dens, b.nums, b.dens))
-
-
 def sgn(a: LElement) -> LElement:
     nums = tuple((n > 0) - (n < 0) for n in a.nums)
     return LElement._raw(nums, (1,) * len(nums))
-
-
-def pow_int(a: LElement, n: int) -> LElement:
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    return LElement._raw(*_k.vpow(a.nums, a.dens, n))
-
-
-def recip(a: LElement) -> LElement:
-    try:
-        return LElement._raw(*_k.vrecip(a.nums, a.dens))
-    except ZeroDivisionError as exc:
-        raise ZeroDivisor(str(exc)) from None
 
 
 def axpy(a: LElement, c: RationalLike, b: LElement) -> LElement:
@@ -234,23 +207,6 @@ class ApproxReal:
         if self.is_exact:
             return f"ApproxReal({self.value})"
         return f"ApproxReal({self.value} +- {self.abs_error_bound})"
-
-
-def root(a: LElement, r: RationalLike,
-         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Tuple[ApproxReal, ...]:
-    """Componentwise a**r for a >= 0 and rational r > 0, bracketed to
-    root_tol; coordinates that are perfect powers come back exact."""
-    if not a.is_nonnegative():
-        raise ValueError("root requires nonnegative coordinates")
-    rr = as_rational(r)
-    if rr <= 0:
-        raise ValueError("exponent must be positive")
-    bits = cfg.root_bits + 2
-    out = []
-    for q in a.coords:
-        iv = certified.pow_bracket(q, rr, bits)
-        out.append(ApproxReal.from_interval(iv))
-    return tuple(out)
 
 
 Envelope = Sequence[Tuple[LElement, int]]

@@ -2,9 +2,10 @@
 
 A module vector is a k-tuple of scalar-algebra elements; the three norm
 kinds (sup, one, two) act coordinatewise in the scalar dimension, so every
-norm question decouples into d independent scalar problems.  Functionals
-act by coefficient pairing, which on a free finite-rank module is the
-general form of a bounded linear map into the scalars.
+norm question decouples into d independent scalar problems.  A functional
+on a space is a vector of its ``dual()`` (same rank and scalar dimension,
+dual norm kind) acting by ``contract``, which on a free finite-rank module
+is the general form of a bounded linear map into the scalars.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .reports import CheckReport
 
 
 class ShapeMismatch(ValueError):
-    """Vector/functional shapes disagree (rank or scalar dimension)."""
+    """Vector shapes disagree (rank or scalar dimension)."""
 
 
 class NormKind(enum.Enum):
@@ -109,50 +110,14 @@ class ModuleVector:
         return all(e.is_zero() for e in self.entries)
 
 
-@dataclass(frozen=True)
-class Functional:
-    """Acts by x -> sum_i coeffs[i] * x[i]; linear over the scalars by
-    construction."""
-
-    space: ModuleSpace  # the primal space it acts on
-    coeffs: Tuple[LElement, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.space.rank:
-            raise ShapeMismatch(
-                f"expected {self.space.rank} coefficients, got {len(self.coeffs)}")
-        for c in self.coeffs:
-            if c.dim != self.space.scalar_dim:
-                raise DimensionMismatch(
-                    f"coefficient dimension {c.dim} != {self.space.scalar_dim}")
-
-    def __add__(self, other: "Functional") -> "Functional":
-        if self.space != other.space:
-            raise ShapeMismatch("functionals on different module spaces")
-        return Functional(self.space, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, lam: LElement) -> "Functional":
-        return Functional(self.space, tuple(lam * c for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-
 def contract(a: Sequence[LElement], b: Sequence[LElement]) -> LElement:
     """sum_i a[i] * b[i] over two equally long, nonempty sequences: the one
-    contraction behind functionals, the integral pairing, operators and the
-    Hölder integrand."""
+    contraction behind functionals (dual-module vectors), the integral
+    pairing, operators and the Hölder integrand."""
     acc = LElement.zero(a[0].dim)
     for x, y in zip(a, b, strict=True):
         acc = acc + x * y
     return acc
-
-
-def apply(phi: Functional, x: ModuleVector) -> LElement:
-    if phi.space.rank != x.space.rank or phi.space.scalar_dim != x.space.scalar_dim:
-        raise ShapeMismatch("functional and vector shapes disagree")
-    return contract(phi.coeffs, x.entries)
 
 
 NormValue = Union[LElement, Tuple[ApproxReal, ...]]
@@ -211,14 +176,6 @@ def norm(x: ModuleVector, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValu
     return collapse_intervals(norm_intervals(x.entries, x.space.norm_kind, cfg))
 
 
-def dual_norm(phi: Functional, primal_norm_kind: NormKind,
-              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
-    """Least c >= 0 with |phi(x)| <= c * ||x||, coordinatewise: the dual-kind
-    norm of the coefficient tuple."""
-    return collapse_intervals(
-        norm_intervals(phi.coeffs, dual_kind(primal_norm_kind), cfg))
-
-
 def check_norm_axioms(space: ModuleSpace,
                       samples: Sequence[Tuple[LElement, ModuleVector, ModuleVector]],
                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
@@ -270,23 +227,24 @@ def check_norm_axioms(space: ModuleSpace,
     return report
 
 
-def alignment_vector(phi: Functional, primal_norm_kind: NormKind) -> ModuleVector:
-    """Unit-ball input attaining the dual norm (exactly for sup/one primal
-    norms; for the two-norm the coefficient vector itself, to be rescaled)."""
-    space = ModuleSpace(phi.space.rank, phi.space.scalar_dim, primal_norm_kind)
-    if primal_norm_kind is NormKind.SUP:
-        return ModuleVector(space, tuple(sgn(c) for c in phi.coeffs))
-    if primal_norm_kind is NormKind.ONE:
-        d = phi.space.scalar_dim
-        entries = [[Fraction(0)] * d for _ in range(phi.space.rank)]
-        for j in range(d):
+def alignment_vector(phi: ModuleVector) -> ModuleVector:
+    """For a functional phi, a vector of the dual module, the input in the
+    unit ball of its primal module that attains phi's norm (exactly for
+    sup/one primal norms; for the two-norm phi's entries themselves, to be
+    rescaled)."""
+    space = phi.space.dual()
+    if space.norm_kind is NormKind.SUP:
+        return ModuleVector(space, tuple(sgn(c) for c in phi.entries))
+    if space.norm_kind is NormKind.ONE:
+        entries = [[Fraction(0)] * space.scalar_dim for _ in range(space.rank)]
+        for j in range(space.scalar_dim):
             best_i, best_v = 0, Fraction(-1)
-            for i, c in enumerate(phi.coeffs):
+            for i, c in enumerate(phi.entries):
                 v = abs(c[j])
                 if v > best_v:
                     best_i, best_v = i, v
             if best_v > 0:
-                cj = phi.coeffs[best_i][j]
+                cj = phi.entries[best_i][j]
                 entries[best_i][j] = Fraction(1 if cj > 0 else -1)
         return ModuleVector(space, tuple(LElement(e) for e in entries))
-    return ModuleVector(space, phi.coeffs)
+    return ModuleVector(space, phi.entries)

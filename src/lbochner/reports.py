@@ -76,11 +76,9 @@ def to_jsonable(obj: Any) -> Any:
     # LElement
     if hasattr(obj, "coords") and hasattr(obj, "nums"):
         return [format_rational(q) for q in obj.coords]
-    # ModuleVector / Functional
+    # ModuleVector
     if hasattr(obj, "entries"):
         return [to_jsonable(e) for e in obj.entries]
-    if hasattr(obj, "coeffs"):
-        return [to_jsonable(c) for c in obj.coeffs]
     # enums
     if hasattr(obj, "value") and hasattr(obj, "name"):
         return to_jsonable(obj.value)

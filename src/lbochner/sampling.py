@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .falgebra import LElement
-from .lmodule import Functional, ModuleSpace, ModuleVector
+from .lmodule import ModuleSpace, ModuleVector
 from .measure import MeasureSpace
 
 
@@ -42,13 +42,6 @@ def random_lelement(rng: random.Random, d: int, max_num: int = 12,
 def random_module_vector(rng: random.Random, space: ModuleSpace,
                          max_num: int = 12, max_den: int = 12) -> ModuleVector:
     return ModuleVector(space, tuple(
-        random_lelement(rng, space.scalar_dim, max_num, max_den)
-        for _ in range(space.rank)))
-
-
-def random_functional(rng: random.Random, space: ModuleSpace,
-                      max_num: int = 12, max_den: int = 12) -> Functional:
-    return Functional(space, tuple(
         random_lelement(rng, space.scalar_dim, max_num, max_den)
         for _ in range(space.rank)))
 

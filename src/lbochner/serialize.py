@@ -1,8 +1,10 @@
 """Document formats for spaces, functions, and measures.
 
 Rationals travel as "num/den" strings, module vectors as rank x dim arrays
-of such strings, and functions as maps from atom name to such arrays.  The
-loaders are strict and raise ValueError with a location on malformed input.
+of such strings, and functions as maps from atom name to such arrays.  A
+dual function is a function into the dual module; its document names the
+primal module as its "codomain".  The loaders are strict and raise
+ValueError with a location on malformed input.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from fractions import Fraction
 from typing import Any, Dict
 
 from .bochner import LFunction
-from .duality import DualFunction
 from .falgebra import LElement
-from .lmodule import Functional, ModuleSpace, ModuleVector, NormKind
+from .lmodule import ModuleSpace, ModuleVector, NormKind
 from .measure import MeasurableSet, MeasureSpace
 from .reports import format_rational
 from .vecmeasure import VectorMeasure
@@ -146,25 +147,17 @@ def vector_measure_from_doc(doc: Any, where: str = "measure") -> VectorMeasure:
     return VectorMeasure(space, codomain, values)
 
 
-def dual_function_to_doc(v: DualFunction) -> Dict[str, Any]:
-    primal = v.primal_space
-    return {
-        "space": measure_space_to_doc(v.space),
-        "codomain": module_space_to_doc(primal),
-        "values": {name: [lelement_to_doc(c) for c in v.values[t].coeffs]
-                   for t, name in enumerate(v.space.atom_names)},
-    }
+def dual_function_to_doc(v: LFunction) -> Dict[str, Any]:
+    doc = lfunction_to_doc(v)
+    doc["codomain"] = module_space_to_doc(v.codomain.dual())
+    return doc
 
 
-def dual_function_from_doc(doc: Any, where: str = "dual") -> DualFunction:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected an object")
-    space = measure_space_from_doc(doc.get("space"), f"{where}.space")
-    primal = module_space_from_doc(doc.get("codomain"), f"{where}.codomain")
-    raw = doc.get("values")
-    vecs = _values_from_doc(raw, space, primal, f"{where}.values")
-    return DualFunction(space, tuple(
-        Functional(primal, vec.entries) for vec in vecs))
+def dual_function_from_doc(doc: Any, where: str = "dual") -> LFunction:
+    f = lfunction_from_doc(doc, where)
+    dual = f.codomain.dual()
+    return LFunction(f.space, dual, tuple(
+        ModuleVector(dual, x.entries) for x in f.values))
 
 
 def load_json(path: str) -> Any:

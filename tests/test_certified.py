@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbochner import certified
+from lbochner.falgebra import ToleranceConfig
 
 
 def decimal_pow(base: Fraction, exponent: Fraction, digits: int = 60) -> Fraction:
@@ -95,6 +96,18 @@ class TestPowBracket:
             certified.pow_bracket(Fraction(-1), Fraction(1, 2), 40)
         with pytest.raises(ValueError):
             certified.pow_bracket(Fraction(2), Fraction(-1), 40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fractions(min_value=0, max_value=60,
+                                 max_denominator=20), min_size=3, max_size=3),
+           st.integers(min_value=2, max_value=5))
+    def test_pow_roundtrip_bound(self, coords, n):
+        # |mid(q**(1/n))**n - q| <= n (max + 1)**(n-1) root_tol
+        cfg = ToleranceConfig()
+        allowance = n * (max(coords) + 1) ** (n - 1) * cfg.root_tol
+        for q in coords:
+            iv = certified.pow_bracket(q, Fraction(1, n), cfg.root_bits + 2)
+            assert abs(certified.mid(iv) ** n - q) <= allowance
 
 
 def fraction_chain(q, frac_exp, bits, rounds=None):

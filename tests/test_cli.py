@@ -232,15 +232,35 @@ class TestFailurePaths:
         (["run", "rnp-probe", "--levels",
           str(vecmeasure.RNP_PROBE_MAX_LEVELS + 1)],
          f"levels above {vecmeasure.RNP_PROBE_MAX_LEVELS} rejected"),
+        (["run", "bootstrap", "--limit-tol", "-1"], "limit_tol must be > 0"),
+        (["run", "bootstrap", "--limit-tol", "0"], "limit_tol must be > 0"),
     ], ids=["run bootstrap", "run dct", "run rnp-probe",
-            "run rnp-probe over the cap"])
+            "run rnp-probe over the cap", "run bootstrap negative limit-tol",
+            "run bootstrap zero limit-tol"])
     def test_negative_nmax_is_usage_error(self, argv, error, tmp_path,
                                           capsys):
         # an empty exponent chain, series or set family would end in a
-        # traceback or a vacuous PASS
+        # traceback or a vacuous PASS; a nonpositive limit allowance in a
+        # FAIL that no data can avoid
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,option", [
+        (["suite", "all", "--tol", "1/0"], "--tol"),
+        (["check", "holder", "--p", "1/0"], "--p"),
+        (["check", "chebyshev", "--gamma", "1/0"], "--gamma"),
+        (["run", "bootstrap", "--limit-tol", "1/0"], "--limit-tol"),
+        (["dual", "isometry", "--p", "3/0"], "--p"),
+    ], ids=["suite all --tol", "check holder --p", "check chebyshev --gamma",
+            "run bootstrap --limit-tol", "dual isometry --p"])
+    def test_zero_denominator_is_usage_error(self, argv, option, tmp_path,
+                                             capsys):
+        # a zero denominator is a parse error, not a failing check
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"error: {option}: not a rational" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rnp_probe_variation_refinement_violation(self, tmp_path,

@@ -5,12 +5,10 @@ import pytest
 from lbochner import duality
 from lbochner.bochner import INF, LFunction, LpHandle, lp_norm
 from lbochner.duality import (
-    DualFunction,
     LpOperator,
     ZeroNorm,
     bootstrap_lower_bound,
     build_F,
-    dual_lp_norm,
     isometry_check,
     operator_norm,
     pairing,
@@ -19,15 +17,14 @@ from lbochner.duality import (
 )
 from lbochner.falgebra import LElement, ToleranceConfig
 from lbochner.lmodule import (
-    Functional,
     ModuleSpace,
     ModuleVector,
     NormKind,
+    contract,
     value_intervals,
 )
 from lbochner.measure import MeasureSpace
 from lbochner.sampling import (
-    random_functional,
     random_lelement,
     random_measure_space,
     random_module_vector,
@@ -41,11 +38,20 @@ def L(*coords):
 
 
 PRIMAL = ModuleSpace(1, 2, NormKind.SUP)
+DUAL = PRIMAL.dual()
 
 
-def dual_fn(space, *coeff_elements):
-    return DualFunction(space, tuple(
-        Functional(PRIMAL, (c,)) for c in coeff_elements))
+def dual_fn(space, *coeff_elements, dual=DUAL):
+    """A dual function: an LFunction into the dual module, one rank-one
+    value per atom."""
+    return LFunction(space, dual, tuple(
+        ModuleVector(dual, (c,)) for c in coeff_elements))
+
+
+def random_dual(rng, space, primal):
+    dual = primal.dual()
+    return LFunction(space, dual, tuple(
+        random_module_vector(rng, dual) for _ in range(space.size)))
 
 
 @pytest.fixture
@@ -79,9 +85,8 @@ class TestPairing:
             u = LFunction.indicator_times(x, F)
             expected = LElement.zero(2)
             for t in sorted(F.members):
-                from lbochner.lmodule import apply
-                expected = expected + apply(v.values[t], x).scale(
-                    two_atoms.masses[t])
+                expected = expected + contract(
+                    v.values[t].entries, x.entries).scale(two_atoms.masses[t])
             assert pairing(u, v) == expected
 
 
@@ -146,6 +151,19 @@ class TestIsometry:
         rep = isometry_check(v, Fraction(1), INF)
         assert rep.passed
 
+    def test_sup_primal_is_measured_in_the_one_norm(self):
+        # rank two over a sup-norm primal: the atom value (1, -2) has
+        # one-norm 3, where a swapped kind would give its sup norm 2
+        space = MeasureSpace.build(["a"], [1])
+        primal = ModuleSpace(2, 1, NormKind.SUP)
+        v = LFunction(space, primal.dual(), (
+            ModuleVector(primal.dual(), (L(1), L(-2))),))
+        assert build_F(v, Fraction(1)).codomain == primal
+        rep = isometry_check(v, Fraction(1), INF)
+        assert rep.passed
+        assert rep.details["operator_norm"] == L(3)
+        assert rep.details["dual_norm"] == L(3)
+
     def test_p2_single_atom(self):
         space = MeasureSpace.build(["a"], [1])
         v = dual_fn(space, L(3, 4))
@@ -183,8 +201,7 @@ class TestIsometry:
             primal = ModuleSpace(2, 2, kind)
             for _ in range(100):
                 space = random_measure_space(rng, 3)
-                v = DualFunction(space, tuple(
-                    random_functional(rng, primal) for _ in range(3)))
+                v = random_dual(rng, space, primal)
                 rep = isometry_check(v, Fraction(1), INF)
                 assert rep.passed
                 assert all(g == 0 for g in rep.details["gaps"])
@@ -193,8 +210,7 @@ class TestIsometry:
 class TestBootstrap:
     def test_single_atom_constant(self):
         space = MeasureSpace.build(["a"], [1])
-        mod1 = ModuleSpace(1, 1, NormKind.SUP)
-        v = DualFunction(space, (Functional(mod1, (L(2),)),))
+        v = dual_fn(space, L(2), dual=ModuleSpace(1, 1, NormKind.ONE))
         rep = bootstrap_lower_bound(v, Fraction(2), 20)
         assert rep.passed
         # equality throughout: lhs_n = 2**s_n = rhs_n
@@ -204,9 +220,8 @@ class TestBootstrap:
     def test_constant_norm_consistency(self):
         # constant atom norms c: the q-norm is c * mu(S)**(1/q)
         space = MeasureSpace.build(["a", "b"], ["1/2", "1/2"])
-        mod1 = ModuleSpace(1, 1, NormKind.SUP)
-        v = DualFunction(space, (Functional(mod1, (L("3/2"),)),
-                                 Functional(mod1, (L("-3/2"),))))
+        v = dual_fn(space, L("3/2"), L("-3/2"),
+                    dual=ModuleSpace(1, 1, NormKind.ONE))
         rep = bootstrap_lower_bound(v, Fraction(2), 20)
         assert rep.passed
         target = value_intervals(rep.details["target_norm"])[0]
@@ -240,8 +255,7 @@ class TestRepresent:
         v = dual_fn(two_atoms, random_lelement(rng, 2), random_lelement(rng, 2))
         H = build_F(v, Fraction(1))
         back = represent(H)
-        for t in range(2):
-            assert back.values[t].coeffs == v.values[t].coeffs
+        assert back == v
 
     def test_zero_operator(self, two_atoms):
         H = LpOperator(two_atoms, PRIMAL,
@@ -266,9 +280,7 @@ class TestRepresentOffBasis:
         rng = rng_for(59, int(p), ord(kind.value[0]))
         primal = ModuleSpace(2, 2, kind)
         space = random_measure_space(rng, 4, null_atoms=1)
-        v = DualFunction(space, tuple(
-            random_functional(rng, primal) for _ in range(4)))
-        return build_F(v, p), rng
+        return build_F(random_dual(rng, space, primal), p), rng
 
     @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.TWO])
     @pytest.mark.parametrize("p", [Fraction(1), Fraction(2)])
@@ -324,9 +336,9 @@ class TestRoundtrip:
 
         def shifted(H):
             v = real(H)
-            return DualFunction(v.space, tuple(
-                Functional(f.space, tuple(c + LElement.unit(c.dim)
-                                          for c in f.coeffs))
+            return LFunction(v.space, v.codomain, tuple(
+                ModuleVector(f.space, tuple(c + LElement.unit(c.dim)
+                                            for c in f.entries))
                 for f in v.values))
 
         monkeypatch.setattr(duality, "represent", shifted)
@@ -372,12 +384,11 @@ class TestBoundedness:
             space = random_measure_space(rng, 3)
             u = LFunction(space, primal, tuple(
                 random_module_vector(rng, primal) for _ in range(3)))
-            v = DualFunction(space, tuple(
-                random_functional(rng, primal) for _ in range(3)))
+            v = random_dual(rng, space, primal)
             lhs = abs(pairing(u, v))
             handle = LpHandle(p, space, primal)
             nu = value_intervals(lp_norm(u, handle))
-            nv = value_intervals(dual_lp_norm(v, q))
+            nv = value_intervals(lp_norm(v, LpHandle(q, space, v.codomain)))
             for j in range(2):
                 bound_hi = nu[j][1] * nv[j][1]
                 tol = 0 if (nu[j][0] == nu[j][1] and nv[j][0] == nv[j][1]) \

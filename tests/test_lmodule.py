@@ -4,20 +4,18 @@ import pytest
 
 from lbochner.falgebra import LElement, ToleranceConfig
 from lbochner.lmodule import (
-    Functional,
     ModuleSpace,
     ModuleVector,
     NormKind,
     ShapeMismatch,
-    apply,
+    alignment_vector,
     check_norm_axioms,
+    contract,
     dual_kind,
-    dual_norm,
     norm,
     value_intervals,
 )
 from lbochner.sampling import (
-    random_functional,
     random_lelement,
     random_module_vector,
     rng_for,
@@ -88,54 +86,66 @@ class TestNormAxioms:
         assert norm(x.scale(LElement.unit(2))) == norm(x)
 
 
+def apply(phi, x):
+    """A functional, a vector of the dual module, acting on x."""
+    assert phi.space == x.space.dual()
+    return contract(phi.entries, x.entries)
+
+
 class TestApply:
     def test_example(self):
         space = ModuleSpace(2, 2, NormKind.SUP)
-        phi = Functional(space, (L(1, 0), L(0, 1)))
+        phi = vec(space.dual(), L(1, 0), L(0, 1))
         x = vec(space, L(2, 3), L(4, 5))
         assert apply(phi, x) == L(2, 5)
 
     def test_zero_functional(self):
         space = ModuleSpace(2, 2, NormKind.SUP)
-        phi = Functional(space, (L(0, 0), L(0, 0)))
+        phi = space.dual().zero()
         rng = rng_for(4, 2)
         for _ in range(10):
             assert apply(phi, random_module_vector(rng, space)) == L(0, 0)
 
     def test_identity_coefficient(self):
         space = ModuleSpace(1, 2, NormKind.SUP)
-        phi = Functional(space, (L(1, 1),))
+        phi = vec(space.dual(), L(1, 1))
         x = vec(space, L("3/7", -2))
         assert apply(phi, x) == L("3/7", -2)
 
     def test_shape_mismatch(self):
-        phi = Functional(ModuleSpace(2, 2, NormKind.SUP), (L(1, 0), L(0, 1)))
+        phi = vec(ModuleSpace(2, 2, NormKind.ONE), L(1, 0), L(0, 1))
+        x = vec(ModuleSpace(1, 2, NormKind.SUP), L(1, 1))
+        with pytest.raises(ValueError):
+            contract(phi.entries, x.entries)
         with pytest.raises(ShapeMismatch):
-            apply(phi, vec(ModuleSpace(1, 2, NormKind.SUP), L(1, 1)))
+            ModuleVector(x.space.dual(), phi.entries)
 
 
 class TestDualNorm:
     def test_examples(self):
-        space = ModuleSpace(2, 2, NormKind.SUP)
-        phi = Functional(space, (L(1, 2), L(3, 1)))
-        assert dual_norm(phi, NormKind.SUP) == L(4, 3)
-        assert dual_norm(phi, NormKind.ONE) == L(3, 2)
-        zero = Functional(space, (L(0, 0), L(0, 0)))
-        assert dual_norm(zero, NormKind.SUP) == L(0, 0)
+        # a functional's norm is its norm in the dual module
+        sup_dual = ModuleSpace(2, 2, NormKind.SUP).dual()
+        one_dual = ModuleSpace(2, 2, NormKind.ONE).dual()
+        assert norm(vec(sup_dual, L(1, 2), L(3, 1))) == L(4, 3)
+        assert norm(vec(one_dual, L(1, 2), L(3, 1))) == L(3, 2)
+        assert norm(sup_dual.zero()) == L(0, 0)
 
     def test_dual_kind_involution(self):
         assert dual_kind(NormKind.SUP) is NormKind.ONE
         assert dual_kind(NormKind.ONE) is NormKind.SUP
         assert dual_kind(NormKind.TWO) is NormKind.TWO
+        for kind in NormKind:
+            space = ModuleSpace(2, 3, kind)
+            assert space.dual().dual() == space
 
     @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE])
     def test_bound_is_valid_exact(self, kind):
         rng = rng_for(7, int(kind is NormKind.ONE))
         space = ModuleSpace(3, 2, kind)
         for _ in range(1000):
-            phi = random_functional(rng, space)
+            phi = random_module_vector(rng, space.dual())
             x = random_module_vector(rng, space)
-            bound = dual_norm(phi, kind)
+            bound = norm(phi)
             assert abs(apply(phi, x)) <= bound * norm(x)
 
     def test_bound_is_valid_two_norm(self):
@@ -143,10 +153,10 @@ class TestDualNorm:
         rng = rng_for(8, 3)
         space = ModuleSpace(3, 2, NormKind.TWO)
         for _ in range(300):
-            phi = random_functional(rng, space)
+            phi = random_module_vector(rng, space.dual())
             x = random_module_vector(rng, space)
             lhs = abs(apply(phi, x))
-            bound = value_intervals(dual_norm(phi, NormKind.TWO))
+            bound = value_intervals(norm(phi))
             nx = value_intervals(norm(x))
             for j in range(2):
                 rhs_hi = bound[j][1] * nx[j][1]
@@ -154,19 +164,20 @@ class TestDualNorm:
 
     @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE])
     def test_attained_by_alignment(self, kind):
-        from lbochner.lmodule import alignment_vector
         rng = rng_for(9, int(kind is NormKind.ONE))
         space = ModuleSpace(3, 2, kind)
         for _ in range(200):
-            phi = random_functional(rng, space)
-            x_star = alignment_vector(phi, kind)
-            assert abs(apply(phi, x_star)) == dual_norm(phi, kind) * norm(x_star)
+            phi = random_module_vector(rng, space.dual())
+            x_star = alignment_vector(phi)
+            assert x_star.space == space
+            assert abs(apply(phi, x_star)) == norm(phi) * norm(x_star)
 
     def test_double_dual_consistency(self):
-        # the one-norm dual of a coefficient tuple reproduces its sup norm
+        # a functional on the one-norm module is measured by the sup norm
         rng = rng_for(10, 5)
         space_sup = ModuleSpace(3, 2, NormKind.SUP)
+        space_one = ModuleSpace(3, 2, NormKind.ONE)
         for _ in range(200):
             x = random_module_vector(rng, space_sup)
-            phi = Functional(space_sup, x.entries)
-            assert dual_norm(phi, NormKind.ONE) == norm(x)
+            phi = ModuleVector(space_one.dual(), x.entries)
+            assert norm(phi) == norm(x)

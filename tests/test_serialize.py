@@ -4,11 +4,10 @@ import pytest
 
 from lbochner import serialize
 from lbochner.bochner import LFunction
-from lbochner.duality import DualFunction
 from lbochner.falgebra import LElement
 from lbochner.lmodule import ModuleSpace, NormKind
 from lbochner.measure import MeasureSpace
-from lbochner.sampling import random_functional, random_module_vector, rng_for
+from lbochner.sampling import random_module_vector, rng_for
 from lbochner.vecmeasure import VectorMeasure
 
 
@@ -76,9 +75,12 @@ class TestFunctionDocs:
         rng = rng_for(63, 3)
         space = MeasureSpace.build(["a", "b"], [1, 2])
         primal = ModuleSpace(2, 2, NormKind.SUP)
-        v = DualFunction(space, tuple(
-            random_functional(rng, primal) for _ in range(2)))
+        v = LFunction(space, primal.dual(), tuple(
+            random_module_vector(rng, primal.dual()) for _ in range(2)))
         doc = serialize.dual_function_to_doc(v)
+        # the document names the primal module, as it always has
+        assert doc["codomain"] == serialize.module_space_to_doc(primal)
+        assert doc["values"] == serialize.lfunction_to_doc(v)["values"]
         assert serialize.dual_function_from_doc(doc) == v
 
     def test_missing_atom_value_rejected(self):
