@@ -4,40 +4,44 @@ Scalars are d-tuples of exact rationals with pointwise arithmetic and the
 componentwise order; integrals on finite atomic spaces are mass-weighted
 sums; p-th roots carry certified error brackets.  See the README for the
 module map and the command line front end.
+
+Importing the package loads no submodule: each name in ``__all__`` imports
+its module on first access.
 """
 
-from .falgebra import (
-    ApproxReal,
-    DimensionMismatch,
-    LElement,
-    ToleranceConfig,
-)
-from .lmodule import ModuleSpace, ModuleVector, NormKind
-from .measure import MeasurableSet, MeasureSpace, Partition, TooManyAtoms
-from .bochner import INF, LFunction, LpHandle
-from .vecmeasure import NotAbsolutelyContinuous, VectorMeasure
-from .duality import LpOperator, ZeroNorm
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxReal",
-    "DimensionMismatch",
-    "INF",
-    "LElement",
-    "LFunction",
-    "LpHandle",
-    "LpOperator",
-    "MeasurableSet",
-    "MeasureSpace",
-    "ModuleSpace",
-    "ModuleVector",
-    "NormKind",
-    "NotAbsolutelyContinuous",
-    "Partition",
-    "ToleranceConfig",
-    "TooManyAtoms",
-    "VectorMeasure",
-    "ZeroNorm",
-    "__version__",
-]
+_MODULE_OF = {
+    "ApproxReal": "falgebra",
+    "DimensionMismatch": "falgebra",
+    "LElement": "falgebra",
+    "ToleranceConfig": "falgebra",
+    "ModuleSpace": "lmodule",
+    "ModuleVector": "lmodule",
+    "NormKind": "lmodule",
+    "MeasurableSet": "measure",
+    "MeasureSpace": "measure",
+    "Partition": "measure",
+    "TooManyAtoms": "measure",
+    "INF": "bochner",
+    "LFunction": "bochner",
+    "LpHandle": "bochner",
+    "NotAbsolutelyContinuous": "vecmeasure",
+    "VectorMeasure": "vecmeasure",
+    "LpOperator": "duality",
+    "ZeroNorm": "duality",
+}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    # a submodule name falls through to the import system
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value

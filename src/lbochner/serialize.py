@@ -164,5 +164,5 @@ def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc

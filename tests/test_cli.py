@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,9 +53,37 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["check", "holder", "--frobnicate"]) == 2
+        assert ("lbochner: error: unrecognized arguments: --frobnicate"
+                in capsys.readouterr().err)
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["check", "nonsense"]) == 2
+        assert ("lbochner check: error: argument cmd: invalid choice: "
+                "'nonsense' (choose from 'norm-axioms', 'holder', "
+                "'minkowski', 'sup-rep', 'chebyshev')"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, target, tmp_path, capsys):
+        out = (tmp_path / "no" / "such" / "x.json" if target == "missing-dir"
+               else tmp_path)
+        code = main(["check", "norm-axioms", "--trials", "1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("argv", [["check", "holder", "--u"],
+                                      ["rn", "density", "--measure"]],
+                             ids=["u", "measure"])
+    def test_undecodable_document_names_its_path(self, argv, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"atoms": ["\xff"]}')
+        assert main([*argv, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON: ")
+        assert "can't decode byte 0xff" in err
 
     def test_malformed_document_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -403,6 +435,98 @@ class TestFailurePaths:
         assert main(["check", "sup-rep", "--fn", fn, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+SUBCOMMANDS = {
+    "check": ["norm-axioms", "holder", "minkowski", "sup-rep", "chebyshev"],
+    "run": ["dct", "completeness", "bootstrap", "rnp-probe"],
+    "dual": ["isometry", "represent", "roundtrip"],
+    "rn": ["density", "variation"],
+    "suite": ["all"],
+}
+
+
+class TestHelp:
+    def test_top_level_lists_every_group(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{check,run,dual,rn,suite}" in out
+        for group in SUBCOMMANDS:
+            assert f"    {group} " in out
+
+    @pytest.mark.parametrize("group", list(SUBCOMMANDS))
+    def test_group_lists_every_subcommand(self, group, capsys):
+        assert main([group, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(SUBCOMMANDS[group]) + "}" in out
+
+    @pytest.mark.parametrize("argv", [[g, c] for g, cmds in SUBCOMMANDS.items()
+                                      for c in cmds], ids=" ".join)
+    def test_subcommand_help_shows_its_options(self, argv, capsys):
+        assert main([*argv, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: lbochner {' '.join(argv)} ")
+        assert "--seed SEED" in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(code: str) -> dict:
+    """Runs code in a fresh interpreter that sees src/ and perfbench/; the
+    code prints one JSON document, returned here."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+class TestLazyFrontEnd:
+    """The front end runs no layer's body until a command reaches it, yet
+    registers every layer module: the per-layer tracer reads them all from
+    sys.modules right after importing lbochner.cli."""
+
+    def test_cli_import_registers_layers_without_running_them(self):
+        doc = _fresh_python("""
+import json, sys, types
+before = set(sys.modules)
+import lbochner.cli
+lbochner.cli.build_parser()
+after = dict(sys.modules)
+import layertrace
+print(json.dumps({
+    "missing": [m for m in layertrace.LAYER_OF_MODULE if m not in after],
+    "ran": [m for m in layertrace.LAYER_OF_MODULE if m != "lbochner.cli"
+            and type(after[m]) is types.ModuleType],
+    "stdlib_loaded": [m for m in ("dataclasses", "fractions")
+                      if m not in before and m in after],
+}))
+""")
+        assert doc == {"missing": [], "ran": [], "stdlib_loaded": []}
+
+    def test_package_import_loads_no_submodule(self):
+        doc = _fresh_python("""
+import json, sys
+import lbochner
+loaded = sorted(m for m in sys.modules if m.startswith("lbochner."))
+unresolved = [n for n in lbochner.__all__ if not hasattr(lbochner, n)]
+print(json.dumps({"loaded": loaded, "unresolved": unresolved,
+                  "inf": lbochner.INF is lbochner.bochner.INF}))
+""")
+        assert doc == {"loaded": [], "unresolved": [], "inf": True}
+
+    def test_layer_runs_on_first_use(self, tmp_path):
+        # control for the test above: a command does load what it reaches
+        doc = _fresh_python(f"""
+import json, sys
+import lbochner.cli
+lbochner.cli.main(["check", "norm-axioms", "--trials", "1",
+                   "--out", {str(tmp_path / "r.json")!r}])
+print(json.dumps(sorted(m for m in ("dataclasses", "fractions")
+                        if m in sys.modules)))
+""")
+        assert doc == ["dataclasses", "fractions"]
 
 
 class TestOutputs:
