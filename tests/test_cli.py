@@ -698,3 +698,23 @@ class TestGoldenReports:
         digest_now = hashlib.sha256(
             (tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest_now == digest
+
+    # one atom of mass 1, rank 2, d = 2, every entry 1, sup norm: as v, the
+    # document names the dual of this module, so ||v||_inf is measured in
+    # the one-norm (2) and the pairing 2 meets 1 * 2; in the sup norm the
+    # right side would be 1 and the check would FAIL
+    ONES_SUP_DOC = {
+        "space": {"atoms": ["a"], "masses": ["1/1"]},
+        "codomain": {"rank": 2, "d": 2, "norm_kind": "sup"},
+        "values": {"a": [["1/1", "1/1"], ["1/1", "1/1"]]},
+    }
+
+    def test_holder_dual_document_report_sha256(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "u.json", self.ONES_SUP_DOC)
+        assert main(["check", "holder", "--u", "u.json", "--v", "u.json",
+                     "--p", "1", "--out", "report.json"]) == 0
+        digest_now = hashlib.sha256(
+            (tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest_now == (
+            "1b95bdd5d3ea5e9b5ec369e76c0062566b892beff077c278fadafdf7fa5d6882")
