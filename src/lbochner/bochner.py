@@ -27,11 +27,9 @@ from .falgebra import (
 from .lmodule import (
     ModuleSpace,
     ModuleVector,
-    NormKind,
     NormValue,
     collapse_intervals,
     contract,
-    dual_kind,
     norm_intervals,
 )
 from .measure import (
@@ -55,6 +53,11 @@ def conjugate_exponent(p: Exponent) -> Exponent:
     if p == 1:
         return INF
     return p / (p - 1)
+
+
+def _check_exponent(p: Exponent) -> None:
+    if p is not INF and p < 1:
+        raise ValueError("exponent must be >= 1 or INF")
 
 
 def is_conjugate_pair(p: Exponent, q: Exponent) -> bool:
@@ -107,46 +110,26 @@ class LFunction:
         return LFunction(self.space, self.codomain,
                          tuple(v.scale_rational(c) for v in self.values))
 
+    def moved_to(self, codomain: ModuleSpace) -> "LFunction":
+        """The same entries as a function into ``codomain``, a module of the
+        same shape; a dual function's document names its primal module, and
+        the dual function is that document's function moved to the dual."""
+        return LFunction(self.space, codomain, tuple(
+            ModuleVector(codomain, x.entries) for x in self.values))
+
     def _check(self, other: "LFunction") -> None:
         if self.space != other.space or self.codomain != other.codomain:
             raise SpaceMismatch("functions on different spaces")
 
     def _check_pairable(self, other: "LFunction") -> None:
-        # same base space and vector shape; norm kinds may differ
+        # other is a dual function of self: into the dual of self's codomain
         if (self.space != other.space
-                or self.codomain.rank != other.codomain.rank
-                or self.codomain.scalar_dim != other.codomain.scalar_dim):
+                or other.codomain != self.codomain.dual()):
             raise SpaceMismatch("functions cannot be paired")
 
 
-@dataclass(frozen=True)
-class LpHandle:
-    p: Exponent  # None marks the essential-sup norm
-    base: MeasureSpace
-    codomain: ModuleSpace
-
-    def __post_init__(self):
-        if self.p is not INF and self.p < 1:
-            raise ValueError("exponent must be >= 1 or INF")
-
-    @property
-    def is_inf(self) -> bool:
-        return self.p is INF
-
-    @property
-    def q(self) -> Exponent:
-        return conjugate_exponent(self.p)
-
-
 def integrate(f: LFunction) -> ModuleVector:
-    acc = list(f.codomain.zero().entries)
-    for t, mass in enumerate(f.space.masses):
-        if mass == 0:
-            continue
-        val = f.values[t]
-        for i in range(f.codomain.rank):
-            acc[i] = axpy(acc[i], mass, val.entries[i])
-    return ModuleVector(f.codomain, tuple(acc))
+    return integrate_over(f, f.space.full_set())
 
 
 def integrate_over(f: LFunction, E: MeasurableSet) -> ModuleVector:
@@ -163,9 +146,9 @@ def integrate_over(f: LFunction, E: MeasurableSet) -> ModuleVector:
     return ModuleVector(f.codomain, tuple(acc))
 
 
-def atom_norm_intervals(f: LFunction, kind: NormKind,
+def atom_norm_intervals(f: LFunction,
                         cfg: ToleranceConfig) -> List[List[Interval]]:
-    return [norm_intervals(v.entries, kind, cfg) for v in f.values]
+    return [norm_intervals(v, cfg) for v in f.values]
 
 
 def power_sums_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
@@ -219,24 +202,22 @@ def lp_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
             for iv in power_sums_from_atom_norms(atom_norms, masses, p, cfg)]
 
 
-def lp_norm_intervals(f: LFunction, p: Exponent, kind: NormKind,
+def lp_norm_intervals(f: LFunction, p: Exponent,
                       cfg: ToleranceConfig) -> List[Interval]:
-    return lp_from_atom_norms(atom_norm_intervals(f, kind, cfg),
+    return lp_from_atom_norms(atom_norm_intervals(f, cfg),
                               f.space.masses, p, cfg)
 
 
-def lp_norm(f: LFunction, handle: LpHandle,
+def lp_norm(f: LFunction, p: Exponent,
             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
-    if handle.base != f.space or handle.codomain != f.codomain:
-        raise SpaceMismatch("handle does not match the function")
-    return collapse_intervals(
-        lp_norm_intervals(f, handle.p, f.codomain.norm_kind, cfg))
+    _check_exponent(p)
+    return collapse_intervals(lp_norm_intervals(f, p, cfg))
 
 
 SUP_REP_MAX_ATOMS = 16
 
 
-def verify_sup_representation(f: LFunction, handle: LpHandle,
+def verify_sup_representation(f: LFunction, p: Exponent,
                               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Exhaustively checks that E -> integral over E of ||f||**p is monotone
     under inclusion and attains its supremum at the whole space.
@@ -247,7 +228,8 @@ def verify_sup_representation(f: LFunction, handle: LpHandle,
     and each comparison is ``leq_with_slack``'s rule lo(a) <= hi(b) + tol,
     scaled by that denominator.  Spaces above ``SUP_REP_MAX_ATOMS`` atoms
     are refused before anything is allocated."""
-    if handle.is_inf:
+    _check_exponent(p)
+    if p is INF:
         raise ValueError("sup representation needs a finite exponent")
     m = f.space.size
     if m > SUP_REP_MAX_ATOMS:
@@ -255,8 +237,8 @@ def verify_sup_representation(f: LFunction, handle: LpHandle,
                              f"cap {SUP_REP_MAX_ATOMS}")
     d = f.codomain.scalar_dim
     bits = cfg.root_bits + 2
-    powers = [[certified.ipow_frac(iv, handle.p, bits) for iv in norms]
-              for norms in atom_norm_intervals(f, f.codomain.norm_kind, cfg)]
+    powers = [[certified.ipow_frac(iv, p, bits) for iv in norms]
+              for norms in atom_norm_intervals(f, cfg)]
     weighted = [[certified.iscale(iv, mass) for iv in row]
                 for row, mass in zip(powers, f.space.masses)]
     tol = certified.tol_for(cfg.compare_tol, *powers)
@@ -342,11 +324,13 @@ def _first_sup_rep_failure(lo: Sequence[Sequence[int]],
 
 def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Integral of |<u, v>| against ||u||_p * ||v||_q.
+    """Integral of |<u, v>| against ||u||_p * ||v||_q for a dual function v,
+    one into ``u.codomain.dual()`` as in ``duality.pairing``.
 
-    The second factor is measured in the dual of u's codomain norm (for
-    rank one all kinds coincide with the modulus, so this is invisible
-    there); that is the pairing for which the bound is a theorem.
+    Each factor is measured in its own codomain's norm kind, so v's is the
+    dual of u's (for rank one all kinds coincide with the modulus, so this
+    is invisible there); that is the pairing for which the bound is a
+    theorem.  A v into any other module is refused with ``SpaceMismatch``.
     """
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
@@ -360,8 +344,8 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
         lhs = [certified.iadd(lhs[j], certified.exact(val[j] * mass))
                for j in range(d)]
 
-    nu = lp_norm_intervals(u, p, u.codomain.norm_kind, cfg)
-    nv = lp_norm_intervals(v, q, dual_kind(u.codomain.norm_kind), cfg)
+    nu = lp_norm_intervals(u, p, cfg)
+    nv = lp_norm_intervals(v, q, cfg)
     rhs = [certified.imul(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
@@ -383,10 +367,9 @@ def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
     if p is INF or p < 1:
         raise ValueError("need 1 <= p < infinity")
     u._check(v)
-    kind = u.codomain.norm_kind
-    ns = lp_norm_intervals(u + v, p, kind, cfg)
-    nu = lp_norm_intervals(u, p, kind, cfg)
-    nv = lp_norm_intervals(v, p, kind, cfg)
+    ns = lp_norm_intervals(u + v, p, cfg)
+    nu = lp_norm_intervals(u, p, cfg)
+    nv = lp_norm_intervals(v, p, cfg)
     rhs = [certified.iadd(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, ns, nu, nv)
 
@@ -410,13 +393,12 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
     smallest positive atom mass."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    kind = h.codomain.norm_kind
     min_mass = min((mass for mass in h.space.masses if mass > 0))
     report = CheckReport(name="chebyshev-step",
                          details={"gamma": gamma, "terms": len(hs)}, series=[])
     for n, hn in enumerate(hs):
         hn._check(h)
-        norms = atom_norm_intervals(hn - h, kind, cfg)
+        norms = atom_norm_intervals(hn - h, cfg)
         integrals = lp_from_atom_norms(norms, h.space.masses, Fraction(1), cfg)
         for j, total in enumerate(integrals):
             level = [t for t in range(h.space.size)
@@ -471,7 +453,6 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
     bound integral of ||g_n - g|| plus twice the truncated tail allowance."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    kind = spec.codomain.norm_kind
     d = spec.codomain.scalar_dim
     m = spec.space.size
     phi = spec.scalar_bound
@@ -491,13 +472,13 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
     prev_bound: Optional[List[Interval]] = None
     for n in range(n_max + 1):
         gn = _term_function(spec, n)
-        norms = atom_norm_intervals(gn, kind, cfg)
+        norms = atom_norm_intervals(gn, cfg)
         for t in range(m):
             for j in range(d):
                 if norms[t][j][0] > spec.dominator[t][j]:
                     raise DominatorViolation(n, t)
-        err = norm_intervals((integrate(gn) - lim_integral).entries, kind, cfg)
-        diff_norms = atom_norm_intervals(gn - spec.limit, kind, cfg)
+        err = norm_intervals(integrate(gn) - lim_integral, cfg)
+        diff_norms = atom_norm_intervals(gn - spec.limit, cfg)
         bound = [certified.iadd(iv, certified.exact(tail_term))
                  for iv in lp_from_atom_norms(diff_norms, spec.space.masses,
                                               Fraction(1), cfg)]
@@ -518,16 +499,17 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
     return report
 
 
-def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
+def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
+                             p: Exponent, seed: int, n_terms: int,
                              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Synthesizes u_n = u* + 2**-n w and replays the completeness proof's
-    estimates: the pairwise envelope bound, the pointwise limit, and the
-    closing norm estimate with the exact residual 2**-n ||w||_p."""
-    if handle.is_inf:
+    """Synthesizes u_n = u* + 2**-n w on ``space`` into ``codomain`` and
+    replays the completeness proof's estimates: the pairwise envelope bound,
+    the pointwise limit, and the closing norm estimate with the exact
+    residual 2**-n ||w||_p."""
+    _check_exponent(p)
+    if p is INF:
         raise ValueError("harness needs a finite exponent")
     rng = rng_for(seed)
-    space, codomain, p = handle.base, handle.codomain, handle.p
-    kind = codomain.norm_kind
     d = codomain.scalar_dim
     u_star = LFunction(space, codomain, tuple(
         random_module_vector(rng, codomain) for _ in range(space.size)))
@@ -535,7 +517,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
         random_module_vector(rng, codomain) for _ in range(space.size)))
     terms = [u_star + w.scale_rational(Fraction(1, 2 ** n))
              for n in range(1, n_terms + 1)]
-    norm_w = lp_norm_intervals(w, p, kind, cfg)
+    norm_w = lp_norm_intervals(w, p, cfg)
     tol = certified.tol_for(cfg.compare_tol, norm_w)
     report = CheckReport(
         name="completeness-harness",
@@ -549,7 +531,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
         eps = [certified.iscale(iv, Fraction(2, 2 ** k)) for iv in norm_w]
         for a in range(k, n_terms + 1):
             for b in range(a, n_terms + 1):
-                diff = lp_norm_intervals(terms[a - 1] - terms[b - 1], p, kind, cfg)
+                diff = lp_norm_intervals(terms[a - 1] - terms[b - 1], p, cfg)
                 for j in range(d):
                     if not certified.leq_with_slack(diff[j], eps[j], tol)[0]:
                         report.fail({"stage": "pairwise", "k": k, "n": a,
@@ -572,7 +554,7 @@ def run_completeness_harness(handle: LpHandle, seed: int, n_terms: int,
     mu_root = certified.pow_bracket(space.total_mass,
                                     Fraction(1) / p, cfg.root_bits + 2)
     for n in range(1, n_terms + 1):
-        resid = lp_norm_intervals(u_star - terms[n - 1], p, kind, cfg)
+        resid = lp_norm_intervals(u_star - terms[n - 1], p, cfg)
         expected = [certified.iscale(iv, Fraction(1, 2 ** n)) for iv in norm_w]
         bound = [certified.imul(certified.iscale(iv, Fraction(2, 2 ** n)), mu_root)
                  for iv in norm_w]

@@ -105,19 +105,25 @@ def _cmd_check_norm_axioms(args) -> reports.Report:
     return _report(args, [lmodule.check_norm_axioms(space, samples, cfg)])
 
 
-def _holder_pair(args, rng, cfg):
+def _function_pair(args, rng, dual: bool):
+    """u and v from their documents, or seeded.  With ``dual`` v is a dual
+    function, into the dual of u's codomain, and its document is read as
+    ``dual isometry --v`` reads one; otherwise v is into u's codomain."""
     space = _load_or_random_space(args, rng)
     codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    if getattr(args, "u", None):
+    if args.u:
         u = serialize.lfunction_from_doc(serialize.load_json(args.u), args.u)
         space = u.space
         codomain = u.codomain
     else:
         u = _random_lfunction(rng, space, codomain)
-    if getattr(args, "v", None):
-        v = serialize.lfunction_from_doc(serialize.load_json(args.v), args.v)
+    if args.v:
+        load = (serialize.dual_function_from_doc if dual
+                else serialize.lfunction_from_doc)
+        v = load(serialize.load_json(args.v), args.v)
     else:
-        v = _random_lfunction(rng, space, codomain)
+        v = _random_lfunction(rng, space,
+                              codomain.dual() if dual else codomain)
     return u, v
 
 
@@ -143,7 +149,8 @@ def _cmd_check_holder(args) -> reports.Report:
     check = reports.CheckReport(name="holder", details={
         "pairs": n, "p": _exponent_str(p), "q": _exponent_str(q)})
     return _report(args, [_over_trials(check, n, lambda trial: (
-        bochner.check_holder(*_holder_pair(args, rng, cfg), p, q, cfg)))])
+        bochner.check_holder(*_function_pair(args, rng, dual=True), p, q,
+                             cfg)))])
 
 
 def _cmd_check_minkowski(args) -> reports.Report:
@@ -156,7 +163,8 @@ def _cmd_check_minkowski(args) -> reports.Report:
     check = reports.CheckReport(name="minkowski",
                                 details={"pairs": n, "p": _exponent_str(p)})
     return _report(args, [_over_trials(check, n, lambda trial: (
-        bochner.check_minkowski(*_holder_pair(args, rng, cfg), p, cfg)))])
+        bochner.check_minkowski(*_function_pair(args, rng, dual=False), p,
+                                cfg)))])
 
 
 def _cmd_check_sup_rep(args) -> reports.Report:
@@ -170,8 +178,7 @@ def _cmd_check_sup_rep(args) -> reports.Report:
         codomain = lmodule.ModuleSpace(args.rank, args.dim,
                                        _norm_kind(args.norm))
         f = _random_lfunction(rng, space, codomain)
-    handle = bochner.LpHandle(p, f.space, f.codomain)
-    rep = bochner.verify_sup_representation(f, handle, cfg)
+    rep = bochner.verify_sup_representation(f, p, cfg)
     return _report(args, [rep])
 
 
@@ -237,8 +244,8 @@ def _cmd_run_completeness(args) -> reports.Report:
     rng = sampling.rng_for(args.seed, 31)
     space = sampling.random_measure_space(rng, args.atoms, normalize=True)
     codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    handle = bochner.LpHandle(_parse_exponent(args.p), space, codomain)
-    rep = bochner.run_completeness_harness(handle, args.seed, args.terms, cfg)
+    rep = bochner.run_completeness_harness(
+        space, codomain, _parse_exponent(args.p), args.seed, args.terms, cfg)
     return _report(args, [rep])
 
 
@@ -397,7 +404,8 @@ def _cmd_suite_all(args) -> reports.Report:
             codomain = lmodule.ModuleSpace(1, 2, NormKind.SUP)
             u = _random_lfunction(rng, space, codomain)
             v = _random_lfunction(rng, space, codomain)
-            if not bochner.check_holder(u, v, p, q, cfg).passed:
+            if not bochner.check_holder(u, v.moved_to(codomain.dual()), p, q,
+                                        cfg).passed:
                 check.fail()
             if not bochner.check_minkowski(u, v, p, cfg).passed:
                 check.fail()
@@ -408,8 +416,7 @@ def _cmd_suite_all(args) -> reports.Report:
     space = sampling.random_measure_space(rng, 6)
     codomain = lmodule.ModuleSpace(1, 2, NormKind.SUP)
     f = _random_lfunction(rng, space, codomain)
-    checks.append(bochner.verify_sup_representation(
-        f, bochner.LpHandle(Fraction(2), space, codomain), cfg))
+    checks.append(bochner.verify_sup_representation(f, Fraction(2), cfg))
 
     rng = sampling.rng_for(seed, 73)
     space = sampling.random_measure_space(rng, 4)
@@ -422,9 +429,9 @@ def _cmd_suite_all(args) -> reports.Report:
 
     rng = sampling.rng_for(seed, 79)
     space = sampling.random_measure_space(rng, 3, normalize=True)
-    handle = bochner.LpHandle(Fraction(1), space,
-                              lmodule.ModuleSpace(2, 2, NormKind.SUP))
-    checks.append(bochner.run_completeness_harness(handle, seed, 8, cfg))
+    checks.append(bochner.run_completeness_harness(
+        space, lmodule.ModuleSpace(2, 2, NormKind.SUP), Fraction(1), seed, 8,
+        cfg))
 
     checks.append(duality.bootstrap_lower_bound(
         _bootstrap_dual(seed, 3, 2), Fraction(2), 20, cfg))

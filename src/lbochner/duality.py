@@ -85,11 +85,8 @@ class LpOperator:
                 raise ValueError("basis row length must equal the rank")
 
     def __call__(self, u: LFunction) -> LElement:
-        if u.space != self.space:
-            raise SpaceMismatch("function on a different measure space")
-        if (u.codomain.rank != self.codomain.rank
-                or u.codomain.scalar_dim != self.codomain.scalar_dim):
-            raise SpaceMismatch("function has an incompatible codomain")
+        if u.space != self.space or u.codomain != self.codomain:
+            raise SpaceMismatch("function outside the operator's domain")
         return contract([c for row in self.basis_action for c in row],
                         [e for val in u.values for e in val.entries])
 
@@ -139,8 +136,7 @@ def operator_norm_intervals(H: LpOperator,
     """Closed form for the least bound: the conjugate-exponent norm of the
     representing dual function."""
     v = _recover_dual(H)
-    return lp_norm_intervals(v, conjugate_exponent(H.declared_p),
-                             v.codomain.norm_kind, cfg)
+    return lp_norm_intervals(v, conjugate_exponent(H.declared_p), cfg)
 
 
 def operator_norm(H: LpOperator,
@@ -170,7 +166,7 @@ def bootstrap_lower_bound(v: LFunction, p: Fraction, n_max: int,
     if limit_tol <= 0:
         # a zero allowance cannot hold on non-constant data
         raise ValueError("limit_tol must be > 0")
-    atom_norms = atom_norm_intervals(v, v.codomain.norm_kind, cfg)
+    atom_norms = atom_norm_intervals(v, cfg)
     fv = lp_from_atom_norms(atom_norms, v.space.masses,
                             conjugate_exponent(p), cfg)
     return _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
@@ -246,7 +242,7 @@ def isometry_check(v: LFunction, p: Exponent, q: Exponent,
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
     fv = operator_norm_intervals(H, cfg)
-    atom_norms = atom_norm_intervals(v, v.codomain.norm_kind, cfg)
+    atom_norms = atom_norm_intervals(v, cfg)
     nv = lp_from_atom_norms(atom_norms, v.space.masses, q, cfg)
     d = v.codomain.scalar_dim
 

@@ -38,14 +38,6 @@ class NormKind(enum.Enum):
     TWO = "two"
 
 
-def dual_kind(kind: NormKind) -> NormKind:
-    if kind is NormKind.SUP:
-        return NormKind.ONE
-    if kind is NormKind.ONE:
-        return NormKind.SUP
-    return NormKind.TWO
-
-
 @dataclass(frozen=True)
 class ModuleSpace:
     rank: int
@@ -66,7 +58,14 @@ class ModuleSpace:
         return ModuleVector(self, tuple(entries))
 
     def dual(self) -> "ModuleSpace":
-        return ModuleSpace(self.rank, self.scalar_dim, dual_kind(self.norm_kind))
+        """The same shape with the dual norm kind: sup and one swap, the
+        two-norm is its own dual."""
+        kind = self.norm_kind
+        if kind is NormKind.SUP:
+            kind = NormKind.ONE
+        elif kind is NormKind.ONE:
+            kind = NormKind.SUP
+        return ModuleSpace(self.rank, self.scalar_dim, kind)
 
 
 @dataclass(frozen=True)
@@ -123,18 +122,20 @@ def contract(a: Sequence[LElement], b: Sequence[LElement]) -> LElement:
 NormValue = Union[LElement, Tuple[ApproxReal, ...]]
 
 
-def norm_intervals(entries: Sequence[LElement], kind: NormKind,
+def norm_intervals(x: ModuleVector,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Interval]:
-    """Per-scalar-coordinate certified brackets of the chosen norm.
-    Exact coordinates come back as degenerate brackets.
+    """Per-scalar-coordinate certified brackets of the norm of x, in the
+    norm kind of its own module ``x.space``.  Exact coordinates come back
+    as degenerate brackets.
 
     Each coordinate works on the entries' numerators and denominators: the
     sup by cross-multiplication, the one- and two-norm sums over one common
     denominator.  A fraction is built only for the result (and, for the
     two-norm, for the radicand of its ``root_bracket``)."""
+    kind = x.space.norm_kind
     out: List[Interval] = []
-    columns = zip(zip(*(e.nums for e in entries)),
-                  zip(*(e.dens for e in entries)))
+    columns = zip(zip(*(e.nums for e in x.entries)),
+                  zip(*(e.dens for e in x.entries)))
     if kind is NormKind.SUP:
         for nums, dens in columns:
             best_num, best_den = 0, 1
@@ -173,7 +174,7 @@ def value_intervals(value: NormValue) -> List[Interval]:
 
 
 def norm(x: ModuleVector, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
-    return collapse_intervals(norm_intervals(x.entries, x.space.norm_kind, cfg))
+    return collapse_intervals(norm_intervals(x, cfg))
 
 
 def check_norm_axioms(space: ModuleSpace,
@@ -197,7 +198,7 @@ def check_norm_axioms(space: ModuleSpace,
         report.fail(witness)
 
     for idx, (lam, x, y) in enumerate(samples):
-        nx = norm_intervals(x.entries, space.norm_kind, cfg)
+        nx = norm_intervals(x, cfg)
 
         # axiom 1: ||x|| = 0 iff x = 0
         norm_zero = all(iv == (0, 0) for iv in nx)
@@ -206,7 +207,7 @@ def check_norm_axioms(space: ModuleSpace,
             continue
 
         # axiom 2: ||lam x|| = |lam| ||x||
-        lhs = norm_intervals(x.scale(lam).entries, space.norm_kind, cfg)
+        lhs = norm_intervals(x.scale(lam), cfg)
         alam = abs(lam)
         rhs = [certified.iscale(iv, alam[j]) for j, iv in enumerate(nx)]
         for j in range(space.scalar_dim):
@@ -215,8 +216,8 @@ def check_norm_axioms(space: ModuleSpace,
                 violated("axiom2", {"sample": idx, "coordinate": j, "gap": gap})
 
         # axiom 3: ||x + y|| <= ||x|| + ||y||
-        ns = norm_intervals((x + y).entries, space.norm_kind, cfg)
-        ny = norm_intervals(y.entries, space.norm_kind, cfg)
+        ns = norm_intervals(x + y, cfg)
+        ny = norm_intervals(y, cfg)
         for j in range(space.scalar_dim):
             ok, slack = certified.leq_with_slack(
                 ns[j], certified.iadd(nx[j], ny[j]), tol)

@@ -155,9 +155,7 @@ def dual_function_to_doc(v: LFunction) -> Dict[str, Any]:
 
 def dual_function_from_doc(doc: Any, where: str = "dual") -> LFunction:
     f = lfunction_from_doc(doc, where)
-    dual = f.codomain.dual()
-    return LFunction(f.space, dual, tuple(
-        ModuleVector(dual, x.entries) for x in f.values))
+    return f.moved_to(f.codomain.dual())
 
 
 def load_json(path: str) -> Any:

@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 from . import certified
 from .falgebra import DEFAULT_TOLERANCES, LElement, ToleranceConfig
-from .bochner import LFunction, LpHandle, integrate_over, lp_norm
+from .bochner import LFunction, integrate_over, lp_norm
 from .lmodule import (
     ModuleSpace,
     ModuleVector,
@@ -91,13 +91,12 @@ def check_mu_continuity(G: VectorMeasure,
             report.fail({"atom": G.space.atom_names[t]})
 
     if G.space.size <= CONTINUITY_TABLE_MAX_ATOMS:
-        kind = G.codomain.norm_kind
         masses = subset_sums(G.space.masses, Fraction(0))
         values = subset_sums(G.atom_values, G.codomain.zero())
         report.series = [
             {"mu": mu,
              "value_norm": [certified.mid(iv)
-                            for iv in norm_intervals(val.entries, kind, cfg)]}
+                            for iv in norm_intervals(val, cfg)]}
             for mu, val in zip(masses, values)]
     return report
 
@@ -106,9 +105,8 @@ def _partition_norm_sum(G: VectorMeasure, partition: Partition,
                         cfg: ToleranceConfig) -> List[certified.Interval]:
     d = G.codomain.scalar_dim
     total = [certified.exact(Fraction(0))] * d
-    kind = G.codomain.norm_kind
     for block in partition.blocks:
-        norms = norm_intervals(evaluate(G, block).entries, kind, cfg)
+        norms = norm_intervals(evaluate(G, block), cfg)
         total = [certified.iadd(a, b) for a, b in zip(total, norms)]
     return total
 
@@ -253,8 +251,8 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
         width = space.size // G_n.space.size
         lifted.append(LFunction(space, G.codomain, tuple(
             g.values[t // width] for t in range(space.size))))
-    handle = LpHandle(Fraction(1), space, G.codomain)
-    gaps = [lp_norm(h - g, handle, cfg) for g, h in zip(lifted, lifted[1:])]
+    one = Fraction(1)
+    gaps = [lp_norm(h - g, one, cfg) for g, h in zip(lifted, lifted[1:])]
     for n, gap in enumerate(gaps):
         if gap != LElement.unit(d):
             report.fail({"stage": "martingale", "level": n, "value": gap})

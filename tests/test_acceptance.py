@@ -17,7 +17,6 @@ from lbochner.bochner import (
     INF,
     DominatorViolation,
     LFunction,
-    LpHandle,
     check_holder,
     check_minkowski,
     check_chebyshev_step,
@@ -123,7 +122,7 @@ def test_criterion_03_holder_minkowski():
                 random_module_vector(rng, codomain) for _ in range(3)))
             v = LFunction(space, codomain, tuple(
                 random_module_vector(rng, codomain) for _ in range(3)))
-            hrep = check_holder(u, v, p, q, CFG)
+            hrep = check_holder(u, v.moved_to(codomain.dual()), p, q, CFG)
             assert hrep.passed, (p, hrep.witness)
             if p == 1:
                 assert hrep.details["tolerance"] == 0
@@ -139,9 +138,8 @@ def test_criterion_04_sup_representation():
         space = random_measure_space(rng, m)
         f = LFunction(space, codomain, tuple(
             random_module_vector(rng, codomain) for _ in range(m)))
-        handle = LpHandle(Fraction(2), space, codomain)
         start = time.monotonic()
-        rep = verify_sup_representation(f, handle, CFG)
+        rep = verify_sup_representation(f, Fraction(2), CFG)
         elapsed = time.monotonic() - start
         assert rep.passed, rep.witness
         assert rep.details["subsets"] == 2 ** m
@@ -200,9 +198,8 @@ def test_criterion_07_completeness():
     for i in range(100):
         rng = rng_for(1007, i)
         space = random_measure_space(rng, 3, normalize=True)
-        handle = LpHandle(Fraction(1), space, codomain)
-        rep = run_completeness_harness(handle, seed=1007 + i, n_terms=6,
-                                       cfg=CFG)
+        rep = run_completeness_harness(space, codomain, Fraction(1),
+                                       seed=1007 + i, n_terms=6, cfg=CFG)
         assert rep.passed, rep.witness
         norm_w = rep.details["norm_w"]
         for row in rep.series:

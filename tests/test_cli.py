@@ -436,6 +436,71 @@ class TestFailurePaths:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_holder_halved_right_side(self, holder_fixtures, tmp_path,
+                                      monkeypatch):
+        # moves the right-hand side only: u's p-norm is halved, so
+        # ||u||_p * ||v||_q halves while the pairing integral stays.  At
+        # p = 1 with unit v the sides are equal, (7, 4) each.
+        s, u, v = holder_fixtures
+        real = bochner.lp_norm_intervals
+        primal = ModuleSpace(1, 2, NormKind.SUP)
+
+        def halved_for_u(f, p, cfg):
+            ivs = real(f, p, cfg)
+            if f.codomain != primal:
+                return ivs
+            return [(lo / 2, hi / 2) for lo, hi in ivs]
+
+        monkeypatch.setattr(bochner, "lp_norm_intervals", halved_for_u)
+        out = tmp_path / "report.json"
+        assert main(["check", "holder", "--u", u, "--v", v, "--p", "1",
+                     "--out", str(out)]) == 1
+        check = self._checks(out)["holder"]
+        assert check["details"]["failures"] == 1
+        assert check["witness"] == {"trial": 0, "coordinate": 0,
+                                    "lhs": "7/1", "rhs": "7/2"}
+
+    def test_minkowski_doubled_summand(self, holder_fixtures, tmp_path,
+                                       monkeypatch):
+        # moves the left-hand side only: u + v becomes u + 2v, while the
+        # right side is ||u||_p + ||v||_p
+        s, u, v = holder_fixtures
+        real = LFunction.__add__
+        monkeypatch.setattr(LFunction, "__add__",
+                            lambda f, g: real(real(f, g), g))
+        out = tmp_path / "report.json"
+        assert main(["check", "minkowski", "--u", u, "--v", v, "--p", "2",
+                     "--out", str(out)]) == 1
+        check = self._checks(out)["minkowski"]
+        assert check["details"]["failures"] == 1
+        assert check["witness"] == {"trial": 0, "coordinate": 0}
+
+    @pytest.mark.parametrize("kind", ["one", "two"])
+    def test_holder_mismatched_pair_is_usage_error(self, kind,
+                                                   holder_fixtures,
+                                                   tmp_path, capsys):
+        # v's document names a primal module other than u's (sup): no
+        # dual function of u, so nothing is measured
+        s, u, v = holder_fixtures
+        doc = json.loads(Path(v).read_text(encoding="utf-8"))
+        doc["codomain"]["norm_kind"] = kind
+        other = write_json(tmp_path / "other.json", doc)
+        out = tmp_path / "report.json"
+        assert main(["check", "holder", "--u", u, "--v", other,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: functions cannot be paired\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["check", "sup-rep"],
+                                      ["run", "completeness"]], ids=" ".join)
+    def test_exponent_below_one_is_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main([*argv, "--p", "1/2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: exponent must be >= 1 or inf, got 1/2\n"
+        assert not out.exists()
+
 
 SUBCOMMANDS = {
     "check": ["norm-axioms", "holder", "minkowski", "sup-rep", "chebyshev"],

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lbochner import duality
-from lbochner.bochner import INF, LFunction, LpHandle, lp_norm
+from lbochner.bochner import INF, LFunction, lp_norm
 from lbochner.duality import (
     LpOperator,
     ZeroNorm,
@@ -23,7 +23,7 @@ from lbochner.lmodule import (
     contract,
     value_intervals,
 )
-from lbochner.measure import MeasureSpace
+from lbochner.measure import MeasureSpace, SpaceMismatch
 from lbochner.sampling import (
     random_lelement,
     random_measure_space,
@@ -59,6 +59,15 @@ def two_atoms():
     return MeasureSpace.build(["a", "b"], [1, 1])
 
 
+# modules other than PRIMAL.dual(): the primal module itself and another
+# kind (at rank one every kind is the modulus, yet the kind still counts),
+# another rank and another scalar dimension
+OTHER_MODULES = [PRIMAL, ModuleSpace(1, 2, NormKind.TWO),
+                 ModuleSpace(2, 2, NormKind.ONE),
+                 ModuleSpace(1, 1, NormKind.ONE)]
+OTHER_IDS = ["primal", "other-kind", "other-rank", "other-dim"]
+
+
 class TestPairing:
     def test_example(self, two_atoms):
         u = LFunction(two_atoms, PRIMAL, (
@@ -89,6 +98,18 @@ class TestPairing:
                     v.values[t].entries, x.entries).scale(two_atoms.masses[t])
             assert pairing(u, v) == expected
 
+    @pytest.mark.parametrize("codomain", OTHER_MODULES, ids=OTHER_IDS)
+    def test_v_outside_the_dual_module_refused(self, two_atoms, codomain):
+        u = LFunction.zero(two_atoms, PRIMAL)
+        with pytest.raises(SpaceMismatch, match="functions cannot be paired"):
+            pairing(u, LFunction.zero(two_atoms, codomain))
+
+    def test_v_on_another_space_refused(self, two_atoms):
+        u = LFunction.zero(two_atoms, PRIMAL)
+        other = MeasureSpace.build(["a", "b"], [1, 2])
+        with pytest.raises(SpaceMismatch, match="functions cannot be paired"):
+            pairing(u, LFunction.zero(other, DUAL))
+
 
 class TestBuildF:
     def test_agrees_with_pairing_on_seeded_inputs(self, two_atoms):
@@ -110,6 +131,18 @@ class TestBuildF:
         v = dual_fn(space, L(3, -6))
         H = build_F(v, Fraction(1))
         assert H.basis_action[0][0] == L(2, -4)
+
+    @pytest.mark.parametrize("codomain", [DUAL, *OTHER_MODULES[1:]],
+                             ids=["dual", *OTHER_IDS[1:]])
+    def test_call_outside_the_domain_refused(self, two_atoms, codomain):
+        H = build_F(dual_fn(two_atoms, L(1, 2), L(3, 4)), Fraction(1))
+        assert H.codomain == PRIMAL
+        assert H(LFunction.zero(two_atoms, PRIMAL)) == L(0, 0)
+        with pytest.raises(SpaceMismatch, match="operator's domain"):
+            H(LFunction.zero(two_atoms, codomain))
+        other = MeasureSpace.build(["a", "b"], [1, 2])
+        with pytest.raises(SpaceMismatch, match="operator's domain"):
+            H(LFunction.zero(other, PRIMAL))
 
 
 class TestOperatorNorm:
@@ -386,9 +419,8 @@ class TestBoundedness:
                 random_module_vector(rng, primal) for _ in range(3)))
             v = random_dual(rng, space, primal)
             lhs = abs(pairing(u, v))
-            handle = LpHandle(p, space, primal)
-            nu = value_intervals(lp_norm(u, handle))
-            nv = value_intervals(lp_norm(v, LpHandle(q, space, v.codomain)))
+            nu = value_intervals(lp_norm(u, p))
+            nv = value_intervals(lp_norm(v, q))
             for j in range(2):
                 bound_hi = nu[j][1] * nv[j][1]
                 tol = 0 if (nu[j][0] == nu[j][1] and nv[j][0] == nv[j][1]) \

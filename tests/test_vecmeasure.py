@@ -219,8 +219,7 @@ class TestSubsetTables:
         G = seeded_measure(505, m, kind)
         expected = []
         for F in G.space.all_subsets():
-            norms = norm_intervals(evaluate(G, F).entries,
-                                   G.codomain.norm_kind, DEFAULT_TOLERANCES)
+            norms = norm_intervals(evaluate(G, F), DEFAULT_TOLERANCES)
             expected.append({"mu": measure_of(F),
                              "value_norm": [certified.mid(iv) for iv in norms]})
         rep = check_mu_continuity(G)
