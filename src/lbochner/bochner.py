@@ -11,7 +11,6 @@ carry certified brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -19,6 +18,7 @@ from . import certified
 from .certified import Interval
 from .falgebra import (
     DEFAULT_TOLERANCES,
+    Frozen,
     LElement,
     ToleranceConfig,
     axpy,
@@ -66,21 +66,22 @@ def is_conjugate_pair(p: Exponent, q: Exponent) -> bool:
     return inv_p + inv_q == 1
 
 
-@dataclass(frozen=True)
-class LFunction:
+class LFunction(Frozen):
     """A total map atom -> module vector; the representation of a member of
     the p-norm function space."""
 
-    space: MeasureSpace
-    codomain: ModuleSpace
-    values: Tuple[ModuleVector, ...]
+    __slots__ = ("space", "codomain", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.space.size:
+    def __init__(self, space: MeasureSpace, codomain: ModuleSpace,
+                 values: Tuple[ModuleVector, ...]):
+        if len(values) != space.size:
             raise ValueError("one value per atom required")
-        for v in self.values:
-            if v.space != self.codomain:
+        for v in values:
+            if v.space != codomain:
                 raise SpaceMismatch("value outside the declared codomain")
+        self._set("space", space)
+        self._set("codomain", codomain)
+        self._set("values", values)
 
     @classmethod
     def indicator_times(cls, x: ModuleVector, F: MeasurableSet) -> "LFunction":
@@ -418,7 +419,6 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
     return report
 
 
-@dataclass
 class TruncatedSequenceSpec:
     """A dominated approximating sequence on a truncated countable space.
 
@@ -426,13 +426,20 @@ class TruncatedSequenceSpec:
     bounds every term's norm atomwise, the scalar bound caps the dominator,
     and tail_mass is the mass cut off by the truncation."""
 
-    space: MeasureSpace
-    codomain: ModuleSpace
-    term: Callable[[int, int], ModuleVector]
-    limit: LFunction
-    dominator: Tuple[LElement, ...]
-    scalar_bound: Fraction
-    tail_mass: Fraction
+    __slots__ = ("space", "codomain", "term", "limit", "dominator",
+                 "scalar_bound", "tail_mass")
+
+    def __init__(self, space: MeasureSpace, codomain: ModuleSpace,
+                 term: Callable[[int, int], ModuleVector], limit: LFunction,
+                 dominator: Tuple[LElement, ...], scalar_bound: Fraction,
+                 tail_mass: Fraction):
+        self.space = space
+        self.codomain = codomain
+        self.term = term
+        self.limit = limit
+        self.dominator = dominator
+        self.scalar_bound = scalar_bound
+        self.tail_mass = tail_mass
 
 
 class DominatorViolation(ValueError):

@@ -62,7 +62,8 @@ def exact(q: Fraction) -> Interval:
 
 
 def mid(iv: Interval) -> Fraction:
-    return (iv[0] + iv[1]) / 2
+    lo, hi = iv
+    return lo if lo is hi or lo == hi else (lo + hi) / 2
 
 
 def is_exact(iv: Interval) -> bool:
@@ -116,6 +117,9 @@ def int_nth_root(x: int, n: int) -> int:
         return x
     if n == 2:
         return isqrt(x)
+    if n % 2 == 0:
+        # floor(floor(y) ** (1/m)) = floor(y ** (1/m)) with y = sqrt(x)
+        return int_nth_root(isqrt(x), n // 2)
     if x.bit_length() <= n:  # x < 2**n  =>  root is 1
         return 1
     r = 1 << -(-x.bit_length() // n)
@@ -146,8 +150,12 @@ def root_bracket(q: Fraction, n: int, bits: int) -> Interval:
             ex = Fraction(rn, rd)
             return (ex, ex)
     scaled = num << (bits * n)
-    t_lo = int_nth_root(scaled // den, n)
-    t_hi = int_nth_root(-(-scaled // den), n) + 1
+    floor_q, rem = divmod(scaled, den)
+    t_lo = int_nth_root(floor_q, n)
+    # the ceiling floor_q + 1 has a larger root only if it is (t_lo + 1)**n
+    t_hi = t_lo + 1
+    if rem and t_hi ** n == floor_q + 1:
+        t_hi += 1
     scale = 1 << bits
     return (Fraction(t_lo, scale), Fraction(t_hi, scale))
 

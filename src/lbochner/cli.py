@@ -108,20 +108,24 @@ def _cmd_check_norm_axioms(args) -> reports.Report:
 def _function_pair(args, rng, dual: bool):
     """u and v from their documents, or seeded.  With ``dual`` v is a dual
     function, into the dual of u's codomain, and its document is read as
-    ``dual isometry --v`` reads one; otherwise v is into u's codomain."""
+    ``dual isometry --v`` reads one; otherwise v is into u's codomain.  A
+    seeded u pairs with a v document, on v's space unless ``--space``."""
     space = _load_or_random_space(args, rng)
     codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
+    u = v = None
     if args.u:
         u = serialize.lfunction_from_doc(serialize.load_json(args.u), args.u)
-        space = u.space
-        codomain = u.codomain
-    else:
-        u = _random_lfunction(rng, space, codomain)
+        space, codomain = u.space, u.codomain
     if args.v:
         load = (serialize.dual_function_from_doc if dual
                 else serialize.lfunction_from_doc)
         v = load(serialize.load_json(args.v), args.v)
-    else:
+        if u is None:
+            space = space if args.space else v.space
+            codomain = v.codomain.dual() if dual else v.codomain
+    if u is None:
+        u = _random_lfunction(rng, space, codomain)
+    if v is None:
         v = _random_lfunction(rng, space,
                               codomain.dual() if dual else codomain)
     return u, v

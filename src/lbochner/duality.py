@@ -14,7 +14,6 @@ the ordinary p-norm of ``bochner`` in that codomain's norm kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -22,6 +21,7 @@ from . import certified
 from .certified import Interval
 from .falgebra import (
     DEFAULT_TOLERANCES,
+    Frozen,
     LElement,
     ToleranceConfig,
 )
@@ -67,22 +67,25 @@ class RepresentationMismatch(AssertionError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class LpOperator:
-    """A bounded linear map from the p-norm function space to the scalars,
-    stored by its action on the canonical basis e_i * 1_atom."""
+class LpOperator(Frozen):
+    """A bounded linear map from the p-norm functions into ``codomain`` (a
+    primal module space) to the scalars, stored by its action on the
+    canonical basis e_i * 1_atom as ``basis_action[atom][entry]``."""
 
-    space: MeasureSpace
-    codomain: ModuleSpace  # the primal module space of the functions acted on
-    basis_action: Tuple[Tuple[LElement, ...], ...]  # [atom][entry]
-    declared_p: Exponent
+    __slots__ = ("space", "codomain", "basis_action", "declared_p")
 
-    def __post_init__(self):
-        if len(self.basis_action) != self.space.size:
+    def __init__(self, space: MeasureSpace, codomain: ModuleSpace,
+                 basis_action: Tuple[Tuple[LElement, ...], ...],
+                 declared_p: Exponent):
+        if len(basis_action) != space.size:
             raise ValueError("one basis row per atom required")
-        for row in self.basis_action:
-            if len(row) != self.codomain.rank:
+        for row in basis_action:
+            if len(row) != codomain.rank:
                 raise ValueError("basis row length must equal the rank")
+        self._set("space", space)
+        self._set("codomain", codomain)
+        self._set("basis_action", basis_action)
+        self._set("declared_p", declared_p)
 
     def __call__(self, u: LFunction) -> LElement:
         if u.space != self.space or u.codomain != self.codomain:

@@ -10,8 +10,8 @@ certified absolute error bound; the ring/lattice layer itself stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._kernel import _pykernel as _k
@@ -152,17 +152,45 @@ def axpy(a: LElement, c: RationalLike, b: LElement) -> LElement:
                                    b.nums, b.dens))
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+class Frozen:
+    """Base of the immutable value types: equal and hashed by the values of
+    their ``__slots__``, which only ``__init__`` sets, through ``_set``."""
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return (self._values(self) == other._values(other)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self.__slots__))
+
+
+class ToleranceConfig(Frozen):
     """Error budget: root brackets are tightened to root_tol, comparisons
     involving approximations use compare_tol."""
 
-    root_tol: Fraction = Fraction(1, 2 ** 40)
-    compare_tol: Fraction = Fraction(1, 2 ** 30)
+    __slots__ = ("root_tol", "compare_tol")
 
-    def __post_init__(self):
-        if not (0 < self.root_tol < self.compare_tol):
+    def __init__(self, root_tol: Fraction = Fraction(1, 2 ** 40),
+                 compare_tol: Fraction = Fraction(1, 2 ** 30)):
+        if not (0 < root_tol < compare_tol):
             raise ValueError("need 0 < root_tol < compare_tol")
+        self._set("root_tol", root_tol)
+        self._set("compare_tol", compare_tol)
 
     @property
     def root_bits(self) -> int:
@@ -172,12 +200,14 @@ class ToleranceConfig:
 DEFAULT_TOLERANCES = ToleranceConfig()
 
 
-@dataclass(frozen=True)
-class ApproxReal:
+class ApproxReal(Frozen):
     """A real known to lie within value +- abs_error_bound (both rational)."""
 
-    value: Fraction
-    abs_error_bound: Fraction
+    __slots__ = ("value", "abs_error_bound")
+
+    def __init__(self, value: Fraction, abs_error_bound: Fraction):
+        self._set("value", value)
+        self._set("abs_error_bound", abs_error_bound)
 
     @classmethod
     def exact(cls, q: RationalLike) -> "ApproxReal":

@@ -11,7 +11,6 @@ is the general form of a bounded linear map into the scalars.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -21,6 +20,7 @@ from .falgebra import (
     ApproxReal,
     DEFAULT_TOLERANCES,
     DimensionMismatch,
+    Frozen,
     LElement,
     ToleranceConfig,
     sgn,
@@ -38,15 +38,15 @@ class NormKind(enum.Enum):
     TWO = "two"
 
 
-@dataclass(frozen=True)
-class ModuleSpace:
-    rank: int
-    scalar_dim: int
-    norm_kind: NormKind
+class ModuleSpace(Frozen):
+    __slots__ = ("rank", "scalar_dim", "norm_kind")
 
-    def __post_init__(self):
-        if self.rank < 1 or self.scalar_dim < 1:
+    def __init__(self, rank: int, scalar_dim: int, norm_kind: NormKind):
+        if rank < 1 or scalar_dim < 1:
             raise ValueError("rank and scalar_dim must be >= 1")
+        self._set("rank", rank)
+        self._set("scalar_dim", scalar_dim)
+        self._set("norm_kind", norm_kind)
 
     def zero(self) -> "ModuleVector":
         return ModuleVector(self, tuple(
@@ -68,19 +68,19 @@ class ModuleSpace:
         return ModuleSpace(self.rank, self.scalar_dim, kind)
 
 
-@dataclass(frozen=True)
-class ModuleVector:
-    space: ModuleSpace
-    entries: Tuple[LElement, ...]
+class ModuleVector(Frozen):
+    __slots__ = ("space", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.space.rank:
+    def __init__(self, space: ModuleSpace, entries: Tuple[LElement, ...]):
+        if len(entries) != space.rank:
             raise ShapeMismatch(
-                f"expected {self.space.rank} entries, got {len(self.entries)}")
-        for e in self.entries:
-            if e.dim != self.space.scalar_dim:
+                f"expected {space.rank} entries, got {len(entries)}")
+        for e in entries:
+            if e.dim != space.scalar_dim:
                 raise DimensionMismatch(
-                    f"entry dimension {e.dim} != {self.space.scalar_dim}")
+                    f"entry dimension {e.dim} != {space.scalar_dim}")
+        self._set("space", space)
+        self._set("entries", entries)
 
     def _check(self, other: "ModuleVector") -> None:
         if self.space != other.space:

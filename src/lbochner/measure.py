@@ -8,11 +8,10 @@ sign-pattern set families used by the density-failure probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
-from .falgebra import RationalLike, as_rational
+from .falgebra import Frozen, RationalLike, as_rational
 
 
 class TooManyAtoms(ValueError):
@@ -27,20 +26,21 @@ class SpaceMismatch(ValueError):
     """Set operation across different measure spaces."""
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
-    atom_names: Tuple[str, ...]
-    masses: Tuple[Fraction, ...]
+class MeasureSpace(Frozen):
+    __slots__ = ("atom_names", "masses")
 
-    def __post_init__(self):
-        if len(self.atom_names) != len(self.masses):
+    def __init__(self, atom_names: Tuple[str, ...],
+                 masses: Tuple[Fraction, ...]):
+        if len(atom_names) != len(masses):
             raise ValueError("atom_names and masses must have equal length")
-        if len(set(self.atom_names)) != len(self.atom_names):
+        if len(set(atom_names)) != len(atom_names):
             raise ValueError("atom names must be unique")
-        if any(m < 0 for m in self.masses):
+        if any(m < 0 for m in masses):
             raise ValueError("masses must be nonnegative")
-        if sum(self.masses) <= 0:
+        if sum(masses) <= 0:
             raise ValueError("total mass must be positive")
+        self._set("atom_names", atom_names)
+        self._set("masses", masses)
 
     @classmethod
     def build(cls, atom_names: Iterable[str],
@@ -84,14 +84,14 @@ class MeasureSpace:
             yield self.subset_of_mask(mask)
 
 
-@dataclass(frozen=True)
-class MeasurableSet:
-    space: MeasureSpace
-    members: FrozenSet[int]
+class MeasurableSet(Frozen):
+    __slots__ = ("space", "members")
 
-    def __post_init__(self):
-        if any(i < 0 or i >= self.space.size for i in self.members):
+    def __init__(self, space: MeasureSpace, members: FrozenSet[int]):
+        if any(i < 0 or i >= space.size for i in members):
             raise ValueError("member index out of range")
+        self._set("space", space)
+        self._set("members", members)
 
     def _check(self, other: "MeasurableSet") -> None:
         if self.space is not other.space and self.space != other.space:
@@ -141,16 +141,15 @@ def subset_sums(terms: Sequence[T], zero: T) -> List[T]:
     return sums
 
 
-@dataclass(frozen=True)
-class Partition:
-    blocks: Tuple[MeasurableSet, ...]
+class Partition(Frozen):
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: Tuple[MeasurableSet, ...]):
+        if not blocks:
             raise ValueError("partition needs at least one block")
-        space = self.blocks[0].space
+        space = blocks[0].space
         seen: set = set()
-        for b in self.blocks:
+        for b in blocks:
             if b.space != space:
                 raise SpaceMismatch("partition blocks on different spaces")
             if seen & b.members:
@@ -158,6 +157,7 @@ class Partition:
             seen |= b.members
         if seen != set(range(space.size)):
             raise ValueError("partition blocks must cover the space")
+        self._set("blocks", blocks)
 
     @property
     def space(self) -> MeasureSpace:

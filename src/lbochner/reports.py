@@ -9,25 +9,30 @@ binary floating point ever reaches a persisted artifact: rationals become
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 TOOL_VERSION = "lbochner 0.1.0"
 
 
-@dataclass
 class CheckReport:
     """One check's verdict.  A check starts passing; ``fail`` is the one
     place the first-failure rule lives: every call counts, and the first
     call's witness is the one reported."""
 
-    name: str
-    passed: bool = True
-    details: Dict[str, Any] = field(default_factory=dict)
-    witness: Optional[Dict[str, Any]] = None
-    series: Optional[List[Dict[str, Any]]] = None
-    failures: int = 0
+    __slots__ = ("name", "passed", "details", "witness", "series", "failures")
+
+    def __init__(self, name: str, passed: bool = True,
+                 details: Optional[Dict[str, Any]] = None,
+                 witness: Optional[Dict[str, Any]] = None,
+                 series: Optional[List[Dict[str, Any]]] = None,
+                 failures: int = 0):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.witness = witness
+        self.series = series
+        self.failures = failures
 
     def __bool__(self) -> bool:
         return self.passed
@@ -39,12 +44,15 @@ class CheckReport:
         self.failures += 1
 
 
-@dataclass
 class Report:
-    command: str
-    config: Dict[str, Any]
-    checks: List[CheckReport]
-    tool: str = TOOL_VERSION
+    __slots__ = ("command", "config", "checks", "tool")
+
+    def __init__(self, command: str, config: Dict[str, Any],
+                 checks: List[CheckReport], tool: str = TOOL_VERSION):
+        self.command = command
+        self.config = config
+        self.checks = checks
+        self.tool = tool
 
     @property
     def passed(self) -> bool:

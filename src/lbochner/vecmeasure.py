@@ -8,12 +8,11 @@ attained at the atomic partition (certified by refinement monotonicity)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
 from . import certified
-from .falgebra import DEFAULT_TOLERANCES, LElement, ToleranceConfig
+from .falgebra import DEFAULT_TOLERANCES, Frozen, LElement, ToleranceConfig
 from .bochner import LFunction, integrate_over, lp_norm
 from .lmodule import (
     ModuleSpace,
@@ -42,18 +41,19 @@ class NotAbsolutelyContinuous(ValueError):
     """A zero-mass atom carries a nonzero value: no density can exist."""
 
 
-@dataclass(frozen=True)
-class VectorMeasure:
-    space: MeasureSpace
-    codomain: ModuleSpace
-    atom_values: Tuple[ModuleVector, ...]
+class VectorMeasure(Frozen):
+    __slots__ = ("space", "codomain", "atom_values")
 
-    def __post_init__(self):
-        if len(self.atom_values) != self.space.size:
+    def __init__(self, space: MeasureSpace, codomain: ModuleSpace,
+                 atom_values: Tuple[ModuleVector, ...]):
+        if len(atom_values) != space.size:
             raise ValueError("one value per atom required")
-        for v in self.atom_values:
-            if v.space != self.codomain:
+        for v in atom_values:
+            if v.space != codomain:
                 raise SpaceMismatch("atom value outside the declared codomain")
+        self._set("space", space)
+        self._set("codomain", codomain)
+        self._set("atom_values", atom_values)
 
     @classmethod
     def from_density(cls, g: LFunction) -> "VectorMeasure":

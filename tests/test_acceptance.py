@@ -17,6 +17,7 @@ from lbochner.bochner import (
     INF,
     DominatorViolation,
     LFunction,
+    TruncatedSequenceSpec,
     check_holder,
     check_minkowski,
     check_chebyshev_step,
@@ -184,10 +185,11 @@ def test_criterion_06_dct():
     for coord in final["error"]:
         assert coord < threshold
     # negative control: an undersized dominator must trip the error path
-    import dataclasses
-    bad = dataclasses.replace(
-        spec, dominator=tuple(LElement(["1/4096", "1/4096"])
-                              for _ in range(spec.space.size)))
+    bad = TruncatedSequenceSpec(
+        space=spec.space, codomain=spec.codomain, term=spec.term,
+        limit=spec.limit, dominator=tuple(LElement(["1/4096", "1/4096"])
+                                          for _ in range(spec.space.size)),
+        scalar_bound=spec.scalar_bound, tail_mass=spec.tail_mass)
     with pytest.raises(DominatorViolation):
         run_dct_experiment(bad, 4, CFG)
 

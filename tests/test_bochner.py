@@ -682,6 +682,50 @@ class TestNegativeControls:
         assert rep.details["lhs"] == L(21, 12)
         assert rep.details["rhs"] == L(14, 8)
 
+    @staticmethod
+    def _zero_integrals(monkeypatch):
+        # the integral of the atom norms reads 0 in every coordinate
+        monkeypatch.setattr(
+            bochner, "lp_from_atom_norms",
+            lambda norms, masses, p, cfg: [certified.exact(Fraction(0))]
+            * len(norms[0]))
+
+    def test_chebyshev_fails_on_zeroed_integral(self, base, monkeypatch):
+        # moves the right-hand side only: the integral of ||h_n - h|| reads
+        # 0, while gamma * mu([||h_n - h|| >= gamma]) comes from the atom
+        # norms.  h_n - h is (2, 0) on atom a (mass 1) and 0 on b, so at
+        # gamma = 1 coordinate 0 has 1 <= 2, read as 1 <= 0.
+        space, h = base
+        hn = fn(space, L(3, 2), L(3, 1))
+        assert check_chebyshev_step([hn], h, Fraction(1)).passed
+        self._zero_integrals(monkeypatch)
+        rep = check_chebyshev_step([hn], h, Fraction(1))
+        assert not rep.passed
+        assert rep.failures == 1
+        assert rep.witness == {"n": 0, "coordinate": 0, "level_measure": 1}
+
+    def test_dct_fails_on_zeroed_bound(self, monkeypatch):
+        # moves the right-hand side only: the integral of ||g_n - g|| reads
+        # 0, so the bound is the tail allowance 2 * phi * tail = 1/2, while
+        # the error ||integral(g_n) - integral(g)|| is computed from the
+        # integrals themselves.  At n = 0 the error is (3/4, 1/4).
+        space = MeasureSpace.build(["t1", "t2"], ["1/2", "1/4"])
+        values = (ModuleVector(MOD, (L(1, 1),)),
+                  ModuleVector(MOD, (L(1, -1),)))
+        spec = TruncatedSequenceSpec(
+            space=space, codomain=MOD,
+            term=lambda n, t: values[t] if t < n else MOD.zero(),
+            limit=LFunction(space, MOD, values), dominator=(L(1, 1),) * 2,
+            scalar_bound=Fraction(1), tail_mass=Fraction(1, 4))
+        assert run_dct_experiment(spec, 2).passed
+        self._zero_integrals(monkeypatch)
+        rep = run_dct_experiment(spec, 2)
+        assert not rep.passed
+        assert rep.failures == 1
+        assert rep.witness == {"n": 0, "coordinate": 0}
+        assert rep.series[0]["error"] == [Fraction(3, 4), Fraction(1, 4)]
+        assert rep.series[0]["bound"] == [Fraction(1, 2)] * 2
+
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(0)], ids=str)
 @pytest.mark.parametrize("call", [

@@ -1,4 +1,5 @@
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -296,3 +297,102 @@ class TestIntervalOps:
         ok, _ = certified.leq_with_slack(exact(Fraction(2)), exact(Fraction(2)),
                                          Fraction(0))
         assert ok
+
+
+# The root kernel as it was before the single-root bracket, the even-order
+# square-root descent and the exact-bracket midpoint; the class below
+# checks that the current kernel returns exactly what these returned.
+
+def previous_int_nth_root(x, n):
+    if x in (0, 1) or n == 1:
+        return x
+    if n == 2:
+        return math.isqrt(x)
+    if x.bit_length() <= n:
+        return 1
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        nr = ((n - 1) * r + x // r ** (n - 1)) // n
+        if nr >= r:
+            break
+        r = nr
+    while r ** n > x:
+        r -= 1
+    return r
+
+
+def previous_root_bracket(q, n, bits):
+    num, den = q.numerator, q.denominator
+    if num == 0 or num == den or n == 1:
+        return (q, q)
+    rn = previous_int_nth_root(num, n)
+    if rn ** n == num:
+        rd = previous_int_nth_root(den, n)
+        if rd ** n == den:
+            ex = Fraction(rn, rd)
+            return (ex, ex)
+    scaled = num << (bits * n)
+    t_lo = previous_int_nth_root(scaled // den, n)
+    t_hi = previous_int_nth_root(-(-scaled // den), n) + 1
+    scale = 1 << bits
+    return (Fraction(t_lo, scale), Fraction(t_hi, scale))
+
+
+def previous_mid(iv):
+    return (iv[0] + iv[1]) / 2
+
+
+def _radicands(rng, count):
+    """Random integers with perfect powers and perfect powers +- 1 mixed in."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        r = rng.getrandbits(rng.randint(1, 90))
+        x = r ** n + rng.choice((-1, 0, 0, 1, rng.getrandbits(40)))
+        out.append((max(x, 0), n))
+    return out
+
+
+class TestRootKernelAgainstPrevious:
+    def test_int_nth_root(self):
+        rng = random.Random(1401)
+        for x, n in _radicands(rng, 3000):
+            assert certified.int_nth_root(x, n) == \
+                previous_int_nth_root(x, n), (x, n)
+
+    def test_root_bracket(self):
+        rng = random.Random(1402)
+        cases = 0
+        for (a, n), (b, _) in zip(_radicands(rng, 2000),
+                                  _radicands(rng, 2000)):
+            q = Fraction(a, b or 1)
+            bits = rng.choice((8, 20, 42, 64))
+            got = certified.root_bracket(q, n, bits)
+            want = previous_root_bracket(q, n, bits)
+            assert got == want and all(type(e) is Fraction for e in got)
+            cases += 1
+        assert cases == 2000
+
+    def test_root_bracket_upper_end_on_perfect_power_ceilings(self):
+        # q * 2**(bits*n) just below the perfect power t**n: its ceiling is
+        # t**n, whose root t is one above the floor's, so the upper end is
+        # two steps above the lower one
+        for bits in (0, 3, 8):
+            for n in (2, 3, 4, 5, 6):
+                for t in (3, 17, 100):
+                    scale = 1 << (bits * n)
+                    den = scale + 1
+                    q = Fraction((t ** n - 1) * den // scale + 1, den)
+                    got = certified.root_bracket(q, n, bits)
+                    assert got == previous_root_bracket(q, n, bits)
+                    assert got[1] - got[0] == Fraction(2, 1 << bits)
+
+    def test_mid(self):
+        rng = random.Random(1403)
+        for _ in range(2000):
+            lo = Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                          rng.randint(1, 10 ** 6))
+            for iv in ((lo, lo), (lo, Fraction(lo.numerator, lo.denominator)),
+                       (lo, lo + Fraction(1, rng.randint(1, 10 ** 6)))):
+                got = certified.mid(iv)
+                assert got == previous_mid(iv) and type(got) is Fraction

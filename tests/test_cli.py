@@ -475,6 +475,60 @@ class TestFailurePaths:
         assert check["details"]["failures"] == 1
         assert check["witness"] == {"trial": 0, "coordinate": 0}
 
+    @staticmethod
+    def _zero_integrals(monkeypatch):
+        monkeypatch.setattr(
+            bochner, "lp_from_atom_norms",
+            lambda norms, masses, p, cfg: [(Fraction(0), Fraction(0))]
+            * len(norms[0]))
+
+    def test_chebyshev_zeroed_integral(self, tmp_path, monkeypatch):
+        # moves the right-hand side only: the integral of ||h_n - h|| reads
+        # 0; the level-set side comes from the atom norms
+        self._zero_integrals(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["check", "chebyshev", "--out", str(out)]) == 1
+        check = self._checks(out)["chebyshev-step"]
+        assert check["witness"] == {"n": 0, "coordinate": 0,
+                                    "level_measure": "12/1"}
+
+    def test_dct_zeroed_bound(self, tmp_path, monkeypatch):
+        # moves the right-hand side only: the bound keeps just the tail
+        # allowance; the error side comes from the integrals
+        self._zero_integrals(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["run", "dct", "--out", str(out)]) == 1
+        check = self._checks(out)["dominated-convergence"]
+        assert check["witness"] == {"n": 0, "coordinate": 0}
+
+    @pytest.mark.parametrize("cmd", ["holder", "minkowski"])
+    def test_v_document_alone_draws_u_on_its_space(self, cmd, tmp_path,
+                                                   monkeypatch):
+        # the one-atom document of the Hölder digest as v, u seeded on v's
+        # space and into the module v pairs with
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "v.json", TestGoldenReports.ONES_SUP_DOC)
+        assert main(["check", cmd, "--v", "v.json",
+                     "--out", "report.json"]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["verdict"] == "PASS"
+        assert doc["checks"][0]["details"]["pairs"] == 1
+
+    @pytest.mark.parametrize("cmd,error", [
+        ("holder", "functions cannot be paired"),
+        ("minkowski", "functions on different spaces")])
+    def test_v_document_off_the_named_space_is_usage_error(
+            self, cmd, error, holder_fixtures, tmp_path, capsys,
+            monkeypatch):
+        # an explicit --space wins over v's own, so a v elsewhere exits 2
+        s, u, v = holder_fixtures
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "one.json", TestGoldenReports.ONES_SUP_DOC)
+        assert main(["check", cmd, "--space", s, "--v", "one.json",
+                     "--out", "report.json"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("kind", ["one", "two"])
     def test_holder_mismatched_pair_is_usage_error(self, kind,
                                                    holder_fixtures,
@@ -582,7 +636,8 @@ print(json.dumps({"loaded": loaded, "unresolved": unresolved,
         assert doc == {"loaded": [], "unresolved": [], "inf": True}
 
     def test_layer_runs_on_first_use(self, tmp_path):
-        # control for the test above: a command does load what it reaches
+        # control for the test above: a command does load what it reaches,
+        # and the layers' value types need no dataclasses
         doc = _fresh_python(f"""
 import json, sys
 import lbochner.cli
@@ -591,7 +646,27 @@ lbochner.cli.main(["check", "norm-axioms", "--trials", "1",
 print(json.dumps(sorted(m for m in ("dataclasses", "fractions")
                         if m in sys.modules)))
 """)
-        assert doc == ["dataclasses", "fractions"]
+        assert doc == ["fractions"]
+
+    def test_commands_load_no_code_introspection(self, tmp_path):
+        # dataclasses would bring inspect, ast, dis and tokenize into every
+        # process; three commands that reach every layer load none of them
+        doc = _fresh_python(f"""
+import json, sys
+import lbochner.cli
+for argv in (["suite", "all", "--seed", "42"], ["rn", "variation"],
+             ["dual", "isometry"]):
+    assert lbochner.cli.main(
+        [*argv, "--out", {str(tmp_path / "r.json")!r}]) == 0, argv
+loaded = [m for m in ("dataclasses", "inspect", "ast", "dis", "tokenize")
+          if m in sys.modules]
+import layertrace, types  # layertrace itself imports inspect
+print(json.dumps({{
+    "not_run": [m for m in layertrace.LAYER_OF_MODULE
+                if type(sys.modules[m]) is not types.ModuleType],
+    "loaded": loaded}}))
+""")
+        assert doc == {"not_run": [], "loaded": []}
 
 
 class TestOutputs:

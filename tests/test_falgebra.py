@@ -131,3 +131,67 @@ class TestOrderConvergence:
             first_envelope_violation(seq, L(0), [(L(1), 0), (L(2), 0)])
         with pytest.raises(ValueError):
             first_envelope_violation(seq, L(0), [])
+
+
+def _value_type_samples():
+    """For each immutable value type: a builder of a sample (an argument
+    selects one of two different values)."""
+    from lbochner.bochner import LFunction
+    from lbochner.duality import LpOperator
+    from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind
+    from lbochner.measure import MeasureSpace, Partition
+    from lbochner.vecmeasure import VectorMeasure
+
+    def space(k):
+        return MeasureSpace.build(["a", "b"], [1, 1 + k])
+
+    def module(k):
+        return ModuleSpace(1, 2, (NormKind.SUP, NormKind.ONE)[k])
+
+    def vector(k):
+        return ModuleVector(module(0), (LElement([1, k]),))
+
+    def function(k):
+        return LFunction(space(0), module(0), (vector(k), vector(0)))
+
+    return {
+        "ToleranceConfig": lambda k: ToleranceConfig(
+            compare_tol=Fraction(1, 2 ** (30 + k))),
+        "ApproxReal": lambda k: ApproxReal(Fraction(1), Fraction(k, 8)),
+        "MeasureSpace": space,
+        "MeasurableSet": lambda k: space(0).subset([k]),
+        "Partition": lambda k: Partition(
+            (space(0).subset([0, 1]),) if k else
+            (space(0).singleton(0), space(0).singleton(1))),
+        "ModuleSpace": module,
+        "ModuleVector": vector,
+        "LFunction": function,
+        "LpOperator": lambda k: LpOperator(
+            space(0), module(0), ((LElement([k, 1]),), (LElement([1, 1]),)),
+            Fraction(2)),
+        "VectorMeasure": lambda k: VectorMeasure(
+            space(0), module(0), (vector(k), vector(0))),
+    }
+
+
+class TestValueTypes:
+    """The value types compare and hash by value and refuse assignment."""
+
+    @pytest.mark.parametrize("name", sorted(_value_type_samples()))
+    def test_value_semantics(self, name):
+        build = _value_type_samples()[name]
+        a, b, other = build(0), build(0), build(1)
+        assert type(a).__name__ == name
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not (a != b)
+        assert a != other and len({a, b, other}) == 2
+        assert a != object() and a != tuple(getattr(a, n) for n in a.__slots__)
+        assert repr(a).startswith(f"{name}(")
+        field = a.__slots__[0]
+        before = getattr(a, field)
+        for attempt in (lambda: setattr(a, field, before),
+                        lambda: delattr(a, field),
+                        lambda: setattr(a, "extra", 1)):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert getattr(a, field) is before and not hasattr(a, "__dict__")

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -7,14 +6,37 @@ import lbochner
 from lbochner.reports import CheckReport, check_to_doc
 
 
-def _package_dataclasses():
+def _package_classes():
     for info in pkgutil.walk_packages(lbochner.__path__, "lbochner."):
         if info.name.endswith(".__main__"):
             continue  # importing it would run the command line
         module = importlib.import_module(info.name)
         for _, cls in inspect.getmembers(module, inspect.isclass):
-            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+            if cls.__module__ == module.__name__:
                 yield cls
+
+
+def _field_names(cls) -> set:
+    """The names a class keeps per instance: its own ``__slots__``, and the
+    parameters of its own ``__init__``."""
+    names = set(cls.__dict__.get("__slots__", ()))
+    init = cls.__dict__.get("__init__")
+    if inspect.isfunction(init):
+        names |= set(inspect.signature(init).parameters) - {"self"}
+    return names
+
+
+def _verdict_types(classes) -> list:
+    """The classes that keep their own passed flag (field or property)
+    next to a witness field."""
+    found = []
+    for cls in classes:
+        names = _field_names(cls)
+        has_passed = ("passed" in names
+                      or isinstance(getattr(cls, "passed", None), property))
+        if has_passed and any(n.startswith("witness") for n in names):
+            found.append(cls.__qualname__)
+    return found
 
 
 class TestFail:
@@ -37,16 +59,34 @@ class TestFail:
 
 
 class TestOneVerdictType:
-    def test_no_other_dataclass_keeps_a_verdict(self):
-        """CheckReport is the one verdict type: no other dataclass keeps its
-        own passed flag (field or property) next to a witness field."""
-        found = list(_package_dataclasses())
+    def test_no_other_class_keeps_a_verdict(self):
+        """CheckReport is the one verdict type: no other class of the
+        package keeps its own passed flag (field or property) next to a
+        witness field."""
+        found = list(_package_classes())
         assert CheckReport in found
-        verdict_types = []
-        for cls in found:
-            names = {f.name for f in dataclasses.fields(cls)}
-            has_passed = ("passed" in names
-                          or isinstance(getattr(cls, "passed", None), property))
-            if has_passed and any(n.startswith("witness") for n in names):
-                verdict_types.append(cls.__qualname__)
-        assert verdict_types == ["CheckReport"]
+        assert _verdict_types(found) == ["CheckReport"]
+
+    def test_a_second_verdict_type_is_flagged(self):
+        # controls: slots, __init__ parameters and a passed property
+        class BySlots:
+            __slots__ = ("passed", "witness")
+
+        class ByInit:
+            def __init__(self, passed, witness_atom):
+                pass
+
+        class ByProperty:
+            __slots__ = ("witness",)
+            passed = property(lambda self: True)
+
+        class NoWitness:
+            __slots__ = ("passed", "details")
+
+        assert _verdict_types([BySlots, ByInit, ByProperty, NoWitness]) == [
+            "TestOneVerdictType.test_a_second_verdict_type_is_flagged."
+            "<locals>.BySlots",
+            "TestOneVerdictType.test_a_second_verdict_type_is_flagged."
+            "<locals>.ByInit",
+            "TestOneVerdictType.test_a_second_verdict_type_is_flagged."
+            "<locals>.ByProperty"]
