@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import certified
-from .certified import Interval
+from .certified import Ends, Interval
 from .falgebra import (
     DEFAULT_TOLERANCES,
     Frozen,
@@ -28,9 +28,9 @@ from .lmodule import (
     ModuleSpace,
     ModuleVector,
     NormValue,
-    collapse_intervals,
+    collapse,
     contract,
-    norm_intervals,
+    norm_ends,
 )
 from .measure import (
     MeasurableSet,
@@ -45,6 +45,9 @@ from .sampling import random_module_vector, rng_for
 INF = None  # exponent marker for the essential-sup norm
 
 Exponent = Optional[Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def conjugate_exponent(p: Exponent) -> Exponent:
@@ -61,9 +64,10 @@ def _check_exponent(p: Exponent) -> None:
 
 
 def is_conjugate_pair(p: Exponent, q: Exponent) -> bool:
-    inv_p = Fraction(0) if p is INF else Fraction(1) / p
-    inv_q = Fraction(0) if q is INF else Fraction(1) / q
-    return inv_p + inv_q == 1
+    # 1/p + 1/q = 1 with 1/INF = 0, cross-multiplied
+    an, ad = (0, 1) if p is INF else (p.denominator, p.numerator)
+    bn, bd = (0, 1) if q is INF else (q.denominator, q.numerator)
+    return an * bd + bn * ad == ad * bd
 
 
 class LFunction(Frozen):
@@ -147,72 +151,73 @@ def integrate_over(f: LFunction, E: MeasurableSet) -> ModuleVector:
     return ModuleVector(f.codomain, tuple(acc))
 
 
-def atom_norm_intervals(f: LFunction,
-                        cfg: ToleranceConfig) -> List[List[Interval]]:
-    return [norm_intervals(v, cfg) for v in f.values]
+def atom_norm_ends(f: LFunction, cfg: ToleranceConfig) -> List[List[Ends]]:
+    return [norm_ends(v, cfg) for v in f.values]
 
 
-def power_sums_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
-                               masses: Sequence[Fraction], s: Fraction,
-                               cfg: ToleranceConfig) -> List[Interval]:
+def power_sums_from_atom_ends(atom_ends: Sequence[Sequence[Ends]],
+                              masses: Sequence[Fraction], s: Fraction,
+                              cfg: ToleranceConfig) -> List[Interval]:
     """Per scalar coordinate: bracket of the sum over non-null atoms t of
-    mu(t) * ||f(t)||**s, from the per-atom, per-coordinate norm brackets.
+    mu(t) * ||f(t)||**s, from the per-atom, per-coordinate norm ends.
 
-    The lower ends mu(t) * lo(||f(t)||)**s and the upper ends are kept as
-    integer numerator/denominator pairs (``certified.ipow_ends``) and each
-    end's sum is taken over one common denominator."""
+    The lower ends mu(t) * lo(||f(t)||)**s and the upper ends are integer
+    pairs (``certified.ipow_ends``), and each end's sum is taken over one
+    common denominator and reduced once, into the ``Fraction`` that both
+    callers need: the p-th root's radicand and the bootstrap's reported
+    series.  Comparisons read its ends."""
     bits = cfg.root_bits + 2
     # per coordinate: lower-end numerators and denominators, then upper
-    ends = [([], [], [], []) for _ in atom_norms[0]]
-    for norms, mass in zip(atom_norms, masses):
+    sums = [([], [], [], []) for _ in atom_ends[0]]
+    for norms, mass in zip(atom_ends, masses):
         mn, md = mass.numerator, mass.denominator
         if mn == 0:
             continue
-        for iv, (lo_nums, lo_dens, hi_nums, hi_dens) in zip(norms, ends):
-            ln, ld, hn, hd = certified.ipow_ends(iv, s, bits)
+        for e, (lo_nums, lo_dens, hi_nums, hi_dens) in zip(norms, sums):
+            ln, ld, hn, hd = certified.ipow_ends(e[:2], e[2:], s, bits)
             lo_nums.append(mn * ln)
             lo_dens.append(md * ld)
             hi_nums.append(mn * hn)
             hi_dens.append(md * hd)
     out: List[Interval] = []
-    for lo_nums, lo_dens, hi_nums, hi_dens in ends:
-        lo = certified.common_denominator_sum(lo_nums, lo_dens)
+    for lo_nums, lo_dens, hi_nums, hi_dens in sums:
+        lo = Fraction(*certified.common_denominator_sum(lo_nums, lo_dens))
         if lo_nums == hi_nums and lo_dens == hi_dens:
             out.append((lo, lo))
         else:
-            out.append((lo, certified.common_denominator_sum(hi_nums, hi_dens)))
+            out.append((lo, Fraction(*certified.common_denominator_sum(
+                hi_nums, hi_dens))))
     return out
 
 
-def lp_from_atom_norms(atom_norms: Sequence[Sequence[Interval]],
-                       masses: Sequence[Fraction], p: Exponent,
-                       cfg: ToleranceConfig) -> List[Interval]:
+def lp_from_atom_ends(atom_ends: Sequence[Sequence[Ends]],
+                      masses: Sequence[Fraction], p: Exponent,
+                      cfg: ToleranceConfig) -> List[Ends]:
     """Per scalar coordinate: bracket of the p-norm of a function given by
-    its per-atom norm brackets; null atoms are skipped.  At p = INF this is
+    its per-atom norm ends; null atoms are skipped.  At p = INF this is
     the largest atom norm (0 when every atom is null)."""
     if p is INF:
-        out = [certified.exact(Fraction(0))] * len(atom_norms[0])
-        for norms, mass in zip(atom_norms, masses):
-            if mass == 0:
+        out = [certified.exact(0)] * len(atom_ends[0])
+        for norms, mass in zip(atom_ends, masses):
+            if mass.numerator == 0:
                 continue
             out = [certified.imax(a, b) for a, b in zip(out, norms)]
         return out
     bits = cfg.root_bits + 2
-    inv_p = Fraction(1) / p
-    return [certified.ipow_frac(iv, inv_p, bits)
-            for iv in power_sums_from_atom_norms(atom_norms, masses, p, cfg)]
+    inv_p = (p.denominator, p.numerator)
+    return [certified.ipow_ends(lo, hi, inv_p, bits)
+            for lo, hi in power_sums_from_atom_ends(atom_ends, masses, p, cfg)]
 
 
-def lp_norm_intervals(f: LFunction, p: Exponent,
-                      cfg: ToleranceConfig) -> List[Interval]:
-    return lp_from_atom_norms(atom_norm_intervals(f, cfg),
-                              f.space.masses, p, cfg)
+def lp_norm_ends(f: LFunction, p: Exponent,
+                 cfg: ToleranceConfig) -> List[Ends]:
+    return lp_from_atom_ends(atom_norm_ends(f, cfg), f.space.masses, p, cfg)
 
 
 def lp_norm(f: LFunction, p: Exponent,
             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
     _check_exponent(p)
-    return collapse_intervals(lp_norm_intervals(f, p, cfg))
+    return collapse(lp_norm_ends(f, p, cfg))
 
 
 SUP_REP_MAX_ATOMS = 16
@@ -223,12 +228,13 @@ def verify_sup_representation(f: LFunction, p: Exponent,
     """Exhaustively checks that E -> integral over E of ||f||**p is monotone
     under inclusion and attains its supremum at the whole space.
 
-    For each scalar coordinate, every bracket end of the weighted atom terms
-    mu(t) * ||f(t)||**p and the tolerance are put over one common
-    denominator, so the 2**m lower and upper subset sums are plain integers
-    and each comparison is ``leq_with_slack``'s rule lo(a) <= hi(b) + tol,
-    scaled by that denominator.  Spaces above ``SUP_REP_MAX_ATOMS`` atoms
-    are refused before anything is allocated."""
+    For each scalar coordinate, every end of the weighted atom terms
+    mu(t) * ||f(t)||**p (``certified.scale`` of the power's ends) and the
+    tolerance are put over one common denominator, so the 2**m lower and
+    upper subset sums are plain integers and each comparison is
+    ``leq_with_slack``'s rule lo(a) <= hi(b) + tol, scaled by that
+    denominator.  Spaces above ``SUP_REP_MAX_ATOMS`` atoms are refused
+    before anything is allocated."""
     _check_exponent(p)
     if p is INF:
         raise ValueError("sup representation needs a finite exponent")
@@ -238,25 +244,27 @@ def verify_sup_representation(f: LFunction, p: Exponent,
                              f"cap {SUP_REP_MAX_ATOMS}")
     d = f.codomain.scalar_dim
     bits = cfg.root_bits + 2
-    powers = [[certified.ipow_frac(iv, p, bits) for iv in norms]
-              for norms in atom_norm_intervals(f, cfg)]
-    weighted = [[certified.iscale(iv, mass) for iv in row]
+    powers = [[certified.ipow_ends(e[:2], e[2:], p, bits) for e in norms]
+              for norms in atom_norm_ends(f, cfg)]
+    weighted = [[certified.scale(e, mass.numerator, mass.denominator)
+                 for e in row]
                 for row, mass in zip(powers, f.space.masses)]
     tol = certified.tol_for(cfg.compare_tol, *powers)
 
     lo_sums: List[List[int]] = []
     hi_plus_tol: List[List[int]] = []
-    at_full: List[Interval] = []
+    at_full: List[Ends] = []
     for j in range(d):
         column = [row[j] for row in weighted]
-        den = math.lcm(tol.denominator,
-                       *(end.denominator for iv in column for end in iv))
-        lo = subset_sums([_over(iv[0], den) for iv in column], 0)
-        hi = subset_sums([_over(iv[1], den) for iv in column], 0)
-        tol_j = _over(tol, den)
+        den = math.lcm(tol.denominator, *(e[1] for e in column),
+                       *(e[3] for e in column))
+        lo = subset_sums([e[0] * (den // e[1]) for e in column], 0)
+        hi = subset_sums([e[2] * (den // e[3]) for e in column], 0)
+        tol_j = tol.numerator * (den // tol.denominator)
         lo_sums.append(lo)
         hi_plus_tol.append([s + tol_j for s in hi])
-        at_full.append((Fraction(lo[-1], den), Fraction(hi[-1], den)))
+        at_full.append(certified.reduced(lo[-1], den)
+                       + certified.reduced(hi[-1], den))
 
     witness, pairs_checked = _first_sup_rep_failure(lo_sums, hi_plus_tol, m)
     return CheckReport(
@@ -265,15 +273,10 @@ def verify_sup_representation(f: LFunction, p: Exponent,
         details={
             "subsets": 1 << m,
             "pairs_checked": pairs_checked,
-            "max_at_full_space": collapse_intervals(at_full),
+            "max_at_full_space": collapse(at_full),
         },
         witness=witness,
     )
-
-
-def _over(q: Fraction, den: int) -> int:
-    """The numerator of q written over den, a multiple of q's denominator."""
-    return q.numerator * (den // q.denominator)
 
 
 def _first_sup_rep_failure(lo: Sequence[Sequence[int]],
@@ -337,24 +340,27 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
         raise ValueError("non-conjugate exponents")
     u._check_pairable(v)
     d = u.codomain.scalar_dim
-    lhs = [certified.exact(Fraction(0))] * d
+    lhs = [certified.exact(0)] * d
     for t, mass in enumerate(u.space.masses):
-        if mass == 0:
+        mn, md = mass.numerator, mass.denominator
+        if mn == 0:
             continue
         val = abs(contract(u.values[t].entries, v.values[t].entries))
-        lhs = [certified.iadd(lhs[j], certified.exact(val[j] * mass))
-               for j in range(d)]
+        lhs = [certified.add(acc, certified.scale(certified.exact(n, dn),
+                                                  mn, md))
+               for acc, n, dn in zip(lhs, val.nums, val.dens)]
 
-    nu = lp_norm_intervals(u, p, cfg)
-    nv = lp_norm_intervals(v, q, cfg)
-    rhs = [certified.imul(a, b) for a, b in zip(nu, nv)]
+    nu = lp_norm_ends(u, p, cfg)
+    nv = lp_norm_ends(v, q, cfg)
+    rhs = [certified.mul(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
     verdicts = [certified.leq_with_slack(a, b, tol) for a, b in zip(lhs, rhs)]
     report = CheckReport(
         name="holder",
-        details={"lhs": collapse_intervals(lhs), "rhs": collapse_intervals(rhs),
-                 "slack": [s for _, s in verdicts], "tolerance": tol},
+        details={"lhs": collapse(lhs), "rhs": collapse(rhs),
+                 "slack": [Fraction(*s) for _, s in verdicts],
+                 "tolerance": tol},
     )
     for j, (ok, _) in enumerate(verdicts):
         if not ok:
@@ -368,17 +374,18 @@ def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
     if p is INF or p < 1:
         raise ValueError("need 1 <= p < infinity")
     u._check(v)
-    ns = lp_norm_intervals(u + v, p, cfg)
-    nu = lp_norm_intervals(u, p, cfg)
-    nv = lp_norm_intervals(v, p, cfg)
-    rhs = [certified.iadd(a, b) for a, b in zip(nu, nv)]
+    ns = lp_norm_ends(u + v, p, cfg)
+    nu = lp_norm_ends(u, p, cfg)
+    nv = lp_norm_ends(v, p, cfg)
+    rhs = [certified.add(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, ns, nu, nv)
 
     verdicts = [certified.leq_with_slack(a, b, tol) for a, b in zip(ns, rhs)]
     report = CheckReport(
         name="minkowski",
-        details={"lhs": collapse_intervals(ns), "rhs": collapse_intervals(rhs),
-                 "slack": [s for _, s in verdicts], "tolerance": tol},
+        details={"lhs": collapse(ns), "rhs": collapse(rhs),
+                 "slack": [Fraction(*s) for _, s in verdicts],
+                 "tolerance": tol},
     )
     for j, (ok, _) in enumerate(verdicts):
         if not ok:
@@ -394,25 +401,29 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
     smallest positive atom mass."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    min_mass = min((mass for mass in h.space.masses if mass > 0))
+    floor = gamma * min((mass for mass in h.space.masses if mass > 0))
+    gn, gd = gamma.numerator, gamma.denominator
     report = CheckReport(name="chebyshev-step",
                          details={"gamma": gamma, "terms": len(hs)}, series=[])
     for n, hn in enumerate(hs):
         hn._check(h)
-        norms = atom_norm_intervals(hn - h, cfg)
-        integrals = lp_from_atom_norms(norms, h.space.masses, Fraction(1), cfg)
+        norms = atom_norm_ends(hn - h, cfg)
+        integrals = lp_from_atom_ends(norms, h.space.masses, _ONE, cfg)
         for j, total in enumerate(integrals):
+            # certified members only: the lower end reaches gamma
             level = [t for t in range(h.space.size)
-                     if norms[t][j][0] >= gamma]  # certified members only
+                     if norms[t][j][0] * gd >= gn * norms[t][j][1]]
             mu_level = sum((h.space.masses[t] for t in level), Fraction(0))
+            weight = gamma * mu_level
             ok, slack = certified.leq_with_slack(
-                certified.exact(gamma * mu_level), total, Fraction(0))
-            vanishes = total[1] < gamma * min_mass
+                certified.exact(weight.numerator, weight.denominator), total,
+                _ZERO)
+            vanishes = total[2] * floor.denominator < floor.numerator * total[3]
             if vanishes and mu_level != 0:
                 ok = False
             report.series.append({
                 "n": n, "coordinate": j, "level_measure": mu_level,
-                "integral": certified.mid(total), "slack": slack})
+                "integral": certified.mid(total), "slack": Fraction(*slack)})
             if not ok:
                 report.fail({"n": n, "coordinate": j,
                              "level_measure": mu_level})
@@ -469,6 +480,7 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
             raise ValueError(f"dominator exceeds the scalar bound at atom {t}")
     lim_integral = integrate(spec.limit)
     tail_term = 2 * phi * spec.tail_mass
+    tail = certified.exact(tail_term.numerator, tail_term.denominator)
 
     report = CheckReport(
         name="dominated-convergence",
@@ -476,19 +488,20 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                  "scalar_bound": phi},
         series=[],
     )
-    prev_bound: Optional[List[Interval]] = None
+    prev_bound: Optional[List[Ends]] = None
     for n in range(n_max + 1):
         gn = _term_function(spec, n)
-        norms = atom_norm_intervals(gn, cfg)
+        norms = atom_norm_ends(gn, cfg)
         for t in range(m):
-            for j in range(d):
-                if norms[t][j][0] > spec.dominator[t][j]:
+            dominator = spec.dominator[t]
+            for e, dn, dd in zip(norms[t], dominator.nums, dominator.dens):
+                if e[0] * dd > dn * e[1]:
                     raise DominatorViolation(n, t)
-        err = norm_intervals(integrate(gn) - lim_integral, cfg)
-        diff_norms = atom_norm_intervals(gn - spec.limit, cfg)
-        bound = [certified.iadd(iv, certified.exact(tail_term))
-                 for iv in lp_from_atom_norms(diff_norms, spec.space.masses,
-                                              Fraction(1), cfg)]
+        err = norm_ends(integrate(gn) - lim_integral, cfg)
+        diff_norms = atom_norm_ends(gn - spec.limit, cfg)
+        bound = [certified.add(e, tail)
+                 for e in lp_from_atom_ends(diff_norms, spec.space.masses,
+                                            _ONE, cfg)]
         tol = certified.tol_for(cfg.compare_tol, err, bound)
         for j in range(d):
             if not certified.leq_with_slack(err[j], bound[j], tol)[0]:
@@ -501,8 +514,8 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                                  "bound_not_monotone": True})
         prev_bound = bound
         report.series.append({"n": n,
-                              "error": [certified.mid(iv) for iv in err],
-                              "bound": [certified.mid(iv) for iv in bound]})
+                              "error": [certified.mid(e) for e in err],
+                              "bound": [certified.mid(e) for e in bound]})
     return report
 
 
@@ -512,7 +525,12 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
     """Synthesizes u_n = u* + 2**-n w on ``space`` into ``codomain`` and
     replays the completeness proof's estimates: the pairwise envelope bound,
     the pointwise limit, and the closing norm estimate with the exact
-    residual 2**-n ||w||_p."""
+    residual 2**-n ||w||_p.
+
+    Only the envelope 2**(1-k) ||w||_p depends on k, so each pairwise
+    distance ||u_a - u_b||_p, a <= b, is computed once."""
+    if n_terms < 1:
+        raise ValueError("n_terms must be >= 1")
     _check_exponent(p)
     if p is INF:
         raise ValueError("harness needs a finite exponent")
@@ -524,21 +542,22 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
         random_module_vector(rng, codomain) for _ in range(space.size)))
     terms = [u_star + w.scale_rational(Fraction(1, 2 ** n))
              for n in range(1, n_terms + 1)]
-    norm_w = lp_norm_intervals(w, p, cfg)
+    norm_w = lp_norm_ends(w, p, cfg)
     tol = certified.tol_for(cfg.compare_tol, norm_w)
     report = CheckReport(
         name="completeness-harness",
-        details={"terms": n_terms, "p": p,
-                 "norm_w": collapse_intervals(norm_w)},
+        details={"terms": n_terms, "p": p, "norm_w": collapse(norm_w)},
         series=[],
     )
 
     # pairwise envelope: ||u_n - u_m||_p <= 2**(1-k) ||w||_p for n, m >= k
+    dist = {(a, b): lp_norm_ends(terms[a - 1] - terms[b - 1], p, cfg)
+            for a in range(1, n_terms + 1) for b in range(a, n_terms + 1)}
     for k in range(1, n_terms + 1):
-        eps = [certified.iscale(iv, Fraction(2, 2 ** k)) for iv in norm_w]
+        eps = [certified.scale(e, 1, 2 ** (k - 1)) for e in norm_w]
         for a in range(k, n_terms + 1):
             for b in range(a, n_terms + 1):
-                diff = lp_norm_intervals(terms[a - 1] - terms[b - 1], p, cfg)
+                diff = dist[a, b]
                 for j in range(d):
                     if not certified.leq_with_slack(diff[j], eps[j], tol)[0]:
                         report.fail({"stage": "pairwise", "k": k, "n": a,
@@ -558,13 +577,14 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
                              "violation": violation})
 
     # closing estimate and exact residual
-    mu_root = certified.pow_bracket(space.total_mass,
-                                    Fraction(1) / p, cfg.root_bits + 2)
+    mu_root = certified.pow_ends(space.total_mass,
+                                 (p.denominator, p.numerator),
+                                 cfg.root_bits + 2)
     for n in range(1, n_terms + 1):
-        resid = lp_norm_intervals(u_star - terms[n - 1], p, cfg)
-        expected = [certified.iscale(iv, Fraction(1, 2 ** n)) for iv in norm_w]
-        bound = [certified.imul(certified.iscale(iv, Fraction(2, 2 ** n)), mu_root)
-                 for iv in norm_w]
+        resid = lp_norm_ends(u_star - terms[n - 1], p, cfg)
+        expected = [certified.scale(e, 1, 2 ** n) for e in norm_w]
+        bound = [certified.mul(certified.scale(e, 1, 2 ** (n - 1)), mu_root)
+                 for e in norm_w]
         for j in range(d):
             eq_tol = certified.tol_for(cfg.compare_tol, (resid[j], expected[j]))
             ok_eq, gap = certified.eq_within(resid[j], expected[j], eq_tol)
@@ -572,9 +592,9 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
             ok_le, _ = certified.leq_with_slack(resid[j], bound[j], le_tol)
             if not ok_eq or not ok_le:
                 report.fail({"stage": "closing", "n": n, "coordinate": j,
-                             "gap": gap})
+                             "gap": Fraction(*gap)})
         report.series.append({
             "n": n,
-            "residual": [certified.mid(iv) for iv in resid],
-            "expected": [certified.mid(iv) for iv in expected]})
+            "residual": [certified.mid(e) for e in resid],
+            "expected": [certified.mid(e) for e in expected]})
     return report

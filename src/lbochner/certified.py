@@ -1,23 +1,34 @@
-"""Exact rational interval arithmetic and certified root extraction.
+"""Exact rational brackets and certified root extraction.
 
-Everything here works on pairs ``(lo, hi)`` of :class:`~fractions.Fraction`
-with the contract that the true real value lies in ``[lo, hi]``.  Roots and
-rational powers are bracketed with integer Newton iteration (``math.isqrt``
-for square roots), so no binary floating point ever enters a result.
+A bracket of a real value is carried as its integer ends
+``(lo_num, lo_den, hi_num, hi_den)`` (``Ends``): each end in lowest terms
+with a positive denominator, the true value in [lo_num/lo_den,
+hi_num/hi_den].  Sums (``add``), nonnegative scales (``scale``),
+products (``mul``), moduli (``iabs``), maxima (``imax``) and both
+comparisons below are integer arithmetic: sums and products reduce the
+way ``Fraction``'s own operators do, by gcds of the cross factors, and
+comparisons cross-multiply.  A ``Fraction`` is built only for a value that
+enters a report (``mid``, ``interval``, a slack or a gap), for a
+``root_bracket`` radicand and for that root's two ends.  Roots and
+rational powers are bracketed with integer Newton iteration
+(``math.isqrt`` for square roots), so no binary floating point ever
+enters a result.
 
-The p-norm pipeline runs on numerator/denominator pairs.  ``root_bracket``
-tests and extracts roots on the radicand's numerator and denominator and
-builds only the two endpoints.  ``pow_ends`` (and ``ipow_ends`` over an
-interval) is the integer core of ``pow_bracket`` (and ``ipow_frac``): it
-returns the bracket of q ** r as unreduced (lo_num, lo_den, hi_num, hi_den),
-multiplying the exact factor q ** floor(r) in as integers; ``pow_bracket``
-and ``ipow_frac`` reduce its ends once.  ``common_denominator_sum`` adds
-numerator/denominator pairs over one common denominator and reduces once:
-``lmodule.norm_intervals`` uses it for the one-norm and for the two-norm's
-sum of squares, and ``bochner.power_sums_from_atom_norms`` for the lower and
-the upper ends of mu(t) * ||f(t)||**s.  Every fractional root still goes
-through ``root_bracket`` (or the chain below), with the same radicands as
-the ``Fraction`` formulation, so the brackets are the same rationals.
+The p-norm pipeline, norm -> power sum -> root, runs on these ends:
+
+* ``lmodule.norm_ends`` gives each coordinate's norm as ends; only the
+  two-norm builds a fraction, its ``root_bracket`` radicand.
+* ``pow_ends`` (``ipow_ends`` over a bracket) brackets q ** r for a base
+  and an exponent each given as a ``Fraction`` or as a reduced
+  (num, den) pair: the exact factor q ** floor(r) as integers, a
+  fractional part u/v with v <= 64 by one ``root_bracket`` of q ** u (a
+  ``Fraction`` base with u = 1 is the radicand itself), larger v by the
+  square-root chain.
+* ``common_denominator_sum`` adds numerator/denominator pairs over one
+  common denominator and leaves the sum unreduced, so that each caller
+  reduces it once, in the form it needs: ``bochner``'s power sums as the
+  ``Fraction`` that becomes the root's radicand (and the bootstrap's
+  reported series), the one-norm with ``reduced``.
 
 Exponents whose denominator exceeds 64 go through a chain of nested square
 roots (``_pow_via_chain``).  The ladder q ** (1/2), q ** (1/4), ... of those
@@ -28,7 +39,8 @@ one base to every s_n.  All of its entries are nonnegative, so each level
 holds only the side it needs (the lower root of the lower end, the upper
 root of the upper end).  The chain multiplies the levels its exponent's
 bits select as plain integers and returns the unreduced ends to
-``pow_ends``; ``pow_bracket`` and ``ipow_frac`` reduce each end once.
+``pow_ends``, which reduces each end once (by a shift when, as usual, its
+denominator is a power of two).
 
 Comparison semantics used by all checkers:
 
@@ -37,10 +49,13 @@ Comparison semantics used by all checkers:
   fails once its margin exceeds the bracket widths plus ``tol``.
 * ``eq_within(a, b, tol)`` compares midpoints, reporting the gap.
 
+Both return the margin as an unreduced (num, den) pair; a caller that
+reports it builds the ``Fraction`` then.
+
 The subset table of ``bochner.verify_sup_representation`` applies the
 ``leq_with_slack`` rule without building brackets: for each scalar
-coordinate it writes every bracket end of its atom terms, and ``tol``, over
-one common denominator, sums the ends as integers and compares
+coordinate it writes every end of its atom terms, and ``tol``, over one
+common denominator, sums the ends as integers and compares
 lo(a) <= hi(b) + tol as integers scaled by that denominator.
 """
 
@@ -49,62 +64,143 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from math import isqrt
-from typing import Sequence, Tuple
+from math import gcd, isqrt
+from typing import Sequence, Tuple, Union
 
 Interval = Tuple[Fraction, Fraction]
+Ends = Tuple[int, int, int, int]
+Ratio = Tuple[int, int]
+Rational = Union[Fraction, Ratio]
 
 _ZERO = Fraction(0)
 
 
-def exact(q: Fraction) -> Interval:
-    return (q, q)
+def exact(num: int, den: int = 1) -> Ends:
+    """The degenerate bracket of num/den, given in lowest terms."""
+    return (num, den, num, den)
 
 
-def mid(iv: Interval) -> Fraction:
-    lo, hi = iv
+def ends(lo: Fraction, hi: Fraction) -> Ends:
+    """The integer ends of a bracket given as two fractions."""
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+def reduced(num: int, den: int) -> Ratio:
+    """num/den, den > 0, in lowest terms.  A power-of-two denominator (the
+    square-root chain's) shares only factors two, which a shift removes
+    in linear time."""
+    if den & (den - 1) == 0 and num:
+        shift = min((num & -num).bit_length(), den.bit_length()) - 1
+        return num >> shift, den >> shift
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def is_exact(e: Ends) -> bool:
+    return e[0] == e[2] and e[1] == e[3]
+
+
+def interval(e: Ends) -> Interval:
+    """The bracket as two fractions, for a report; one when exact."""
+    lo = Fraction(e[0], e[1])
+    if is_exact(e):
+        return (lo, lo)
+    return (lo, Fraction(e[2], e[3]))
+
+
+def midpoint(lo: Fraction, hi: Fraction) -> Fraction:
     return lo if lo is hi or lo == hi else (lo + hi) / 2
 
 
-def is_exact(iv: Interval) -> bool:
-    return iv[0] == iv[1]
+def mid(e: Ends) -> Fraction:
+    return midpoint(*interval(e))
 
 
-def tol_for(compare_tol: Fraction, *interval_lists: Sequence[Interval]) -> Fraction:
-    """compare_tol if any interval in the lists is inexact, else 0."""
-    for ivs in interval_lists:
-        for iv in ivs:
-            if not is_exact(iv):
+def tol_for(compare_tol: Fraction, *ends_lists: Sequence[Ends]) -> Fraction:
+    """compare_tol if any bracket in the lists is inexact, else 0."""
+    for brackets in ends_lists:
+        for e in brackets:
+            if not is_exact(e):
                 return compare_tol
     return _ZERO
 
 
-def iadd(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
+def _add(an: int, ad: int, bn: int, bd: int) -> Ratio:
+    # a + b for reduced a, b: reduced, as Fraction's own addition
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
 
 
-def imul(a: Interval, b: Interval) -> Interval:
-    # general sign handling; most callers pass nonnegative intervals
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
+def _mul(an: int, ad: int, bn: int, bd: int) -> Ratio:
+    # a * b for reduced a, b: reduced, as Fraction's own multiplication
+    g1 = gcd(an, bd)
+    if g1 > 1:
+        an //= g1
+        bd //= g1
+    g2 = gcd(bn, ad)
+    if g2 > 1:
+        bn //= g2
+        ad //= g2
+    return an * bn, ad * bd
 
 
-def iscale(a: Interval, c: Fraction) -> Interval:
-    if c >= 0:
-        return (a[0] * c, a[1] * c)
-    return (a[1] * c, a[0] * c)
+def add(a: Ends, b: Ends) -> Ends:
+    lo = _add(a[0], a[1], b[0], b[1])
+    if is_exact(a) and is_exact(b):
+        return lo + lo
+    return lo + _add(a[2], a[3], b[2], b[3])
 
 
-def iabs(a: Interval) -> Interval:
+def scale(a: Ends, cn: int, cd: int) -> Ends:
+    """a times c = cn/cd >= 0 (in lowest terms)."""
+    if is_exact(a):
+        lo = _mul(a[0], a[1], cn, cd)
+        return lo + lo
+    return _mul(a[0], a[1], cn, cd) + _mul(a[2], a[3], cn, cd)
+
+
+def _less(a: Ratio, b: Ratio) -> bool:
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def mul(a: Ends, b: Ends) -> Ends:
+    """The product of two brackets: endpoint-wise when both are
+    nonnegative, else the least and the greatest of the four end products."""
+    if a[0] >= 0 and b[0] >= 0:
+        lo = _mul(a[0], a[1], b[0], b[1])
+        if is_exact(a) and is_exact(b):
+            return lo + lo
+        return lo + _mul(a[2], a[3], b[2], b[3])
+    products = [_mul(x[0], x[1], y[0], y[1])
+                for x in (a[:2], a[2:]) for y in (b[:2], b[2:])]
+    lo = hi = products[0]
+    for r in products[1:]:
+        if _less(r, lo):
+            lo = r
+        if _less(hi, r):
+            hi = r
+    return lo + hi
+
+
+def iabs(a: Ends) -> Ends:
     if a[0] >= 0:
         return a
-    if a[1] <= 0:
-        return (-a[1], -a[0])
-    return (_ZERO, max(-a[0], a[1]))
+    if a[2] <= 0:
+        return (-a[2], a[3], -a[0], a[1])
+    return (0, 1) + (a[2:] if a[2] * a[1] >= -a[0] * a[3] else (-a[0], a[1]))
 
 
-def imax(a: Interval, b: Interval) -> Interval:
-    return (max(a[0], b[0]), max(a[1], b[1]))
+def imax(a: Ends, b: Ends) -> Ends:
+    lo = b[:2] if _less(a[:2], b[:2]) else a[:2]
+    hi = b[2:] if _less(a[2:], b[2:]) else a[2:]
+    return lo + hi
 
 
 def int_nth_root(x: int, n: int) -> int:
@@ -164,7 +260,7 @@ _SMALL_ROOT_ORDER = 64
 _EXACT_POW_BIT_CAP = 1 << 16
 
 
-def _sqrt_side(num: int, den: int, bits: int, upper: bool) -> Tuple[int, int]:
+def _sqrt_side(num: int, den: int, bits: int, upper: bool) -> Ratio:
     """One side of ``root_bracket(num/den, 2, bits)`` for num/den >= 0 in
     lowest terms, returned in lowest terms: exact rational squares (0 and 1
     among them) take their exact root, anything else the lower or upper
@@ -187,7 +283,7 @@ def _sqrt_side(num: int, den: int, bits: int, upper: bool) -> Tuple[int, int]:
 
 @functools.lru_cache(maxsize=128)
 def _sqrt_ladder(num: int, den: int, work_bits: int,
-                 levels: int) -> Tuple[Tuple[int, int, int, int], ...]:
+                 levels: int) -> Tuple[Ends, ...]:
     """The nested square roots q ** (2 ** -i), i = 1 .. levels, of
     q = num/den >= 0 in lowest terms, as per-level (ln, ld, hn, hd): the
     lower root of the level above's lower end and the upper root of its
@@ -204,11 +300,11 @@ def _sqrt_ladder(num: int, den: int, work_bits: int,
     return tuple(ladder)
 
 
-def _pow_via_chain(q: Fraction, frac_exp: Fraction,
+def _pow_via_chain(num: int, den: int, u: int, v: int,
                    bits: int) -> Tuple[int, int, int, int]:
-    """Bracket q ** frac_exp, 0 < frac_exp < 1, via nested certified square
-    roots along the binary expansion of the exponent, as unreduced
-    (lo_num, lo_den, hi_num, hi_den).
+    """Bracket (num/den) ** (u/v), num/den >= 0 and 0 < u/v < 1 both in
+    lowest terms, via nested certified square roots along the binary
+    expansion of the exponent, as unreduced (lo_num, lo_den, hi_num, hi_den).
 
     Works for any exponent denominator: the expansion is truncated at m bits
     and the residual factor q**delta, delta in [0, 2**-m), is absorbed by
@@ -221,10 +317,9 @@ def _pow_via_chain(q: Fraction, frac_exp: Fraction,
     """
     work_bits = bits + 24
     levels = bits + 8
-    u, v = frac_exp.numerator, frac_exp.denominator
     while True:
         k, rem = divmod(u << levels, v)
-        ladder = _sqrt_ladder(q.numerator, q.denominator, work_bits, levels)
+        ladder = _sqrt_ladder(num, den, work_bits, levels)
         lo_num = lo_den = hi_num = hi_den = 1
         for i, (ln, ld, hn, hd) in enumerate(ladder, 1):
             if (k >> (levels - i)) & 1:
@@ -247,82 +342,93 @@ def _pow_via_chain(q: Fraction, frac_exp: Fraction,
         levels += 16
 
 
-def pow_ends(q: Fraction, r: Fraction, bits: int) -> Tuple[int, int, int, int]:
-    """Integer core of ``pow_bracket``: the bracket of q ** r as
-    (lo_num, lo_den, hi_num, hi_den), for q >= 0 and r >= 0.
+def pow_ends(q: Rational, r: Rational, bits: int) -> Ends:
+    """Certified bracket of q ** r for q >= 0, r >= 0; exact when detectable.
 
-    The ends need not be in lowest terms; the exact integer-power factor
-    q ** floor(r) multiplies the fractional bracket as numerator and
-    denominator.  Fractional exponents with denominator up to 64 take one
-    ``root_bracket`` of q ** u, larger ones the square-root chain."""
-    num, den = q.numerator, q.denominator
+    q and r are each a ``Fraction`` or a (num, den) pair in lowest terms
+    with den > 0.  The exact
+    integer-power factor q ** floor(r) multiplies the fractional bracket as
+    numerator and denominator.  Fractional exponents u/v with v up to 64
+    take one ``root_bracket`` of q ** u (q itself when u = 1 and q is a
+    ``Fraction``), larger ones the square-root chain."""
+    if type(q) is tuple:
+        num, den = q
+    else:
+        num, den = q.numerator, q.denominator
+    rn, v = r if type(r) is tuple else (r.numerator, r.denominator)
     if num < 0:
         raise ValueError("negative base")
-    if r.numerator < 0:
+    if rn < 0:
         raise ValueError("negative exponent not supported")
-    if r.numerator == 0:
+    if rn == 0:
         return 1, 1, 1, 1
     if num == 0 or num == den:
         return num, den, num, den
-    int_part, u = divmod(r.numerator, r.denominator)
+    int_part, u = divmod(rn, v)
     bn, bd = num ** int_part, den ** int_part
     if u == 0:
         return bn, bd, bn, bd
     if bn > bd:
         # the exact integer-power factor magnifies the fractional bracket
         bits += max(0, bn.bit_length() - bd.bit_length()) + 2
-    # r is in lowest terms, so u / r.denominator is too
-    v = r.denominator
+    # r is in lowest terms, so u / v is too
     if (v <= _SMALL_ROOT_ORDER and (num.bit_length() + den.bit_length()) * u
             <= _EXACT_POW_BIT_CAP):
-        lo, hi = root_bracket(q ** u, v, bits + 4)
-        ln, ld = lo.numerator, lo.denominator
-        hn, hd = hi.numerator, hi.denominator
-    else:
-        ln, ld, hn, hd = _pow_via_chain(q, Fraction(u, v), bits + 2)
-    return bn * ln, bd * ld, bn * hn, bd * hd
+        if type(q) is tuple:
+            radicand = Fraction(num ** u, den ** u)
+        else:
+            radicand = q if u == 1 else q ** u
+        lo, hi = root_bracket(radicand, v, bits + 4)
+        # an exact root is one fraction, returned as both ends
+        if int_part == 0:
+            return ends(lo, hi)
+        ln, ld = _mul(bn, bd, lo.numerator, lo.denominator)
+        if lo is hi:
+            return ln, ld, ln, ld
+        return (ln, ld) + _mul(bn, bd, hi.numerator, hi.denominator)
+    ln, ld, hn, hd = _pow_via_chain(num, den, u, v, bits + 2)
+    lo = reduced(ln, ld)
+    hi = reduced(hn, hd)
+    if int_part:
+        lo = _mul(bn, bd, *lo)
+        hi = lo if hi == lo else _mul(bn, bd, *hi)
+    return lo + hi
 
 
-def ipow_ends(a: Interval, r: Fraction, bits: int) -> Tuple[int, int, int, int]:
-    """``pow_ends`` over x in a, a nonnegative (x ** r is monotone): the
-    lower end of lo(a) ** r and the upper end of hi(a) ** r."""
-    lo, hi = a
+def ipow_ends(lo: Rational, hi: Rational, r: Rational, bits: int) -> Ends:
+    """``pow_ends`` over x in [lo, hi], lo >= 0 (x ** r is monotone): the
+    lower end of lo ** r and the upper end of hi ** r."""
     if lo is hi or lo == hi:
         return pow_ends(lo, r, bits)
     return pow_ends(lo, r, bits)[:2] + pow_ends(hi, r, bits)[2:]
 
 
-def _bracket(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> Interval:
-    lo = Fraction(lo_num, lo_den)
-    if lo_num * hi_den == hi_num * lo_den:
-        return (lo, lo)
-    return (lo, Fraction(hi_num, hi_den))
-
-
-def pow_bracket(q: Fraction, r: Fraction, bits: int) -> Interval:
-    """Certified bracket of q ** r for q >= 0, r >= 0; exact when detectable."""
-    return _bracket(*pow_ends(q, r, bits))
-
-
-def ipow_frac(a: Interval, r: Fraction, bits: int) -> Interval:
-    """Bracket of x ** r over x in a, a nonnegative, r >= 0 (monotone)."""
-    return _bracket(*ipow_ends(a, r, bits))
-
-
-def common_denominator_sum(nums: Sequence[int], dens: Sequence[int]) -> Fraction:
-    """The sum of nums[i] / dens[i], taken over the least common multiple
-    of the denominators and reduced once."""
+def common_denominator_sum(nums: Sequence[int], dens: Sequence[int]) -> Ratio:
+    """The sum of nums[i] / dens[i] as (num, den) over the least common
+    multiple of the denominators, not reduced."""
     den = math.lcm(*dens)
-    return Fraction(sum(n * (den // d) for n, d in zip(nums, dens)), den)
+    return sum(n * (den // d) for n, d in zip(nums, dens)), den
 
 
-def leq_with_slack(lhs: Interval, rhs: Interval, tol: Fraction) -> Tuple[bool, Fraction]:
-    """Toleranced <= on intervals; slack is hi(rhs) - lo(lhs) (>= -tol passes)."""
-    slack = rhs[1] - lhs[0]
-    return (slack >= -tol, slack)
+def leq_with_slack(lhs: Ends, rhs: Ends, tol: Fraction) -> Tuple[bool, Ratio]:
+    """Toleranced <= on brackets; the slack hi(rhs) - lo(lhs), unreduced,
+    passes at >= -tol."""
+    num = rhs[2] * lhs[1] - lhs[0] * rhs[3]
+    den = rhs[3] * lhs[1]
+    return num * tol.denominator >= -tol.numerator * den, (num, den)
 
 
-def eq_within(lhs: Interval, rhs: Interval, tol: Fraction) -> Tuple[bool, Fraction]:
-    """Midpoint equality within tol; returns (verdict, |gap|)."""
-    gap = abs(mid(lhs) - mid(rhs))
-    return (gap <= tol, gap)
+def _mid_ratio(e: Ends) -> Ratio:
+    if is_exact(e):
+        return e[0], e[1]
+    return e[0] * e[3] + e[2] * e[1], 2 * e[1] * e[3]
+
+
+def eq_within(lhs: Ends, rhs: Ends, tol: Fraction) -> Tuple[bool, Ratio]:
+    """Midpoint equality within tol; the gap |mid(lhs) - mid(rhs)|,
+    unreduced."""
+    an, ad = _mid_ratio(lhs)
+    bn, bd = _mid_ratio(rhs)
+    num = abs(an * bd - bn * ad)
+    den = ad * bd
+    return num * tol.denominator <= tol.numerator * den, (num, den)

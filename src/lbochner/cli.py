@@ -97,8 +97,7 @@ def _cmd_check_norm_axioms(args) -> reports.Report:
     rng = sampling.rng_for(args.seed, 11)
     samples = []
     for _ in range(args.trials):
-        lam = falgebra.LElement(
-            [sampling.random_fraction(rng) for _ in range(args.dim)])
+        lam = sampling.random_lelement(rng, args.dim)
         x = sampling.random_module_vector(rng, space)
         y = sampling.random_module_vector(rng, space)
         samples.append((lam, x, y))
@@ -389,8 +388,7 @@ def _cmd_suite_all(args) -> reports.Report:
         rng = sampling.rng_for(seed, 61)
         samples = []
         for _ in range(100):
-            lam = falgebra.LElement(
-                [sampling.random_fraction(rng) for _ in range(2)])
+            lam = sampling.random_lelement(rng, 2)
             samples.append((lam, sampling.random_module_vector(rng, space),
                             sampling.random_module_vector(rng, space)))
         rep = lmodule.check_norm_axioms(space, samples, cfg)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import certified
-from .certified import Interval
+from .certified import Ends
 from .falgebra import (
     DEFAULT_TOLERANCES,
     Frozen,
@@ -29,19 +29,19 @@ from .bochner import (
     Exponent,
     INF,
     LFunction,
-    atom_norm_intervals,
+    atom_norm_ends,
     conjugate_exponent,
     is_conjugate_pair,
-    lp_from_atom_norms,
-    lp_norm_intervals,
-    power_sums_from_atom_norms,
+    lp_from_atom_ends,
+    lp_norm_ends,
+    power_sums_from_atom_ends,
 )
 from .lmodule import (
     ModuleSpace,
     ModuleVector,
     NormKind,
     NormValue,
-    collapse_intervals,
+    collapse,
     contract,
 )
 from .measure import MeasureSpace, SpaceMismatch
@@ -128,23 +128,23 @@ def _recover_dual(H: LpOperator) -> LFunction:
                     f"operator charges null atom {H.space.atom_names[t]!r}")
             values.append(ModuleVector(dual, tuple(row)))
         else:
-            inv = Fraction(1) / mass
+            inv = Fraction(mass.denominator, mass.numerator)
             values.append(ModuleVector(dual, tuple(
                 c.scale(inv) for c in row)))
     return LFunction(H.space, dual, tuple(values))
 
 
-def operator_norm_intervals(H: LpOperator,
-                            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Interval]:
+def operator_norm_ends(H: LpOperator,
+                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Ends]:
     """Closed form for the least bound: the conjugate-exponent norm of the
     representing dual function."""
     v = _recover_dual(H)
-    return lp_norm_intervals(v, conjugate_exponent(H.declared_p), cfg)
+    return lp_norm_ends(v, conjugate_exponent(H.declared_p), cfg)
 
 
 def operator_norm(H: LpOperator,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
-    return collapse_intervals(operator_norm_intervals(H, cfg))
+    return collapse(operator_norm_ends(H, cfg))
 
 
 DEFAULT_LIMIT_TOL = Fraction(1, 2 ** 20)
@@ -169,34 +169,37 @@ def bootstrap_lower_bound(v: LFunction, p: Fraction, n_max: int,
     if limit_tol <= 0:
         # a zero allowance cannot hold on non-constant data
         raise ValueError("limit_tol must be > 0")
-    atom_norms = atom_norm_intervals(v, cfg)
-    fv = lp_from_atom_norms(atom_norms, v.space.masses,
-                            conjugate_exponent(p), cfg)
+    atom_norms = atom_norm_ends(v, cfg)
+    fv = lp_from_atom_ends(atom_norms, v.space.masses,
+                           conjugate_exponent(p), cfg)
     return _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
                       check_limit=True)
 
 
 def _bootstrap(v: LFunction, p: Fraction, n_max: int,
                cfg: ToleranceConfig, limit_tol: Fraction,
-               atom_norms: List[List[Interval]], fv: List[Interval],
+               atom_norms: List[List[Ends]], fv: List[Ends],
                check_limit: bool) -> CheckReport:
     """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
     given v's dual atom norms and the brackets fv of its conjugate-exponent
-    norm; the limit comparison decides the verdict only if check_limit."""
+    norm; the limit comparison decides the verdict only if check_limit.
+
+    The power sums come as the fractions the series reports; every
+    comparison reads their ends."""
     d = v.codomain.scalar_dim
     for t, mass in enumerate(v.space.masses):
         if mass == 0:
             continue
         for j in range(d):
-            iv = atom_norms[t][j]
-            if iv[1] <= 0 or (certified.is_exact(iv) and iv[0] == 0):
+            e = atom_norms[t][j]
+            if e[2] <= 0 or (certified.is_exact(e) and e[0] == 0):
                 raise ZeroNorm(
                     f"atom {v.space.atom_names[t]!r} has a zero norm "
                     f"coordinate; the bootstrap divides by it")
 
     bits = cfg.root_bits + 2
     mu_total = v.space.total_mass
-    inv_p = Fraction(1) / p
+    inv_p = Fraction(p.denominator, p.numerator)
 
     report = CheckReport(name="bootstrap-chain", series=[])
     s = Fraction(0)
@@ -204,29 +207,33 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
     for n in range(n_max + 1):
         s += power
         power *= inv_p
-        lhs = power_sums_from_atom_norms(atom_norms, v.space.masses, s, cfg)
-        mass_corr = certified.pow_bracket(mu_total, power, bits)
-        rhs = [certified.imul(certified.ipow_frac(certified.iabs(iv), s, bits),
-                              mass_corr) for iv in fv]
+        sums = power_sums_from_atom_ends(atom_norms, v.space.masses, s, cfg)
+        lhs = [certified.ends(lo, hi) for lo, hi in sums]
+        mass_corr = certified.pow_ends(mu_total, power, bits)
+        rhs = [certified.mul(certified.ipow_ends(e[:2], e[2:], s, bits),
+                             mass_corr) for e in map(certified.iabs, fv)]
         tol = certified.tol_for(cfg.compare_tol, lhs, rhs)
         for j in range(d):
             if not certified.leq_with_slack(lhs[j], rhs[j], tol)[0]:
                 report.fail({"n": n, "coordinate": j})
         report.series.append({"n": n, "exponent": s,
-                              "lhs": [certified.mid(iv) for iv in lhs],
-                              "rhs": [certified.mid(iv) for iv in rhs]})
+                              "lhs": [certified.midpoint(lo, hi)
+                                      for lo, hi in sums],
+                              "rhs": [certified.mid(e) for e in rhs]})
 
-    limit = [certified.ipow_frac(iv, Fraction(1) / s, bits) for iv in lhs]
+    inv_s = (s.denominator, s.numerator)
+    limit = [certified.ipow_ends(lo, hi, inv_s, bits) for lo, hi in sums]
     limit_gaps = []
     for j in range(d):
         ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
+        gap = Fraction(*gap)
         limit_gaps.append(gap)
         if check_limit and not ok:
             report.fail({"stage": "limit", "coordinate": j, "gap": gap})
 
     report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
                       "limit_gaps": limit_gaps,
-                      "target_norm": collapse_intervals(fv)}
+                      "target_norm": collapse(fv)}
     return report
 
 
@@ -244,9 +251,9 @@ def isometry_check(v: LFunction, p: Exponent, q: Exponent,
     if not is_conjugate_pair(p, q):
         raise ValueError("non-conjugate exponents")
     H = build_F(v, p)
-    fv = operator_norm_intervals(H, cfg)
-    atom_norms = atom_norm_intervals(v, cfg)
-    nv = lp_from_atom_norms(atom_norms, v.space.masses, q, cfg)
+    fv = operator_norm_ends(H, cfg)
+    atom_norms = atom_norm_ends(v, cfg)
+    nv = lp_from_atom_ends(atom_norms, v.space.masses, q, cfg)
     d = v.codomain.scalar_dim
 
     tol = certified.tol_for(cfg.compare_tol, fv, nv)
@@ -254,12 +261,13 @@ def isometry_check(v: LFunction, p: Exponent, q: Exponent,
     gaps = []
     for j in range(d):
         ok, gap = certified.eq_within(fv[j], nv[j], tol)
+        gap = Fraction(*gap)
         gaps.append(gap)
         if not ok:
             report.fail({"coordinate": j, "operator_norm": certified.mid(fv[j]),
                          "dual_norm": certified.mid(nv[j]), "gap": gap})
-    report.details = {"operator_norm": collapse_intervals(fv),
-                      "dual_norm": collapse_intervals(nv), "gaps": gaps}
+    report.details = {"operator_norm": collapse(fv),
+                      "dual_norm": collapse(nv), "gaps": gaps}
 
     if p is not INF and p > 1:
         try:

@@ -15,8 +15,7 @@ from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._kernel import _pykernel as _k
-from . import certified
-from .certified import Interval
+from .certified import Ends, Interval
 
 RationalLike = Union[Fraction, int, str]
 
@@ -136,7 +135,7 @@ class LElement:
         return all(n >= 0 for n in self.nums)
 
     def intervals(self) -> List[Interval]:
-        return [certified.exact(q) for q in self.coords]
+        return [(q, q) for q in self.coords]
 
 
 def sgn(a: LElement) -> LElement:
@@ -214,9 +213,13 @@ class ApproxReal(Frozen):
         return cls(as_rational(q), Fraction(0))
 
     @classmethod
-    def from_interval(cls, iv: Interval) -> "ApproxReal":
-        lo, hi = iv
-        return cls((lo + hi) / 2, (hi - lo) / 2)
+    def from_ends(cls, e: Ends) -> "ApproxReal":
+        """The midpoint and half-width of the bracket with integer ends
+        (lo_num, lo_den, hi_num, hi_den)."""
+        ln, ld, hn, hd = e
+        den = 2 * ld * hd
+        return cls(Fraction(ln * hd + hn * ld, den),
+                   Fraction(hn * ld - ln * hd, den))
 
     @property
     def lo(self) -> Fraction:

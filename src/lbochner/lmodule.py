@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from . import certified
-from .certified import Interval
+from .certified import Ends, Interval
 from .falgebra import (
     ApproxReal,
     DEFAULT_TOLERANCES,
@@ -122,18 +122,20 @@ def contract(a: Sequence[LElement], b: Sequence[LElement]) -> LElement:
 NormValue = Union[LElement, Tuple[ApproxReal, ...]]
 
 
-def norm_intervals(x: ModuleVector,
-                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Interval]:
+def norm_ends(x: ModuleVector,
+              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Ends]:
     """Per-scalar-coordinate certified brackets of the norm of x, in the
-    norm kind of its own module ``x.space``.  Exact coordinates come back
-    as degenerate brackets.
+    norm kind of its own module ``x.space``, as integer ends
+    (``certified.Ends``).  Exact coordinates come back as degenerate
+    brackets.
 
     Each coordinate works on the entries' numerators and denominators: the
-    sup by cross-multiplication, the one- and two-norm sums over one common
-    denominator.  A fraction is built only for the result (and, for the
-    two-norm, for the radicand of its ``root_bracket``)."""
+    sup by cross-multiplication, the one-norm summed over one common
+    denominator and reduced once.  The two-norm's sum of squares is built
+    once as the ``Fraction`` radicand of its ``root_bracket``, whose two
+    ends are the only other fractions."""
     kind = x.space.norm_kind
-    out: List[Interval] = []
+    out: List[Ends] = []
     columns = zip(zip(*(e.nums for e in x.entries)),
                   zip(*(e.dens for e in x.entries)))
     if kind is NormKind.SUP:
@@ -144,26 +146,28 @@ def norm_intervals(x: ModuleVector,
                     n = -n
                 if n * best_den > best_num * d:
                     best_num, best_den = n, d
-            best = Fraction(best_num, best_den)
-            out.append((best, best))
+            out.append((best_num, best_den, best_num, best_den))
     elif kind is NormKind.ONE:
         for nums, dens in columns:
-            total = certified.common_denominator_sum(
-                [abs(n) for n in nums], dens)
-            out.append((total, total))
+            total = certified.reduced(*certified.common_denominator_sum(
+                [abs(n) for n in nums], dens))
+            out.append(total + total)
     else:
         bits = cfg.root_bits + 2
         for nums, dens in columns:
-            sq = certified.common_denominator_sum(
-                [n * n for n in nums], [d * d for d in dens])
-            out.append(certified.root_bracket(sq, 2, bits))
+            sq = Fraction(*certified.common_denominator_sum(
+                [n * n for n in nums], [d * d for d in dens]))
+            out.append(certified.ends(*certified.root_bracket(sq, 2, bits)))
     return out
 
 
-def collapse_intervals(ivs: Sequence[Interval]) -> NormValue:
-    if all(certified.is_exact(iv) for iv in ivs):
-        return LElement([iv[0] for iv in ivs])
-    return tuple(ApproxReal.from_interval(iv) for iv in ivs)
+def collapse(brackets: Sequence[Ends]) -> NormValue:
+    """A norm result for a report: the exact element when every bracket is
+    exact, else one ``ApproxReal`` per coordinate."""
+    if all(certified.is_exact(e) for e in brackets):
+        return LElement._raw(tuple(e[0] for e in brackets),
+                             tuple(e[1] for e in brackets))
+    return tuple(ApproxReal.from_ends(e) for e in brackets)
 
 
 def value_intervals(value: NormValue) -> List[Interval]:
@@ -174,7 +178,7 @@ def value_intervals(value: NormValue) -> List[Interval]:
 
 
 def norm(x: ModuleVector, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:
-    return collapse_intervals(norm_intervals(x, cfg))
+    return collapse(norm_ends(x, cfg))
 
 
 def check_norm_axioms(space: ModuleSpace,
@@ -198,32 +202,33 @@ def check_norm_axioms(space: ModuleSpace,
         report.fail(witness)
 
     for idx, (lam, x, y) in enumerate(samples):
-        nx = norm_intervals(x, cfg)
+        nx = norm_ends(x, cfg)
 
         # axiom 1: ||x|| = 0 iff x = 0
-        norm_zero = all(iv == (0, 0) for iv in nx)
+        norm_zero = all(e[0] == 0 and e[2] == 0 for e in nx)
         if norm_zero != x.is_zero():
             violated("axiom1", {"sample": idx, "x_is_zero": x.is_zero()})
             continue
 
         # axiom 2: ||lam x|| = |lam| ||x||
-        lhs = norm_intervals(x.scale(lam), cfg)
-        alam = abs(lam)
-        rhs = [certified.iscale(iv, alam[j]) for j, iv in enumerate(nx)]
+        lhs = norm_ends(x.scale(lam), cfg)
+        rhs = [certified.scale(e, abs(n), d)
+               for e, n, d in zip(nx, lam.nums, lam.dens)]
         for j in range(space.scalar_dim):
             ok, gap = certified.eq_within(lhs[j], rhs[j], tol)
             if not ok:
-                violated("axiom2", {"sample": idx, "coordinate": j, "gap": gap})
+                violated("axiom2", {"sample": idx, "coordinate": j,
+                                    "gap": Fraction(*gap)})
 
         # axiom 3: ||x + y|| <= ||x|| + ||y||
-        ns = norm_intervals(x + y, cfg)
-        ny = norm_intervals(y, cfg)
+        ns = norm_ends(x + y, cfg)
+        ny = norm_ends(y, cfg)
         for j in range(space.scalar_dim):
             ok, slack = certified.leq_with_slack(
-                ns[j], certified.iadd(nx[j], ny[j]), tol)
+                ns[j], certified.add(nx[j], ny[j]), tol)
             if not ok:
                 violated("axiom3", {"sample": idx, "coordinate": j,
-                                    "slack": slack})
+                                    "slack": Fraction(*slack)})
 
     return report
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .falgebra import LElement
 from .lmodule import ModuleSpace, ModuleVector
@@ -22,12 +23,6 @@ def rng_for(seed: int, *stream: int) -> random.Random:
     return random.Random(x)
 
 
-def random_fraction(rng: random.Random, max_num: int = 12, max_den: int = 12,
-                    signed: bool = True) -> Fraction:
-    num = rng.randint(-max_num, max_num) if signed else rng.randint(0, max_num)
-    return Fraction(num, rng.randint(1, max_den))
-
-
 def random_positive_fraction(rng: random.Random, max_num: int = 12,
                              max_den: int = 12) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
@@ -35,8 +30,19 @@ def random_positive_fraction(rng: random.Random, max_num: int = 12,
 
 def random_lelement(rng: random.Random, d: int, max_num: int = 12,
                     max_den: int = 12, signed: bool = True) -> LElement:
-    return LElement([random_fraction(rng, max_num, max_den, signed)
-                     for _ in range(d)])
+    """d coordinates, each a numerator in [-max_num, max_num] (or
+    [0, max_num] unsigned) drawn before its denominator in [1, max_den],
+    reduced as integers."""
+    nums = []
+    dens = []
+    for _ in range(d):
+        num = (rng.randint(-max_num, max_num) if signed
+               else rng.randint(0, max_num))
+        den = rng.randint(1, max_den)
+        g = gcd(num, den)
+        nums.append(num // g)
+        dens.append(den // g)
+    return LElement._raw(tuple(nums), tuple(dens))
 
 
 def random_module_vector(rng: random.Random, space: ModuleSpace,

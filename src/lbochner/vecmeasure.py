@@ -18,9 +18,9 @@ from .lmodule import (
     ModuleSpace,
     ModuleVector,
     NormKind,
-    collapse_intervals,
+    collapse,
     norm,
-    norm_intervals,
+    norm_ends,
     value_intervals,
 )
 from .measure import (
@@ -95,19 +95,18 @@ def check_mu_continuity(G: VectorMeasure,
         values = subset_sums(G.atom_values, G.codomain.zero())
         report.series = [
             {"mu": mu,
-             "value_norm": [certified.mid(iv)
-                            for iv in norm_intervals(val, cfg)]}
+             "value_norm": [certified.mid(e) for e in norm_ends(val, cfg)]}
             for mu, val in zip(masses, values)]
     return report
 
 
 def _partition_norm_sum(G: VectorMeasure, partition: Partition,
-                        cfg: ToleranceConfig) -> List[certified.Interval]:
+                        cfg: ToleranceConfig) -> List[certified.Ends]:
     d = G.codomain.scalar_dim
-    total = [certified.exact(Fraction(0))] * d
+    total = [certified.exact(0)] * d
     for block in partition.blocks:
-        norms = norm_intervals(evaluate(G, block), cfg)
-        total = [certified.iadd(a, b) for a, b in zip(total, norms)]
+        norms = norm_ends(evaluate(G, block), cfg)
+        total = [certified.add(a, b) for a, b in zip(total, norms)]
     return total
 
 
@@ -124,7 +123,7 @@ def variation(G: VectorMeasure,
     total = _partition_norm_sum(G, atomic, cfg)
     exhaustive = G.space.size <= VARIATION_EXHAUSTIVE_MAX_ATOMS
     report = CheckReport(name="variation", details={
-        "variation": collapse_intervals(total),
+        "variation": collapse(total),
         "exhaustive_checked": exhaustive,
         "blocks": len(atomic.blocks)})
     if exhaustive:
@@ -159,7 +158,8 @@ def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
                     f"nonzero value")
             vals.append(G.codomain.zero())
         else:
-            vals.append(G.atom_values[t].scale_rational(Fraction(1) / mass))
+            vals.append(G.atom_values[t].scale_rational(
+                Fraction(mass.denominator, mass.numerator)))
     g = LFunction(G.space, G.codomain, tuple(vals))
 
     report = CheckReport(name="rn-density",
@@ -226,9 +226,9 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
     if not var.passed:
         report.fail({"stage": "variation", **var.witness})
     for j, iv in enumerate(value_intervals(var.details["variation"])):
-        if iv != certified.exact(Fraction(1)):
+        if iv != (1, 1):
             report.fail({"stage": "variation", "coordinate": j,
-                         "value": certified.mid(iv)})
+                         "value": certified.midpoint(*iv)})
 
     half = LElement.constant(Fraction(1, 2), d)
     values = [evaluate(G, rademacher_set(space, n + 1))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbochner import bochner, certified
 from lbochner.bochner import (
@@ -17,7 +19,7 @@ from lbochner.bochner import (
     integrate,
     integrate_over,
     is_conjugate_pair,
-    lp_from_atom_norms,
+    lp_from_atom_ends,
     lp_norm,
     run_completeness_harness,
     run_dct_experiment,
@@ -28,8 +30,8 @@ from lbochner.lmodule import (
     ModuleSpace,
     ModuleVector,
     NormKind,
-    collapse_intervals,
-    norm_intervals,
+    collapse,
+    norm_ends,
     value_intervals,
 )
 from lbochner.measure import MeasureSpace, SpaceMismatch, TooManySubsets
@@ -154,24 +156,24 @@ class TestLpNorm:
 class TestLpFromAtomNorms:
     # per atom, per coordinate; the null atom's bracket is negative, so
     # raising it to a power would raise ValueError
-    NORMS = [[(Fraction(3), Fraction(3)), (Fraction(1), Fraction(1))],
-             [(Fraction(-1), Fraction(9)), (Fraction(-1), Fraction(9))],
-             [(Fraction(4), Fraction(4)), (Fraction(0), Fraction(0))]]
+    NORMS = [[(3, 1, 3, 1), (1, 1, 1, 1)],
+             [(-1, 1, 9, 1), (-1, 1, 9, 1)],
+             [(4, 1, 4, 1), (0, 1, 0, 1)]]
     MASSES = [Fraction(1), Fraction(0), Fraction(1)]
 
     @pytest.mark.parametrize("p,expected", [
-        (Fraction(1), [Fraction(7), Fraction(1)]),
-        (Fraction(2), [Fraction(5), Fraction(1)]),  # sqrt(9 + 16), sqrt(1)
-        (INF, [Fraction(4), Fraction(1)]),
+        (Fraction(1), [7, 1]),
+        (Fraction(2), [5, 1]),  # sqrt(9 + 16), sqrt(1)
+        (INF, [4, 1]),
     ], ids=["p1", "p2", "inf"])
     def test_null_atoms_skipped(self, p, expected):
-        got = lp_from_atom_norms(self.NORMS, self.MASSES, p, ToleranceConfig())
-        assert got == [(q, q) for q in expected]
+        got = lp_from_atom_ends(self.NORMS, self.MASSES, p, ToleranceConfig())
+        assert got == [certified.exact(q) for q in expected]
 
     def test_inf_starts_from_zero(self):
-        got = lp_from_atom_norms(self.NORMS[1:2], [Fraction(0)], INF,
-                                 ToleranceConfig())
-        assert got == [(Fraction(0), Fraction(0))] * 2
+        got = lp_from_atom_ends(self.NORMS[1:2], [Fraction(0)], INF,
+                                ToleranceConfig())
+        assert got == [certified.exact(0)] * 2
 
 
 # The Fraction code that the integer p-norm pipeline replaced, kept as the
@@ -224,7 +226,8 @@ def fraction_pow_bracket(q, r, bits):
     if v <= 64 and size <= 1 << 16:
         lo, hi = fraction_root_bracket(q ** u, v, bits + 4)
     else:
-        ln, ld, hn, hd = certified._pow_via_chain(q, frac_exp, bits + 2)
+        ln, ld, hn, hd = certified._pow_via_chain(
+            q.numerator, q.denominator, frac_num, r.denominator, bits + 2)
         lo, hi = Fraction(ln, ld), Fraction(hn, hd)
     return (lo * base, hi * base)
 
@@ -260,8 +263,8 @@ def fraction_lp(atom_norms, masses, p, bits):
 
 
 class TestPNormOracle:
-    """norm_intervals, pow_bracket, power_sums_from_atom_norms and
-    lp_from_atom_norms return exactly the Fraction code's brackets.  The
+    """norm_ends, pow_ends, power_sums_from_atom_ends and lp_from_atom_ends
+    return exactly the Fraction code's brackets.  The
     grid has null atoms, an all-zero coordinate, 64-bit numerators, exact
     (sup, one) and wide (two, widened) brackets, integer and fractional
     exponents, and exponents whose denominator exceeds 64, which take the
@@ -296,7 +299,8 @@ class TestPNormOracle:
 
     def _norm_intervals(self, entries, kind):
         space = ModuleSpace(len(entries), entries[0].dim, kind)
-        return norm_intervals(ModuleVector(space, tuple(entries)), self.CFG)
+        return [certified.interval(e) for e in norm_ends(
+            ModuleVector(space, tuple(entries)), self.CFG)]
 
     def _atom_norms(self, kind):
         return [self._norm_intervals(entries, kind)
@@ -307,6 +311,10 @@ class TestPNormOracle:
         # wide brackets whose ends are both in lowest terms
         return [[(lo, hi + Fraction(1, 3)) for lo, hi in norms]
                 for norms in atom_norms]
+
+    @staticmethod
+    def _ends(atom_norms):
+        return [[certified.ends(*iv) for iv in norms] for norms in atom_norms]
 
     def _norm_grids(self):
         """(kind, atom norms) with exact (sup, one) and wide (two) brackets,
@@ -335,26 +343,78 @@ class TestPNormOracle:
         # above the exact-power bit cap: the chain at denominator 64
         cases.append((Fraction(3 ** 700, 2 ** 11 + 1), Fraction(63, 64)))
         for q, r in cases:
-            assert (certified.pow_bracket(q, r, self.BITS)
-                    == fraction_pow_bracket(q, r, self.BITS)), (q, r)
+            want = certified.ends(*fraction_pow_bracket(q, r, self.BITS))
+            assert certified.pow_ends(q, r, self.BITS) == want, (q, r)
+            assert certified.pow_ends((q.numerator, q.denominator), r,
+                                      self.BITS) == want, (q, r)
 
     @pytest.mark.parametrize("s", EXPONENTS, ids=str)
     def test_power_sums_and_lp(self, s):
         for kind, atom_norms in self._norm_grids():
-            got = bochner.power_sums_from_atom_norms(
-                atom_norms, self.MASSES, s, self.CFG)
+            atom_ends = self._ends(atom_norms)
+            got = bochner.power_sums_from_atom_ends(
+                atom_ends, self.MASSES, s, self.CFG)
             assert got == fraction_power_sums(
                 atom_norms, self.MASSES, s, self.BITS), kind
-            assert (lp_from_atom_norms(atom_norms, self.MASSES, s, self.CFG)
-                    == fraction_lp(atom_norms, self.MASSES, s, self.BITS)), kind
+            assert (lp_from_atom_ends(atom_ends, self.MASSES, s, self.CFG)
+                    == [certified.ends(*iv) for iv in fraction_lp(
+                        atom_norms, self.MASSES, s, self.BITS)]), kind
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.fractions(min_value=0, max_value=60, max_denominator=10 ** 4),
+           st.fractions(min_value=0, max_value=40, max_denominator=10 ** 4),
+           st.sampled_from([Fraction(0), Fraction(1), Fraction(3),
+                            Fraction(1, 2), Fraction(5, 3), Fraction(7, 64),
+                            Fraction(100, 67)]))
+    def test_ipow_ends(self, lo, width, r):
+        # exact and inexact bases, given as fractions or integer pairs,
+        # against the Fraction code's bracket
+        hi = lo + width
+        want = certified.ends(*fraction_ipow_frac((lo, hi), r, 42))
+        assert certified.ipow_ends(lo, hi, r, 42) == want
+        assert certified.ipow_ends((lo.numerator, lo.denominator),
+                                   (hi.numerator, hi.denominator),
+                                   (r.numerator, r.denominator), 42) == want
 
     def test_inf_and_all_null(self):
         for kind, atom_norms in self._norm_grids():
-            assert (lp_from_atom_norms(atom_norms, self.MASSES, INF, self.CFG)
-                    == fraction_lp(atom_norms, self.MASSES, INF, self.BITS))
+            atom_ends = self._ends(atom_norms)
+            assert (lp_from_atom_ends(atom_ends, self.MASSES, INF, self.CFG)
+                    == [certified.ends(*iv) for iv in fraction_lp(
+                        atom_norms, self.MASSES, INF, self.BITS)])
             null = [Fraction(0)] * len(self.MASSES)
-            assert bochner.power_sums_from_atom_norms(
-                atom_norms, null, Fraction(3, 2), self.CFG) == [(0, 0)] * 3
+            assert bochner.power_sums_from_atom_ends(
+                atom_ends, null, Fraction(3, 2), self.CFG) == [(0, 0)] * 3
+
+
+class TestLpNormAgainstFractionPipeline:
+    """lp_norm_ends on seeded functions finds the same rationals as the
+    Fraction pipeline above: the norms, the power sums and the p-th roots
+    all in fractions, sharing with the package only ``_pow_via_chain``
+    (which ``test_certified.TestPowChainOracle`` pins to a Fraction chain).
+    131/67 takes the chain both for the power sums (denominator 67) and for
+    the root (exponent 67/131)."""
+
+    CFG = ToleranceConfig()
+    BITS = CFG.root_bits + 2
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("p", [Fraction(1), Fraction(3, 2), Fraction(2),
+                                   Fraction(3), Fraction(5, 2), INF,
+                                   Fraction(131, 67)], ids=str)
+    def test_seeded_functions(self, kind, p):
+        codomain = ModuleSpace(2, 2, kind)
+        for trial in range(4):
+            rng = rng_for(1515, trial)
+            space = random_measure_space(rng, 4, null_atoms=trial % 2)
+            f = LFunction(space, codomain, tuple(
+                random_module_vector(rng, codomain) for _ in range(4)))
+            atom_norms = [fraction_norm_intervals(v.entries, kind, self.BITS)
+                          for v in f.values]
+            expected = fraction_lp(atom_norms, space.masses, p, self.BITS)
+            got = bochner.lp_norm_ends(f, p, self.CFG)
+            assert got == [certified.ends(*iv) for iv in expected], trial
+            assert [certified.interval(e) for e in got] == expected
 
 
 class TestSupRepresentation:
@@ -391,28 +451,34 @@ class TestSupRepresentation:
 
 def interval_sup_rep(f, p, cfg):
     """The subset table as (lo, hi) Fraction brackets with every comparison
-    a ``leq_with_slack`` call, as the checker computed it before its integer
-    table; returns (verdict, max_at_full_space, pairs_checked)."""
+    lo(a) <= hi(b) + tol, as the checker computed it before its integer
+    table; returns (verdict, max_at_full_space, pairs_checked).  The atom
+    terms are weighted through ``certified.scale``, the seam the tests
+    below corrupt."""
     m = f.space.size
     d = f.codomain.scalar_dim
     bits = cfg.root_bits + 2
-    powers = [[certified.ipow_frac(iv, p, bits)
-               for iv in norm_intervals(v, cfg)]
+    powers = [[fraction_ipow_frac(certified.interval(e), p, bits)
+               for e in norm_ends(v, cfg)]
               for v in f.values]
-    weighted = [[certified.iscale(powers[t][j], f.space.masses[t])
+    weighted = [[certified.interval(certified.scale(
+                    certified.ends(*powers[t][j]),
+                    f.space.masses[t].numerator,
+                    f.space.masses[t].denominator))
                  for j in range(d)] for t in range(m)]
-    sums = [[certified.exact(Fraction(0))] * d for _ in range(1 << m)]
+    zero = (Fraction(0), Fraction(0))
+    sums = [[zero] * d for _ in range(1 << m)]
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
         prev = sums[mask ^ (1 << low)]
-        sums[mask] = [certified.iadd(prev[j], weighted[low][j])
-                      for j in range(d)]
-    tol = certified.tol_for(cfg.compare_tol, *powers)
+        sums[mask] = [(prev[j][0] + weighted[low][j][0],
+                       prev[j][1] + weighted[low][j][1]) for j in range(d)]
+    exact = all(lo == hi for row in powers for lo, hi in row)
+    tol = Fraction(0) if exact else cfg.compare_tol
     full = (1 << m) - 1
 
     def leq(a, b):
-        return all(certified.leq_with_slack(sums[a][j], sums[b][j], tol)[0]
-                   for j in range(d))
+        return all(sums[a][j][0] <= sums[b][j][1] + tol for j in range(d))
 
     passed = all(leq(mask, full) for mask in range(1 << m))
     passed = passed and all(leq(mask, mask | (1 << t))
@@ -428,7 +494,8 @@ def interval_sup_rep(f, p, cfg):
                 if sub == 0:
                     break
                 sub = (sub - 1) & mask
-    return passed, collapse_intervals(sums[full]), pairs_checked
+    return passed, collapse([certified.ends(*iv) for iv in sums[full]]), \
+        pairs_checked
 
 
 class TestSupRepIntegerTable:
@@ -478,12 +545,14 @@ class TestSupRepIntegerTable:
     @staticmethod
     def _corrupt(monkeypatch, by_mass):
         """Replace the weighted term of the atom with the given mass."""
-        real = certified.iscale
+        real = certified.scale
 
-        def iscale(a, c):
-            return by_mass[c] if c in by_mass else real(a, c)
+        def scale(a, cn, cd):
+            c = Fraction(cn, cd)
+            return (certified.ends(*by_mass[c]) if c in by_mass
+                    else real(a, cn, cd))
 
-        monkeypatch.setattr(certified, "iscale", iscale)
+        monkeypatch.setattr(certified, "scale", scale)
 
     @staticmethod
     def _run(*norms):
@@ -528,7 +597,7 @@ class TestSupRepIntegerTable:
             raise AssertionError("table work started above the cap")
 
         monkeypatch.setattr(bochner, "subset_sums", unreachable)
-        monkeypatch.setattr(certified, "ipow_frac", unreachable)
+        monkeypatch.setattr(certified, "ipow_ends", unreachable)
         m = bochner.SUP_REP_MAX_ATOMS + 1
         space = MeasureSpace.build([f"a{i}" for i in range(m)], [1] * m)
         f = LFunction.zero(space, MOD)
@@ -650,15 +719,15 @@ class TestNegativeControls:
         # ||u||_p * ||v||_q halves; the pairing integral does not use it.
         # At p = 1 with unit v the two sides are equal, so half fails.
         space, u = base
-        real = bochner.lp_norm_intervals
+        real = bochner.lp_norm_ends
 
         def halved_for_u(f, p, cfg):
-            ivs = real(f, p, cfg)
+            brackets = real(f, p, cfg)
             if f is not u:
-                return ivs
-            return [certified.iscale(iv, Fraction(1, 2)) for iv in ivs]
+                return brackets
+            return [certified.scale(e, 1, 2) for e in brackets]
 
-        monkeypatch.setattr(bochner, "lp_norm_intervals", halved_for_u)
+        monkeypatch.setattr(bochner, "lp_norm_ends", halved_for_u)
         v = dual_fn(space, L(1, 1), L(1, 1))
         rep = check_holder(u, v, Fraction(1), INF)
         assert not rep.passed
@@ -686,8 +755,8 @@ class TestNegativeControls:
     def _zero_integrals(monkeypatch):
         # the integral of the atom norms reads 0 in every coordinate
         monkeypatch.setattr(
-            bochner, "lp_from_atom_norms",
-            lambda norms, masses, p, cfg: [certified.exact(Fraction(0))]
+            bochner, "lp_from_atom_ends",
+            lambda norms, masses, p, cfg: [certified.exact(0)]
             * len(norms[0]))
 
     def test_chebyshev_fails_on_zeroed_integral(self, base, monkeypatch):
@@ -855,6 +924,34 @@ class TestCompleteness:
             expected = [q / 2 ** n for q in norm_w.coords]
             assert row["residual"] == expected
 
+    @pytest.mark.parametrize("n_terms", [0, -3])
+    def test_no_terms_refused_before_any_work(self, n_terms, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("harness work started without terms")
+
+        monkeypatch.setattr(bochner, "lp_norm_ends", unreachable)
+        monkeypatch.setattr(bochner, "rng_for", unreachable)
+        space = MeasureSpace.build(["a"], [1])
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            run_completeness_harness(space, MOD, Fraction(1), seed=1,
+                                     n_terms=n_terms)
+
+    def test_distances_computed_once(self, monkeypatch):
+        # one p-norm for w, one per pair a <= b, one residual per term
+        real = bochner.lp_norm_ends
+        calls = []
+
+        def counting(f, p, cfg):
+            calls.append(f)
+            return real(f, p, cfg)
+
+        monkeypatch.setattr(bochner, "lp_norm_ends", counting)
+        space = MeasureSpace.build(["a", "b"], ["1/2", "1/2"])
+        rep = run_completeness_harness(space, MOD, Fraction(2), seed=3,
+                                       n_terms=8)
+        assert rep.passed
+        assert len(calls) == 1 + 8 * 9 // 2 + 8
+
     def test_zero_direction_constant_sequence(self):
         # engineered via a harness-equivalent check: w = 0 means all terms
         # coincide, so every residual is zero
@@ -925,6 +1022,8 @@ class TestLpNormAxioms:
             base = value_intervals(lp_norm(u, p))
             alam = abs(lam)
             for j in range(2):
-                rhs = certified.iscale(base[j], alam[j])
-                ok, _ = certified.eq_within(lhs[j], rhs, cfg.compare_tol)
+                rhs = (base[j][0] * alam[j], base[j][1] * alam[j])
+                ok, _ = certified.eq_within(certified.ends(*lhs[j]),
+                                            certified.ends(*rhs),
+                                            cfg.compare_tol)
                 assert ok

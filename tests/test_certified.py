@@ -20,6 +20,17 @@ def decimal_pow(base: Fraction, exponent: Fraction, digits: int = 60) -> Fractio
         return Fraction((r * x.ln()).exp())
 
 
+def pow_bracket(q, r, bits):
+    """``certified.pow_ends`` as a pair of fractions."""
+    return certified.interval(certified.pow_ends(q, r, bits))
+
+
+def imul(a, b):
+    """Product of two Fraction brackets of any signs."""
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(products), max(products))
+
+
 class TestIntNthRoot:
     def test_small_values(self):
         assert certified.int_nth_root(0, 3) == 0
@@ -66,7 +77,7 @@ class TestPowBracket:
         (Fraction(42), Fraction(7, 3)),
     ])
     def test_small_exponents_contain_oracle(self, base, expo):
-        lo, hi = certified.pow_bracket(base, expo, 48)
+        lo, hi = pow_bracket(base, expo, 48)
         true = decimal_pow(base, expo)
         assert lo <= true <= hi
         assert hi - lo <= Fraction(1, 2 ** 44)
@@ -75,28 +86,28 @@ class TestPowBracket:
     def test_chain_path_large_denominator(self, base):
         # denominator 2**20 forces the nested square-root chain
         expo = Fraction(2 ** 21 - 1, 2 ** 20)
-        lo, hi = certified.pow_bracket(base, expo, 48)
+        lo, hi = pow_bracket(base, expo, 48)
         true = decimal_pow(base, expo)
         assert lo <= true <= hi
         assert hi - lo <= Fraction(1, 2 ** 44)
 
     def test_chain_path_non_dyadic_denominator(self):
         expo = Fraction(1, 3 ** 10)
-        lo, hi = certified.pow_bracket(Fraction(3), expo, 48)
+        lo, hi = pow_bracket(Fraction(3), expo, 48)
         true = decimal_pow(Fraction(3), expo)
         assert lo <= true <= hi
 
     def test_exact_cases(self):
-        assert certified.pow_bracket(Fraction(16), Fraction(3, 4), 40) == (8, 8)
-        assert certified.pow_bracket(Fraction(5), Fraction(0), 40) == (1, 1)
-        assert certified.pow_bracket(Fraction(0), Fraction(7, 2), 40) == (0, 0)
-        assert certified.pow_bracket(Fraction(9), Fraction(3), 40) == (729, 729)
+        assert pow_bracket(Fraction(16), Fraction(3, 4), 40) == (8, 8)
+        assert pow_bracket(Fraction(5), Fraction(0), 40) == (1, 1)
+        assert pow_bracket(Fraction(0), Fraction(7, 2), 40) == (0, 0)
+        assert pow_bracket(Fraction(9), Fraction(3), 40) == (729, 729)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            certified.pow_bracket(Fraction(-1), Fraction(1, 2), 40)
+            pow_bracket(Fraction(-1), Fraction(1, 2), 40)
         with pytest.raises(ValueError):
-            certified.pow_bracket(Fraction(2), Fraction(-1), 40)
+            pow_bracket(Fraction(2), Fraction(-1), 40)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.fractions(min_value=0, max_value=60,
@@ -107,8 +118,8 @@ class TestPowBracket:
         cfg = ToleranceConfig()
         allowance = n * (max(coords) + 1) ** (n - 1) * cfg.root_tol
         for q in coords:
-            iv = certified.pow_bracket(q, Fraction(1, n), cfg.root_bits + 2)
-            assert abs(certified.mid(iv) ** n - q) <= allowance
+            iv = pow_bracket(q, Fraction(1, n), cfg.root_bits + 2)
+            assert abs(certified.midpoint(*iv) ** n - q) <= allowance
 
 
 def fraction_chain(q, frac_exp, bits, rounds=None):
@@ -133,11 +144,11 @@ def fraction_chain(q, frac_exp, bits, rounds=None):
         prod = (Fraction(1), Fraction(1))
         for i in range(levels):
             if (k >> (levels - 1 - i)) & 1:
-                prod = certified.imul(prod, chain[i])
+                prod = imul(prod, chain[i])
         if not residual_exact:
             last = chain[-1]
-            prod = certified.imul(prod, (min(Fraction(1), last[0]),
-                                         max(Fraction(1), last[1])))
+            prod = imul(prod, (min(Fraction(1), last[0]),
+                               max(Fraction(1), last[1])))
         if prod[1] - prod[0] <= target:
             if rounds is not None:
                 rounds.append(n_rounds)
@@ -147,9 +158,10 @@ def fraction_chain(q, frac_exp, bits, rounds=None):
 
 
 def fraction_ipow_frac(a, r, bits):
-    """Reference ipow_frac: one pow_bracket per endpoint."""
-    return (certified.pow_bracket(a[0], r, bits)[0],
-            certified.pow_bracket(a[1], r, bits)[1])
+    """Reference bracket of x ** r over x in a: one pow_bracket per
+    endpoint."""
+    return (pow_bracket(a[0], r, bits)[0],
+            pow_bracket(a[1], r, bits)[1])
 
 
 def _chain_grid():
@@ -182,16 +194,19 @@ def _chain_grid():
     return cases
 
 
-def fraction_chain_ends(q, frac_exp, bits):
-    """``fraction_chain`` with the integer-ends return of the chain."""
-    lo, hi = fraction_chain(q, frac_exp, bits)
+def fraction_chain_ends(num, den, u, v, bits):
+    """``fraction_chain`` with the integer arguments and ends of the
+    chain."""
+    lo, hi = fraction_chain(Fraction(num, den), Fraction(u, v), bits)
     return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
 def _chain_brackets(cases):
     out = []
     for q, frac_exp, bits in cases:
-        ln, ld, hn, hd = certified._pow_via_chain(q, frac_exp, bits)
+        ln, ld, hn, hd = certified._pow_via_chain(
+            q.numerator, q.denominator, frac_exp.numerator,
+            frac_exp.denominator, bits)
         out.append((Fraction(ln, ld), Fraction(hn, hd)))
     return out
 
@@ -210,18 +225,24 @@ class TestPowChainOracle:
         assert max(rounds) > 1   # the widening loop was exercised
 
     def test_pow_bracket_and_ipow_frac_match_reference(self, monkeypatch):
+        # pow_ends and ipow_ends, given fractions or reduced integer pairs,
+        # against the same powers over the Fraction chain
         for q, frac_exp, bits in _chain_grid()[:12]:
             r = 1 + frac_exp
-            degenerate = (q, q)
-            wide = (q, q + Fraction(1, 3))
-            actual = [certified.pow_bracket(q, r, bits),
-                      certified.ipow_frac(degenerate, r, bits),
-                      certified.ipow_frac(wide, r, bits)]
+            top = q + Fraction(1, 3)
+            pair = (q.numerator, q.denominator)
+            actual = [certified.pow_ends(q, r, bits),
+                      certified.pow_ends(pair, r, bits),
+                      certified.ipow_ends(q, q, r, bits),
+                      certified.ipow_ends(pair, pair, r, bits),
+                      certified.ipow_ends(q, top, r, bits),
+                      certified.ipow_ends(
+                          pair, (top.numerator, top.denominator), r, bits)]
             with monkeypatch.context() as m:
                 m.setattr(certified, "_pow_via_chain", fraction_chain_ends)
-                expected = [certified.pow_bracket(q, r, bits),
-                            fraction_ipow_frac(degenerate, r, bits),
-                            fraction_ipow_frac(wide, r, bits)]
+                power = pow_bracket(q, r, bits)
+                wide = fraction_ipow_frac((q, top), r, bits)
+            expected = [certified.ends(*power)] * 4 + [certified.ends(*wide)] * 2
             assert actual == expected, (q, r, bits)
 
 
@@ -260,7 +281,7 @@ class TestSqrtLadder:
             s += power
             power /= 3
             if n >= 4:
-                certified.pow_bracket(q, s, 42)
+                pow_bracket(q, s, 42)
         info = certified._sqrt_ladder.cache_info()
         assert (info.misses, info.hits) == (1, 8)
 
@@ -277,26 +298,141 @@ class TestSqrtLadder:
 
 class TestIntervalOps:
     def test_mul_signs(self):
-        a = (Fraction(-2), Fraction(3))
-        b = (Fraction(-5), Fraction(1))
-        lo, hi = certified.imul(a, b)
-        assert lo == -15 and hi == 10
+        a = certified.ends(Fraction(-2), Fraction(3))
+        b = certified.ends(Fraction(-5), Fraction(1))
+        assert certified.mul(a, b) == (-15, 1, 10, 1)
 
     def test_abs(self):
-        assert certified.iabs((Fraction(-3), Fraction(-1))) == (1, 3)
-        assert certified.iabs((Fraction(-2), Fraction(5))) == (0, 5)
+        assert certified.iabs(certified.ends(Fraction(-3), Fraction(-1))) \
+            == (1, 1, 3, 1)
+        assert certified.iabs(certified.ends(Fraction(-2), Fraction(5))) \
+            == (0, 1, 5, 1)
 
     def test_leq_with_slack_semantics(self):
         exact = certified.exact
-        ok, slack = certified.leq_with_slack(exact(Fraction(1)), exact(Fraction(2)),
-                                             Fraction(0))
-        assert ok and slack == 1
-        ok, _ = certified.leq_with_slack(exact(Fraction(2)), exact(Fraction(1)),
-                                         Fraction(0))
+        ok, slack = certified.leq_with_slack(exact(1), exact(2), Fraction(0))
+        assert ok and Fraction(*slack) == 1
+        ok, _ = certified.leq_with_slack(exact(2), exact(1), Fraction(0))
         assert not ok
-        ok, _ = certified.leq_with_slack(exact(Fraction(2)), exact(Fraction(2)),
-                                         Fraction(0))
+        ok, _ = certified.leq_with_slack(exact(2), exact(2), Fraction(0))
         assert ok
+
+
+# Fraction references for the integer-end primitives: the bracket
+# arithmetic as it was computed on pairs of fractions.
+
+def fraction_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def fraction_scale(a, c):
+    return (a[0] * c, a[1] * c)
+
+
+def fraction_abs(a):
+    if a[0] >= 0:
+        return a
+    if a[1] <= 0:
+        return (-a[1], -a[0])
+    return (Fraction(0), max(-a[0], a[1]))
+
+
+def fraction_max(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def fraction_mid(a):
+    return a[0] if a[0] == a[1] else (a[0] + a[1]) / 2
+
+
+def fraction_leq(lhs, rhs, tol):
+    slack = rhs[1] - lhs[0]
+    return slack >= -tol, slack
+
+
+def fraction_eq(lhs, rhs, tol):
+    gap = abs(fraction_mid(lhs) - fraction_mid(rhs))
+    return gap <= tol, gap
+
+
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=10 ** 6)
+_tolerances = st.sampled_from([Fraction(0), Fraction(1, 2 ** 30),
+                               Fraction(1, 3), Fraction(2)])
+
+
+@st.composite
+def brackets(draw):
+    """A Fraction bracket: mixed signs, zero among its ends, exact (one
+    rational twice) or inexact."""
+    lo = draw(st.one_of(st.just(Fraction(0)), _rationals))
+    if draw(st.booleans()):
+        return (lo, lo)
+    hi = draw(st.one_of(st.just(Fraction(0)), _rationals))
+    return (min(lo, hi), max(lo, hi))
+
+
+def as_ends(iv):
+    return certified.ends(*iv)
+
+
+class TestEndsAgainstFractions:
+    """Each integer-end primitive returns exactly the rationals, in lowest
+    terms, of its Fraction reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(brackets(), brackets())
+    def test_add_mul_max(self, a, b):
+        ea, eb = as_ends(a), as_ends(b)
+        assert certified.add(ea, eb) == as_ends(fraction_add(a, b))
+        assert certified.mul(ea, eb) == as_ends(imul(a, b))
+        assert certified.imax(ea, eb) == as_ends(fraction_max(a, b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(brackets(), st.fractions(min_value=0, max_value=40,
+                                    max_denominator=10 ** 6))
+    def test_scale(self, a, c):
+        assert certified.scale(as_ends(a), c.numerator, c.denominator) \
+            == as_ends(fraction_scale(a, c))
+
+    @settings(max_examples=150, deadline=None)
+    @given(brackets())
+    def test_abs_mid_interval_exactness(self, a):
+        e = as_ends(a)
+        assert certified.iabs(e) == as_ends(fraction_abs(a))
+        assert certified.mid(e) == fraction_mid(a)
+        assert certified.interval(e) == a
+        assert certified.is_exact(e) == (a[0] == a[1])
+        assert certified.tol_for(Fraction(1, 7), [e]) \
+            == (0 if a[0] == a[1] else Fraction(1, 7))
+
+    @settings(max_examples=150, deadline=None)
+    @given(brackets(), brackets(), _tolerances)
+    def test_comparisons(self, a, b, tol):
+        ok, slack = certified.leq_with_slack(as_ends(a), as_ends(b), tol)
+        assert (ok, Fraction(*slack)) == fraction_leq(a, b, tol)
+        ok, gap = certified.eq_within(as_ends(a), as_ends(b), tol)
+        assert (ok, Fraction(*gap)) == fraction_eq(a, b, tol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+           st.integers(min_value=0, max_value=120),
+           st.integers(min_value=1, max_value=10 ** 6))
+    def test_reduced(self, num, shift, odd):
+        # power-of-two denominators take the shift, others the gcd
+        for den in (1 << shift, odd << shift):
+            q = Fraction(num, den)
+            assert certified.reduced(num, den) == (q.numerator, q.denominator)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+               st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+               st.integers(min_value=1, max_value=10 ** 9)), max_size=6))
+    def test_common_denominator_sum(self, terms):
+        nums = [n for n, _ in terms]
+        dens = [d for _, d in terms]
+        total = sum((Fraction(n, d) for n, d in terms), Fraction(0))
+        assert Fraction(*certified.common_denominator_sum(nums, dens)) \
+            == total
 
 
 # The root kernel as it was before the single-root bracket, the even-order
@@ -394,5 +530,6 @@ class TestRootKernelAgainstPrevious:
                           rng.randint(1, 10 ** 6))
             for iv in ((lo, lo), (lo, Fraction(lo.numerator, lo.denominator)),
                        (lo, lo + Fraction(1, rng.randint(1, 10 ** 6)))):
-                got = certified.mid(iv)
-                assert got == previous_mid(iv) and type(got) is Fraction
+                for got in (certified.midpoint(*iv),
+                            certified.mid(certified.ends(*iv))):
+                    assert got == previous_mid(iv) and type(got) is Fraction

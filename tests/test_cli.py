@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lbochner import bochner, duality, serialize, vecmeasure
+from lbochner import bochner, certified, duality, serialize, vecmeasure
 from lbochner.bochner import LFunction
 from lbochner.cli import main
 from lbochner.falgebra import LElement
@@ -266,9 +266,10 @@ class TestFailurePaths:
          f"levels above {vecmeasure.RNP_PROBE_MAX_LEVELS} rejected"),
         (["run", "bootstrap", "--limit-tol", "-1"], "limit_tol must be > 0"),
         (["run", "bootstrap", "--limit-tol", "0"], "limit_tol must be > 0"),
+        (["run", "completeness", "--terms", "0"], "n_terms must be >= 1"),
     ], ids=["run bootstrap", "run dct", "run rnp-probe",
             "run rnp-probe over the cap", "run bootstrap negative limit-tol",
-            "run bootstrap zero limit-tol"])
+            "run bootstrap zero limit-tol", "run completeness zero terms"])
     def test_negative_nmax_is_usage_error(self, argv, error, tmp_path,
                                           capsys):
         # an empty exponent chain, series or set family would end in a
@@ -384,14 +385,15 @@ class TestFailurePaths:
     def _shift_operator_norm(monkeypatch):
         # negative control: the operator norm one unit too large at
         # coordinate 1
-        real = duality.operator_norm_intervals
+        real = duality.operator_norm_ends
 
         def shifted(H, cfg):
-            ivs = real(H, cfg)
-            ivs[1] = (ivs[1][0] + 1, ivs[1][1] + 1)
-            return ivs
+            brackets = real(H, cfg)
+            ln, ld, hn, hd = brackets[1]
+            brackets[1] = (ln + ld, ld, hn + hd, hd)
+            return brackets
 
-        monkeypatch.setattr(duality, "operator_norm_intervals", shifted)
+        monkeypatch.setattr(duality, "operator_norm_ends", shifted)
 
     @pytest.mark.parametrize("argv", [
         ["--p", "1"], ["--norm", "two", "--p", "3"],
@@ -442,16 +444,16 @@ class TestFailurePaths:
         # ||u||_p * ||v||_q halves while the pairing integral stays.  At
         # p = 1 with unit v the sides are equal, (7, 4) each.
         s, u, v = holder_fixtures
-        real = bochner.lp_norm_intervals
+        real = bochner.lp_norm_ends
         primal = ModuleSpace(1, 2, NormKind.SUP)
 
         def halved_for_u(f, p, cfg):
-            ivs = real(f, p, cfg)
+            brackets = real(f, p, cfg)
             if f.codomain != primal:
-                return ivs
-            return [(lo / 2, hi / 2) for lo, hi in ivs]
+                return brackets
+            return [certified.scale(e, 1, 2) for e in brackets]
 
-        monkeypatch.setattr(bochner, "lp_norm_intervals", halved_for_u)
+        monkeypatch.setattr(bochner, "lp_norm_ends", halved_for_u)
         out = tmp_path / "report.json"
         assert main(["check", "holder", "--u", u, "--v", v, "--p", "1",
                      "--out", str(out)]) == 1
@@ -478,8 +480,8 @@ class TestFailurePaths:
     @staticmethod
     def _zero_integrals(monkeypatch):
         monkeypatch.setattr(
-            bochner, "lp_from_atom_norms",
-            lambda norms, masses, p, cfg: [(Fraction(0), Fraction(0))]
+            bochner, "lp_from_atom_ends",
+            lambda norms, masses, p, cfg: [certified.exact(0)]
             * len(norms[0]))
 
     def test_chebyshev_zeroed_integral(self, tmp_path, monkeypatch):

@@ -208,7 +208,7 @@ class TestIsometry:
     def test_failing_chain_step_is_the_witness(self, monkeypatch):
         # negative control: lift the lhs of chain step n = 2 at coordinate 1
         # above its rhs; the norms still agree, so only the chain can fail
-        real = duality.power_sums_from_atom_norms
+        real = duality.power_sums_from_atom_ends
         steps = []
 
         def lifted(atom_norms, masses, s, cfg):
@@ -219,7 +219,7 @@ class TestIsometry:
                 lhs[1] = (lo + 1, hi + 1)
             return lhs
 
-        monkeypatch.setattr(duality, "power_sums_from_atom_norms", lifted)
+        monkeypatch.setattr(duality, "power_sums_from_atom_ends", lifted)
         space = MeasureSpace.build(["a"], [1])
         v = dual_fn(space, L(3, 4))
         rep = isometry_check(v, Fraction(2), Fraction(2))

@@ -86,7 +86,7 @@ class TestRingLatticeLaws:
 
 class TestApproxReal:
     def test_interval_roundtrip(self):
-        a = ApproxReal.from_interval((Fraction(1, 3), Fraction(2, 3)))
+        a = ApproxReal.from_ends((1, 3, 2, 3))
         assert a.value == Fraction(1, 2)
         assert a.abs_error_bound == Fraction(1, 6)
         assert (a.lo, a.hi) == (Fraction(1, 3), Fraction(2, 3))

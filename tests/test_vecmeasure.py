@@ -5,7 +5,7 @@ import pytest
 from lbochner import bochner, certified, vecmeasure
 from lbochner.bochner import LFunction, integrate_over
 from lbochner.falgebra import DEFAULT_TOLERANCES, LElement
-from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, norm_intervals
+from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, norm_ends
 from lbochner.measure import (
     MeasureSpace,
     enumerate_partitions,
@@ -219,9 +219,9 @@ class TestSubsetTables:
         G = seeded_measure(505, m, kind)
         expected = []
         for F in G.space.all_subsets():
-            norms = norm_intervals(evaluate(G, F), DEFAULT_TOLERANCES)
+            norms = norm_ends(evaluate(G, F), DEFAULT_TOLERANCES)
             expected.append({"mu": measure_of(F),
-                             "value_norm": [certified.mid(iv) for iv in norms]})
+                             "value_norm": [certified.mid(e) for e in norms]})
         rep = check_mu_continuity(G)
         assert rep.passed
         assert rep.series == expected
