@@ -401,16 +401,17 @@ def _cmd_suite_all(args) -> reports.Report:
         rng = sampling.rng_for(seed, 67, int(p * 2))
         check = reports.CheckReport(name=f"holder-minkowski-p{p_str}",
                                     details={"pairs": 50})
-        for _ in range(50):
+        for pair in range(50):
             space = sampling.random_measure_space(rng, 3)
             codomain = lmodule.ModuleSpace(1, 2, NormKind.SUP)
             u = _random_lfunction(rng, space, codomain)
             v = _random_lfunction(rng, space, codomain)
-            if not bochner.check_holder(u, v.moved_to(codomain.dual()), p, q,
-                                        cfg).passed:
-                check.fail()
-            if not bochner.check_minkowski(u, v, p, cfg).passed:
-                check.fail()
+            for rep in (bochner.check_holder(u, v.moved_to(codomain.dual()),
+                                             p, q, cfg),
+                        bochner.check_minkowski(u, v, p, cfg)):
+                if not rep.passed:
+                    check.fail({"pair": pair, "check": rep.name,
+                                **rep.witness})
         check.details["failures"] = check.failures
         checks.append(check)
 

@@ -173,16 +173,19 @@ def bootstrap_lower_bound(v: LFunction, p: Fraction, n_max: int,
     fv = lp_from_atom_ends(atom_norms, v.space.masses,
                            conjugate_exponent(p), cfg)
     return _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
-                      check_limit=True)
+                      full_report=True)
 
 
 def _bootstrap(v: LFunction, p: Fraction, n_max: int,
                cfg: ToleranceConfig, limit_tol: Fraction,
                atom_norms: List[List[Ends]], fv: List[Ends],
-               check_limit: bool) -> CheckReport:
+               full_report: bool) -> CheckReport:
     """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
     given v's dual atom norms and the brackets fv of its conjugate-exponent
-    norm; the limit comparison decides the verdict only if check_limit.
+    norm.  Only with full_report does it build the reported series, take
+    the limit roots and let the limit comparison decide the verdict too;
+    without it the report carries the chain steps' verdict and witness
+    alone.
 
     The power sums come as the fractions the series reports; every
     comparison reads their ends."""
@@ -216,10 +219,13 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
         for j in range(d):
             if not certified.leq_with_slack(lhs[j], rhs[j], tol)[0]:
                 report.fail({"n": n, "coordinate": j})
-        report.series.append({"n": n, "exponent": s,
-                              "lhs": [certified.midpoint(lo, hi)
-                                      for lo, hi in sums],
-                              "rhs": [certified.mid(e) for e in rhs]})
+        if full_report:
+            report.series.append({"n": n, "exponent": s,
+                                  "lhs": [certified.midpoint(lo, hi)
+                                          for lo, hi in sums],
+                                  "rhs": [certified.mid(e) for e in rhs]})
+    if not full_report:
+        return report
 
     inv_s = (s.denominator, s.numerator)
     limit = [certified.ipow_ends(lo, hi, inv_s, bits) for lo, hi in sums]
@@ -228,7 +234,7 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
         ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
         gap = Fraction(*gap)
         limit_gaps.append(gap)
-        if check_limit and not ok:
+        if not ok:
             report.fail({"stage": "limit", "coordinate": j, "gap": gap})
 
     report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
@@ -244,7 +250,9 @@ def isometry_check(v: LFunction, p: Exponent, q: Exponent,
     the conjugate-exponent norm of v; exact where both sides are rational,
     within compare_tol otherwise.  For 1 < p < infinity with strictly
     positive atom norms the exponent-chain inequalities are asserted as
-    well.  ``details`` carries both norms and the per-coordinate gaps.  A
+    well; only the chain steps are built here, since its reported series
+    and limit come from ``bootstrap_lower_bound`` alone.  ``details``
+    carries both norms and the per-coordinate gaps.  A
     failing report's witness names the first unequal coordinate with both
     bracket midpoints and their gap, or else the first failing chain step
     as ``{"stage": "bootstrap", "n": ..., "coordinate": ...}``."""
@@ -271,10 +279,10 @@ def isometry_check(v: LFunction, p: Exponent, q: Exponent,
 
     if p is not INF and p > 1:
         try:
-            # the chain inequalities are asserted; the limit comparison is
-            # redundant here (norm equality is checked directly above)
+            # only the chain inequalities are asserted: the limit would
+            # repeat the norm equality checked above
             chain = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
-                               atom_norms, nv, check_limit=False)
+                               atom_norms, nv, full_report=False)
             if not chain.passed:
                 report.fail({"stage": "bootstrap", **chain.witness})
         except ZeroNorm:
@@ -289,11 +297,11 @@ def represent(H: LpOperator) -> LFunction:
 
     Both sides are linear, so agreement on the basis is agreement
     everywhere: it fixes H's row at atom t to mu(t) * v(t), and H(u) and
-    the pairing are sums of exactly those products.  A failed verification
-    raises ``RepresentationMismatch`` with the failing subset or basis
-    function as its witness."""
-    primal = H.codomain
-    dual_space = primal.dual()
+    the pairing are sums of exactly those products, so the verification
+    compares rows (``_verify_basis``).  A failed verification raises
+    ``RepresentationMismatch`` with the failing subset or basis function as
+    its witness."""
+    dual_space = H.codomain.dual()
     atom_values = tuple(
         ModuleVector(dual_space, tuple(row)) for row in H.basis_action)
     G = VectorMeasure(H.space, dual_space, atom_values)
@@ -301,16 +309,24 @@ def represent(H: LpOperator) -> LFunction:
     if not check.passed:
         raise RepresentationMismatch({"stage": "density", **check.witness})
 
-    # basis verification; exact
-    for t in range(H.space.size):
-        for i in range(primal.rank):
-            u = LFunction.indicator_times(
-                primal.basis_vector(i), H.space.singleton(t))
-            if H(u) != pairing(u, v):
+    _verify_basis(H, v)
+    return v
+
+
+def _verify_basis(H: LpOperator, v: LFunction) -> None:
+    """Raise ``RepresentationMismatch`` at the first basis function
+    u = e_i * 1_t, in (t, i) order, on which H(u) and pairing(u, v)
+    differ.  For such u, H(u) is the row entry H.basis_action[t][i] and
+    the pairing is mu(t) * v(t)_i, or zero at a null atom: one product per
+    entry instead of two contractions over all m*k entries."""
+    zero = LElement.zero(H.codomain.scalar_dim)
+    for t, mass in enumerate(H.space.masses):
+        entries = v.values[t].entries
+        for i, action in enumerate(H.basis_action[t]):
+            if action != (entries[i].scale(mass) if mass else zero):
                 raise RepresentationMismatch({
                     "stage": "basis", "atom": H.space.atom_names[t],
                     "entry": i})
-    return v
 
 
 def roundtrip_check(p: Exponent, q: Exponent, trials: int, seed: int,

@@ -37,7 +37,8 @@ class MeasureSpace(Frozen):
             raise ValueError("atom names must be unique")
         if any(m < 0 for m in masses):
             raise ValueError("masses must be nonnegative")
-        if sum(masses) <= 0:
+        # the masses are nonnegative, so the total is positive iff one is
+        if not any(m > 0 for m in masses):
             raise ValueError("total mass must be positive")
         self._set("atom_names", atom_names)
         self._set("masses", masses)

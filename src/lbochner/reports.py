@@ -37,7 +37,7 @@ class CheckReport:
     def __bool__(self) -> bool:
         return self.passed
 
-    def fail(self, witness: Optional[Dict[str, Any]] = None) -> None:
+    def fail(self, witness: Dict[str, Any]) -> None:
         if self.passed:
             self.passed = False
             self.witness = witness

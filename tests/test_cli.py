@@ -119,7 +119,7 @@ class TestExitCodes:
             rep = real(*args, **kwargs)
             calls.append(rep)
             if len(calls) in (1, 3):
-                rep.fail()
+                rep.fail({"forced": len(calls)})
             return rep
 
         monkeypatch.setattr(duality, "isometry_check", failing_on_trials_0_and_2)
@@ -131,7 +131,7 @@ class TestExitCodes:
         check = json.loads(out.read_text())["checks"][0]
         assert check["verdict"] == "FAIL"
         assert check["details"]["failures"] == 2
-        assert check["witness"] == {"trial": 0}
+        assert check["witness"] == {"trial": 0, "forced": 1}
 
 
 class TestFailurePaths:
@@ -476,6 +476,29 @@ class TestFailurePaths:
         check = self._checks(out)["minkowski"]
         assert check["details"]["failures"] == 1
         assert check["witness"] == {"trial": 0, "coordinate": 0}
+
+    def test_suite_all_names_the_failing_minkowski_pair(self, tmp_path,
+                                                       monkeypatch):
+        # every Minkowski report fails through its own fail call; each
+        # holder-minkowski check names the first pair, the failing check
+        # and that report's witness
+        real = bochner.check_minkowski
+
+        def failing(u, v, p, cfg):
+            rep = real(u, v, p, cfg)
+            rep.fail({"coordinate": 1})
+            return rep
+
+        monkeypatch.setattr(bochner, "check_minkowski", failing)
+        out = tmp_path / "report.json"
+        assert main(["suite", "all", "--seed", "42", "--out", str(out)]) == 1
+        checks = self._checks(out)
+        failed = {name for name, c in checks.items() if c["verdict"] == "FAIL"}
+        assert failed == {f"holder-minkowski-p{p}" for p in (1, 2, 3)}
+        check = checks["holder-minkowski-p2"]
+        assert check["witness"] == {"pair": 0, "check": "minkowski",
+                                    "coordinate": 1}
+        assert check["details"] == {"pairs": 50, "failures": 50}
 
     @staticmethod
     def _zero_integrals(monkeypatch):

@@ -3,9 +3,18 @@ from fractions import Fraction
 import pytest
 
 from lbochner import duality
-from lbochner.bochner import INF, LFunction, lp_norm
+from lbochner.bochner import (
+    INF,
+    LFunction,
+    atom_norm_ends,
+    conjugate_exponent,
+    lp_from_atom_ends,
+    lp_norm,
+)
 from lbochner.duality import (
+    DEFAULT_LIMIT_TOL,
     LpOperator,
+    RepresentationMismatch,
     ZeroNorm,
     bootstrap_lower_bound,
     build_F,
@@ -15,7 +24,7 @@ from lbochner.duality import (
     represent,
     roundtrip_check,
 )
-from lbochner.falgebra import LElement, ToleranceConfig
+from lbochner.falgebra import DEFAULT_TOLERANCES, LElement, ToleranceConfig
 from lbochner.lmodule import (
     ModuleSpace,
     ModuleVector,
@@ -240,6 +249,71 @@ class TestIsometry:
                 assert all(g == 0 for g in rep.details["gaps"])
 
 
+class TestChainVerdictAgainstFullBootstrap:
+    """isometry_check runs the exponent chain without its reported series
+    and limit.  Its chain verdict and witness must be those of the full
+    bootstrap run on the same brackets: that run fails a chain step first
+    if it fails one at all, since the limit comes after every step.  At
+    six steps the full run's limit fails on seeded data (the truncation
+    gap is far above 2**-20), which the chain verdict must not see."""
+
+    @staticmethod
+    def _lift_step(monkeypatch, p, k, j):
+        # the lhs of chain step k at coordinate j one unit too large, keyed
+        # by the step's exponent so that every run on v is doctored alike
+        s_k = sum(Fraction(1) / p ** n for n in range(k + 1))
+        real = duality.power_sums_from_atom_ends
+
+        def lifted(atom_norms, masses, s, cfg):
+            sums = real(atom_norms, masses, s, cfg)
+            if s == s_k:
+                lo, hi = sums[j]
+                sums[j] = (lo + 1, hi + 1)
+            return sums
+
+        monkeypatch.setattr(duality, "power_sums_from_atom_ends", lifted)
+
+    @staticmethod
+    def _full_run(v, p):
+        q = conjugate_exponent(p)
+        atom_norms = atom_norm_ends(v, DEFAULT_TOLERANCES)
+        nv = lp_from_atom_ends(atom_norms, v.space.masses, q,
+                               DEFAULT_TOLERANCES)
+        full = duality._bootstrap(v, p, 6, DEFAULT_TOLERANCES,
+                                  DEFAULT_LIMIT_TOL, atom_norms, nv,
+                                  full_report=True)
+        assert len(full.series) == 7 and "limit_gaps" in full.details
+        return full
+
+    @pytest.mark.parametrize("lift", [None, (0, 0), (2, 1), (6, 0)],
+                             ids=["clean", "step0", "step2", "step6"])
+    @pytest.mark.parametrize("p", [Fraction(2), Fraction(3)])
+    def test_seeded_duals(self, p, lift, monkeypatch):
+        if lift is not None:
+            self._lift_step(monkeypatch, p, *lift)
+        rng = rng_for(61, int(p))
+        stages = []
+        for kind in (NormKind.SUP, NormKind.ONE, NormKind.TWO):
+            primal = ModuleSpace(2, 2, kind)
+            for _ in range(2):
+                v = random_dual(rng, random_measure_space(rng, 3), primal)
+                rep = isometry_check(v, p, conjugate_exponent(p))
+                try:
+                    full = self._full_run(v, p)
+                except ZeroNorm:
+                    assert rep.passed
+                    continue
+                stage = ("pass" if full.passed
+                         else full.witness.get("stage", "chain"))
+                stages.append(stage)
+                expected = ({"stage": "bootstrap", **full.witness}
+                            if stage == "chain" else None)
+                assert rep.witness == expected
+                assert rep.passed == (expected is None)
+        assert len(stages) >= 4
+        assert ("limit" in stages) if lift is None else ("chain" in stages)
+
+
 class TestBootstrap:
     def test_single_atom_constant(self):
         space = MeasureSpace.build(["a"], [1])
@@ -346,6 +420,88 @@ class TestRepresentOffBasis:
             represent(H)
         assert raised.value.witness == {
             "stage": "basis", "atom": H.space.atom_names[t], "entry": 0}
+
+
+def evaluated_basis_witness(H, v):
+    """The reference for ``_verify_basis``: H and the pairing evaluated on
+    each u = e_i * 1_t in (t, i) order, each call contracting over all
+    m * k entries.  The first disagreement's witness, or None."""
+    for t in range(H.space.size):
+        for i in range(H.codomain.rank):
+            u = LFunction.indicator_times(
+                H.codomain.basis_vector(i), H.space.singleton(t))
+            if H(u) != pairing(u, v):
+                return {"stage": "basis", "atom": H.space.atom_names[t],
+                        "entry": i}
+    return None
+
+
+def compared_basis_witness(H, v):
+    try:
+        duality._verify_basis(H, v)
+    except RepresentationMismatch as exc:
+        return exc.witness
+    return None
+
+
+class TestBasisRowsAgainstEvaluation:
+    """The row comparison of ``represent`` gives the evaluating loop's
+    verdict and witness on seeded pairs, on every single doctored
+    coefficient of v and on an operator that charges a null atom."""
+
+    @staticmethod
+    def _pairs(kind, null_atoms):
+        rng = rng_for(62, ord(kind.value[0]), null_atoms)
+        primal = ModuleSpace(2, 2, kind)
+        for p in (Fraction(1), Fraction(2), INF):
+            space = random_measure_space(rng, 3, null_atoms=null_atoms)
+            v = random_dual(rng, space, primal)
+            yield build_F(v, p), v
+
+    @staticmethod
+    def _off_by_one(v, t, i, j):
+        values = list(v.values)
+        entries = list(values[t].entries)
+        coords = list(entries[i].coords)
+        coords[j] += 1
+        entries[i] = LElement(coords)
+        values[t] = ModuleVector(v.codomain, tuple(entries))
+        return LFunction(v.space, v.codomain, tuple(values))
+
+    @pytest.mark.parametrize("null_atoms", [0, 1])
+    @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE,
+                                      NormKind.TWO])
+    def test_same_verdict_and_witness(self, kind, null_atoms):
+        failing = 0
+        for H, v in self._pairs(kind, null_atoms):
+            assert compared_basis_witness(H, v) is None
+            assert evaluated_basis_witness(H, v) is None
+            for t in range(H.space.size):
+                for i in range(H.codomain.rank):
+                    for j in range(H.codomain.scalar_dim):
+                        w = self._off_by_one(v, t, i, j)
+                        witness = evaluated_basis_witness(H, w)
+                        assert compared_basis_witness(H, w) == witness
+                        # the pairing ignores null atoms, and only them
+                        assert (witness is None) == (H.space.masses[t] == 0)
+                        failing += witness is not None
+        assert failing == 3 * (3 - null_atoms) * 2 * 2
+
+    @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE,
+                                      NormKind.TWO])
+    def test_nonzero_row_at_a_null_atom(self, kind):
+        for H, v in self._pairs(kind, 1):
+            t = H.space.masses.index(0)
+            for i in range(H.codomain.rank):
+                rows = list(H.basis_action)
+                rows[t] = tuple(L(0, 0) if k != i else L(0, -3)
+                                for k in range(H.codomain.rank))
+                doctored = LpOperator(H.space, H.codomain, tuple(rows),
+                                      H.declared_p)
+                witness = evaluated_basis_witness(doctored, v)
+                assert witness == {"stage": "basis",
+                                   "atom": H.space.atom_names[t], "entry": i}
+                assert compared_basis_witness(doctored, v) == witness
 
 
 class TestRoundtrip:

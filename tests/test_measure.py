@@ -30,8 +30,10 @@ class TestMeasureOf:
     def test_construction_guards(self):
         with pytest.raises(ValueError):
             MeasureSpace.build(["a", "a"], [1, 1])
-        with pytest.raises(ValueError):
-            MeasureSpace.build(["a"], [0])
+        for masses in ([0], [0, 0], []):
+            with pytest.raises(ValueError, match="total mass must be positive"):
+                MeasureSpace.build([f"a{i}" for i in range(len(masses))],
+                                   masses)
         with pytest.raises(ValueError):
             MeasureSpace.build(["a"], [-1])
 

@@ -49,7 +49,7 @@ class TestFail:
         check = CheckReport(name="c")
         check.fail({"n": 0})
         check.fail({"n": 1})
-        check.fail()
+        check.fail({"n": 2})
         assert not check.passed
         assert check.failures == 3
         assert check.witness == {"n": 0}
