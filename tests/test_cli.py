@@ -823,6 +823,15 @@ class TestGoldenReports:
         (["dual", "roundtrip", "--norm", "one", "--p", "3", "--trials", "5",
           "--seed", "42"], 0,
          "4a4c0aaff498b01ee19462ad3d75d4f4cdf06ad3e0934e04fed727dae212ecc0"),
+        # the mu-continuity table at its 10-atom cap, in each norm kind
+        (["rn", "density", "--norm", "one", "--atoms", "10", "--seed", "7"],
+         0, "8bf60f95c04accb52701a5451fd0bffe7df6a84ff243f6174d65c533b9321587"),
+        (["rn", "density", "--norm", "two", "--atoms", "9", "--rank", "3",
+          "--seed", "7"], 0,
+         "b959cdf142b604e24e19eebf3df779bcc63d9e44b8afbd27b1e4da4a07d8b06b"),
+        (["rn", "density", "--norm", "sup", "--atoms", "10", "--rank", "1",
+          "--dim", "3", "--seed", "7", "--format", "csv"], 0,
+         "edb65c03ebb119cf331b5b9ee35c7b32bdbee444e252067d5d70518bbad599d5"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
@@ -831,7 +840,8 @@ class TestGoldenReports:
             "run-bootstrap-loose-tol", "dual-roundtrip-p3",
             "check-holder-p1", "check-norm-axioms-two",
             "rn-variation-nonexhaustive", "dual-represent-sup-p1",
-            "dual-roundtrip-one-p3"])
+            "dual-roundtrip-one-p3", "rn-density-one-10",
+            "rn-density-two-rank3", "rn-density-sup-csv"])
     def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == code

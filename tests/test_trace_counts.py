@@ -52,7 +52,7 @@ def traced_round(workload: str, seed: int, workdir: Path) -> dict:
             "exit_codes": [cmd["rc"] for cmd in result["commands"]]}
 
 
-@pytest.mark.parametrize("workload", ["suite", "roots"])
+@pytest.mark.parametrize("workload", ["suite", "roots", "exhaustive"])
 def test_traced_counts_match_baseline(workload, tmp_path):
     baseline = json.loads(BASELINE.read_text("utf-8"))
     assert traced_round(workload, baseline["seed"], tmp_path) \
