@@ -258,8 +258,8 @@ def verify_sup_representation(f: LFunction, p: Exponent,
         column = [row[j] for row in weighted]
         den = math.lcm(tol.denominator, *(e[1] for e in column),
                        *(e[3] for e in column))
-        lo = subset_sums([e[0] * (den // e[1]) for e in column], 0)
-        hi = subset_sums([e[2] * (den // e[3]) for e in column], 0)
+        lo = subset_sums([e[0] * (den // e[1]) for e in column])
+        hi = subset_sums([e[2] * (den // e[3]) for e in column])
         tol_j = tol.numerator * (den // tol.denominator)
         lo_sums.append(lo)
         hi_plus_tol.append([s + tol_j for s in hi])

@@ -16,8 +16,9 @@ enters a result.
 
 The p-norm pipeline, norm -> power sum -> root, runs on these ends:
 
-* ``lmodule.norm_ends`` gives each coordinate's norm as ends; only the
-  two-norm builds a fraction, its ``root_bracket`` radicand.
+* ``lmodule.norm_ends`` gives each coordinate's norm as ends, from the
+  unreduced (num, den) of ``lmodule.column_norms``; only the two-norm
+  builds a fraction, its ``root_bracket`` radicand.
 * ``pow_ends`` (``ipow_ends`` over a bracket) brackets q ** r for a base
   and an exponent each given as a ``Fraction`` or as a reduced
   (num, den) pair: the exact factor q ** floor(r) as integers, a
@@ -52,11 +53,16 @@ Comparison semantics used by all checkers:
 Both return the margin as an unreduced (num, den) pair; a caller that
 reports it builds the ``Fraction`` then.
 
-The subset table of ``bochner.verify_sup_representation`` applies the
-``leq_with_slack`` rule without building brackets: for each scalar
-coordinate it writes every end of its atom terms, and ``tol``, over one
-common denominator, sums the ends as integers and compares
-lo(a) <= hi(b) + tol as integers scaled by that denominator.
+Two subset tables sum integers over one common denominator per scalar
+coordinate.  The table of ``bochner.verify_sup_representation`` applies
+the ``leq_with_slack`` rule without building brackets: it writes every end
+of its atom terms, and ``tol``, over that denominator, sums the ends as
+integers and compares lo(a) <= hi(b) + tol as integers scaled by it.  The
+mu-continuity table of ``vecmeasure.check_mu_continuity`` sums the masses
+over their least common multiple and every atom value's entries over the
+coordinate's denominator, takes each subset's norm with
+``lmodule.column_norms`` and reduces each reported number once, into its
+``Fraction`` (a two-norm's through ``root_bracket`` and ``mid``).
 """
 
 from __future__ import annotations

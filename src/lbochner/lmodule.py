@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from . import certified
-from .certified import Ends, Interval
+from .certified import Ends, Interval, Ratio
 from .falgebra import (
     ApproxReal,
     DEFAULT_TOLERANCES,
@@ -122,23 +122,19 @@ def contract(a: Sequence[LElement], b: Sequence[LElement]) -> LElement:
 NormValue = Union[LElement, Tuple[ApproxReal, ...]]
 
 
-def norm_ends(x: ModuleVector,
-              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Ends]:
-    """Per-scalar-coordinate certified brackets of the norm of x, in the
-    norm kind of its own module ``x.space``, as integer ends
-    (``certified.Ends``).  Exact coordinates come back as degenerate
-    brackets.
+Column = Tuple[Sequence[int], Sequence[int]]
 
-    Each coordinate works on the entries' numerators and denominators: the
-    sup by cross-multiplication, the one-norm summed over one common
-    denominator and reduced once.  The two-norm's sum of squares is built
-    once as the ``Fraction`` radicand of its ``root_bracket``, whose two
-    ends are the only other fractions."""
-    kind = x.space.norm_kind
-    out: List[Ends] = []
-    columns = zip(zip(*(e.nums for e in x.entries)),
-                  zip(*(e.dens for e in x.entries)))
+
+def column_norms(kind: NormKind, columns: Iterable[Column]) -> List[Ratio]:
+    """The norm step of each scalar coordinate, given as the numerators and
+    denominators (> 0) of its entries, as an unreduced (num, den): the
+    sup-norm's value, a maximum by cross-multiplication (one of the
+    entries, so in lowest terms when they are); the one-norm's value,
+    summed over one common denominator; or the two-norm's radicand, the sum
+    of squares over one common denominator.  Each caller reduces every
+    pair once, in the form it needs."""
     if kind is NormKind.SUP:
+        out = []
         for nums, dens in columns:
             best_num, best_den = 0, 1
             for n, d in zip(nums, dens):
@@ -146,19 +142,38 @@ def norm_ends(x: ModuleVector,
                     n = -n
                 if n * best_den > best_num * d:
                     best_num, best_den = n, d
-            out.append((best_num, best_den, best_num, best_den))
-    elif kind is NormKind.ONE:
-        for nums, dens in columns:
-            total = certified.reduced(*certified.common_denominator_sum(
-                [abs(n) for n in nums], dens))
-            out.append(total + total)
-    else:
-        bits = cfg.root_bits + 2
-        for nums, dens in columns:
-            sq = Fraction(*certified.common_denominator_sum(
-                [n * n for n in nums], [d * d for d in dens]))
-            out.append(certified.ends(*certified.root_bracket(sq, 2, bits)))
-    return out
+            out.append((best_num, best_den))
+        return out
+    if kind is NormKind.ONE:
+        return [certified.common_denominator_sum([abs(n) for n in nums], dens)
+                for nums, dens in columns]
+    return [certified.common_denominator_sum([n * n for n in nums],
+                                             [d * d for d in dens])
+            for nums, dens in columns]
+
+
+def norm_ends(x: ModuleVector,
+              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Ends]:
+    """Per-scalar-coordinate certified brackets of the norm of x, in the
+    norm kind of its own module ``x.space``, as integer ends
+    (``certified.Ends``).  Exact coordinates come back as degenerate
+    brackets.
+
+    The coordinates are ``column_norms`` of the entries' numerators and
+    denominators: the sup is already in lowest terms, the one-norm is
+    reduced once, and the two-norm's sum of squares becomes the
+    ``Fraction`` radicand of its ``root_bracket``, whose two ends are the
+    only other fractions."""
+    kind = x.space.norm_kind
+    pairs = column_norms(kind, zip(zip(*(e.nums for e in x.entries)),
+                                   zip(*(e.dens for e in x.entries))))
+    if kind is NormKind.SUP:
+        return [(n, d, n, d) for n, d in pairs]
+    if kind is NormKind.ONE:
+        return [certified.reduced(n, d) * 2 for n, d in pairs]
+    bits = cfg.root_bits + 2
+    return [certified.ends(*certified.root_bracket(Fraction(n, d), 2, bits))
+            for n, d in pairs]
 
 
 def collapse(brackets: Sequence[Ends]) -> NormValue:

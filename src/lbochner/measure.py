@@ -9,7 +9,7 @@ sign-pattern set families used by the density-failure probe.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .falgebra import Frozen, RationalLike, as_rational
 
@@ -127,15 +127,12 @@ def measure_of(F: MeasurableSet) -> Fraction:
     return sum((F.space.masses[i] for i in F.members), Fraction(0))
 
 
-T = TypeVar("T")
-
-
-def subset_sums(terms: Sequence[T], zero: T) -> List[T]:
-    """Indexed by bitmask: entry ``mask`` is ``zero`` plus the terms whose
-    bit is set in ``mask``.  Each entry is one addition away from the entry
+def subset_sums(terms: Sequence[int]) -> List[int]:
+    """Indexed by bitmask: entry ``mask`` is the sum of the terms whose bit
+    is set in ``mask``.  Each entry is one addition away from the entry
     without its lowest set bit, so the whole table costs 2**len(terms)
     additions."""
-    sums = [zero] * (1 << len(terms))
+    sums = [0] * (1 << len(terms))
     for mask in range(1, len(sums)):
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]

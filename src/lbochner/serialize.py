@@ -10,6 +10,8 @@ ValueError with a location on malformed input.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from typing import Any, Dict
 
@@ -21,9 +23,22 @@ from .reports import format_rational
 from .vecmeasure import VectorMeasure
 
 
+# the decimal exponent of a rational such as "2.5e3"
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
 def parse_rational(s: Any, where: str = "value") -> Fraction:
+    """A rational from "num/den", an integer or a decimal.  A decimal
+    exponent above the interpreter's integer-string cap
+    (``sys.get_int_max_str_digits()``) is refused before ``Fraction``
+    computes 10 ** exponent: the result could not be written back."""
+    text = str(s)
     try:
-        return Fraction(str(s))
+        exponent = _EXPONENT.search(text)
+        cap = sys.get_int_max_str_digits()
+        if exponent and cap and abs(int(exponent.group(1))) > cap:
+            raise ValueError("decimal exponent above the digit cap")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: not a rational: {s!r}") from exc
 

@@ -8,7 +8,9 @@ attained at the atomic partition (certified by refinement monotonicity)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import repeat
 from typing import List, Tuple
 
 from . import certified
@@ -19,6 +21,7 @@ from .lmodule import (
     ModuleVector,
     NormKind,
     collapse,
+    column_norms,
     norm,
     norm_ends,
     value_intervals,
@@ -83,7 +86,15 @@ def check_mu_continuity(G: VectorMeasure,
 
     The atoms decide the verdict: mu(F) = 0 only when every atom of F is
     null, and G(F) is the sum of their values, so a subset can fail only
-    through a null atom that already failed on its own."""
+    through a null atom that already failed on its own.
+
+    The table is summed in integers: the masses over their least common
+    multiple, and for each scalar coordinate every entry of every atom
+    value over one common denominator, one ``subset_sums`` per rank entry.
+    Each subset's coordinate norm is ``column_norms`` of those integer sums,
+    and each reported number is reduced once, into its ``Fraction``; a
+    two-norm's radicand goes through ``root_bracket`` and ``mid`` as in
+    ``norm_ends``."""
     report = CheckReport(name="mu-continuity",
                          details={"atoms": G.space.size})
     for t, mass in enumerate(G.space.masses):
@@ -91,13 +102,35 @@ def check_mu_continuity(G: VectorMeasure,
             report.fail({"atom": G.space.atom_names[t]})
 
     if G.space.size <= CONTINUITY_TABLE_MAX_ATOMS:
-        masses = subset_sums(G.space.masses, Fraction(0))
-        values = subset_sums(G.atom_values, G.codomain.zero())
+        masses = G.space.masses
+        mass_den = math.lcm(*(q.denominator for q in masses))
+        mus = subset_sums([q.numerator * (mass_den // q.denominator)
+                           for q in masses])
+        columns = [_norm_column(G, j, cfg)
+                   for j in range(G.codomain.scalar_dim)]
         report.series = [
-            {"mu": mu,
-             "value_norm": [certified.mid(e) for e in norm_ends(val, cfg)]}
-            for mu, val in zip(masses, values)]
+            {"mu": Fraction(mu, mass_den), "value_norm": list(norms)}
+            for mu, norms in zip(mus, zip(*columns))]
     return report
+
+
+def _norm_column(G: VectorMeasure, j: int,
+                 cfg: ToleranceConfig) -> List[Fraction]:
+    """Coordinate j of ||G(F)|| for every subset F, in bitmask order."""
+    kind = G.codomain.norm_kind
+    entries = [v.entries for v in G.atom_values]
+    rank = range(G.codomain.rank)
+    den = math.lcm(*(e[i].dens[j] for e in entries for i in rank))
+    sums = [subset_sums([e[i].nums[j] * (den // e[i].dens[j])
+                         for e in entries])
+            for i in rank]
+    pairs = column_norms(kind, zip(zip(*sums), repeat((den,) * len(rank))))
+    if kind is NormKind.TWO:
+        bits = cfg.root_bits + 2
+        return [certified.mid(certified.ends(*certified.root_bracket(
+                    Fraction(n, d), 2, bits)))
+                for n, d in pairs]
+    return [Fraction(n, d) for n, d in pairs]
 
 
 def _partition_norm_sum(G: VectorMeasure, partition: Partition,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,6 +296,28 @@ class TestFailurePaths:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: {option}: not a rational" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["option", "document"])
+    def test_huge_decimal_exponent_refused_before_building(
+            self, source, tmp_path, capsys, monkeypatch):
+        # Fraction("1e-3000000") would compute 10 ** 3000000 first
+        monkeypatch.chdir(tmp_path)
+        huge = "1e-3000000"
+        if source == "option":
+            argv, where = ["rn", "density", "--tol", huge], "--tol"
+        else:
+            write_json(tmp_path / "g.json", {
+                "space": {"atoms": ["a", "b"], "masses": ["1/2", huge]},
+                "codomain": {"rank": 1, "d": 1, "norm_kind": "sup"},
+                "atom_values": {"a": [["1/1"]], "b": [["2/1"]]}})
+            argv, where = ["rn", "density", "--measure", "g.json"], \
+                "g.json.space.masses[1]"
+        start = time.perf_counter()
+        assert main([*argv, "--out", "report.json"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == \
+            f"error: {where}: not a rational: '{huge}'\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_rnp_probe_variation_refinement_violation(self, tmp_path,
                                                       monkeypatch):

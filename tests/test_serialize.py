@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,17 @@ class TestRationals:
     def test_parse_accepts_both_forms(self):
         assert serialize.parse_rational("3/2") == Fraction(3, 2)
         assert serialize.parse_rational("-7") == Fraction(-7)
+
+    def test_parse_accepts_decimals(self):
+        assert serialize.parse_rational("1e-5") == Fraction(1, 100000)
+        assert serialize.parse_rational("2.5e3") == Fraction(2500)
+
+    @pytest.mark.parametrize("s", ["1e4301", "1E-4301", "2.5e+9_999"])
+    def test_parse_refuses_exponent_above_digit_cap(self, s):
+        assert sys.get_int_max_str_digits() == 4300
+        message = f"--tol: not a rational: '{s}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.parse_rational(s, "--tol")
 
     def test_parse_error_carries_location(self):
         with pytest.raises(ValueError, match="masses"):

@@ -202,29 +202,67 @@ def off_integral(atom):
     return integral
 
 
+def wide_measure(seed, m, kind, rank, d):
+    """64-bit numerators and denominators, as in the benchmark's documents;
+    above one atom, atom 1 is null and carries the zero value."""
+    rng = rng_for(seed, m, rank, d)
+    bound = 2 ** 64 - 1
+    masses = [Fraction(rng.randint(1, bound), rng.randint(1, bound))
+              for _ in range(m)]
+    codomain = ModuleSpace(rank, d, kind)
+    values = [random_module_vector(rng, codomain, bound, bound)
+              for _ in range(m)]
+    if m > 1:
+        masses[1] = Fraction(0)
+        values[1] = codomain.zero()
+    space = MeasureSpace.build([f"a{t}" for t in range(m)], masses)
+    return VectorMeasure(space, codomain, tuple(values))
+
+
+def exact_norm(x, j):
+    """Coordinate j of an exact (sup or one) norm, by Fraction arithmetic."""
+    column = [abs(e[j]) for e in x.entries]
+    if x.space.norm_kind is NormKind.SUP:
+        return max(column)
+    return sum(column)
+
+
 class TestSubsetTables:
     """The prefix-sum tables against the per-subset sums they replaced."""
 
     def test_subset_sums_by_bitmask(self):
-        terms = [Fraction(1, 2), Fraction(3), Fraction(-5, 7)]
-        got = subset_sums(terms, Fraction(0))
+        terms = [2, 3, -5]
+        got = subset_sums(terms)
         assert len(got) == 8
         for mask, total in enumerate(got):
-            assert total == sum((terms[i] for i in range(3) if mask >> i & 1),
-                                Fraction(0))
+            assert total == sum(terms[i] for i in range(3) if mask >> i & 1)
+
+    @staticmethod
+    def assert_series_matches(G):
+        expected = []
+        for F in G.space.all_subsets():
+            value = evaluate(G, F)
+            norms = [certified.mid(e)
+                     for e in norm_ends(value, DEFAULT_TOLERANCES)]
+            if G.codomain.norm_kind is not NormKind.TWO:
+                # the table and norm_ends share their column step
+                assert norms == [exact_norm(value, j)
+                                 for j in range(G.codomain.scalar_dim)]
+            expected.append({"mu": measure_of(F), "value_norm": norms})
+        rep = check_mu_continuity(G)
+        assert rep.passed
+        assert rep.series == expected
 
     @pytest.mark.parametrize("m,kind", [
         (6, NormKind.SUP), (7, NormKind.TWO), (10, NormKind.ONE)])
     def test_mu_continuity_series(self, m, kind):
-        G = seeded_measure(505, m, kind)
-        expected = []
-        for F in G.space.all_subsets():
-            norms = norm_ends(evaluate(G, F), DEFAULT_TOLERANCES)
-            expected.append({"mu": measure_of(F),
-                             "value_norm": [certified.mid(e) for e in norms]})
-        rep = check_mu_continuity(G)
-        assert rep.passed
-        assert rep.series == expected
+        self.assert_series_matches(seeded_measure(505, m, kind))
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("m,rank,d", [
+        (1, 1, 1), (1, 3, 3), (10, 1, 3), (10, 3, 1)])
+    def test_mu_continuity_series_wide(self, m, rank, d, kind):
+        self.assert_series_matches(wide_measure(509, m, kind, rank, d))
 
     @pytest.mark.parametrize("m,kind", [(6, NormKind.SUP), (10, NormKind.TWO)])
     def test_density_identity_table(self, m, kind):
