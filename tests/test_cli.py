@@ -855,6 +855,17 @@ class TestGoldenReports:
         (["rn", "density", "--norm", "sup", "--atoms", "10", "--rank", "1",
           "--dim", "3", "--seed", "7", "--format", "csv"], 0,
          "edb65c03ebb119cf331b5b9ee35c7b32bdbee444e252067d5d70518bbad599d5"),
+        # sup-rep: exact terms (tol = 0), the pair pass, and the atom cap
+        # with bracketed terms (tol != 0)
+        (["check", "sup-rep", "--norm", "sup", "--atoms", "12", "--seed",
+          "7"], 0,
+         "b19c44353108878bec4fd13336c771a76fb13369b6f9565aeb16e5cdfb62d18d"),
+        (["check", "sup-rep", "--norm", "one", "--atoms", "6", "--rank", "2",
+          "--p", "3", "--seed", "7"], 0,
+         "cd45fc83e24a6f5a5b0b001500ee617b8cb73919f3b884222c81666f48e99a3b"),
+        (["check", "sup-rep", "--norm", "two", "--atoms", "16", "--p", "3/2",
+          "--seed", "7"], 0,
+         "2001cd237a196ef66341499a9c401976e90fe0e5ba508831f98859a5f83915d4"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
@@ -864,7 +875,9 @@ class TestGoldenReports:
             "check-holder-p1", "check-norm-axioms-two",
             "rn-variation-nonexhaustive", "dual-represent-sup-p1",
             "dual-roundtrip-one-p3", "rn-density-one-10",
-            "rn-density-two-rank3", "rn-density-sup-csv"])
+            "rn-density-two-rank3", "rn-density-sup-csv",
+            "check-sup-rep-sup-12", "check-sup-rep-one-pairs",
+            "check-sup-rep-two-16"])
     def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == code
