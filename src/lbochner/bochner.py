@@ -225,16 +225,28 @@ SUP_REP_MAX_ATOMS = 16
 
 def verify_sup_representation(f: LFunction, p: Exponent,
                               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Exhaustively checks that E -> integral over E of ||f||**p is monotone
-    under inclusion and attains its supremum at the whole space.
+    """Checks that E -> integral over E of ||f||**p is monotone under
+    inclusion and attains its supremum at the whole space, over all 2**m
+    subsets.
 
     For each scalar coordinate, every end of the weighted atom terms
     mu(t) * ||f(t)||**p (``certified.scale`` of the power's ends) and the
-    tolerance are put over one common denominator, so the 2**m lower and
-    upper subset sums are plain integers and each comparison is
-    ``leq_with_slack``'s rule lo(a) <= hi(b) + tol, scaled by that
-    denominator.  Spaces above ``SUP_REP_MAX_ATOMS`` atoms are refused
-    before anything is allocated."""
+    tolerance are put over one common denominator, so each comparison is
+    ``leq_with_slack``'s rule lo(a) <= hi(b) + tol on integer subset sums.
+    The largest lo(a) - hi(b) over the pairs a pass compares has a closed
+    form in the atom ends lo_i, hi_i, so with P = sum max(lo_i - hi_i, 0)
+    the three passes fail exactly when
+
+    * every subset against the whole space: sum max(lo_i, 0) > sum hi_i + tol;
+    * single-atom extensions: P - max(lo_t - hi_t, 0) > hi_t + tol for
+      some atom t;
+    * every pair sub <= mask, at m <= 6: sum max(lo_i - hi_i, -hi_i, 0) > tol.
+
+    That decides the verdict in O(m * d) for any ends, inverted or
+    negative ones included.  Only when a pass fails are the 2**m subset
+    tables built, to name its first witness in bitmask order.  Spaces
+    above ``SUP_REP_MAX_ATOMS`` atoms are refused before anything is
+    allocated."""
     _check_exponent(p)
     if p is INF:
         raise ValueError("sup representation needs a finite exponent")
@@ -251,22 +263,28 @@ def verify_sup_representation(f: LFunction, p: Exponent,
                 for row, mass in zip(powers, f.space.masses)]
     tol = certified.tol_for(cfg.compare_tol, *powers)
 
-    lo_sums: List[List[int]] = []
-    hi_plus_tol: List[List[int]] = []
+    columns: List[Tuple[List[int], List[int], int]] = []
     at_full: List[Ends] = []
+    fails = False
     for j in range(d):
         column = [row[j] for row in weighted]
         den = math.lcm(tol.denominator, *(e[1] for e in column),
                        *(e[3] for e in column))
-        lo = subset_sums([e[0] * (den // e[1]) for e in column])
-        hi = subset_sums([e[2] * (den // e[3]) for e in column])
+        lo = [e[0] * (den // e[1]) for e in column]
+        hi = [e[2] * (den // e[3]) for e in column]
         tol_j = tol.numerator * (den // tol.denominator)
-        lo_sums.append(lo)
-        hi_plus_tol.append([s + tol_j for s in hi])
-        at_full.append(certified.reduced(lo[-1], den)
-                       + certified.reduced(hi[-1], den))
+        columns.append((lo, hi, tol_j))
+        at_full.append(certified.reduced(sum(lo), den)
+                       + certified.reduced(sum(hi), den))
+        fails = fails or _sup_rep_pass_fails(lo, hi, tol_j, m)
 
-    witness, pairs_checked = _first_sup_rep_failure(lo_sums, hi_plus_tol, m)
+    if fails:
+        witness, pairs_checked = _first_sup_rep_failure(
+            [subset_sums(lo) for lo, _, _ in columns],
+            [[s + tol_j for s in subset_sums(hi)]
+             for _, hi, tol_j in columns], m)
+    else:
+        witness, pairs_checked = None, 3 ** m if m <= 6 else 0
     return CheckReport(
         name="sup-representation",
         passed=witness is None,
@@ -277,6 +295,21 @@ def verify_sup_representation(f: LFunction, p: Exponent,
         },
         witness=witness,
     )
+
+
+def _sup_rep_pass_fails(lo: Sequence[int], hi: Sequence[int], tol: int,
+                        m: int) -> bool:
+    """Whether a pass of ``_first_sup_rep_failure`` fails on one coordinate
+    with atom ends lo, hi: each left side below is the largest lo(a) -
+    hi(b) over the pairs (a, b) that pass compares."""
+    if sum(max(x, 0) for x in lo) > sum(hi) + tol:
+        return True
+    gaps = [max(x - y, 0) for x, y in zip(lo, hi)]
+    total = sum(gaps)
+    if any(total - g > y + tol for g, y in zip(gaps, hi)):
+        return True
+    return m <= 6 and sum(max(x - y, -y, 0)
+                          for x, y in zip(lo, hi)) > tol
 
 
 def _first_sup_rep_failure(lo: Sequence[Sequence[int]],

@@ -53,14 +53,23 @@ Comparison semantics used by all checkers:
 Both return the margin as an unreduced (num, den) pair; a caller that
 reports it builds the ``Fraction`` then.
 
-Two subset tables sum integers over one common denominator per scalar
-coordinate.  The table of ``bochner.verify_sup_representation`` applies
-the ``leq_with_slack`` rule without building brackets: it writes every end
-of its atom terms, and ``tol``, over that denominator, sums the ends as
-integers and compares lo(a) <= hi(b) + tol as integers scaled by it.  The
-mu-continuity table of ``vecmeasure.check_mu_continuity`` sums the masses
-over their least common multiple and every atom value's entries over the
-coordinate's denominator, takes each subset's norm with
+Two subset checks sum integers over one common denominator per scalar
+coordinate.  ``bochner.verify_sup_representation`` applies the
+``leq_with_slack`` rule without building brackets: it writes every end
+lo_i, hi_i of its atom terms, and ``tol``, over that denominator, and
+decides lo(a) <= hi(b) + tol over all the subset pairs of a pass from the
+pass's largest lo(a) - hi(b), which has a closed form.  With
+P = sum max(lo_i - hi_i, 0), the passes fail exactly when
+
+* every subset against the whole space: sum max(lo_i, 0) > sum hi_i + tol;
+* single-atom extensions: P - max(lo_t - hi_t, 0) > hi_t + tol for some t;
+* every subset pair, at m <= 6: sum max(lo_i - hi_i, -hi_i, 0) > tol.
+
+Only when one holds does it sum the 2**m subset tables, as integers, to
+name the first witness.  The mu-continuity table of
+``vecmeasure.check_mu_continuity`` sums the masses over their least
+common multiple and every atom value's entries over the coordinate's
+denominator, takes each subset's norm with
 ``lmodule.column_norms`` and reduces each reported number once, into its
 ``Fraction`` (a two-norm's through ``root_bracket`` and ``mid``).
 """

@@ -474,13 +474,10 @@ def _report(args, checks: list[reports.CheckReport]) -> reports.Report:
 
 def _emit(report: reports.Report, args) -> None:
     if args.format == "csv":
-        rows = []
-        for check in report.checks:
-            if check.series:
-                rows = check.series
-                break
-        payload = (reports.series_to_csv(rows) if rows
-                   else "no series available\n")
+        check = next((c for c in report.checks if c.series), None)
+        payload = ("no series available\n" if check is None
+                   else reports.rendered(
+                       check, lambda c: reports.series_to_csv(c.series)))
         data = payload.encode("utf-8")
     else:
         data = reports.report_to_json_bytes(report)

@@ -9,8 +9,9 @@ binary floating point ever reaches a persisted artifact: rationals become
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 TOOL_VERSION = "lbochner 0.1.0"
 
@@ -93,7 +94,21 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def check_to_doc(check: CheckReport) -> Dict[str, Any]:
+def rendered(check: CheckReport,
+             render: Callable[[CheckReport], Any]) -> Any:
+    """``render(check)``, where a reported number too long for the
+    interpreter's integer-string cap (``sys.get_int_max_str_digits()``) is
+    refused with a ValueError that names the check, not the interpreter's
+    message."""
+    try:
+        return render(check)
+    except ValueError:
+        raise ValueError(
+            f"{check.name}: a reported number has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _check_doc(check: CheckReport) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "name": check.name,
         "verdict": "PASS" if check.passed else "FAIL",
@@ -104,6 +119,10 @@ def check_to_doc(check: CheckReport) -> Dict[str, Any]:
     if check.series is not None:
         doc["series"] = to_jsonable(check.series)
     return doc
+
+
+def check_to_doc(check: CheckReport) -> Dict[str, Any]:
+    return rendered(check, _check_doc)
 
 
 def report_to_doc(report: Report) -> Dict[str, Any]:

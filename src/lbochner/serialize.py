@@ -29,15 +29,16 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
 
 def parse_rational(s: Any, where: str = "value") -> Fraction:
     """A rational from "num/den", an integer or a decimal.  A decimal
-    exponent above the interpreter's integer-string cap
+    exponent of at least the interpreter's integer-string cap
     (``sys.get_int_max_str_digits()``) is refused before ``Fraction``
-    computes 10 ** exponent: the result could not be written back."""
+    computes 10 ** exponent: 10 ** cap has cap + 1 digits, so the result
+    could not be written back."""
     text = str(s)
     try:
         exponent = _EXPONENT.search(text)
         cap = sys.get_int_max_str_digits()
-        if exponent and cap and abs(int(exponent.group(1))) > cap:
-            raise ValueError("decimal exponent above the digit cap")
+        if exponent and cap and abs(int(exponent.group(1))) >= cap:
+            raise ValueError("decimal exponent at the digit cap or above")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: not a rational: {s!r}") from exc

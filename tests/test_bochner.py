@@ -1,9 +1,10 @@
 import decimal
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lbochner import bochner, certified
@@ -498,9 +499,70 @@ def interval_sup_rep(f, p, cfg):
         pairs_checked
 
 
+def table_sup_rep(f, p, cfg):
+    """The sup-representation verdict as every comparison of its three
+    passes on 2**m integer subset sums, in bitmask order, as the checker
+    computed it before its closed-form decision; returns (passed, witness,
+    pairs_checked, max_at_full_space)."""
+    m, d = f.space.size, f.codomain.scalar_dim
+    bits = cfg.root_bits + 2
+    powers = [[certified.ipow_ends(e[:2], e[2:], p, bits)
+               for e in norm_ends(v, cfg)] for v in f.values]
+    weighted = [[certified.scale(e, q.numerator, q.denominator) for e in row]
+                for row, q in zip(powers, f.space.masses)]
+    tol = certified.tol_for(cfg.compare_tol, *powers)
+
+    def table(terms):
+        return [sum(x for i, x in enumerate(terms) if mask >> i & 1)
+                for mask in range(1 << m)]
+
+    lo, hi, at_full = [], [], []
+    for j in range(d):
+        column = [row[j] for row in weighted]
+        den = math.lcm(tol.denominator, *(e[1] for e in column),
+                       *(e[3] for e in column))
+        tol_j = tol.numerator * den // tol.denominator
+        lo.append(table([e[0] * den // e[1] for e in column]))
+        hi.append(table([e[2] * den // e[3] for e in column]))
+        at_full.append(certified.ends(Fraction(lo[j][-1], den),
+                                      Fraction(hi[j][-1], den)))
+        hi[j] = [s + tol_j for s in hi[j]]
+    full = (1 << m) - 1
+
+    def first_bad_coordinate(a, b):
+        return next((j for j in range(d) if lo[j][a] > hi[j][b]), None)
+
+    def verdict(witness, pairs_checked):
+        return witness is None, witness, pairs_checked, collapse(at_full)
+
+    for a in range(full + 1):
+        j = first_bad_coordinate(a, full)
+        if j is not None:
+            return verdict({"subset_mask": a, "coordinate": j}, 0)
+    for a in range(full + 1):
+        for t in range(m):
+            j = None if a >> t & 1 else first_bad_coordinate(a, a | 1 << t)
+            if j is not None:
+                return verdict({"subset_mask": a, "atom": t,
+                                "coordinate": j}, 0)
+    pairs_checked = 0
+    if m <= 6:
+        for b in range(full + 1):
+            for a in range(b, -1, -1):
+                if a & b != a:
+                    continue
+                pairs_checked += 1
+                j = first_bad_coordinate(a, b)
+                if j is not None:
+                    return verdict({"subset_mask": a, "superset_mask": b,
+                                    "coordinate": j}, pairs_checked)
+    return verdict(None, pairs_checked)
+
+
 class TestSupRepIntegerTable:
-    """The integer table against the bracket table it replaced, and the
-    first-failure witnesses of the three passes."""
+    """The integer table against the bracket table it replaced, the
+    closed-form decision against the table and loop it stands in for, and
+    the first-failure witnesses of the three passes."""
 
     @pytest.mark.parametrize("m,kind,rank,p,null_atoms", [
         (12, NormKind.SUP, 1, Fraction(2), 0),     # exact: tol = 0
@@ -544,15 +606,31 @@ class TestSupRepIntegerTable:
 
     @staticmethod
     def _corrupt(monkeypatch, by_mass):
-        """Replace the weighted term of the atom with the given mass."""
+        """Replace the weighted term of the atom with the given mass: in
+        every coordinate under the key ``mass``, in the one coordinate
+        whose power ends are ``e`` under the key ``(mass, e)``."""
         real = certified.scale
 
         def scale(a, cn, cd):
             c = Fraction(cn, cd)
-            return (certified.ends(*by_mass[c]) if c in by_mass
+            term = by_mass.get((c, a), by_mass.get(c))
+            return (certified.ends(*term) if term is not None
                     else real(a, cn, cd))
 
         monkeypatch.setattr(certified, "scale", scale)
+
+    @staticmethod
+    def _count_tables(monkeypatch):
+        """The sizes of the term lists ``subset_sums`` is called on."""
+        built = []
+        real = bochner.subset_sums
+
+        def subset_sums(terms):
+            built.append(len(terms))
+            return real(terms)
+
+        monkeypatch.setattr(bochner, "subset_sums", subset_sums)
+        return built
 
     @staticmethod
     def _run(*norms):
@@ -567,8 +645,10 @@ class TestSupRepIntegerTable:
         # terms -1, 2, 3: the full space sums to 4, and {b, c} (mask 6) is
         # the first subset above it
         self._corrupt(monkeypatch, {1: (Fraction(-1), Fraction(-1))})
+        built = self._count_tables(monkeypatch)
         rep = self._run(1, 1, 1)
         assert not rep.passed
+        assert built == [3, 3]  # one lo and one hi table
         assert rep.witness == {"subset_mask": 6, "coordinate": 0}
 
     def test_extension_pass_reports_first_failure(self, monkeypatch):
@@ -576,8 +656,10 @@ class TestSupRepIntegerTable:
         # adding b fails from {} (mask 0) and again from {c} (mask 4)
         self._corrupt(monkeypatch, {1: (Fraction(0), Fraction(100)),
                                     2: (Fraction(-1), Fraction(-1))})
+        built = self._count_tables(monkeypatch)
         rep = self._run(1, 1, 0)
         assert not rep.passed
+        assert built == [3, 3]  # one lo and one hi table
         assert rep.witness == {"subset_mask": 0, "atom": 1, "coordinate": 0}
         assert rep.details["pairs_checked"] == 0
 
@@ -586,11 +668,71 @@ class TestSupRepIntegerTable:
         # not the pair ({a}, {a})
         self._corrupt(monkeypatch, {1: (Fraction(5), Fraction(0)),
                                     2: (Fraction(0), Fraction(10))})
+        built = self._count_tables(monkeypatch)
         rep = self._run(1, 1)
         assert not rep.passed
+        assert built == [2, 2]  # one lo and one hi table
         assert rep.witness == {"subset_mask": 1, "superset_mask": 1,
                                "coordinate": 0}
         assert rep.details["pairs_checked"] == 2
+
+    TERMS = st.lists(st.one_of(st.none(), st.tuples(st.integers(-3, 8),
+                                                    st.integers(-3, 8))),
+                     min_size=21, max_size=21)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 7), d=st.integers(1, 3), exact=st.booleans(),
+           terms=TERMS)
+    # three terms each tol/2 below zero: the whole space falls 3/2 tol
+    # below the other atoms' subset, though no single extension fails
+    @example(m=7, d=1, exact=False,
+             terms=[(-1, -1), None, None] * 3 + [None] * 12)
+    # a bracket [0, -tol] inverted by tol: it passes, with no table
+    @example(m=3, d=1, exact=False, terms=[(0, -2)] + [None] * 20)
+    def test_decision_matches_table_and_loop(self, m, d, exact, terms):
+        # every atom takes the value (2, 3, 4)[:d]: p = 1 keeps the powers
+        # exact (tol = 0), p = 3/2 brackets them (tol != 0).  terms[3t + j]
+        # replaces atom t's term in coordinate j by a multiple of tol/2 (or
+        # of 1) in -3..8, so terms go negative, brackets invert and sums
+        # tie at exactly tol
+        cfg = ToleranceConfig()
+        codomain = ModuleSpace(1, d, NormKind.SUP)
+        space = MeasureSpace.build([f"a{i}" for i in range(m)],
+                                   range(1, m + 1))
+        value = ModuleVector(codomain, (L(*range(2, d + 2)),))
+        f = LFunction(space, codomain, (value,) * m)
+        p = Fraction(1) if exact else Fraction(3, 2)
+        unit = Fraction(1) if exact else cfg.compare_tol / 2
+        power_ends = [certified.ipow_ends(e[:2], e[2:], p, cfg.root_bits + 2)
+                      for e in norm_ends(value, cfg)]
+        by_mass = {(mass, e): (ends[0] * unit, ends[1] * unit)
+                   for t, mass in enumerate(space.masses)
+                   for j, e in enumerate(power_ends)
+                   if (ends := terms[3 * t + j]) is not None}
+        with pytest.MonkeyPatch.context() as mp:
+            self._corrupt(mp, by_mass)
+            built = self._count_tables(mp)
+            rep = verify_sup_representation(f, p, cfg)
+            expected = table_sup_rep(f, p, cfg)
+        assert (rep.passed, rep.witness, rep.details["pairs_checked"],
+                rep.details["max_at_full_space"]) == expected
+        # the tables are built exactly when a pass fails
+        assert bool(built) != rep.passed
+
+    def test_passing_check_builds_no_table(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a passing check built a subset table")
+
+        monkeypatch.setattr(bochner, "subset_sums", unreachable)
+        m = bochner.SUP_REP_MAX_ATOMS
+        rng = rng_for(406)
+        space = random_measure_space(rng, m)
+        f = LFunction(space, MOD, tuple(
+            random_module_vector(rng, MOD) for _ in range(m)))
+        rep = verify_sup_representation(f, Fraction(3, 2))
+        assert rep.passed
+        assert rep.details["subsets"] == 65536
+        assert rep.details["pairs_checked"] == 0
 
     def test_atom_cap_refused_before_allocation(self, monkeypatch):
         def unreachable(*args):

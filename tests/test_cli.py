@@ -319,6 +319,38 @@ class TestFailurePaths:
             f"error: {where}: not a rational: '{huge}'\n"
         assert not (tmp_path / "report.json").exists()
 
+    @staticmethod
+    def _density_doc(tmp_path, masses):
+        return write_json(tmp_path / "g.json", {
+            "space": {"atoms": ["a", "b"], "masses": masses},
+            "codomain": {"rank": 1, "d": 1, "norm_kind": "sup"},
+            "atom_values": {"a": [["1/1"]], "b": [["2/1"]]}})
+
+    def test_decimal_exponent_at_the_digit_cap_refused(self, tmp_path,
+                                                       capsys):
+        # 10 ** cap has cap + 1 digits, one more than a report can write
+        huge = f"1e{sys.get_int_max_str_digits()}"
+        g = self._density_doc(tmp_path, ["1/2", huge])
+        out = tmp_path / "report.json"
+        assert main(["rn", "density", "--measure", g, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {g}.space.masses[1]: not a rational: '{huge}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reported_number_above_the_digit_cap(self, fmt, tmp_path,
+                                                 capsys):
+        # both masses fit under the cap; mu(S) over their product does not
+        half = 10 ** (sys.get_int_max_str_digits() // 2 + 50)
+        g = self._density_doc(tmp_path, [f"1/{half + 1}", f"1/{half + 3}"])
+        out = tmp_path / "report.out"
+        assert main(["rn", "density", "--measure", g, "--format", fmt,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: mu-continuity: a reported number has more than "
+            f"{sys.get_int_max_str_digits()} digits\n")
+        assert not out.exists()
+
     def test_rnp_probe_variation_refinement_violation(self, tmp_path,
                                                       monkeypatch):
         # at 4 atoms every partition is enumerated; the heavy blocks beat
@@ -460,6 +492,23 @@ class TestFailurePaths:
         assert main(["check", "sup-rep", "--fn", fn, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sup_rep_negative_term(self, holder_fixtures, tmp_path,
+                                   monkeypatch):
+        # atom a's weighted term -1 in both coordinates: {b} (mask 2)
+        # weighs more than the whole space
+        real = certified.scale
+
+        def scale(a, cn, cd):
+            return (certified.exact(-1) if (cn, cd) == (1, 1)
+                    else real(a, cn, cd))
+
+        monkeypatch.setattr(certified, "scale", scale)
+        _, u, _ = holder_fixtures
+        out = tmp_path / "report.json"
+        assert main(["check", "sup-rep", "--fn", u, "--out", str(out)]) == 1
+        check = self._checks(out)["sup-representation"]
+        assert check["witness"] == {"subset_mask": 2, "coordinate": 0}
 
     def test_holder_halved_right_side(self, holder_fixtures, tmp_path,
                                       monkeypatch):
