@@ -65,10 +65,9 @@ def _exponent_str(p) -> str:
 
 def _tolerances(args) -> falgebra.ToleranceConfig:
     if args.tol is None:
-        return falgebra.ToleranceConfig()
-    compare = serialize.parse_rational(args.tol, "--tol")
-    return falgebra.ToleranceConfig(root_tol=compare / 2 ** 10,
-                                    compare_tol=compare)
+        return falgebra.DEFAULT_TOLERANCES
+    return falgebra.ToleranceConfig(
+        serialize.parse_rational(args.tol, "--tol"))
 
 
 def _norm_kind(name: str) -> lmodule.NormKind:

@@ -179,17 +179,19 @@ class Frozen:
 
 
 class ToleranceConfig(Frozen):
-    """Error budget: root brackets are tightened to root_tol, comparisons
-    involving approximations use compare_tol."""
+    """Error budget: comparisons involving approximations use compare_tol,
+    and root brackets are tightened to root_tol = compare_tol / 2**10.
 
-    __slots__ = ("root_tol", "compare_tol")
+    root_tol is derived once here, not on each read: ``root_bits`` reads
+    it for every bracket."""
 
-    def __init__(self, root_tol: Fraction = Fraction(1, 2 ** 40),
-                 compare_tol: Fraction = Fraction(1, 2 ** 30)):
-        if not (0 < root_tol < compare_tol):
-            raise ValueError("need 0 < root_tol < compare_tol")
-        self._set("root_tol", root_tol)
+    __slots__ = ("compare_tol", "root_tol")
+
+    def __init__(self, compare_tol: Fraction = Fraction(1, 2 ** 30)):
+        if compare_tol <= 0:
+            raise ValueError("compare_tol must be > 0")
         self._set("compare_tol", compare_tol)
+        self._set("root_tol", compare_tol / 2 ** 10)
 
     @property
     def root_bits(self) -> int:

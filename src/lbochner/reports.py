@@ -35,9 +35,6 @@ class CheckReport:
         self.series = series
         self.failures = failures
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def fail(self, witness: Dict[str, Any]) -> None:
         if self.passed:
             self.passed = False

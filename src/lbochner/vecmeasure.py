@@ -171,17 +171,10 @@ def variation(G: VectorMeasure,
     return report
 
 
-def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
-    """Solves G(F) = integral of g over F for g by atomwise division and
-    verifies the identity on every singleton.  The two sides stay
-    independent: G(F) is built from G's atom values, the integral from
-    mu(t) * g(t).
-
-    Both sides are sums over the atoms of F, so agreement on the singletons
-    is agreement on all 2**m subsets.  In bitmask order the first failing
-    subset is the singleton of the smallest failing atom t, mask 2**t, so
-    the witness is that singleton with 2**t subsets verified before it; a
-    pass verifies all 2**m."""
+def density(G: VectorMeasure) -> LFunction:
+    """The solution g of G(F) = integral of g over F, by atomwise division:
+    g(t) = G({t}) / mu(t), and zero at a null atom.  A null atom that G
+    charges has no density."""
     vals = []
     for t, mass in enumerate(G.space.masses):
         if mass == 0:
@@ -193,8 +186,20 @@ def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
         else:
             vals.append(G.atom_values[t].scale_rational(
                 Fraction(mass.denominator, mass.numerator)))
-    g = LFunction(G.space, G.codomain, tuple(vals))
+    return LFunction(G.space, G.codomain, tuple(vals))
 
+
+def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
+    """``density(G)``, verified on every singleton.  The two sides stay
+    independent: G(F) is built from G's atom values, the integral from
+    mu(t) * g(t).
+
+    Both sides are sums over the atoms of F, so agreement on the singletons
+    is agreement on all 2**m subsets.  In bitmask order the first failing
+    subset is the singleton of the smallest failing atom t, mask 2**t, so
+    the witness is that singleton with 2**t subsets verified before it; a
+    pass verifies all 2**m."""
+    g = density(G)
     report = CheckReport(name="rn-density",
                          details={"verified_sets": 1 << G.space.size})
     for t in range(G.space.size):

@@ -246,6 +246,36 @@ class TestFailurePaths:
         assert check["verdict"] == "FAIL"
         assert check["witness"] == witness
 
+    @pytest.mark.parametrize("argv,name,witness", [
+        (["dual", "represent"], "represent",
+         lambda space, t: {"atom": space.atom_names[t]}),
+        (["dual", "roundtrip", "--trials", "2"], "duality-roundtrip",
+         lambda space, t: {"trial": 0, "atom": t, "stage": "dual-roundtrip"}),
+    ], ids=["represent", "roundtrip"])
+    def test_off_density(self, argv, name, witness, tmp_path, monkeypatch):
+        # the density represent returns is one too large in coordinate 0 of
+        # entry 0 at the first positive-mass atom while its own check
+        # passes: the comparison of v_back with v names that atom
+        real = duality.rn_density
+        raised = []
+
+        def off_density(G):
+            g, check = real(G)
+            t = next(t for t, mass in enumerate(G.space.masses) if mass > 0)
+            raised.append((G.space, t))
+            first, *rest = g.values[t].entries
+            values = list(g.values)
+            values[t] = ModuleVector(g.codomain, (
+                LElement([first[0] + 1, *first.coords[1:]]), *rest))
+            return LFunction(g.space, g.codomain, tuple(values)), check
+
+        monkeypatch.setattr(duality, "rn_density", off_density)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        check = self._checks(out)[name]
+        assert check["verdict"] == "FAIL"
+        assert check["witness"] == witness(*raised[0])
+
     @pytest.mark.parametrize("argv", [
         ["check", "norm-axioms"], ["check", "holder"], ["check", "minkowski"],
         ["check", "chebyshev"], ["dual", "isometry"], ["dual", "roundtrip"],
@@ -268,9 +298,12 @@ class TestFailurePaths:
         (["run", "bootstrap", "--limit-tol", "-1"], "limit_tol must be > 0"),
         (["run", "bootstrap", "--limit-tol", "0"], "limit_tol must be > 0"),
         (["run", "completeness", "--terms", "0"], "n_terms must be >= 1"),
+        (["suite", "all", "--tol", "0"], "compare_tol must be > 0"),
+        (["dual", "roundtrip", "--tol=-1/2"], "compare_tol must be > 0"),
     ], ids=["run bootstrap", "run dct", "run rnp-probe",
             "run rnp-probe over the cap", "run bootstrap negative limit-tol",
-            "run bootstrap zero limit-tol", "run completeness zero terms"])
+            "run bootstrap zero limit-tol", "run completeness zero terms",
+            "suite all zero tol", "dual roundtrip negative tol"])
     def test_negative_nmax_is_usage_error(self, argv, error, tmp_path,
                                           capsys):
         # an empty exponent chain, series or set family would end in a

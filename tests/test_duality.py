@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from lbochner import duality
+from lbochner import duality, vecmeasure
 from lbochner.bochner import (
     INF,
     LFunction,
@@ -14,7 +14,6 @@ from lbochner.bochner import (
 from lbochner.duality import (
     DEFAULT_LIMIT_TOL,
     LpOperator,
-    RepresentationMismatch,
     ZeroNorm,
     bootstrap_lower_bound,
     build_F,
@@ -39,7 +38,7 @@ from lbochner.sampling import (
     random_module_vector,
     rng_for,
 )
-from lbochner.vecmeasure import NotAbsolutelyContinuous
+from lbochner.vecmeasure import NotAbsolutelyContinuous, rn_density
 
 
 def L(*coords):
@@ -379,8 +378,9 @@ class TestRepresent:
 
 
 class TestRepresentOffBasis:
-    """represent() verifies the basis only; by linearity it then agrees with
-    the operator on every input, which seeded random inputs confirm here."""
+    """represent() verifies the singletons only; by linearity it then
+    agrees with the operator on every input, which seeded random inputs
+    confirm here."""
 
     @staticmethod
     def _operator(p, kind):
@@ -400,54 +400,35 @@ class TestRepresentOffBasis:
                 for _ in range(H.space.size)))
             assert H(u) == pairing(u, v)
 
-    def test_off_density_raises(self, monkeypatch):
-        H, _ = self._operator(Fraction(2), NormKind.TWO)
-        t = next(i for i, m in enumerate(H.space.masses) if m > 0)
-        real = duality.rn_density
-
-        def off_density(G):
-            # coordinate 0 of entry 0 at atom t raised by one
-            g, check = real(G)
-            first = g.values[t].entries[0]
-            values = list(g.values)
-            values[t] = ModuleVector(g.codomain, (
-                LElement([first[0] + 1, *first.coords[1:]]),
-                *g.values[t].entries[1:]))
-            return LFunction(g.space, g.codomain, tuple(values)), check
-
-        monkeypatch.setattr(duality, "rn_density", off_density)
-        with pytest.raises(AssertionError) as raised:
-            represent(H)
-        assert raised.value.witness == {
-            "stage": "basis", "atom": H.space.atom_names[t], "entry": 0}
-
 
 def evaluated_basis_witness(H, v):
-    """The reference for ``_verify_basis``: H and the pairing evaluated on
-    each u = e_i * 1_t in (t, i) order, each call contracting over all
-    m * k entries.  The first disagreement's witness, or None."""
+    """The reference for ``represent``'s verification: H and the pairing
+    evaluated on each u = e_i * 1_t in (t, i) order, each call contracting
+    over all m * k entries.  The first disagreement's atom, or None."""
     for t in range(H.space.size):
         for i in range(H.codomain.rank):
             u = LFunction.indicator_times(
                 H.codomain.basis_vector(i), H.space.singleton(t))
             if H(u) != pairing(u, v):
-                return {"stage": "basis", "atom": H.space.atom_names[t],
-                        "entry": i}
+                return H.space.atom_names[t]
     return None
 
 
-def compared_basis_witness(H, v):
-    try:
-        duality._verify_basis(H, v)
-    except RepresentationMismatch as exc:
-        return exc.witness
-    return None
+def checked_basis_witness(H, v, monkeypatch):
+    """The first atom at which ``represent``'s one verification, the
+    singleton check of ``rn_density``, rejects v as the density of
+    ``induced_measure(H)``, or None."""
+    with monkeypatch.context() as patch:
+        patch.setattr(vecmeasure, "density", lambda G: v)
+        _, check = rn_density(duality.induced_measure(H))
+    return None if check.passed else check.witness["subset"][0]
 
 
 class TestBasisRowsAgainstEvaluation:
-    """The row comparison of ``represent`` gives the evaluating loop's
-    verdict and witness on seeded pairs, on every single doctored
-    coefficient of v and on an operator that charges a null atom."""
+    """The singleton check that ``represent`` runs compares H's rows with
+    mu(t) * v(t); it gives the evaluating loop's verdict and atom on seeded
+    pairs and on every single doctored coefficient of v.  An operator that
+    charges a null atom has no density at all."""
 
     @staticmethod
     def _pairs(kind, null_atoms):
@@ -471,17 +452,18 @@ class TestBasisRowsAgainstEvaluation:
     @pytest.mark.parametrize("null_atoms", [0, 1])
     @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE,
                                       NormKind.TWO])
-    def test_same_verdict_and_witness(self, kind, null_atoms):
+    def test_same_verdict_and_witness(self, kind, null_atoms, monkeypatch):
         failing = 0
         for H, v in self._pairs(kind, null_atoms):
-            assert compared_basis_witness(H, v) is None
+            assert checked_basis_witness(H, v, monkeypatch) is None
             assert evaluated_basis_witness(H, v) is None
             for t in range(H.space.size):
                 for i in range(H.codomain.rank):
                     for j in range(H.codomain.scalar_dim):
                         w = self._off_by_one(v, t, i, j)
                         witness = evaluated_basis_witness(H, w)
-                        assert compared_basis_witness(H, w) == witness
+                        assert checked_basis_witness(H, w, monkeypatch) \
+                            == witness
                         # the pairing ignores null atoms, and only them
                         assert (witness is None) == (H.space.masses[t] == 0)
                         failing += witness is not None
@@ -492,16 +474,18 @@ class TestBasisRowsAgainstEvaluation:
     def test_nonzero_row_at_a_null_atom(self, kind):
         for H, v in self._pairs(kind, 1):
             t = H.space.masses.index(0)
+            name = H.space.atom_names[t]
             for i in range(H.codomain.rank):
                 rows = list(H.basis_action)
                 rows[t] = tuple(L(0, 0) if k != i else L(0, -3)
                                 for k in range(H.codomain.rank))
                 doctored = LpOperator(H.space, H.codomain, tuple(rows),
                                       H.declared_p)
-                witness = evaluated_basis_witness(doctored, v)
-                assert witness == {"stage": "basis",
-                                   "atom": H.space.atom_names[t], "entry": i}
-                assert compared_basis_witness(doctored, v) == witness
+                assert evaluated_basis_witness(doctored, v) == name
+                with pytest.raises(NotAbsolutelyContinuous, match=name):
+                    represent(doctored)
+                with pytest.raises(NotAbsolutelyContinuous, match=name):
+                    duality.operator_norm_ends(doctored)
 
 
 class TestRoundtrip:

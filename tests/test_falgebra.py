@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbochner.falgebra import (
+    DEFAULT_TOLERANCES,
     ApproxReal,
     DimensionMismatch,
     LElement,
@@ -95,11 +96,18 @@ class TestApproxReal:
 
 
 class TestToleranceConfig:
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(root_tol=Fraction(1, 4), compare_tol=Fraction(1, 8))
-        with pytest.raises(ValueError):
-            ToleranceConfig(root_tol=Fraction(0), compare_tol=Fraction(1, 8))
+    def test_nonpositive_compare_tol_refused(self):
+        for tol in (Fraction(0), Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="compare_tol must be > 0"):
+                ToleranceConfig(tol)
+
+    def test_root_tol_follows_compare_tol(self):
+        cfg = ToleranceConfig(Fraction(1, 1000))
+        assert cfg.root_tol == Fraction(1, 1024000)
+        assert cfg.root_bits == 20
+        assert ToleranceConfig() == DEFAULT_TOLERANCES
+        assert DEFAULT_TOLERANCES.root_tol == Fraction(1, 2 ** 40)
+        assert DEFAULT_TOLERANCES.root_bits == 40
 
 
 class TestOrderConvergence:
