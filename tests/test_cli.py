@@ -948,6 +948,14 @@ class TestGoldenReports:
         (["check", "sup-rep", "--norm", "two", "--atoms", "16", "--p", "3/2",
           "--seed", "7"], 0,
          "2001cd237a196ef66341499a9c401976e90fe0e5ba508831f98859a5f83915d4"),
+        # the square-root chain under an integer factor (q = 127/27)
+        (["check", "holder", "--norm", "two", "--p", "127/100", "--trials",
+          "5", "--seed", "42"], 0,
+         "fb46c91c640b4125798fb679aca6cb10539899008d023308e9ccb5e0eddc31bc"),
+        # the root path at q = 7/2, and the chain in the bootstrap
+        (["dual", "isometry", "--norm", "two", "--p", "7/5", "--trials", "5",
+          "--seed", "42"], 0,
+         "9cb2b1dc088b550d1be01a1477d89a3a5a1848e0c90e4208a59930531b6ba290"),
     ], ids=["suite-all", "run-bootstrap", "dual-isometry", "check-holder",
             "check-minkowski", "check-sup-rep", "check-chebyshev", "run-dct",
             "run-completeness", "dual-isometry-p1", "dual-isometry-pinf",
@@ -959,7 +967,8 @@ class TestGoldenReports:
             "dual-roundtrip-one-p3", "rn-density-one-10",
             "rn-density-two-rank3", "rn-density-sup-csv",
             "check-sup-rep-sup-12", "check-sup-rep-one-pairs",
-            "check-sup-rep-two-16"])
+            "check-sup-rep-two-16", "check-holder-chain-int-part",
+            "dual-isometry-root-and-chain"])
     def test_report_sha256(self, argv, code, digest, tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "--out", str(out)]) == code
