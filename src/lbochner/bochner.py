@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import certified
-from .certified import Ends, Interval
+from .certified import Ends
 from .falgebra import (
     DEFAULT_TOLERANCES,
     Frozen,
@@ -157,15 +157,13 @@ def atom_norm_ends(f: LFunction, cfg: ToleranceConfig) -> List[List[Ends]]:
 
 def power_sums_from_atom_ends(atom_ends: Sequence[Sequence[Ends]],
                               masses: Sequence[Fraction], s: Fraction,
-                              cfg: ToleranceConfig) -> List[Interval]:
+                              cfg: ToleranceConfig) -> List[Ends]:
     """Per scalar coordinate: bracket of the sum over non-null atoms t of
     mu(t) * ||f(t)||**s, from the per-atom, per-coordinate norm ends.
 
     The lower ends mu(t) * lo(||f(t)||)**s and the upper ends are integer
     pairs (``certified.ipow_ends``), and each end's sum is taken over one
-    common denominator and reduced once, into the ``Fraction`` that both
-    callers need: the p-th root's radicand and the bootstrap's reported
-    series.  Comparisons read its ends."""
+    common denominator and reduced once (``certified.reduced``)."""
     bits = cfg.root_bits + 2
     # per coordinate: lower-end numerators and denominators, then upper
     sums = [([], [], [], []) for _ in atom_ends[0]]
@@ -179,14 +177,15 @@ def power_sums_from_atom_ends(atom_ends: Sequence[Sequence[Ends]],
             lo_dens.append(md * ld)
             hi_nums.append(mn * hn)
             hi_dens.append(md * hd)
-    out: List[Interval] = []
+    out = []
     for lo_nums, lo_dens, hi_nums, hi_dens in sums:
-        lo = Fraction(*certified.common_denominator_sum(lo_nums, lo_dens))
+        lo = certified.reduced(*certified.common_denominator_sum(
+            lo_nums, lo_dens))
         if lo_nums == hi_nums and lo_dens == hi_dens:
-            out.append((lo, lo))
+            out.append(lo + lo)
         else:
-            out.append((lo, Fraction(*certified.common_denominator_sum(
-                hi_nums, hi_dens))))
+            out.append(lo + certified.reduced(
+                *certified.common_denominator_sum(hi_nums, hi_dens)))
     return out
 
 
@@ -205,8 +204,8 @@ def lp_from_atom_ends(atom_ends: Sequence[Sequence[Ends]],
         return out
     bits = cfg.root_bits + 2
     inv_p = (p.denominator, p.numerator)
-    return [certified.ipow_ends(lo, hi, inv_p, bits)
-            for lo, hi in power_sums_from_atom_ends(atom_ends, masses, p, cfg)]
+    return [certified.ipow_ends(e[:2], e[2:], inv_p, bits)
+            for e in power_sums_from_atom_ends(atom_ends, masses, p, cfg)]
 
 
 def lp_norm_ends(f: LFunction, p: Exponent,

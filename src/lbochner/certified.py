@@ -8,11 +8,11 @@ products (``mul``), moduli (``iabs``), maxima (``imax``) and both
 comparisons below are integer arithmetic: sums and products reduce the
 way ``Fraction``'s own operators do, by gcds of the cross factors, and
 comparisons cross-multiply.  A ``Fraction`` is built only for a value that
-enters a report (``mid``, ``interval``, a slack or a gap), for a
-``root_bracket`` radicand and for that root's two ends.  Roots and
-rational powers are bracketed with integer Newton iteration
-(``math.isqrt`` for square roots), so no binary floating point ever
-enters a result.
+enters a report (``mid``, a slack or a gap) and for a ``root_bracket``
+radicand; the root's two ends come back as reduced (num, den) pairs, one
+pair twice when the root is exact.  Roots and rational powers are
+bracketed with integer Newton iteration (``math.isqrt`` for square
+roots), so no binary floating point ever enters a result.
 
 The p-norm pipeline, norm -> power sum -> root, runs on these ends:
 
@@ -21,15 +21,15 @@ The p-norm pipeline, norm -> power sum -> root, runs on these ends:
   builds a fraction, its ``root_bracket`` radicand.
 * ``pow_ends`` (``ipow_ends`` over a bracket) brackets q ** r for a base
   and an exponent each given as a ``Fraction`` or as a reduced
-  (num, den) pair: the exact factor q ** floor(r) as integers, a
-  fractional part u/v with v <= 64 by one ``root_bracket`` of q ** u (a
-  ``Fraction`` base with u = 1 is the radicand itself), larger v by the
-  square-root chain.
+  (num, den) pair: a fractional part u/v with v <= 64 by one
+  ``root_bracket`` of q ** u (a ``Fraction`` base with u = 1 is the
+  radicand itself), larger v by the square-root chain, and both through
+  one tail that decides exactness and then multiplies by the exact
+  integer-power factor q ** floor(r).
 * ``common_denominator_sum`` adds numerator/denominator pairs over one
   common denominator and leaves the sum unreduced, so that each caller
-  reduces it once, in the form it needs: ``bochner``'s power sums as the
-  ``Fraction`` that becomes the root's radicand (and the bootstrap's
-  reported series), the one-norm with ``reduced``.
+  reduces it once with ``reduced``: ``bochner``'s power sums, each end
+  of which is a later root's base, and the one-norm.
 
 Exponents whose denominator exceeds 64 go through a chain of nested square
 roots (``_pow_via_chain``).  The ladder q ** (1/2), q ** (1/4), ... of those
@@ -82,7 +82,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence, Tuple, Union
 
-Interval = Tuple[Fraction, Fraction]
 Ends = Tuple[int, int, int, int]
 Ratio = Tuple[int, int]
 Rational = Union[Fraction, Ratio]
@@ -93,11 +92,6 @@ _ZERO = Fraction(0)
 def exact(num: int, den: int = 1) -> Ends:
     """The degenerate bracket of num/den, given in lowest terms."""
     return (num, den, num, den)
-
-
-def ends(lo: Fraction, hi: Fraction) -> Ends:
-    """The integer ends of a bracket given as two fractions."""
-    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 def reduced(num: int, den: int) -> Ratio:
@@ -113,22 +107,6 @@ def reduced(num: int, den: int) -> Ratio:
 
 def is_exact(e: Ends) -> bool:
     return e[0] == e[2] and e[1] == e[3]
-
-
-def interval(e: Ends) -> Interval:
-    """The bracket as two fractions, for a report; one when exact."""
-    lo = Fraction(e[0], e[1])
-    if is_exact(e):
-        return (lo, lo)
-    return (lo, Fraction(e[2], e[3]))
-
-
-def midpoint(lo: Fraction, hi: Fraction) -> Fraction:
-    return lo if lo is hi or lo == hi else (lo + hi) / 2
-
-
-def mid(e: Ends) -> Fraction:
-    return midpoint(*interval(e))
 
 
 def tol_for(compare_tol: Fraction, *ends_lists: Sequence[Ends]) -> Fraction:
@@ -244,22 +222,25 @@ def int_nth_root(x: int, n: int) -> int:
     return r
 
 
-def root_bracket(q: Fraction, n: int, bits: int) -> Interval:
-    """Certified bracket of q ** (1/n) for q >= 0; exact for perfect powers.
+def root_bracket(q: Fraction, n: int, bits: int) -> Tuple[Ratio, Ratio]:
+    """Certified bracket of q ** (1/n) for q >= 0 as its two ends, each a
+    reduced (num, den) pair; a perfect power's exact root is one pair
+    returned twice.
 
-    All tests run on q's numerator and denominator; the two endpoints are
-    the only fractions built."""
+    All tests run on q's numerator and denominator; no fraction is
+    built."""
     num, den = q.numerator, q.denominator
     if num < 0:
         raise ValueError("negative radicand")
     if num == 0 or num == den or n == 1:
-        return (q, q)
+        ex = (num, den)
+        return ex, ex
     rn = int_nth_root(num, n)
     if rn ** n == num:
         rd = int_nth_root(den, n)
         if rd ** n == den:
-            ex = Fraction(rn, rd)
-            return (ex, ex)
+            ex = (rn, rd)
+            return ex, ex
     scaled = num << (bits * n)
     floor_q, rem = divmod(scaled, den)
     t_lo = int_nth_root(floor_q, n)
@@ -268,7 +249,7 @@ def root_bracket(q: Fraction, n: int, bits: int) -> Interval:
     if rem and t_hi ** n == floor_q + 1:
         t_hi += 1
     scale = 1 << bits
-    return (Fraction(t_lo, scale), Fraction(t_hi, scale))
+    return reduced(t_lo, scale), reduced(t_hi, scale)
 
 
 _SMALL_ROOT_ORDER = 64
@@ -361,11 +342,11 @@ def pow_ends(q: Rational, r: Rational, bits: int) -> Ends:
     """Certified bracket of q ** r for q >= 0, r >= 0; exact when detectable.
 
     q and r are each a ``Fraction`` or a (num, den) pair in lowest terms
-    with den > 0.  The exact
-    integer-power factor q ** floor(r) multiplies the fractional bracket as
-    numerator and denominator.  Fractional exponents u/v with v up to 64
-    take one ``root_bracket`` of q ** u (q itself when u = 1 and q is a
-    ``Fraction``), larger ones the square-root chain."""
+    with den > 0.  Fractional exponents u/v with v up to 64 take one
+    ``root_bracket`` of q ** u (q itself when u = 1 and q is a
+    ``Fraction``), larger ones the square-root chain.  Both share one tail:
+    it reads exactness off the fractional bracket (its two ends agree)
+    before it multiplies by the exact integer-power factor q ** floor(r)."""
     if type(q) is tuple:
         num, den = q
     else:
@@ -394,19 +375,15 @@ def pow_ends(q: Rational, r: Rational, bits: int) -> Ends:
         else:
             radicand = q if u == 1 else q ** u
         lo, hi = root_bracket(radicand, v, bits + 4)
-        # an exact root is one fraction, returned as both ends
-        if int_part == 0:
-            return ends(lo, hi)
-        ln, ld = _mul(bn, bd, lo.numerator, lo.denominator)
-        if lo is hi:
-            return ln, ld, ln, ld
-        return (ln, ld) + _mul(bn, bd, hi.numerator, hi.denominator)
-    ln, ld, hn, hd = _pow_via_chain(num, den, u, v, bits + 2)
-    lo = reduced(ln, ld)
-    hi = reduced(hn, hd)
+    else:
+        ln, ld, hn, hd = _pow_via_chain(num, den, u, v, bits + 2)
+        lo = reduced(ln, ld)
+        hi = reduced(hn, hd)
     if int_part:
+        # exactness is read off the fractional bracket, before the factor
+        exact_root = lo == hi
         lo = _mul(bn, bd, *lo)
-        hi = lo if hi == lo else _mul(bn, bd, *hi)
+        hi = lo if exact_root else _mul(bn, bd, *hi)
     return lo + hi
 
 
@@ -437,6 +414,11 @@ def _mid_ratio(e: Ends) -> Ratio:
     if is_exact(e):
         return e[0], e[1]
     return e[0] * e[3] + e[2] * e[1], 2 * e[1] * e[3]
+
+
+def mid(e: Ends) -> Fraction:
+    """The bracket's midpoint, for a report."""
+    return Fraction(*_mid_ratio(e))
 
 
 def eq_within(lhs: Ends, rhs: Ends, tol: Fraction) -> Tuple[bool, Ratio]:

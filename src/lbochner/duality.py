@@ -179,8 +179,8 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
     without it the report carries the chain steps' verdict and witness
     alone.
 
-    The power sums come as the fractions the series reports; every
-    comparison reads their ends."""
+    The power sums come as integer ends; the series reports their
+    midpoints."""
     d = v.codomain.scalar_dim
     for t, mass in enumerate(v.space.masses):
         if mass == 0:
@@ -202,8 +202,7 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
     for n in range(n_max + 1):
         s += power
         power *= inv_p
-        sums = power_sums_from_atom_ends(atom_norms, v.space.masses, s, cfg)
-        lhs = [certified.ends(lo, hi) for lo, hi in sums]
+        lhs = power_sums_from_atom_ends(atom_norms, v.space.masses, s, cfg)
         mass_corr = certified.pow_ends(mu_total, power, bits)
         rhs = [certified.mul(certified.ipow_ends(e[:2], e[2:], s, bits),
                              mass_corr) for e in map(certified.iabs, fv)]
@@ -213,14 +212,13 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
                 report.fail({"n": n, "coordinate": j})
         if full_report:
             report.series.append({"n": n, "exponent": s,
-                                  "lhs": [certified.midpoint(lo, hi)
-                                          for lo, hi in sums],
+                                  "lhs": [certified.mid(e) for e in lhs],
                                   "rhs": [certified.mid(e) for e in rhs]})
     if not full_report:
         return report
 
     inv_s = (s.denominator, s.numerator)
-    limit = [certified.ipow_ends(lo, hi, inv_s, bits) for lo, hi in sums]
+    limit = [certified.ipow_ends(e[:2], e[2:], inv_s, bits) for e in lhs]
     limit_gaps = []
     for j in range(d):
         ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from ._kernel import _pykernel as _k
-from .certified import Ends, Interval
+from .certified import Ends
 
 RationalLike = Union[Fraction, int, str]
 
@@ -134,9 +134,6 @@ class LElement:
     def is_nonnegative(self) -> bool:
         return all(n >= 0 for n in self.nums)
 
-    def intervals(self) -> List[Interval]:
-        return [(q, q) for q in self.coords]
-
 
 def sgn(a: LElement) -> LElement:
     nums = tuple((n > 0) - (n < 0) for n in a.nums)
@@ -211,10 +208,6 @@ class ApproxReal(Frozen):
         self._set("abs_error_bound", abs_error_bound)
 
     @classmethod
-    def exact(cls, q: RationalLike) -> "ApproxReal":
-        return cls(as_rational(q), Fraction(0))
-
-    @classmethod
     def from_ends(cls, e: Ends) -> "ApproxReal":
         """The midpoint and half-width of the bracket with integer ends
         (lo_num, lo_den, hi_num, hi_den)."""
@@ -224,19 +217,8 @@ class ApproxReal(Frozen):
                    Fraction(hn * ld - ln * hd, den))
 
     @property
-    def lo(self) -> Fraction:
-        return self.value - self.abs_error_bound
-
-    @property
-    def hi(self) -> Fraction:
-        return self.value + self.abs_error_bound
-
-    @property
     def is_exact(self) -> bool:
         return self.abs_error_bound == 0
-
-    def interval(self) -> Interval:
-        return (self.lo, self.hi)
 
     def __repr__(self) -> str:
         if self.is_exact:

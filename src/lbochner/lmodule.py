@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from . import certified
-from .certified import Ends, Interval, Ratio
+from .certified import Ends, Ratio
 from .falgebra import (
     ApproxReal,
     DEFAULT_TOLERANCES,
@@ -162,8 +162,8 @@ def norm_ends(x: ModuleVector,
     The coordinates are ``column_norms`` of the entries' numerators and
     denominators: the sup is already in lowest terms, the one-norm is
     reduced once, and the two-norm's sum of squares becomes the
-    ``Fraction`` radicand of its ``root_bracket``, whose two ends are the
-    only other fractions."""
+    ``Fraction`` radicand of its ``root_bracket``, the one fraction built,
+    whose two reduced (num, den) ends are the bracket's."""
     kind = x.space.norm_kind
     pairs = column_norms(kind, zip(zip(*(e.nums for e in x.entries)),
                                    zip(*(e.dens for e in x.entries))))
@@ -172,8 +172,8 @@ def norm_ends(x: ModuleVector,
     if kind is NormKind.ONE:
         return [certified.reduced(n, d) * 2 for n, d in pairs]
     bits = cfg.root_bits + 2
-    return [certified.ends(*certified.root_bracket(Fraction(n, d), 2, bits))
-            for n, d in pairs]
+    return [lo + hi for lo, hi in (
+        certified.root_bracket(Fraction(n, d), 2, bits) for n, d in pairs)]
 
 
 def collapse(brackets: Sequence[Ends]) -> NormValue:
@@ -183,13 +183,6 @@ def collapse(brackets: Sequence[Ends]) -> NormValue:
         return LElement._raw(tuple(e[0] for e in brackets),
                              tuple(e[1] for e in brackets))
     return tuple(ApproxReal.from_ends(e) for e in brackets)
-
-
-def value_intervals(value: NormValue) -> List[Interval]:
-    """Back-convert a norm result (exact element or bracket tuple)."""
-    if isinstance(value, LElement):
-        return value.intervals()
-    return [a.interval() for a in value]
 
 
 def norm(x: ModuleVector, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> NormValue:

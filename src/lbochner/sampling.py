@@ -23,21 +23,14 @@ def rng_for(seed: int, *stream: int) -> random.Random:
     return random.Random(x)
 
 
-def random_positive_fraction(rng: random.Random, max_num: int = 12,
-                             max_den: int = 12) -> Fraction:
-    return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
-
-
 def random_lelement(rng: random.Random, d: int, max_num: int = 12,
-                    max_den: int = 12, signed: bool = True) -> LElement:
-    """d coordinates, each a numerator in [-max_num, max_num] (or
-    [0, max_num] unsigned) drawn before its denominator in [1, max_den],
-    reduced as integers."""
+                    max_den: int = 12) -> LElement:
+    """d coordinates, each a numerator in [-max_num, max_num] drawn before
+    its denominator in [1, max_den], reduced as integers."""
     nums = []
     dens = []
     for _ in range(d):
-        num = (rng.randint(-max_num, max_num) if signed
-               else rng.randint(0, max_num))
+        num = rng.randint(-max_num, max_num)
         den = rng.randint(1, max_den)
         g = gcd(num, den)
         nums.append(num // g)
@@ -45,21 +38,22 @@ def random_lelement(rng: random.Random, d: int, max_num: int = 12,
     return LElement._raw(tuple(nums), tuple(dens))
 
 
-def random_module_vector(rng: random.Random, space: ModuleSpace,
-                         max_num: int = 12, max_den: int = 12) -> ModuleVector:
+def random_module_vector(rng: random.Random,
+                         space: ModuleSpace) -> ModuleVector:
     return ModuleVector(space, tuple(
-        random_lelement(rng, space.scalar_dim, max_num, max_den)
-        for _ in range(space.rank)))
+        random_lelement(rng, space.scalar_dim) for _ in range(space.rank)))
 
 
 def random_measure_space(rng: random.Random, m: int, null_atoms: int = 0,
                          normalize: bool = False) -> MeasureSpace:
-    """m atoms with small rational masses; null_atoms of them get mass zero.
-    With normalize=True the total mass is rescaled to one."""
+    """m atoms with masses a/b, a and b in [1, 6], a drawn first;
+    null_atoms of them get mass zero.  With normalize=True the total mass
+    is rescaled to one."""
     if null_atoms >= m:
         raise ValueError("need at least one positive-mass atom")
     names = tuple(f"a{i}" for i in range(m))
-    masses = [random_positive_fraction(rng, 6, 6) for _ in range(m)]
+    masses = [Fraction(rng.randint(1, 6), rng.randint(1, 6))
+              for _ in range(m)]
     if null_atoms:
         for i in rng.sample(range(m), null_atoms):
             masses[i] = Fraction(0)

@@ -24,7 +24,6 @@ from .lmodule import (
     column_norms,
     norm,
     norm_ends,
-    value_intervals,
 )
 from .measure import (
     MeasurableSet,
@@ -127,9 +126,8 @@ def _norm_column(G: VectorMeasure, j: int,
     pairs = column_norms(kind, zip(zip(*sums), repeat((den,) * len(rank))))
     if kind is NormKind.TWO:
         bits = cfg.root_bits + 2
-        return [certified.mid(certified.ends(*certified.root_bracket(
-                    Fraction(n, d), 2, bits)))
-                for n, d in pairs]
+        return [certified.mid(lo + hi) for lo, hi in (
+            certified.root_bracket(Fraction(n, d), 2, bits) for n, d in pairs)]
     return [Fraction(n, d) for n, d in pairs]
 
 
@@ -263,10 +261,11 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
     var = variation(G, cfg)
     if not var.passed:
         report.fail({"stage": "variation", **var.witness})
-    for j, iv in enumerate(value_intervals(var.details["variation"])):
-        if iv != (1, 1):
+    # an L1 norm, so exact: an LElement
+    for j, value in enumerate(var.details["variation"].coords):
+        if value != 1:
             report.fail({"stage": "variation", "coordinate": j,
-                         "value": certified.midpoint(*iv)})
+                         "value": value})
 
     half = LElement.constant(Fraction(1, 2), d)
     values = [evaluate(G, rademacher_set(space, n + 1))

@@ -33,7 +33,6 @@ from lbochner.lmodule import (
     NormKind,
     collapse,
     norm_ends,
-    value_intervals,
 )
 from lbochner.measure import MeasureSpace, SpaceMismatch, TooManySubsets
 from lbochner.sampling import random_measure_space, random_module_vector, rng_for
@@ -41,6 +40,26 @@ from lbochner.sampling import random_measure_space, random_module_vector, rng_fo
 
 def L(*coords):
     return LElement(list(coords))
+
+
+def fractions_of(e):
+    """Integer ends as a pair of fractions."""
+    return (Fraction(e[0], e[1]), Fraction(e[2], e[3]))
+
+
+def ends_of(iv):
+    """A pair of fractions as integer ends."""
+    lo, hi = iv
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+def value_brackets(value):
+    """A norm result, an exact element or a tuple of ``ApproxReal``s, as
+    one pair of fractions per coordinate."""
+    if isinstance(value, LElement):
+        return [(q, q) for q in value.coords]
+    return [(a.value - a.abs_error_bound, a.value + a.abs_error_bound)
+            for a in value]
 
 
 def dec_sqrt(q: Fraction) -> Fraction:
@@ -135,7 +154,7 @@ class TestLpNorm:
     def test_p2_example_against_sqrt_oracle(self, base):
         space, f = base
         p = Fraction(2)
-        got = value_intervals(lp_norm(f, p))
+        got = value_brackets(lp_norm(f, p))
         for iv, target in zip(got, (Fraction(19), Fraction(6))):
             true = dec_sqrt(target)
             assert iv[0] <= true <= iv[1]
@@ -300,7 +319,7 @@ class TestPNormOracle:
 
     def _norm_intervals(self, entries, kind):
         space = ModuleSpace(len(entries), entries[0].dim, kind)
-        return [certified.interval(e) for e in norm_ends(
+        return [fractions_of(e) for e in norm_ends(
             ModuleVector(space, tuple(entries)), self.CFG)]
 
     def _atom_norms(self, kind):
@@ -315,7 +334,7 @@ class TestPNormOracle:
 
     @staticmethod
     def _ends(atom_norms):
-        return [[certified.ends(*iv) for iv in norms] for norms in atom_norms]
+        return [[ends_of(iv) for iv in norms] for norms in atom_norms]
 
     def _norm_grids(self):
         """(kind, atom norms) with exact (sup, one) and wide (two) brackets,
@@ -344,7 +363,7 @@ class TestPNormOracle:
         # above the exact-power bit cap: the chain at denominator 64
         cases.append((Fraction(3 ** 700, 2 ** 11 + 1), Fraction(63, 64)))
         for q, r in cases:
-            want = certified.ends(*fraction_pow_bracket(q, r, self.BITS))
+            want = ends_of(fraction_pow_bracket(q, r, self.BITS))
             assert certified.pow_ends(q, r, self.BITS) == want, (q, r)
             assert certified.pow_ends((q.numerator, q.denominator), r,
                                       self.BITS) == want, (q, r)
@@ -355,10 +374,10 @@ class TestPNormOracle:
             atom_ends = self._ends(atom_norms)
             got = bochner.power_sums_from_atom_ends(
                 atom_ends, self.MASSES, s, self.CFG)
-            assert got == fraction_power_sums(
-                atom_norms, self.MASSES, s, self.BITS), kind
+            assert got == [ends_of(iv) for iv in fraction_power_sums(
+                atom_norms, self.MASSES, s, self.BITS)], kind
             assert (lp_from_atom_ends(atom_ends, self.MASSES, s, self.CFG)
-                    == [certified.ends(*iv) for iv in fraction_lp(
+                    == [ends_of(iv) for iv in fraction_lp(
                         atom_norms, self.MASSES, s, self.BITS)]), kind
 
     @settings(max_examples=150, deadline=None)
@@ -371,7 +390,7 @@ class TestPNormOracle:
         # exact and inexact bases, given as fractions or integer pairs,
         # against the Fraction code's bracket
         hi = lo + width
-        want = certified.ends(*fraction_ipow_frac((lo, hi), r, 42))
+        want = ends_of(fraction_ipow_frac((lo, hi), r, 42))
         assert certified.ipow_ends(lo, hi, r, 42) == want
         assert certified.ipow_ends((lo.numerator, lo.denominator),
                                    (hi.numerator, hi.denominator),
@@ -381,11 +400,12 @@ class TestPNormOracle:
         for kind, atom_norms in self._norm_grids():
             atom_ends = self._ends(atom_norms)
             assert (lp_from_atom_ends(atom_ends, self.MASSES, INF, self.CFG)
-                    == [certified.ends(*iv) for iv in fraction_lp(
+                    == [ends_of(iv) for iv in fraction_lp(
                         atom_norms, self.MASSES, INF, self.BITS)])
             null = [Fraction(0)] * len(self.MASSES)
             assert bochner.power_sums_from_atom_ends(
-                atom_ends, null, Fraction(3, 2), self.CFG) == [(0, 0)] * 3
+                atom_ends, null, Fraction(3, 2), self.CFG) \
+                == [(0, 1, 0, 1)] * 3
 
 
 class TestLpNormAgainstFractionPipeline:
@@ -414,8 +434,8 @@ class TestLpNormAgainstFractionPipeline:
                           for v in f.values]
             expected = fraction_lp(atom_norms, space.masses, p, self.BITS)
             got = bochner.lp_norm_ends(f, p, self.CFG)
-            assert got == [certified.ends(*iv) for iv in expected], trial
-            assert [certified.interval(e) for e in got] == expected
+            assert got == [ends_of(iv) for iv in expected], trial
+            assert [fractions_of(e) for e in got] == expected
 
 
 class TestSupRepresentation:
@@ -459,11 +479,11 @@ def interval_sup_rep(f, p, cfg):
     m = f.space.size
     d = f.codomain.scalar_dim
     bits = cfg.root_bits + 2
-    powers = [[fraction_ipow_frac(certified.interval(e), p, bits)
+    powers = [[fraction_ipow_frac(fractions_of(e), p, bits)
                for e in norm_ends(v, cfg)]
               for v in f.values]
-    weighted = [[certified.interval(certified.scale(
-                    certified.ends(*powers[t][j]),
+    weighted = [[fractions_of(certified.scale(
+                    ends_of(powers[t][j]),
                     f.space.masses[t].numerator,
                     f.space.masses[t].denominator))
                  for j in range(d)] for t in range(m)]
@@ -495,7 +515,7 @@ def interval_sup_rep(f, p, cfg):
                 if sub == 0:
                     break
                 sub = (sub - 1) & mask
-    return passed, collapse([certified.ends(*iv) for iv in sums[full]]), \
+    return passed, collapse([ends_of(iv) for iv in sums[full]]), \
         pairs_checked
 
 
@@ -524,8 +544,8 @@ def table_sup_rep(f, p, cfg):
         tol_j = tol.numerator * den // tol.denominator
         lo.append(table([e[0] * den // e[1] for e in column]))
         hi.append(table([e[2] * den // e[3] for e in column]))
-        at_full.append(certified.ends(Fraction(lo[j][-1], den),
-                                      Fraction(hi[j][-1], den)))
+        at_full.append(ends_of((Fraction(lo[j][-1], den),
+                                Fraction(hi[j][-1], den))))
         hi[j] = [s + tol_j for s in hi[j]]
     full = (1 << m) - 1
 
@@ -614,7 +634,7 @@ class TestSupRepIntegerTable:
         def scale(a, cn, cd):
             c = Fraction(cn, cd)
             term = by_mass.get((c, a), by_mass.get(c))
-            return (certified.ends(*term) if term is not None
+            return (ends_of(term) if term is not None
                     else real(a, cn, cd))
 
         monkeypatch.setattr(certified, "scale", scale)
@@ -764,8 +784,8 @@ class TestHolder:
         v = dual_fn(space, L(1, 1), L(1, 1))
         rep = check_holder(u, v, Fraction(2), Fraction(2))
         assert rep.passed
-        lhs = value_intervals(rep.details["lhs"])
-        rhs = value_intervals(rep.details["rhs"])
+        lhs = value_brackets(rep.details["lhs"])
+        rhs = value_brackets(rep.details["rhs"])
         assert lhs[0][0] == 7 and lhs[1][0] == 4
         for iv, prod in zip(rhs, (Fraction(57), Fraction(18))):
             true = dec_sqrt(prod)
@@ -783,7 +803,7 @@ class TestHolder:
         zero = LFunction.zero(space, DUAL)
         rep = check_holder(u, zero, Fraction(2), Fraction(2))
         assert rep.passed
-        assert value_intervals(rep.details["lhs"])[0] == (0, 0)
+        assert value_brackets(rep.details["lhs"])[0] == (0, 0)
 
     def test_non_conjugate_rejected(self, base):
         space, u = base
@@ -956,7 +976,7 @@ class TestMinkowski:
         space, u = base
         rep = check_minkowski(u, u.scale_rational(-1), Fraction(2))
         assert rep.passed
-        assert value_intervals(rep.details["lhs"])[0] == (0, 0)
+        assert value_brackets(rep.details["lhs"])[0] == (0, 0)
 
     def test_v_equals_u_is_equality(self, base):
         space, u = base
@@ -1160,12 +1180,12 @@ class TestLpNormAxioms:
             u = LFunction(space, codomain, tuple(
                 random_module_vector(rng, codomain) for _ in range(2)))
             lam = random_lelement(rng, 2)
-            lhs = value_intervals(lp_norm(u.scale(lam), p))
-            base = value_intervals(lp_norm(u, p))
+            lhs = value_brackets(lp_norm(u.scale(lam), p))
+            base = value_brackets(lp_norm(u, p))
             alam = abs(lam)
             for j in range(2):
                 rhs = (base[j][0] * alam[j], base[j][1] * alam[j])
-                ok, _ = certified.eq_within(certified.ends(*lhs[j]),
-                                            certified.ends(*rhs),
+                ok, _ = certified.eq_within(ends_of(lhs[j]),
+                                            ends_of(rhs),
                                             cfg.compare_tol)
                 assert ok

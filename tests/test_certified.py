@@ -20,9 +20,25 @@ def decimal_pow(base: Fraction, exponent: Fraction, digits: int = 60) -> Fractio
         return Fraction((r * x.ln()).exp())
 
 
+def fractions_of(e):
+    """Integer ends as a pair of fractions."""
+    return (Fraction(e[0], e[1]), Fraction(e[2], e[3]))
+
+
+def ends_of(iv):
+    """A pair of fractions as integer ends."""
+    lo, hi = iv
+    return (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+def root_fractions(q, n, bits):
+    """``certified.root_bracket``'s two (num, den) ends as fractions."""
+    return tuple(Fraction(*end) for end in certified.root_bracket(q, n, bits))
+
+
 def pow_bracket(q, r, bits):
     """``certified.pow_ends`` as a pair of fractions."""
-    return certified.interval(certified.pow_ends(q, r, bits))
+    return fractions_of(certified.pow_ends(q, r, bits))
 
 
 def imul(a, b):
@@ -53,19 +69,25 @@ class TestIntNthRoot:
 
 class TestRootBracket:
     def test_sqrt19_against_decimal_oracle(self):
-        lo, hi = certified.root_bracket(Fraction(19), 2, 48)
+        lo, hi = root_fractions(Fraction(19), 2, 48)
         true = decimal_pow(Fraction(19), Fraction(1, 2))
         assert lo <= true <= hi
         assert hi - lo <= Fraction(1, 2 ** 46)
 
     def test_perfect_square_exact(self):
-        assert certified.root_bracket(Fraction(9, 4), 2, 40) == (Fraction(3, 2),) * 2
+        assert certified.root_bracket(Fraction(9, 4), 2, 40) == ((3, 2),) * 2
 
     def test_perfect_cube_exact(self):
-        assert certified.root_bracket(Fraction(27, 8), 3, 40) == (Fraction(3, 2),) * 2
+        assert certified.root_bracket(Fraction(27, 8), 3, 40) == ((3, 2),) * 2
 
     def test_unit_fixed_point(self):
-        assert certified.root_bracket(Fraction(1), 5, 40) == (Fraction(1), Fraction(1))
+        assert certified.root_bracket(Fraction(1), 5, 40) == ((1, 1), (1, 1))
+
+    def test_ends_are_reduced_int_pairs(self):
+        lo, hi = certified.root_bracket(Fraction(2), 2, 8)
+        # 362/256 reduces, 363/256 does not
+        assert (lo, hi) == ((181, 128), (363, 256))
+        assert certified.root_bracket(Fraction(0), 3, 8) == ((0, 1), (0, 1))
 
 
 class TestPowBracket:
@@ -103,6 +125,16 @@ class TestPowBracket:
         assert pow_bracket(Fraction(0), Fraction(7, 2), 40) == (0, 0)
         assert pow_bracket(Fraction(9), Fraction(3), 40) == (729, 729)
 
+    def test_exactness_is_decided_before_the_integer_factor(self,
+                                                            monkeypatch):
+        # the chain bracket [4/9, 1] times (3/2)**2 = 9/4 is [1, 9/4]: its
+        # rescaled lower end equals the unscaled upper end, which must not
+        # make the bracket exact
+        monkeypatch.setattr(certified, "_pow_via_chain",
+                            lambda num, den, u, v, bits: (4, 9, 1, 1))
+        assert certified.pow_ends(Fraction(3, 2), Fraction(131, 65), 40) \
+            == (1, 1, 9, 4)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             pow_bracket(Fraction(-1), Fraction(1, 2), 40)
@@ -118,8 +150,8 @@ class TestPowBracket:
         cfg = ToleranceConfig()
         allowance = n * (max(coords) + 1) ** (n - 1) * cfg.root_tol
         for q in coords:
-            iv = pow_bracket(q, Fraction(1, n), cfg.root_bits + 2)
-            assert abs(certified.midpoint(*iv) ** n - q) <= allowance
+            e = certified.pow_ends(q, Fraction(1, n), cfg.root_bits + 2)
+            assert abs(certified.mid(e) ** n - q) <= allowance
 
 
 def fraction_chain(q, frac_exp, bits, rounds=None):
@@ -138,8 +170,8 @@ def fraction_chain(q, frac_exp, bits, rounds=None):
         chain = []
         cur = (q, q)
         for _ in range(levels):
-            cur = (certified.root_bracket(cur[0], 2, work_bits)[0],
-                   certified.root_bracket(cur[1], 2, work_bits)[1])
+            cur = (root_fractions(cur[0], 2, work_bits)[0],
+                   root_fractions(cur[1], 2, work_bits)[1])
             chain.append(cur)
         prod = (Fraction(1), Fraction(1))
         for i in range(levels):
@@ -242,7 +274,7 @@ class TestPowChainOracle:
                 m.setattr(certified, "_pow_via_chain", fraction_chain_ends)
                 power = pow_bracket(q, r, bits)
                 wide = fraction_ipow_frac((q, top), r, bits)
-            expected = [certified.ends(*power)] * 4 + [certified.ends(*wide)] * 2
+            expected = [ends_of(power)] * 4 + [ends_of(wide)] * 2
             assert actual == expected, (q, r, bits)
 
 
@@ -291,21 +323,21 @@ class TestSqrtLadder:
         assert certified._sqrt_ladder(2, 1, 72, 30) != ladder
         lo, hi = Fraction(2), Fraction(2)
         for ln, ld, hn, hd in ladder:
-            lo = certified.root_bracket(lo, 2, 40)[0]
-            hi = certified.root_bracket(hi, 2, 40)[1]
+            lo = root_fractions(lo, 2, 40)[0]
+            hi = root_fractions(hi, 2, 40)[1]
             assert (Fraction(ln, ld), Fraction(hn, hd)) == (lo, hi)
 
 
 class TestIntervalOps:
     def test_mul_signs(self):
-        a = certified.ends(Fraction(-2), Fraction(3))
-        b = certified.ends(Fraction(-5), Fraction(1))
+        a = ends_of((Fraction(-2), Fraction(3)))
+        b = ends_of((Fraction(-5), Fraction(1)))
         assert certified.mul(a, b) == (-15, 1, 10, 1)
 
     def test_abs(self):
-        assert certified.iabs(certified.ends(Fraction(-3), Fraction(-1))) \
+        assert certified.iabs(ends_of((Fraction(-3), Fraction(-1)))) \
             == (1, 1, 3, 1)
-        assert certified.iabs(certified.ends(Fraction(-2), Fraction(5))) \
+        assert certified.iabs(ends_of((Fraction(-2), Fraction(5)))) \
             == (0, 1, 5, 1)
 
     def test_leq_with_slack_semantics(self):
@@ -371,10 +403,6 @@ def brackets(draw):
     return (min(lo, hi), max(lo, hi))
 
 
-def as_ends(iv):
-    return certified.ends(*iv)
-
-
 class TestEndsAgainstFractions:
     """Each integer-end primitive returns exactly the rationals, in lowest
     terms, of its Fraction reference."""
@@ -382,25 +410,25 @@ class TestEndsAgainstFractions:
     @settings(max_examples=150, deadline=None)
     @given(brackets(), brackets())
     def test_add_mul_max(self, a, b):
-        ea, eb = as_ends(a), as_ends(b)
-        assert certified.add(ea, eb) == as_ends(fraction_add(a, b))
-        assert certified.mul(ea, eb) == as_ends(imul(a, b))
-        assert certified.imax(ea, eb) == as_ends(fraction_max(a, b))
+        ea, eb = ends_of(a), ends_of(b)
+        assert certified.add(ea, eb) == ends_of(fraction_add(a, b))
+        assert certified.mul(ea, eb) == ends_of(imul(a, b))
+        assert certified.imax(ea, eb) == ends_of(fraction_max(a, b))
 
     @settings(max_examples=150, deadline=None)
     @given(brackets(), st.fractions(min_value=0, max_value=40,
                                     max_denominator=10 ** 6))
     def test_scale(self, a, c):
-        assert certified.scale(as_ends(a), c.numerator, c.denominator) \
-            == as_ends(fraction_scale(a, c))
+        assert certified.scale(ends_of(a), c.numerator, c.denominator) \
+            == ends_of(fraction_scale(a, c))
 
     @settings(max_examples=150, deadline=None)
     @given(brackets())
     def test_abs_mid_interval_exactness(self, a):
-        e = as_ends(a)
-        assert certified.iabs(e) == as_ends(fraction_abs(a))
+        e = ends_of(a)
+        assert certified.iabs(e) == ends_of(fraction_abs(a))
         assert certified.mid(e) == fraction_mid(a)
-        assert certified.interval(e) == a
+        assert fractions_of(e) == a
         assert certified.is_exact(e) == (a[0] == a[1])
         assert certified.tol_for(Fraction(1, 7), [e]) \
             == (0 if a[0] == a[1] else Fraction(1, 7))
@@ -408,9 +436,9 @@ class TestEndsAgainstFractions:
     @settings(max_examples=150, deadline=None)
     @given(brackets(), brackets(), _tolerances)
     def test_comparisons(self, a, b, tol):
-        ok, slack = certified.leq_with_slack(as_ends(a), as_ends(b), tol)
+        ok, slack = certified.leq_with_slack(ends_of(a), ends_of(b), tol)
         assert (ok, Fraction(*slack)) == fraction_leq(a, b, tol)
-        ok, gap = certified.eq_within(as_ends(a), as_ends(b), tol)
+        ok, gap = certified.eq_within(ends_of(a), ends_of(b), tol)
         assert (ok, Fraction(*gap)) == fraction_eq(a, b, tol)
 
     @settings(max_examples=150, deadline=None)
@@ -505,7 +533,10 @@ class TestRootKernelAgainstPrevious:
             bits = rng.choice((8, 20, 42, 64))
             got = certified.root_bracket(q, n, bits)
             want = previous_root_bracket(q, n, bits)
-            assert got == want and all(type(e) is Fraction for e in got)
+            assert tuple(Fraction(*end) for end in got) == want
+            # each end a reduced int pair
+            assert all(type(num) is int and type(den) is int and den > 0
+                       and math.gcd(num, den) == 1 for num, den in got)
             cases += 1
         assert cases == 2000
 
@@ -519,7 +550,7 @@ class TestRootKernelAgainstPrevious:
                     scale = 1 << (bits * n)
                     den = scale + 1
                     q = Fraction((t ** n - 1) * den // scale + 1, den)
-                    got = certified.root_bracket(q, n, bits)
+                    got = root_fractions(q, n, bits)
                     assert got == previous_root_bracket(q, n, bits)
                     assert got[1] - got[0] == Fraction(2, 1 << bits)
 
@@ -530,6 +561,5 @@ class TestRootKernelAgainstPrevious:
                           rng.randint(1, 10 ** 6))
             for iv in ((lo, lo), (lo, Fraction(lo.numerator, lo.denominator)),
                        (lo, lo + Fraction(1, rng.randint(1, 10 ** 6)))):
-                for got in (certified.midpoint(*iv),
-                            certified.mid(certified.ends(*iv))):
-                    assert got == previous_mid(iv) and type(got) is Fraction
+                got = certified.mid(ends_of(iv))
+                assert got == previous_mid(iv) and type(got) is Fraction

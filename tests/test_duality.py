@@ -29,7 +29,6 @@ from lbochner.lmodule import (
     ModuleVector,
     NormKind,
     contract,
-    value_intervals,
 )
 from lbochner.measure import MeasureSpace, SpaceMismatch
 from lbochner.sampling import (
@@ -43,6 +42,15 @@ from lbochner.vecmeasure import NotAbsolutelyContinuous, rn_density
 
 def L(*coords):
     return LElement(list(coords))
+
+
+def value_brackets(value):
+    """A norm result, an exact element or a tuple of ``ApproxReal``s, as
+    one pair of fractions per coordinate."""
+    if isinstance(value, LElement):
+        return [(q, q) for q in value.coords]
+    return [(a.value - a.abs_error_bound, a.value + a.abs_error_bound)
+            for a in value]
 
 
 PRIMAL = ModuleSpace(1, 2, NormKind.SUP)
@@ -210,7 +218,7 @@ class TestIsometry:
         v = dual_fn(space, L(3, 4))
         rep = isometry_check(v, Fraction(2), Fraction(2))
         assert rep.passed
-        for iv in value_intervals(rep.details["operator_norm"]):
+        for iv in value_brackets(rep.details["operator_norm"]):
             assert iv[0] <= 3 or iv[0] <= 4  # brackets around |coefficient|
 
     def test_failing_chain_step_is_the_witness(self, monkeypatch):
@@ -223,8 +231,8 @@ class TestIsometry:
             lhs = real(atom_norms, masses, s, cfg)
             steps.append(s)
             if len(steps) == 3:
-                lo, hi = lhs[1]
-                lhs[1] = (lo + 1, hi + 1)
+                ln, ld, hn, hd = lhs[1]
+                lhs[1] = (ln + ld, ld, hn + hd, hd)
             return lhs
 
         monkeypatch.setattr(duality, "power_sums_from_atom_ends", lifted)
@@ -266,8 +274,8 @@ class TestChainVerdictAgainstFullBootstrap:
         def lifted(atom_norms, masses, s, cfg):
             sums = real(atom_norms, masses, s, cfg)
             if s == s_k:
-                lo, hi = sums[j]
-                sums[j] = (lo + 1, hi + 1)
+                ln, ld, hn, hd = sums[j]
+                sums[j] = (ln + ld, ld, hn + hd, hd)
             return sums
 
         monkeypatch.setattr(duality, "power_sums_from_atom_ends", lifted)
@@ -330,7 +338,7 @@ class TestBootstrap:
                     dual=ModuleSpace(1, 1, NormKind.ONE))
         rep = bootstrap_lower_bound(v, Fraction(2), 20)
         assert rep.passed
-        target = value_intervals(rep.details["target_norm"])[0]
+        target = value_brackets(rep.details["target_norm"])[0]
         assert target[0] <= Fraction(3, 2) <= target[1]
 
     def test_n0_is_single_holder_step(self, two_atoms):
@@ -559,8 +567,8 @@ class TestBoundedness:
                 random_module_vector(rng, primal) for _ in range(3)))
             v = random_dual(rng, space, primal)
             lhs = abs(pairing(u, v))
-            nu = value_intervals(lp_norm(u, p))
-            nv = value_intervals(lp_norm(v, q))
+            nu = value_brackets(lp_norm(u, p))
+            nv = value_brackets(lp_norm(v, q))
             for j in range(2):
                 bound_hi = nu[j][1] * nv[j][1]
                 tol = 0 if (nu[j][0] == nu[j][1] and nv[j][0] == nv[j][1]) \

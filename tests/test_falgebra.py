@@ -90,9 +90,10 @@ class TestApproxReal:
         a = ApproxReal.from_ends((1, 3, 2, 3))
         assert a.value == Fraction(1, 2)
         assert a.abs_error_bound == Fraction(1, 6)
-        assert (a.lo, a.hi) == (Fraction(1, 3), Fraction(2, 3))
+        assert (a.value - a.abs_error_bound, a.value + a.abs_error_bound) \
+            == (Fraction(1, 3), Fraction(2, 3))
         assert not a.is_exact
-        assert ApproxReal.exact(Fraction(5)).is_exact
+        assert ApproxReal.from_ends((5, 1, 5, 1)).is_exact
 
 
 class TestToleranceConfig:

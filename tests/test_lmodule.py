@@ -12,7 +12,7 @@ from lbochner.lmodule import (
     check_norm_axioms,
     contract,
     norm,
-    value_intervals,
+    norm_ends,
 )
 from lbochner.sampling import (
     random_lelement,
@@ -27,6 +27,11 @@ def L(*coords):
 
 def vec(space, *entries):
     return ModuleVector(space, tuple(entries))
+
+
+def fractions_of(e):
+    """Integer ends as a pair of fractions."""
+    return (Fraction(e[0], e[1]), Fraction(e[2], e[3]))
 
 
 SUP2 = ModuleSpace(2, 2, NormKind.SUP)
@@ -51,8 +56,8 @@ class TestNorm:
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             sqrt2 = Fraction(decimal.Decimal(2).sqrt())
-        got = norm(vec(TWO2, L(1, 1), L(1, 1)))
-        for iv in value_intervals(got):
+        got = norm_ends(vec(TWO2, L(1, 1), L(1, 1)))
+        for iv in (fractions_of(e) for e in got):
             assert iv[0] <= sqrt2 <= iv[1]
             assert iv[1] - iv[0] <= 2 * ToleranceConfig().root_tol
 
@@ -155,8 +160,8 @@ class TestDualNorm:
             phi = random_module_vector(rng, space.dual())
             x = random_module_vector(rng, space)
             lhs = abs(apply(phi, x))
-            bound = value_intervals(norm(phi))
-            nx = value_intervals(norm(x))
+            bound = [fractions_of(e) for e in norm_ends(phi)]
+            nx = [fractions_of(e) for e in norm_ends(x)]
             for j in range(2):
                 rhs_hi = bound[j][1] * nx[j][1]
                 assert lhs[j] <= rhs_hi + cfg.compare_tol

@@ -2,12 +2,18 @@
 ``ast`` alone."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lbochner"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lbochner"
 MODULES = sorted(SRC.rglob("*.py"))
+# the trees a definition in the package may be named from
+SEARCHED = sorted(path for tree in ("src", "tests", "perfbench")
+                  for path in (ROOT / tree).rglob("*.py"))
 
 
 def _annotation_names(node: ast.AST):
@@ -75,3 +81,49 @@ def f(x: "MV") -> List[int]:
 '''
     assert unused_imports(source) == [
         "NormKind (line 5)", "Tuple (line 4)", "enum (line 3)"]
+
+
+def unnamed_definitions(defining: dict, searched: list) -> list:
+    """The module-level functions and classes of the ``defining`` sources
+    (name -> text) whose name occurs in no ``searched`` text beyond their
+    own definitions; dunder names are exempt."""
+    words = Counter()
+    for text in searched:
+        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    defs = [(source_name, stmt.name)
+            for source_name, source in defining.items()
+            for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (stmt.name.startswith("__")
+                     and stmt.name.endswith("__"))]
+    # each definition names itself once
+    defined = Counter(name for _, name in defs)
+    return sorted(f"{source_name}: {name}" for source_name, name in defs
+                  if words[name] <= defined[name])
+
+
+def test_every_definition_is_named_elsewhere():
+    defining = {str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+                for path in MODULES}
+    searched = [path.read_text(encoding="utf-8") for path in SEARCHED]
+    assert unnamed_definitions(defining, searched) == []
+
+
+def test_unnamed_definition_is_found():
+    lib = '''
+class Used:
+    pass
+
+def lonely(x):
+    return x
+
+def called():
+    return Used()
+
+def __getattr__(name):
+    raise AttributeError(name)
+'''
+    user = "from lib import called\ncalled()\n"
+    assert unnamed_definitions({"lib.py": lib}, [lib, user]) \
+        == ["lib.py: lonely"]

@@ -12,7 +12,12 @@ from lbochner.measure import (
     measure_of,
     subset_sums,
 )
-from lbochner.sampling import random_measure_space, random_module_vector, rng_for
+from lbochner.sampling import (
+    random_lelement,
+    random_measure_space,
+    random_module_vector,
+    rng_for,
+)
 from lbochner.vecmeasure import (
     NotAbsolutelyContinuous,
     VectorMeasure,
@@ -210,7 +215,8 @@ def wide_measure(seed, m, kind, rank, d):
     masses = [Fraction(rng.randint(1, bound), rng.randint(1, bound))
               for _ in range(m)]
     codomain = ModuleSpace(rank, d, kind)
-    values = [random_module_vector(rng, codomain, bound, bound)
+    values = [ModuleVector(codomain, tuple(
+                  random_lelement(rng, d, bound, bound) for _ in range(rank)))
               for _ in range(m)]
     if m > 1:
         masses[1] = Fraction(0)
