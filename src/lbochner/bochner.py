@@ -88,12 +88,6 @@ class LFunction(Frozen):
         self._set("values", values)
 
     @classmethod
-    def indicator_times(cls, x: ModuleVector, F: MeasurableSet) -> "LFunction":
-        vals = tuple(x if i in F.members else x.space.zero()
-                     for i in range(F.space.size))
-        return cls(F.space, x.space, vals)
-
-    @classmethod
     def zero(cls, space: MeasureSpace, codomain: ModuleSpace) -> "LFunction":
         return cls(space, codomain, (codomain.zero(),) * space.size)
 

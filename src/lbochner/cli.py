@@ -70,8 +70,9 @@ def _tolerances(args) -> falgebra.ToleranceConfig:
         serialize.parse_rational(args.tol, "--tol"))
 
 
-def _norm_kind(name: str) -> lmodule.NormKind:
-    return lmodule.NormKind(name)
+def _codomain(args) -> lmodule.ModuleSpace:
+    return lmodule.ModuleSpace(args.rank, args.dim,
+                               lmodule.NormKind(args.norm))
 
 
 def _random_lfunction(rng, space, codomain) -> bochner.LFunction:
@@ -80,27 +81,20 @@ def _random_lfunction(rng, space, codomain) -> bochner.LFunction:
         for _ in range(space.size)))
 
 
-def _load_or_random_space(args, rng) -> measure.MeasureSpace:
-    if getattr(args, "space", None):
-        return serialize.measure_space_from_doc(
-            serialize.load_json(args.space), args.space)
-    return sampling.random_measure_space(rng, args.atoms)
-
-
 # ---------------------------------------------------------------------------
 # check subcommands
 
-def _cmd_check_norm_axioms(args) -> reports.Report:
+def _cmd_check_norm_axioms(args, stream=11) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
-    space = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    rng = sampling.rng_for(args.seed, 11)
+    space = _codomain(args)
+    rng = sampling.rng_for(args.seed, stream)
     samples = []
     for _ in range(args.trials):
         lam = sampling.random_lelement(rng, args.dim)
         x = sampling.random_module_vector(rng, space)
         y = sampling.random_module_vector(rng, space)
         samples.append((lam, x, y))
-    return _report(args, [lmodule.check_norm_axioms(space, samples, cfg)])
+    return [lmodule.check_norm_axioms(space, samples, cfg)]
 
 
 def _function_pair(args, rng, dual: bool):
@@ -108,8 +102,10 @@ def _function_pair(args, rng, dual: bool):
     function, into the dual of u's codomain, and its document is read as
     ``dual isometry --v`` reads one; otherwise v is into u's codomain.  A
     seeded u pairs with a v document, on v's space unless ``--space``."""
-    space = _load_or_random_space(args, rng)
-    codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
+    space = (serialize.measure_space_from_doc(
+        serialize.load_json(args.space), args.space) if args.space
+        else sampling.random_measure_space(rng, args.atoms))
+    codomain = _codomain(args)
     u = v = None
     if args.u:
         u = serialize.lfunction_from_doc(serialize.load_json(args.u), args.u)
@@ -130,7 +126,7 @@ def _function_pair(args, rng, dual: bool):
 
 
 def _over_trials(check: reports.CheckReport, n: int,
-                 run_trial) -> reports.CheckReport:
+                 run_trial) -> list[reports.CheckReport]:
     """Runs run_trial(trial) for each of n trials; every failing trial
     counts, and the first names the witness together with the trial
     report's own, if it has one."""
@@ -139,78 +135,73 @@ def _over_trials(check: reports.CheckReport, n: int,
         if not rep.passed:
             check.fail({"trial": trial, **(rep.witness or {})})
     check.details["failures"] = check.failures
-    return check
+    return [check]
 
 
-def _cmd_check_holder(args) -> reports.Report:
+def _cmd_check_holder(args, stream=13) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
-    rng = sampling.rng_for(args.seed, 13)
+    rng = sampling.rng_for(args.seed, stream)
     n = args.trials if not (args.u or args.v) else 1
     check = reports.CheckReport(name="holder", details={
         "pairs": n, "p": _exponent_str(p), "q": _exponent_str(q)})
-    return _report(args, [_over_trials(check, n, lambda trial: (
-        bochner.check_holder(*_function_pair(args, rng, dual=True), p, q,
-                             cfg)))])
+    return _over_trials(check, n, lambda trial: bochner.check_holder(
+        *_function_pair(args, rng, dual=True), p, q, cfg))
 
 
-def _cmd_check_minkowski(args) -> reports.Report:
+def _cmd_check_minkowski(args, stream=17) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     if p is bochner.INF:
         raise ValueError("minkowski needs a finite exponent")
-    rng = sampling.rng_for(args.seed, 17)
+    rng = sampling.rng_for(args.seed, stream)
     n = args.trials if not (args.u or args.v) else 1
     check = reports.CheckReport(name="minkowski",
                                 details={"pairs": n, "p": _exponent_str(p)})
-    return _report(args, [_over_trials(check, n, lambda trial: (
-        bochner.check_minkowski(*_function_pair(args, rng, dual=False), p,
-                                cfg)))])
+    return _over_trials(check, n, lambda trial: bochner.check_minkowski(
+        *_function_pair(args, rng, dual=False), p, cfg))
 
 
-def _cmd_check_sup_rep(args) -> reports.Report:
+def _cmd_check_sup_rep(args, stream=19) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
-    rng = sampling.rng_for(args.seed, 19)
+    rng = sampling.rng_for(args.seed, stream)
     if args.fn:
         f = serialize.lfunction_from_doc(serialize.load_json(args.fn), args.fn)
     else:
         space = sampling.random_measure_space(rng, args.atoms)
-        codomain = lmodule.ModuleSpace(args.rank, args.dim,
-                                       _norm_kind(args.norm))
-        f = _random_lfunction(rng, space, codomain)
-    rep = bochner.verify_sup_representation(f, p, cfg)
-    return _report(args, [rep])
+        f = _random_lfunction(rng, space, _codomain(args))
+    return [bochner.verify_sup_representation(f, p, cfg)]
 
 
-def _cmd_check_chebyshev(args) -> reports.Report:
+def _cmd_check_chebyshev(args, stream=23) -> list[reports.CheckReport]:
     from fractions import Fraction
 
     cfg = _tolerances(args)
     gamma = serialize.parse_rational(args.gamma, "--gamma")
-    rng = sampling.rng_for(args.seed, 23)
+    rng = sampling.rng_for(args.seed, stream)
     space = sampling.random_measure_space(rng, args.atoms)
-    codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
+    codomain = _codomain(args)
     h = _random_lfunction(rng, space, codomain)
     w = _random_lfunction(rng, space, codomain)
     hs = [h + w.scale_rational(Fraction(1, 2 ** n))
           for n in range(args.trials)]
-    rep = bochner.check_chebyshev_step(hs, h, gamma, cfg)
-    return _report(args, [rep])
+    return [bochner.check_chebyshev_step(hs, h, gamma, cfg)]
 
 
 # ---------------------------------------------------------------------------
 # run subcommands
 
-def _dct_spec(seed: int, levels: int) -> bochner.TruncatedSequenceSpec:
+def _dct_spec(seed: int, levels: int,
+              stream: int = 29) -> bochner.TruncatedSequenceSpec:
     from fractions import Fraction
 
     names = tuple(f"t{t}" for t in range(1, levels + 1))
     masses = tuple(Fraction(1, 2 ** t) for t in range(1, levels + 1))
     space = measure.MeasureSpace(names, masses)
     codomain = lmodule.ModuleSpace(1, 2, lmodule.NormKind.SUP)
-    rng = sampling.rng_for(seed, 29)
+    rng = sampling.rng_for(seed, stream)
     values = []
     for _ in range(levels):
         den = rng.randint(1, 9)
@@ -234,29 +225,27 @@ def _dct_spec(seed: int, levels: int) -> bochner.TruncatedSequenceSpec:
     )
 
 
-def _cmd_run_dct(args) -> reports.Report:
-    cfg = _tolerances(args)
-    spec = _dct_spec(args.seed, args.levels)
-    rep = bochner.run_dct_experiment(spec, args.nmax, cfg)
-    return _report(args, [rep])
+def _cmd_run_dct(args, stream=29) -> list[reports.CheckReport]:
+    spec = _dct_spec(args.seed, args.levels, stream)
+    return [bochner.run_dct_experiment(spec, args.nmax, _tolerances(args))]
 
 
-def _cmd_run_completeness(args) -> reports.Report:
+def _cmd_run_completeness(args, stream=31) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
-    rng = sampling.rng_for(args.seed, 31)
+    rng = sampling.rng_for(args.seed, stream)
     space = sampling.random_measure_space(rng, args.atoms, normalize=True)
-    codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    rep = bochner.run_completeness_harness(
-        space, codomain, _parse_exponent(args.p), args.seed, args.terms, cfg)
-    return _report(args, [rep])
+    return [bochner.run_completeness_harness(
+        space, _codomain(args), _parse_exponent(args.p), args.seed,
+        args.terms, cfg)]
 
 
-def _bootstrap_dual(seed: int, atoms: int, dim: int) -> bochner.LFunction:
+def _bootstrap_dual(seed: int, atoms: int, dim: int,
+                    stream: int = 37) -> bochner.LFunction:
     # probability space and atom norms inside [1/2, 2]: keeps the truncation
     # gap of the exponent chain provably under the 2**-20 allowance
     from fractions import Fraction
 
-    rng = sampling.rng_for(seed, 37)
+    rng = sampling.rng_for(seed, stream)
     space = sampling.random_measure_space(rng, atoms, normalize=True)
     dual = lmodule.ModuleSpace(1, dim, lmodule.NormKind.SUP).dual()
     values = []
@@ -268,38 +257,35 @@ def _bootstrap_dual(seed: int, atoms: int, dim: int) -> bochner.LFunction:
     return bochner.LFunction(space, dual, tuple(values))
 
 
-def _cmd_run_bootstrap(args) -> reports.Report:
+def _cmd_run_bootstrap(args, stream=37) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     limit_tol = serialize.parse_rational(args.limit_tol, "--limit-tol")
-    v = _bootstrap_dual(args.seed, args.atoms, args.dim)
-    rep = duality.bootstrap_lower_bound(v, _parse_exponent(args.p),
-                                        args.nmax, cfg, limit_tol=limit_tol)
-    return _report(args, [rep])
+    v = _bootstrap_dual(args.seed, args.atoms, args.dim, stream)
+    return [duality.bootstrap_lower_bound(v, _parse_exponent(args.p),
+                                          args.nmax, cfg, limit_tol=limit_tol)]
 
 
-def _cmd_run_rnp_probe(args) -> reports.Report:
-    cfg = _tolerances(args)
-    rep = vecmeasure.rnp_probe(args.levels, args.sets, d=args.dim, cfg=cfg)
-    return _report(args, [rep])
+def _cmd_run_rnp_probe(args) -> list[reports.CheckReport]:
+    return [vecmeasure.rnp_probe(args.levels, args.sets, d=args.dim,
+                                 cfg=_tolerances(args))]
 
 
 # ---------------------------------------------------------------------------
 # dual subcommands
 
 def _dual_function(args, rng) -> bochner.LFunction:
-    if getattr(args, "v", None):
+    if args.v:
         return serialize.dual_function_from_doc(
             serialize.load_json(args.v), args.v)
     space = sampling.random_measure_space(rng, args.atoms)
-    primal = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    return _random_lfunction(rng, space, primal.dual())
+    return _random_lfunction(rng, space, _codomain(args).dual())
 
 
-def _cmd_dual_isometry(args) -> reports.Report:
+def _cmd_dual_isometry(args, stream=41) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
-    rng = sampling.rng_for(args.seed, 41)
+    rng = sampling.rng_for(args.seed, stream)
     n = args.trials if not args.v else 1
     check = reports.CheckReport(name="isometry", series=[], details={
         "trials": n, "p": _exponent_str(p), "q": _exponent_str(q)})
@@ -309,13 +295,12 @@ def _cmd_dual_isometry(args) -> reports.Report:
         check.series.append({"trial": trial, "gap": rep.details["gaps"]})
         return rep
 
-    return _report(args, [_over_trials(check, n, trial_isometry)])
+    return _over_trials(check, n, trial_isometry)
 
 
-def _cmd_dual_represent(args) -> reports.Report:
+def _cmd_dual_represent(args, stream=43) -> list[reports.CheckReport]:
     p = _parse_exponent(args.p)
-    rng = sampling.rng_for(args.seed, 43)
-    v = _dual_function(args, rng)
+    v = _dual_function(args, sampling.rng_for(args.seed, stream))
     check = reports.CheckReport(name="represent", details={
         "atoms": v.space.size, "p": _exponent_str(p)})
     try:
@@ -326,135 +311,122 @@ def _cmd_dual_represent(args) -> reports.Report:
         for t, mass in enumerate(v.space.masses):
             if mass > 0 and v_back.values[t] != v.values[t]:
                 check.fail({"atom": v.space.atom_names[t]})
-    return _report(args, [check])
+    return [check]
 
 
-def _cmd_dual_roundtrip(args) -> reports.Report:
-    cfg = _tolerances(args)
+def _cmd_dual_roundtrip(args) -> list[reports.CheckReport]:
     p = _parse_exponent(args.p)
-    q = bochner.conjugate_exponent(p)
-    rep = duality.roundtrip_check(
-        p, q, args.trials, args.seed, m=args.atoms, rank=args.rank,
-        scalar_dim=args.dim, norm_kind=_norm_kind(args.norm), cfg=cfg)
-    return _report(args, [rep])
+    return [duality.roundtrip_check(
+        p, bochner.conjugate_exponent(p), args.trials, args.seed,
+        m=args.atoms, rank=args.rank, scalar_dim=args.dim,
+        norm_kind=lmodule.NormKind(args.norm), cfg=_tolerances(args))]
 
 
 # ---------------------------------------------------------------------------
 # rn subcommands
 
-def _vector_measure(args, rng) -> vecmeasure.VectorMeasure:
-    if getattr(args, "measure", None):
+def _vector_measure(args, stream) -> vecmeasure.VectorMeasure:
+    if args.measure:
         return serialize.vector_measure_from_doc(
             serialize.load_json(args.measure), args.measure)
+    rng = sampling.rng_for(args.seed, stream)
     space = sampling.random_measure_space(rng, args.atoms, null_atoms=1)
-    codomain = lmodule.ModuleSpace(args.rank, args.dim, _norm_kind(args.norm))
-    g = _random_lfunction(rng, space, codomain)
-    return vecmeasure.VectorMeasure.from_density(g)
+    return vecmeasure.VectorMeasure.from_density(
+        _random_lfunction(rng, space, _codomain(args)))
 
 
-def _cmd_rn_density(args) -> reports.Report:
-    rng = sampling.rng_for(args.seed, 47)
-    G = _vector_measure(args, rng)
-    continuity = vecmeasure.check_mu_continuity(G, _tolerances(args))
+def _density_check(args, G) -> list[reports.CheckReport]:
+    """``rn_density``'s check on G; a null atom that G charges fails it."""
     try:
-        _, density_check = vecmeasure.rn_density(G)
+        return [vecmeasure.rn_density(G)[1]]
     except vecmeasure.NotAbsolutelyContinuous as exc:
-        density_check = reports.CheckReport(name="rn-density")
-        density_check.fail({"error": str(exc)})
-    return _report(args, [continuity, density_check])
+        check = reports.CheckReport(name="rn-density")
+        check.fail({"error": str(exc)})
+        return [check]
 
 
-def _cmd_rn_variation(args) -> reports.Report:
-    cfg = _tolerances(args)
-    rng = sampling.rng_for(args.seed, 53)
-    G = _vector_measure(args, rng)
-    return _report(args, [vecmeasure.variation(G, cfg)])
+def _variation_check(args, G) -> list[reports.CheckReport]:
+    return [vecmeasure.variation(G, _tolerances(args))]
+
+
+def _cmd_rn_density(args, stream=47) -> list[reports.CheckReport]:
+    G = _vector_measure(args, stream)
+    return [vecmeasure.check_mu_continuity(G, _tolerances(args)),
+            *_density_check(args, G)]
+
+
+def _cmd_rn_variation(args, stream=53) -> list[reports.CheckReport]:
+    return _variation_check(args, _vector_measure(args, stream))
 
 
 # ---------------------------------------------------------------------------
 # suite
 
-def _cmd_suite_all(args) -> reports.Report:
-    from fractions import Fraction
-
+def _holder_minkowski(args, stream=67) -> list[reports.CheckReport]:
+    """Both inequalities at exponent ``args.p`` on 50 seeded pairs of
+    functions on three atoms into (1, 2, sup); the one suite check that no
+    command runs."""
     cfg = _tolerances(args)
-    seed = args.seed
-    checks: list[reports.CheckReport] = []
+    p = _parse_exponent(args.p)
+    q = bochner.conjugate_exponent(p)
+    rng = sampling.rng_for(args.seed, stream, int(p * 2))
+    check = reports.CheckReport(name=f"holder-minkowski-p{args.p}",
+                                details={"pairs": 50})
+    for pair in range(50):
+        space = sampling.random_measure_space(rng, 3)
+        codomain = lmodule.ModuleSpace(1, 2, lmodule.NormKind.SUP)
+        u = _random_lfunction(rng, space, codomain)
+        v = _random_lfunction(rng, space, codomain)
+        for rep in (bochner.check_holder(u, v.moved_to(codomain.dual()),
+                                         p, q, cfg),
+                    bochner.check_minkowski(u, v, p, cfg)):
+            if not rep.passed:
+                check.fail({"pair": pair, "check": rep.name, **rep.witness})
+    check.details["failures"] = check.failures
+    return [check]
 
-    NormKind = lmodule.NormKind
-    for kind in (NormKind.SUP, NormKind.ONE, NormKind.TWO):
-        space = lmodule.ModuleSpace(2, 2, kind)
-        rng = sampling.rng_for(seed, 61)
-        samples = []
-        for _ in range(100):
-            lam = sampling.random_lelement(rng, 2)
-            samples.append((lam, sampling.random_module_vector(rng, space),
-                            sampling.random_module_vector(rng, space)))
-        rep = lmodule.check_norm_axioms(space, samples, cfg)
-        rep.details = {"trials": 100}
-        checks.append(rep)
 
-    for p_str in ("1", "2", "3"):
-        p = Fraction(p_str)
-        q = bochner.conjugate_exponent(p)
-        rng = sampling.rng_for(seed, 67, int(p * 2))
-        check = reports.CheckReport(name=f"holder-minkowski-p{p_str}",
-                                    details={"pairs": 50})
-        for pair in range(50):
-            space = sampling.random_measure_space(rng, 3)
-            codomain = lmodule.ModuleSpace(1, 2, NormKind.SUP)
-            u = _random_lfunction(rng, space, codomain)
-            v = _random_lfunction(rng, space, codomain)
-            for rep in (bochner.check_holder(u, v.moved_to(codomain.dual()),
-                                             p, q, cfg),
-                        bochner.check_minkowski(u, v, p, cfg)):
-                if not rep.passed:
-                    check.fail({"pair": pair, "check": rep.name,
-                                **rep.witness})
-        check.details["failures"] = check.failures
-        checks.append(check)
+def _suite_rows() -> tuple:
+    """The rows of ``suite all`` in document order: (builder, the command
+    whose defaults it takes, option overrides, rng stream or None for the
+    builder's own, details override or None).  ``_density_check`` and
+    ``_variation_check`` share one measure, which ``_vector_measure`` draws
+    at their stream.  Built on each call, as ``_commands()`` is, so a
+    rebound builder is the one the suite calls."""
+    return (
+        *((_cmd_check_norm_axioms, "check norm-axioms", {"norm": norm}, 61,
+           {"trials": 100}) for norm in ("sup", "one", "two")),
+        *((_holder_minkowski, "suite all", {"p": p}, 67, None)
+          for p in ("1", "2", "3")),
+        (_cmd_check_sup_rep, "check sup-rep", {}, 71, None),
+        (_cmd_check_chebyshev, "check chebyshev", {}, 73, None),
+        (_cmd_run_dct, "run dct", {}, None, None),
+        (_cmd_run_completeness, "run completeness", {}, 79, None),
+        (_cmd_run_bootstrap, "run bootstrap", {}, None, None),
+        (_cmd_run_rnp_probe, "run rnp-probe", {}, None, None),
+        (_density_check, "rn density", {}, 83, None),
+        (_variation_check, "rn variation", {}, 83, {}),
+        (_cmd_dual_roundtrip, "dual roundtrip", {"p": "1"}, None, None),
+        (_cmd_dual_roundtrip, "dual roundtrip", {"p": "2"}, None, None),
+    )
 
-    rng = sampling.rng_for(seed, 71)
-    space = sampling.random_measure_space(rng, 6)
-    codomain = lmodule.ModuleSpace(1, 2, NormKind.SUP)
-    f = _random_lfunction(rng, space, codomain)
-    checks.append(bochner.verify_sup_representation(f, Fraction(2), cfg))
 
-    rng = sampling.rng_for(seed, 73)
-    space = sampling.random_measure_space(rng, 4)
-    h = _random_lfunction(rng, space, codomain)
-    w = _random_lfunction(rng, space, codomain)
-    hs = [h + w.scale_rational(Fraction(1, 2 ** n)) for n in range(6)]
-    checks.append(bochner.check_chebyshev_step(hs, h, Fraction(1, 10), cfg))
-
-    checks.append(bochner.run_dct_experiment(_dct_spec(seed, 20), 14, cfg))
-
-    rng = sampling.rng_for(seed, 79)
-    space = sampling.random_measure_space(rng, 3, normalize=True)
-    checks.append(bochner.run_completeness_harness(
-        space, lmodule.ModuleSpace(2, 2, NormKind.SUP), Fraction(1), seed, 8,
-        cfg))
-
-    checks.append(duality.bootstrap_lower_bound(
-        _bootstrap_dual(seed, 3, 2), Fraction(2), 20, cfg))
-
-    checks.append(vecmeasure.rnp_probe(4, 4, d=1, cfg=cfg))
-
-    rng = sampling.rng_for(seed, 83)
-    G = vecmeasure.VectorMeasure.from_density(_random_lfunction(
-        rng, sampling.random_measure_space(rng, 4, null_atoms=1),
-        lmodule.ModuleSpace(2, 2, NormKind.SUP)))
-    checks.append(vecmeasure.rn_density(G)[1])
-    varied = vecmeasure.variation(G, cfg)
-    varied.details = {}
-    checks.append(varied)
-
-    checks.append(duality.roundtrip_check(
-        Fraction(1), bochner.INF, 25, seed, cfg=cfg))
-    checks.append(duality.roundtrip_check(
-        Fraction(2), Fraction(2), 25, seed, cfg=cfg))
-
-    return _report(args, checks)
+def _cmd_suite_all(args) -> list[reports.CheckReport]:
+    commands = _commands()
+    checks, G = [], None
+    for builder, command, overrides, stream, details in _suite_rows():
+        options = _options(commands, command, overrides, args)
+        if builder in (_density_check, _variation_check):
+            G = G or _vector_measure(options, stream)
+            built = builder(options, G)
+        else:
+            built = (builder(options) if stream is None
+                     else builder(options, stream))
+        for check in built:
+            if details is not None:
+                check.details = details
+        checks += built
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +467,39 @@ def _positive_int(s: str) -> int:
     return n
 
 
-def _add_common(sub, *, trials: int = 100, atoms: int = 4, rank: int = 2,
-                dim: int = 2, norm: str = "sup") -> None:
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--trials", type=_positive_int, default=trials)
-    sub.add_argument("--tol", type=str, default=None,
+# the options every subcommand has, with their defaults; a subcommand's
+# entry in _commands() overrides some of them
+COMMON_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "tol": None,
+                   "atoms": 4, "rank": 2, "dim": 2, "norm": "sup"}
+
+
+def _add_common(sub, common: dict) -> None:
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--trials", type=_positive_int)
+    sub.add_argument("--tol", type=str,
                      help="comparison tolerance as a rational, "
                           "e.g. 1/1073741824")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--atoms", type=int, default=atoms)
-    sub.add_argument("--rank", type=int, default=rank)
-    sub.add_argument("--dim", type=int, default=dim)
-    sub.add_argument("--norm", choices=("sup", "one", "two"), default=norm)
+    sub.add_argument("--atoms", type=int)
+    sub.add_argument("--rank", type=int)
+    sub.add_argument("--dim", type=int)
+    sub.add_argument("--norm", choices=("sup", "one", "two"))
+    sub.set_defaults(**{**COMMON_DEFAULTS, **common})
+
+
+def _options(commands: dict, command: str, overrides: dict,
+             args) -> argparse.Namespace:
+    """The options ``command`` ("group cmd") parses from ``args``'s
+    ``--seed`` and ``--tol`` alone, with ``overrides`` on top: its defaults,
+    read from the command table without building a parser."""
+    group, cmd = command.split()
+    _, common, options = commands[group][1][cmd]
+    return argparse.Namespace(**{
+        **COMMON_DEFAULTS, **common,
+        **{flag[2:].replace("-", "_"): default
+           for flag, default, *_ in options},
+        **overrides, "seed": args.seed, "tol": args.tol})
 
 
 _PAIR_OPTIONS = (("--space", None), ("--u", None), ("--v", None),
@@ -515,12 +507,19 @@ _PAIR_OPTIONS = (("--space", None), ("--u", None), ("--v", None),
 
 
 def _commands() -> dict:
-    """group -> (help, {subcommand: (handler, defaults for _add_common, own
-    options)}); an own option is (flag, default) or (flag, default, help)
-    and takes an int when its default is one, a string otherwise.  Built on
-    each call, so the handlers are looked up when a parser is built: a
-    handler rebound after import (the per-layer tracer wraps them all) is
-    the one that runs."""
+    """group -> (help, {subcommand: (builder, defaults over
+    COMMON_DEFAULTS, own options)}); an own option is (flag, default) or
+    (flag, default, help) and takes an int when its default is one, a
+    string otherwise.
+
+    A builder takes the parsed options and returns the subcommand's checks,
+    which ``main`` wraps into the report; a builder that draws seeded inputs
+    also takes ``stream``, the rng stream label they are drawn from,
+    defaulting to the subcommand's own.  ``suite all`` calls the same
+    builders on options built from these defaults (``_suite_rows``).  Built
+    on each call, so the builders are looked up when a parser or the suite
+    is built: a builder rebound after import (the per-layer tracer wraps
+    them all) is the one that runs."""
     return {
         "check": ("inequality and axiom checkers", {
             "norm-axioms": (_cmd_check_norm_axioms, {}, ()),
@@ -577,7 +576,7 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
             sub = group_sub.add_parser(cmd)
             if (group, cmd) != wanted:
                 continue
-            _add_common(sub, **common)
+            _add_common(sub, common)
             for flag, default, *doc in options:
                 sub.add_argument(
                     flag, type=int if isinstance(default, int) else str,
@@ -594,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report = args.func(args)
+        report = _report(args, args.func(args))
         _emit(report, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

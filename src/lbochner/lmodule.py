@@ -52,11 +52,6 @@ class ModuleSpace(Frozen):
         return ModuleVector(self, tuple(
             LElement.zero(self.scalar_dim) for _ in range(self.rank)))
 
-    def basis_vector(self, i: int) -> "ModuleVector":
-        entries = [LElement.zero(self.scalar_dim) for _ in range(self.rank)]
-        entries[i] = LElement.unit(self.scalar_dim)
-        return ModuleVector(self, tuple(entries))
-
     def dual(self) -> "ModuleSpace":
         """The same shape with the dual norm kind: sup and one swap, the
         two-norm is its own dual."""

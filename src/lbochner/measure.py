@@ -9,7 +9,7 @@ sign-pattern set families used by the density-failure probe.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .falgebra import Frozen, RationalLike, as_rational
 
@@ -56,33 +56,14 @@ class MeasureSpace(Frozen):
     def total_mass(self) -> Fraction:
         return sum(self.masses, Fraction(0))
 
-    def index_of(self, name: str) -> int:
-        return self.atom_names.index(name)
-
-    def mass(self, i: int) -> Fraction:
-        return self.masses[i]
-
     def full_set(self) -> "MeasurableSet":
         return MeasurableSet(self, frozenset(range(self.size)))
-
-    def empty_set(self) -> "MeasurableSet":
-        return MeasurableSet(self, frozenset())
 
     def singleton(self, i: int) -> "MeasurableSet":
         return MeasurableSet(self, frozenset((i,)))
 
     def subset(self, members: Iterable[int]) -> "MeasurableSet":
         return MeasurableSet(self, frozenset(members))
-
-    def subset_of_names(self, names: Iterable[str]) -> "MeasurableSet":
-        return MeasurableSet(self, frozenset(self.index_of(n) for n in names))
-
-    def subset_of_mask(self, mask: int) -> "MeasurableSet":
-        return self.subset(i for i in range(self.size) if (mask >> i) & 1)
-
-    def all_subsets(self) -> Iterator["MeasurableSet"]:
-        for mask in range(1 << self.size):
-            yield self.subset_of_mask(mask)
 
 
 class MeasurableSet(Frozen):
@@ -121,10 +102,6 @@ class MeasurableSet(Frozen):
 
     def names(self) -> List[str]:
         return sorted(self.space.atom_names[i] for i in self.members)
-
-
-def measure_of(F: MeasurableSet) -> Fraction:
-    return sum((F.space.masses[i] for i in F.members), Fraction(0))
 
 
 def subset_sums(terms: Sequence[int]) -> List[int]:

@@ -1,4 +1,4 @@
-"""Document formats for spaces, functions, and measures.
+"""Loaders for the document formats of spaces, functions, and measures.
 
 Rationals travel as "num/den" strings, module vectors as rank x dim arrays
 of such strings, and functions as maps from atom name to such arrays.  A
@@ -13,13 +13,12 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Dict
+from typing import Any
 
 from .bochner import LFunction
 from .falgebra import LElement
 from .lmodule import ModuleSpace, ModuleVector, NormKind
-from .measure import MeasurableSet, MeasureSpace
-from .reports import format_rational
+from .measure import MeasureSpace
 from .vecmeasure import VectorMeasure
 
 
@@ -44,20 +43,11 @@ def parse_rational(s: Any, where: str = "value") -> Fraction:
         raise ValueError(f"{where}: not a rational: {s!r}") from exc
 
 
-def lelement_to_doc(x: LElement) -> list:
-    return [format_rational(q) for q in x.coords]
-
-
 def lelement_from_doc(doc: Any, where: str = "element") -> LElement:
     if not isinstance(doc, list) or not doc:
         raise ValueError(f"{where}: expected a nonempty array of rationals")
     return LElement([parse_rational(s, f"{where}[{i}]")
                      for i, s in enumerate(doc)])
-
-
-def module_space_to_doc(space: ModuleSpace) -> Dict[str, Any]:
-    return {"rank": space.rank, "d": space.scalar_dim,
-            "norm_kind": space.norm_kind.value}
 
 
 def module_space_from_doc(doc: Any, where: str = "codomain") -> ModuleSpace:
@@ -70,21 +60,12 @@ def module_space_from_doc(doc: Any, where: str = "codomain") -> ModuleSpace:
         raise ValueError(f"{where}: bad module space: {exc}") from exc
 
 
-def module_vector_to_doc(x: ModuleVector) -> list:
-    return [lelement_to_doc(e) for e in x.entries]
-
-
 def module_vector_from_doc(doc: Any, space: ModuleSpace,
                            where: str = "vector") -> ModuleVector:
     if not isinstance(doc, list) or len(doc) != space.rank:
         raise ValueError(f"{where}: expected {space.rank} entries")
     return ModuleVector(space, tuple(
         lelement_from_doc(row, f"{where}[{i}]") for i, row in enumerate(doc)))
-
-
-def measure_space_to_doc(space: MeasureSpace) -> Dict[str, Any]:
-    return {"atoms": list(space.atom_names),
-            "masses": [format_rational(m) for m in space.masses]}
 
 
 def measure_space_from_doc(doc: Any, where: str = "space") -> MeasureSpace:
@@ -99,20 +80,6 @@ def measure_space_from_doc(doc: Any, where: str = "space") -> MeasureSpace:
         for i, m in enumerate(masses)))
 
 
-def measurable_set_to_doc(F: MeasurableSet) -> list:
-    return F.names()
-
-
-def measurable_set_from_doc(doc: Any, space: MeasureSpace,
-                            where: str = "set") -> MeasurableSet:
-    if not isinstance(doc, list):
-        raise ValueError(f"{where}: expected an array of atom names")
-    try:
-        return space.subset_of_names(str(n) for n in doc)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-
-
 def _values_from_doc(doc: Any, space: MeasureSpace, codomain: ModuleSpace,
                      where: str):
     if not isinstance(doc, dict):
@@ -125,15 +92,6 @@ def _values_from_doc(doc: Any, space: MeasureSpace, codomain: ModuleSpace,
         for name in space.atom_names)
 
 
-def lfunction_to_doc(f: LFunction) -> Dict[str, Any]:
-    return {
-        "space": measure_space_to_doc(f.space),
-        "codomain": module_space_to_doc(f.codomain),
-        "values": {name: module_vector_to_doc(f.values[t])
-                   for t, name in enumerate(f.space.atom_names)},
-    }
-
-
 def lfunction_from_doc(doc: Any, where: str = "function") -> LFunction:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object")
@@ -144,15 +102,6 @@ def lfunction_from_doc(doc: Any, where: str = "function") -> LFunction:
     return LFunction(space, codomain, values)
 
 
-def vector_measure_to_doc(G: VectorMeasure) -> Dict[str, Any]:
-    return {
-        "space": measure_space_to_doc(G.space),
-        "codomain": module_space_to_doc(G.codomain),
-        "atom_values": {name: module_vector_to_doc(G.atom_values[t])
-                        for t, name in enumerate(G.space.atom_names)},
-    }
-
-
 def vector_measure_from_doc(doc: Any, where: str = "measure") -> VectorMeasure:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object")
@@ -161,12 +110,6 @@ def vector_measure_from_doc(doc: Any, where: str = "measure") -> VectorMeasure:
     values = _values_from_doc(doc.get("atom_values"), space, codomain,
                               f"{where}.atom_values")
     return VectorMeasure(space, codomain, values)
-
-
-def dual_function_to_doc(v: LFunction) -> Dict[str, Any]:
-    doc = lfunction_to_doc(v)
-    doc["codomain"] = module_space_to_doc(v.codomain.dual())
-    return doc
 
 
 def dual_function_from_doc(doc: Any, where: str = "dual") -> LFunction:

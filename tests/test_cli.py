@@ -9,13 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from lbochner import bochner, certified, duality, serialize, vecmeasure
+from lbochner import bochner, certified, cli, duality, vecmeasure
 from lbochner.bochner import LFunction
 from lbochner.cli import main
 from lbochner.falgebra import LElement
 from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind
 from lbochner.measure import MeasureSpace
 from lbochner.vecmeasure import VectorMeasure
+from support import (
+    basis_vector,
+    lfunction_to_doc,
+    measure_space_to_doc,
+    vector_measure_to_doc,
+)
 
 
 def write_json(path, doc):
@@ -35,9 +41,9 @@ def holder_fixtures(tmp_path):
         ModuleVector(codomain, (LElement([1, 1]),)),
         ModuleVector(codomain, (LElement([1, 1]),)),
     ))
-    s = write_json(tmp_path / "s.json", serialize.measure_space_to_doc(space))
-    uf = write_json(tmp_path / "u.json", serialize.lfunction_to_doc(u))
-    vf = write_json(tmp_path / "v.json", serialize.lfunction_to_doc(v))
+    s = write_json(tmp_path / "s.json", measure_space_to_doc(space))
+    uf = write_json(tmp_path / "u.json", lfunction_to_doc(u))
+    vf = write_json(tmp_path / "v.json", lfunction_to_doc(v))
     return s, uf, vf
 
 
@@ -102,7 +108,7 @@ class TestExitCodes:
             ModuleVector(codomain, (LElement([1]),)),
         ))
         gf = write_json(tmp_path / "g.json",
-                        serialize.vector_measure_to_doc(G))
+                        vector_measure_to_doc(G))
         out = tmp_path / "report.json"
         code = main(["rn", "density", "--measure", gf, "--out", str(out)])
         assert code == 1
@@ -144,7 +150,7 @@ class TestFailurePaths:
         # the density term of atom 0 one unit too large
         value = bochner.integrate_over(f, E)
         if 0 in E.members:
-            return value + f.codomain.basis_vector(0)
+            return value + basis_vector(f.codomain, 0)
         return value
 
     @staticmethod
@@ -155,7 +161,7 @@ class TestFailurePaths:
         def evaluate(G, F):
             value = real(G, F)
             if len(F.members) > 1:
-                return value + G.codomain.basis_vector(0).scale_rational(10)
+                return value + basis_vector(G.codomain, 0).scale_rational(10)
             return value
 
         monkeypatch.setattr(vecmeasure, "evaluate", evaluate)
@@ -168,7 +174,7 @@ class TestFailurePaths:
             ModuleVector(codomain, (LElement(v),))
             for v in ([2, -2], [4, 6], [0, 0])))
         return write_json(tmp_path / "g.json",
-                          serialize.vector_measure_to_doc(G))
+                          vector_measure_to_doc(G))
 
     @staticmethod
     def _checks(out):
@@ -275,6 +281,42 @@ class TestFailurePaths:
         check = self._checks(out)[name]
         assert check["verdict"] == "FAIL"
         assert check["witness"] == witness(*raised[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["dual", "roundtrip", "--seed", "42"],
+        ["suite", "all", "--seed", "42"],
+    ], ids=" ".join)
+    def test_density_refusal(self, argv, tmp_path, monkeypatch):
+        # negative control: the induced measure charges every null atom, so
+        # no density exists; the round trip fails that trial at stage
+        # "density" instead of ending as a usage error
+        real = duality.induced_measure
+
+        def charged(H):
+            G = real(H)
+            unit = ModuleVector(G.codomain, tuple(
+                LElement.unit(G.codomain.scalar_dim)
+                for _ in range(G.codomain.rank)))
+            return VectorMeasure(G.space, G.codomain, tuple(
+                unit if mass == 0 else value
+                for mass, value in zip(G.space.masses, G.atom_values)))
+
+        monkeypatch.setattr(duality, "induced_measure", charged)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        roundtrips = [c for c in doc["checks"]
+                      if c["name"] == "duality-roundtrip"]
+        assert roundtrips and all(c["verdict"] == "FAIL" for c in roundtrips)
+        for check in roundtrips:
+            assert check["series"] == []  # no trial reached its gaps
+            witness = check["witness"]
+            assert {k: witness[k] for k in ("trial", "stage")} == {
+                "trial": 0, "stage": "density"}
+            assert witness["error"].endswith(
+                "has zero mass but nonzero value")
+        assert {c["name"] for c in doc["checks"] if c["verdict"] == "FAIL"} \
+            == {"duality-roundtrip"}
 
     @pytest.mark.parametrize("argv", [
         ["check", "norm-axioms"], ["check", "holder"], ["check", "minkowski"],
@@ -520,7 +562,7 @@ class TestFailurePaths:
         assert "error:" in capsys.readouterr().err
         space = MeasureSpace.build([f"a{i}" for i in range(m)], [1] * m)
         f = LFunction.zero(space, ModuleSpace(1, 2, NormKind.SUP))
-        fn = write_json(tmp_path / "f.json", serialize.lfunction_to_doc(f))
+        fn = write_json(tmp_path / "f.json", lfunction_to_doc(f))
         out = tmp_path / "report.json"
         assert main(["check", "sup-rep", "--fn", fn, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -693,6 +735,54 @@ SUBCOMMANDS = {
     "rn": ["density", "variation"],
     "suite": ["all"],
 }
+
+
+class TestSuiteTable:
+    """``suite all`` is a table of rows over the commands' builders."""
+
+    @staticmethod
+    def _suite_checks(seed, tmp_path):
+        out = tmp_path / f"suite-{seed}.json"
+        assert main(["suite", "all", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["checks"]
+
+    def test_each_check_comes_from_one_row(self, tmp_path, monkeypatch):
+        # wrap every row builder where the suite looks it up, as the
+        # per-layer tracer does, and record what each call yields
+        rows = cli._suite_rows()
+        yielded = []
+        for name in {row[0].__name__ for row in rows}:
+            def build(*args, _real=getattr(cli, name), _name=name):
+                checks = _real(*args)
+                yielded.append((_name, [c.name for c in checks]))
+                return checks
+
+            monkeypatch.setattr(cli, name, build)
+        names = [c["name"] for c in self._suite_checks(42, tmp_path)]
+        assert [builder for builder, _ in yielded] \
+            == [row[0].__name__ for row in rows]
+        assert [found for _, found in yielded] == [[name] for name in names]
+        assert len(set(names)) == len(names) - 1  # the two round trips
+        assert names.count("duality-roundtrip") == 2
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_own_stream_rows_equal_their_commands(self, seed, tmp_path):
+        suite = self._suite_checks(seed, tmp_path)
+        own = [(i, command, overrides)
+               for i, (_, command, overrides, stream, _) in enumerate(
+                   cli._suite_rows()) if stream is None]
+        assert [(command, overrides) for _, command, overrides in own] == [
+            ("run dct", {}), ("run bootstrap", {}), ("run rnp-probe", {}),
+            ("dual roundtrip", {"p": "1"}), ("dual roundtrip", {"p": "2"})]
+        for i, command, overrides in own:
+            argv = [*command.split(), "--seed", str(seed)]
+            for option, value in overrides.items():
+                argv += [f"--{option}", value]
+            out = tmp_path / "command.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            (check,) = json.loads(out.read_text())["checks"]
+            assert suite[i] == check, argv
 
 
 class TestHelp:

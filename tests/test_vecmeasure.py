@@ -9,7 +9,6 @@ from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, norm_ends
 from lbochner.measure import (
     MeasureSpace,
     enumerate_partitions,
-    measure_of,
     subset_sums,
 )
 from lbochner.sampling import (
@@ -26,6 +25,13 @@ from lbochner.vecmeasure import (
     rn_density,
     rnp_probe,
     variation,
+)
+from support import (
+    all_subsets,
+    basis_vector,
+    measure_of,
+    subset_of_mask,
+    subset_of_names,
 )
 
 
@@ -53,15 +59,16 @@ def G3(space3):
 
 class TestEvaluate:
     def test_examples(self, space3, G3):
-        assert evaluate(G3, space3.empty_set()).entries[0] == L(0, 0)
-        assert evaluate(G3, space3.subset_of_names(["a", "b"])).entries[0] == L(6, 8)
+        assert evaluate(G3, space3.subset(())).entries[0] == L(0, 0)
+        ab = subset_of_names(space3, ["a", "b"])
+        assert evaluate(G3, ab).entries[0] == L(6, 8)
 
     def test_additivity_all_disjoint_pairs(self):
         rng = rng_for(41, 1)
         space = MeasureSpace.build(list("abcde"), [1, 2, 0, "1/3", 1])
         G = VectorMeasure(space, MOD, tuple(
             random_module_vector(rng, MOD) for _ in range(5)))
-        subsets = list(space.all_subsets())
+        subsets = all_subsets(space)
         for F in subsets:
             for E in subsets:
                 if F.members & E.members:
@@ -183,7 +190,7 @@ class TestRnDensity:
 
     def test_density_reintegrates(self, space3, G3):
         g, _ = rn_density(G3)
-        for F in space3.all_subsets():
+        for F in all_subsets(space3):
             assert integrate_over(g, F) == evaluate(G3, F)
 
 
@@ -202,7 +209,7 @@ def off_integral(atom):
     def integral(f, E):
         value = bochner.integrate_over(f, E)
         if atom in E.members:
-            return value + f.codomain.basis_vector(0)
+            return value + basis_vector(f.codomain, 0)
         return value
     return integral
 
@@ -246,7 +253,7 @@ class TestSubsetTables:
     @staticmethod
     def assert_series_matches(G):
         expected = []
-        for F in G.space.all_subsets():
+        for F in all_subsets(G.space):
             value = evaluate(G, F)
             norms = [certified.mid(e)
                      for e in norm_ends(value, DEFAULT_TOLERANCES)]
@@ -276,7 +283,7 @@ class TestSubsetTables:
         density, result = rn_density(G)
         assert result.passed and result.witness is None
         assert result.details["verified_sets"] == 2 ** m
-        for F in G.space.all_subsets():
+        for F in all_subsets(G.space):
             assert evaluate(G, F) == integrate_over(density, F)
 
     def test_corrupted_atom_value_fails(self, monkeypatch):
@@ -303,7 +310,7 @@ class TestDensityBySingletons:
         assert result.details["verified_sets"] == 2 ** 12
         rng = rng_for(507, 0)
         for _ in range(200):
-            F = G.space.subset_of_mask(rng.randrange(2 ** 12))
+            F = subset_of_mask(G.space, rng.randrange(2 ** 12))
             assert evaluate(G, F) == integrate_over(density, F)
 
     def test_twelve_atoms_corrupted_atom_fails(self, monkeypatch):
