@@ -138,11 +138,11 @@ def _over_trials(check: reports.CheckReport, n: int,
     return [check]
 
 
-def _cmd_check_holder(args, stream=13) -> list[reports.CheckReport]:
+def _cmd_check_holder(args) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
-    rng = sampling.rng_for(args.seed, stream)
+    rng = sampling.rng_for(args.seed, 13)
     n = args.trials if not (args.u or args.v) else 1
     check = reports.CheckReport(name="holder", details={
         "pairs": n, "p": _exponent_str(p), "q": _exponent_str(q)})
@@ -150,12 +150,12 @@ def _cmd_check_holder(args, stream=13) -> list[reports.CheckReport]:
         *_function_pair(args, rng, dual=True), p, q, cfg))
 
 
-def _cmd_check_minkowski(args, stream=17) -> list[reports.CheckReport]:
+def _cmd_check_minkowski(args) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     if p is bochner.INF:
         raise ValueError("minkowski needs a finite exponent")
-    rng = sampling.rng_for(args.seed, stream)
+    rng = sampling.rng_for(args.seed, 17)
     n = args.trials if not (args.u or args.v) else 1
     check = reports.CheckReport(name="minkowski",
                                 details={"pairs": n, "p": _exponent_str(p)})
@@ -193,15 +193,14 @@ def _cmd_check_chebyshev(args, stream=23) -> list[reports.CheckReport]:
 # ---------------------------------------------------------------------------
 # run subcommands
 
-def _dct_spec(seed: int, levels: int,
-              stream: int = 29) -> bochner.TruncatedSequenceSpec:
+def _dct_spec(seed: int, levels: int) -> bochner.TruncatedSequenceSpec:
     from fractions import Fraction
 
     names = tuple(f"t{t}" for t in range(1, levels + 1))
     masses = tuple(Fraction(1, 2 ** t) for t in range(1, levels + 1))
     space = measure.MeasureSpace(names, masses)
     codomain = lmodule.ModuleSpace(1, 2, lmodule.NormKind.SUP)
-    rng = sampling.rng_for(seed, stream)
+    rng = sampling.rng_for(seed, 29)
     values = []
     for _ in range(levels):
         den = rng.randint(1, 9)
@@ -225,8 +224,8 @@ def _dct_spec(seed: int, levels: int,
     )
 
 
-def _cmd_run_dct(args, stream=29) -> list[reports.CheckReport]:
-    spec = _dct_spec(args.seed, args.levels, stream)
+def _cmd_run_dct(args) -> list[reports.CheckReport]:
+    spec = _dct_spec(args.seed, args.levels)
     return [bochner.run_dct_experiment(spec, args.nmax, _tolerances(args))]
 
 
@@ -239,13 +238,12 @@ def _cmd_run_completeness(args, stream=31) -> list[reports.CheckReport]:
         args.terms, cfg)]
 
 
-def _bootstrap_dual(seed: int, atoms: int, dim: int,
-                    stream: int = 37) -> bochner.LFunction:
+def _bootstrap_dual(seed: int, atoms: int, dim: int) -> bochner.LFunction:
     # probability space and atom norms inside [1/2, 2]: keeps the truncation
     # gap of the exponent chain provably under the 2**-20 allowance
     from fractions import Fraction
 
-    rng = sampling.rng_for(seed, stream)
+    rng = sampling.rng_for(seed, 37)
     space = sampling.random_measure_space(rng, atoms, normalize=True)
     dual = lmodule.ModuleSpace(1, dim, lmodule.NormKind.SUP).dual()
     values = []
@@ -257,10 +255,10 @@ def _bootstrap_dual(seed: int, atoms: int, dim: int,
     return bochner.LFunction(space, dual, tuple(values))
 
 
-def _cmd_run_bootstrap(args, stream=37) -> list[reports.CheckReport]:
+def _cmd_run_bootstrap(args) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     limit_tol = serialize.parse_rational(args.limit_tol, "--limit-tol")
-    v = _bootstrap_dual(args.seed, args.atoms, args.dim, stream)
+    v = _bootstrap_dual(args.seed, args.atoms, args.dim)
     return [duality.bootstrap_lower_bound(v, _parse_exponent(args.p),
                                           args.nmax, cfg, limit_tol=limit_tol)]
 
@@ -281,11 +279,11 @@ def _dual_function(args, rng) -> bochner.LFunction:
     return _random_lfunction(rng, space, _codomain(args).dual())
 
 
-def _cmd_dual_isometry(args, stream=41) -> list[reports.CheckReport]:
+def _cmd_dual_isometry(args) -> list[reports.CheckReport]:
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
-    rng = sampling.rng_for(args.seed, stream)
+    rng = sampling.rng_for(args.seed, 41)
     n = args.trials if not args.v else 1
     check = reports.CheckReport(name="isometry", series=[], details={
         "trials": n, "p": _exponent_str(p), "q": _exponent_str(q)})
@@ -298,9 +296,9 @@ def _cmd_dual_isometry(args, stream=41) -> list[reports.CheckReport]:
     return _over_trials(check, n, trial_isometry)
 
 
-def _cmd_dual_represent(args, stream=43) -> list[reports.CheckReport]:
+def _cmd_dual_represent(args) -> list[reports.CheckReport]:
     p = _parse_exponent(args.p)
-    v = _dual_function(args, sampling.rng_for(args.seed, stream))
+    v = _dual_function(args, sampling.rng_for(args.seed, 43))
     check = reports.CheckReport(name="represent", details={
         "atoms": v.space.size, "p": _exponent_str(p)})
     try:
@@ -335,7 +333,7 @@ def _vector_measure(args, stream) -> vecmeasure.VectorMeasure:
         _random_lfunction(rng, space, _codomain(args)))
 
 
-def _density_check(args, G) -> list[reports.CheckReport]:
+def _density_check(G) -> list[reports.CheckReport]:
     """``rn_density``'s check on G; a null atom that G charges fails it."""
     try:
         return [vecmeasure.rn_density(G)[1]]
@@ -345,31 +343,27 @@ def _density_check(args, G) -> list[reports.CheckReport]:
         return [check]
 
 
-def _variation_check(args, G) -> list[reports.CheckReport]:
-    return [vecmeasure.variation(G, _tolerances(args))]
-
-
-def _cmd_rn_density(args, stream=47) -> list[reports.CheckReport]:
-    G = _vector_measure(args, stream)
+def _cmd_rn_density(args) -> list[reports.CheckReport]:
+    G = _vector_measure(args, 47)
     return [vecmeasure.check_mu_continuity(G, _tolerances(args)),
-            *_density_check(args, G)]
+            *_density_check(G)]
 
 
-def _cmd_rn_variation(args, stream=53) -> list[reports.CheckReport]:
-    return _variation_check(args, _vector_measure(args, stream))
+def _cmd_rn_variation(args) -> list[reports.CheckReport]:
+    return [vecmeasure.variation(_vector_measure(args, 53), _tolerances(args))]
 
 
 # ---------------------------------------------------------------------------
 # suite
 
-def _holder_minkowski(args, stream=67) -> list[reports.CheckReport]:
+def _holder_minkowski(args) -> list[reports.CheckReport]:
     """Both inequalities at exponent ``args.p`` on 50 seeded pairs of
     functions on three atoms into (1, 2, sup); the one suite check that no
     command runs."""
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
     q = bochner.conjugate_exponent(p)
-    rng = sampling.rng_for(args.seed, stream, int(p * 2))
+    rng = sampling.rng_for(args.seed, 67, int(p * 2))
     check = reports.CheckReport(name=f"holder-minkowski-p{args.p}",
                                 details={"pairs": 50})
     for pair in range(50):
@@ -386,17 +380,26 @@ def _holder_minkowski(args, stream=67) -> list[reports.CheckReport]:
     return [check]
 
 
+def _rn_checks(args, stream) -> list[reports.CheckReport]:
+    """``rn density``'s density check and ``rn variation``'s check on one
+    measure drawn at ``stream``, without the mu-continuity check and with
+    the variation's details left empty."""
+    G = _vector_measure(args, stream)
+    density = _density_check(G)
+    variation = vecmeasure.variation(G, _tolerances(args))
+    variation.details = {}
+    return [*density, variation]
+
+
 def _suite_rows() -> tuple:
     """The rows of ``suite all`` in document order: (builder, the command
     whose defaults it takes, option overrides, rng stream or None for the
-    builder's own, details override or None).  ``_density_check`` and
-    ``_variation_check`` share one measure, which ``_vector_measure`` draws
-    at their stream.  Built on each call, as ``_commands()`` is, so a
-    rebound builder is the one the suite calls."""
+    builder's own, details override or None).  Built on each call, as
+    ``_commands()`` is, so a rebound builder is the one the suite calls."""
     return (
         *((_cmd_check_norm_axioms, "check norm-axioms", {"norm": norm}, 61,
            {"trials": 100}) for norm in ("sup", "one", "two")),
-        *((_holder_minkowski, "suite all", {"p": p}, 67, None)
+        *((_holder_minkowski, "suite all", {"p": p}, None, None)
           for p in ("1", "2", "3")),
         (_cmd_check_sup_rep, "check sup-rep", {}, 71, None),
         (_cmd_check_chebyshev, "check chebyshev", {}, 73, None),
@@ -404,8 +407,7 @@ def _suite_rows() -> tuple:
         (_cmd_run_completeness, "run completeness", {}, 79, None),
         (_cmd_run_bootstrap, "run bootstrap", {}, None, None),
         (_cmd_run_rnp_probe, "run rnp-probe", {}, None, None),
-        (_density_check, "rn density", {}, 83, None),
-        (_variation_check, "rn variation", {}, 83, {}),
+        (_rn_checks, "rn density", {}, 83, None),
         (_cmd_dual_roundtrip, "dual roundtrip", {"p": "1"}, None, None),
         (_cmd_dual_roundtrip, "dual roundtrip", {"p": "2"}, None, None),
     )
@@ -413,15 +415,11 @@ def _suite_rows() -> tuple:
 
 def _cmd_suite_all(args) -> list[reports.CheckReport]:
     commands = _commands()
-    checks, G = [], None
+    checks = []
     for builder, command, overrides, stream, details in _suite_rows():
         options = _options(commands, command, overrides, args)
-        if builder in (_density_check, _variation_check):
-            G = G or _vector_measure(options, stream)
-            built = builder(options, G)
-        else:
-            built = (builder(options) if stream is None
-                     else builder(options, stream))
+        built = (builder(options) if stream is None
+                 else builder(options, stream))
         for check in built:
             if details is not None:
                 check.details = details
@@ -513,10 +511,10 @@ def _commands() -> dict:
     string otherwise.
 
     A builder takes the parsed options and returns the subcommand's checks,
-    which ``main`` wraps into the report; a builder that draws seeded inputs
-    also takes ``stream``, the rng stream label they are drawn from,
-    defaulting to the subcommand's own.  ``suite all`` calls the same
-    builders on options built from these defaults (``_suite_rows``).  Built
+    which ``main`` wraps into the report.  ``suite all`` calls the same
+    builders on options built from these defaults (``_suite_rows``); a
+    builder that the suite draws at another rng stream label also takes
+    ``stream``, defaulting to the subcommand's own.  Built
     on each call, so the builders are looked up when a parser or the suite
     is built: a builder rebound after import (the per-layer tracer wraps
     them all) is the one that runs."""
