@@ -2,10 +2,11 @@
 
 Vectors are passed as two parallel tuples of ints ``(nums, dens)`` with
 every coordinate reduced and every denominator positive; every result is
-returned in that form.
+returned in that form, by the brackets' reduced-pair ``certified._add``
+and ``_mul``.
 """
 
-from math import gcd
+from ..certified import _add, _mul
 
 
 def vadd(an, ad, bn, bd):
@@ -13,11 +14,7 @@ def vadd(an, ad, bn, bd):
     rn = [0] * m
     rd = [0] * m
     for i in range(m):
-        num = an[i] * bd[i] + bn[i] * ad[i]
-        den = ad[i] * bd[i]
-        g = gcd(num, den)
-        rn[i] = num // g
-        rd[i] = den // g
+        rn[i], rd[i] = _add(an[i], ad[i], bn[i], bd[i])
     return tuple(rn), tuple(rd)
 
 
@@ -26,11 +23,7 @@ def vsub(an, ad, bn, bd):
     rn = [0] * m
     rd = [0] * m
     for i in range(m):
-        num = an[i] * bd[i] - bn[i] * ad[i]
-        den = ad[i] * bd[i]
-        g = gcd(num, den)
-        rn[i] = num // g
-        rd[i] = den // g
+        rn[i], rd[i] = _add(an[i], ad[i], -bn[i], bd[i])
     return tuple(rn), tuple(rd)
 
 
@@ -39,11 +32,7 @@ def vmul(an, ad, bn, bd):
     rn = [0] * m
     rd = [0] * m
     for i in range(m):
-        num = an[i] * bn[i]
-        den = ad[i] * bd[i]
-        g = gcd(num, den)
-        rn[i] = num // g
-        rd[i] = den // g
+        rn[i], rd[i] = _mul(an[i], ad[i], bn[i], bd[i])
     return tuple(rn), tuple(rd)
 
 
@@ -55,12 +44,12 @@ def vabs(an, ad):
     return tuple(-n if n < 0 else n for n in an), ad
 
 
-def vleq(an, ad, bn, bd):
-    m = len(an)
-    for i in range(m):
+def vfirst_above(an, ad, bn, bd):
+    """The first coordinate i with a[i] > b[i], or None."""
+    for i in range(len(an)):
         if an[i] * bd[i] > bn[i] * ad[i]:
-            return False
-    return True
+            return i
+    return None
 
 
 def vscale(an, ad, cn, cd):
@@ -68,11 +57,7 @@ def vscale(an, ad, cn, cd):
     rn = [0] * m
     rd = [0] * m
     for i in range(m):
-        num = an[i] * cn
-        den = ad[i] * cd
-        g = gcd(num, den)
-        rn[i] = num // g
-        rd[i] = den // g
+        rn[i], rd[i] = _mul(an[i], ad[i], cn, cd)
     return tuple(rn), tuple(rd)
 
 
@@ -82,11 +67,6 @@ def vaxpy(an, ad, cn, cd, bn, bd):
     rn = [0] * m
     rd = [0] * m
     for i in range(m):
-        pn = cn * bn[i]
-        pd = cd * bd[i]
-        num = an[i] * pd + pn * ad[i]
-        den = ad[i] * pd
-        g = gcd(num, den)
-        rn[i] = num // g
-        rd[i] = den // g
+        pn, pd = _mul(cn, cd, bn[i], bd[i])
+        rn[i], rd[i] = _add(an[i], ad[i], pn, pd)
     return tuple(rn), tuple(rd)

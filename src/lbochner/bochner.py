@@ -278,16 +278,17 @@ def verify_sup_representation(f: LFunction, p: Exponent,
              for _, hi, tol_j in columns], m)
     else:
         witness, pairs_checked = None, 3 ** m if m <= 6 else 0
-    return CheckReport(
+    report = CheckReport(
         name="sup-representation",
-        passed=witness is None,
         details={
             "subsets": 1 << m,
             "pairs_checked": pairs_checked,
             "max_at_full_space": collapse(at_full),
         },
-        witness=witness,
     )
+    if witness is not None:
+        report.fail(witness)
+    return report
 
 
 def _sup_rep_pass_fails(lo: Sequence[int], hi: Sequence[int], tol: int,

@@ -7,12 +7,15 @@ hi_num/hi_den].  Sums (``add``), nonnegative scales (``scale``),
 products (``mul``), moduli (``iabs``), maxima (``imax``) and both
 comparisons below are integer arithmetic: sums and products reduce the
 way ``Fraction``'s own operators do, by gcds of the cross factors, and
-comparisons cross-multiply.  A ``Fraction`` is built only for a value that
-enters a report (``mid``, a slack or a gap) and for a ``root_bracket``
-radicand; the root's two ends come back as reduced (num, den) pairs, one
-pair twice when the root is exact.  Roots and rational powers are
-bracketed with integer Newton iteration (``math.isqrt`` for square
-roots), so no binary floating point ever enters a result.
+comparisons cross-multiply.  The same reduced-pair sum and product
+(``_add``, ``_mul``) are the coordinate arithmetic of
+``falgebra.LElement``, through the kernel loops.  A ``Fraction`` is built
+only for a value that enters a report (``mid``, a slack or a gap) and for
+a ``root_bracket`` radicand; the root's two ends come back as reduced
+(num, den) pairs, one pair twice when the root is exact.  Roots and
+rational powers are bracketed with integer Newton iteration
+(``math.isqrt`` for square roots), so no binary floating point ever
+enters a result.
 
 The p-norm pipeline, norm -> power sum -> root, runs on these ends:
 

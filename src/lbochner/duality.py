@@ -163,23 +163,37 @@ def bootstrap_lower_bound(v: LFunction, p: Fraction, n_max: int,
     atom_norms = atom_norm_ends(v, cfg)
     fv = lp_from_atom_ends(atom_norms, v.space.masses,
                            conjugate_exponent(p), cfg)
-    return _bootstrap(v, p, n_max, cfg, limit_tol, atom_norms, fv,
-                      full_report=True)
+    report, steps = _bootstrap(v, p, n_max, cfg, atom_norms, fv)
+    report.series = [{"n": n, "exponent": s,
+                      "lhs": [certified.mid(e) for e in lhs],
+                      "rhs": [certified.mid(e) for e in rhs]}
+                     for n, (s, lhs, rhs) in enumerate(steps)]
+
+    s, lhs, _ = steps[-1]
+    bits = cfg.root_bits + 2
+    inv_s = (s.denominator, s.numerator)
+    limit = [certified.ipow_ends(e[:2], e[2:], inv_s, bits) for e in lhs]
+    limit_gaps = []
+    for j in range(v.codomain.scalar_dim):
+        ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
+        gap = Fraction(*gap)
+        limit_gaps.append(gap)
+        if not ok:
+            report.fail({"stage": "limit", "coordinate": j, "gap": gap})
+
+    report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
+                      "limit_gaps": limit_gaps,
+                      "target_norm": collapse(fv)}
+    return report
 
 
-def _bootstrap(v: LFunction, p: Fraction, n_max: int,
-               cfg: ToleranceConfig, limit_tol: Fraction,
-               atom_norms: List[List[Ends]], fv: List[Ends],
-               full_report: bool) -> CheckReport:
+def _bootstrap(v: LFunction, p: Fraction, n_max: int, cfg: ToleranceConfig,
+               atom_norms: List[List[Ends]],
+               fv: List[Ends]) -> Tuple[CheckReport, List[tuple]]:
     """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
     given v's dual atom norms and the brackets fv of its conjugate-exponent
-    norm.  Only with full_report does it build the reported series, take
-    the limit roots and let the limit comparison decide the verdict too;
-    without it the report carries the chain steps' verdict and witness
-    alone.
-
-    The power sums come as integer ends; the series reports their
-    midpoints."""
+    norm: a report with the chain steps' verdict and witness alone, and
+    each step's exponent s with the integer ends of its two sides."""
     d = v.codomain.scalar_dim
     for t, mass in enumerate(v.space.masses):
         if mass == 0:
@@ -195,7 +209,8 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
     mu_total = v.space.total_mass
     inv_p = Fraction(p.denominator, p.numerator)
 
-    report = CheckReport(name="bootstrap-chain", series=[])
+    report = CheckReport(name="bootstrap-chain")
+    steps = []
     s = Fraction(0)
     power = Fraction(1)
     for n in range(n_max + 1):
@@ -209,27 +224,8 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int,
         for j in range(d):
             if not certified.leq_with_slack(lhs[j], rhs[j], tol)[0]:
                 report.fail({"n": n, "coordinate": j})
-        if full_report:
-            report.series.append({"n": n, "exponent": s,
-                                  "lhs": [certified.mid(e) for e in lhs],
-                                  "rhs": [certified.mid(e) for e in rhs]})
-    if not full_report:
-        return report
-
-    inv_s = (s.denominator, s.numerator)
-    limit = [certified.ipow_ends(e[:2], e[2:], inv_s, bits) for e in lhs]
-    limit_gaps = []
-    for j in range(d):
-        ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
-        gap = Fraction(*gap)
-        limit_gaps.append(gap)
-        if not ok:
-            report.fail({"stage": "limit", "coordinate": j, "gap": gap})
-
-    report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
-                      "limit_gaps": limit_gaps,
-                      "target_norm": collapse(fv)}
-    return report
+        steps.append((s, lhs, rhs))
+    return report, steps
 
 
 def isometry_check(v: LFunction, p: Exponent, q: Exponent,
@@ -270,8 +266,7 @@ def isometry_check(v: LFunction, p: Exponent, q: Exponent,
         try:
             # only the chain inequalities are asserted: the limit would
             # repeat the norm equality checked above
-            chain = _bootstrap(v, p, bootstrap_n, cfg, DEFAULT_LIMIT_TOL,
-                               atom_norms, nv, full_report=False)
+            chain, _ = _bootstrap(v, p, bootstrap_n, cfg, atom_norms, nv)
             if not chain.passed:
                 report.fail({"stage": "bootstrap", **chain.witness})
         except ZeroNorm:

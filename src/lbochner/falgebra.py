@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from ._kernel import _pykernel as _k
-from .certified import Ends
+from .certified import Ends, mid
 
 RationalLike = Union[Fraction, int, str]
 
@@ -108,7 +108,8 @@ class LElement:
     def __le__(self, other: "LElement") -> bool:
         # componentwise partial order: a <= b and b <= a may both be False
         self._check(other)
-        return _k.vleq(self.nums, self.dens, other.nums, other.dens)
+        return _k.vfirst_above(self.nums, self.dens,
+                               other.nums, other.dens) is None
 
     def __ge__(self, other: "LElement") -> bool:
         return other.__le__(self)
@@ -212,9 +213,7 @@ class ApproxReal(Frozen):
         """The midpoint and half-width of the bracket with integer ends
         (lo_num, lo_den, hi_num, hi_den)."""
         ln, ld, hn, hd = e
-        den = 2 * ld * hd
-        return cls(Fraction(ln * hd + hn * ld, den),
-                   Fraction(hn * ld - ln * hd, den))
+        return cls(mid(e), Fraction(hn * ld - ln * hd, 2 * ld * hd))
 
     @property
     def is_exact(self) -> bool:
@@ -245,13 +244,6 @@ def _validate_envelope(envelope: Envelope, d: int) -> None:
         prev = eps
 
 
-def _first_exceeding(diff: LElement, eps: LElement) -> Optional[int]:
-    for j in range(diff.dim):
-        if diff.nums[j] * eps.dens[j] > eps.nums[j] * diff.dens[j]:
-            return j
-    return None
-
-
 def first_envelope_violation(seq: Sequence[LElement], limit: LElement,
                              envelope: Envelope) -> Optional[Tuple[int, int]]:
     """The first (n, coordinate) with |seq[n] - limit| > eps for some
@@ -264,7 +256,8 @@ def first_envelope_violation(seq: Sequence[LElement], limit: LElement,
     _validate_envelope(envelope, d)
     for eps, idx in envelope:
         for n in range(idx, len(seq)):
-            j = _first_exceeding(abs(seq[n] - limit), eps)
+            diff = abs(seq[n] - limit)
+            j = _k.vfirst_above(diff.nums, diff.dens, eps.nums, eps.dens)
             if j is not None:
                 return n, j
     return None

@@ -23,17 +23,14 @@ class CheckReport:
 
     __slots__ = ("name", "passed", "details", "witness", "series", "failures")
 
-    def __init__(self, name: str, passed: bool = True,
-                 details: Optional[Dict[str, Any]] = None,
-                 witness: Optional[Dict[str, Any]] = None,
-                 series: Optional[List[Dict[str, Any]]] = None,
-                 failures: int = 0):
+    def __init__(self, name: str, details: Optional[Dict[str, Any]] = None,
+                 series: Optional[List[Dict[str, Any]]] = None):
         self.name = name
-        self.passed = passed
+        self.passed = True
         self.details = {} if details is None else details
-        self.witness = witness
+        self.witness = None
         self.series = series
-        self.failures = failures
+        self.failures = 0
 
     def fail(self, witness: Dict[str, Any]) -> None:
         if self.passed:
@@ -43,14 +40,13 @@ class CheckReport:
 
 
 class Report:
-    __slots__ = ("command", "config", "checks", "tool")
+    __slots__ = ("command", "config", "checks")
 
     def __init__(self, command: str, config: Dict[str, Any],
-                 checks: List[CheckReport], tool: str = TOOL_VERSION):
+                 checks: List[CheckReport]):
         self.command = command
         self.config = config
         self.checks = checks
-        self.tool = tool
 
     @property
     def passed(self) -> bool:
@@ -124,7 +120,7 @@ def check_to_doc(check: CheckReport) -> Dict[str, Any]:
 
 def report_to_doc(report: Report) -> Dict[str, Any]:
     return {
-        "tool": report.tool,
+        "tool": TOOL_VERSION,
         "command": report.command,
         "config": to_jsonable(report.config),
         "verdict": "PASS" if report.passed else "FAIL",

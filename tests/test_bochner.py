@@ -666,6 +666,7 @@ class TestSupRepIntegerTable:
         assert not rep.passed
         assert built == [3, 3]  # one lo and one hi table
         assert rep.witness == {"subset_mask": 6, "coordinate": 0}
+        assert rep.failures == 1
 
     def test_extension_pass_reports_first_failure(self, monkeypatch):
         # terms [0, 100], -1, 0: no subset exceeds the full space, and

@@ -6,13 +6,10 @@ from lbochner import duality, vecmeasure
 from lbochner.bochner import (
     INF,
     LFunction,
-    atom_norm_ends,
     conjugate_exponent,
-    lp_from_atom_ends,
     lp_norm,
 )
 from lbochner.duality import (
-    DEFAULT_LIMIT_TOL,
     LpOperator,
     ZeroNorm,
     bootstrap_lower_bound,
@@ -284,13 +281,7 @@ class TestChainVerdictAgainstFullBootstrap:
 
     @staticmethod
     def _full_run(v, p):
-        q = conjugate_exponent(p)
-        atom_norms = atom_norm_ends(v, DEFAULT_TOLERANCES)
-        nv = lp_from_atom_ends(atom_norms, v.space.masses, q,
-                               DEFAULT_TOLERANCES)
-        full = duality._bootstrap(v, p, 6, DEFAULT_TOLERANCES,
-                                  DEFAULT_LIMIT_TOL, atom_norms, nv,
-                                  full_report=True)
+        full = bootstrap_lower_bound(v, p, 6, DEFAULT_TOLERANCES)
         assert len(full.series) == 7 and "limit_gaps" in full.details
         return full
 

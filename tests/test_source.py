@@ -3,7 +3,6 @@
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,32 +82,65 @@ def f(x: "MV") -> List[int]:
         "NormKind (line 5)", "Tuple (line 4)", "enum (line 3)"]
 
 
+# a string constant names a definition when it is an identifier or a dotted
+# path, such as perfbench's "duality.pairing"
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _name_index(texts: list) -> tuple:
+    """The sets of what the ``texts`` name: every name, attribute, import
+    alias and dotted string; and what can name a method: the attributes,
+    the dotted strings and the bare names of a class body."""
+    names, attributes = set(), set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.ClassDef):
+                # a class body names its methods bare: ``__or__ = union``
+                attributes.update(
+                    n.id for stmt in node.body
+                    if not isinstance(stmt, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                    for n in ast.walk(stmt) if isinstance(n, ast.Name))
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and _DOTTED.fullmatch(node.value)):
+                parts = node.value.split(".")
+                names.update(parts)
+                attributes.update(parts)
+    return names, attributes
+
+
 def unnamed_definitions(defining: dict, searched: list) -> list:
     """The module-level functions and classes of the ``defining`` sources
-    (name -> text), and the methods of those classes, whose name occurs in
-    no ``searched`` text beyond their own definitions; dunder names are
-    exempt."""
-    words = Counter()
-    for text in searched:
-        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    (name -> text) that no ``searched`` text names, and the methods of
+    those classes that it names nowhere a method can be named, so that a
+    local variable of the same name does not count (``_name_index``); a
+    definition is not a naming, and dunder names are exempt."""
+    names, attributes = _name_index(searched)
     defs = []
     for source_name, source in defining.items():
         for stmt in ast.parse(source).body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                defs.append((source_name, stmt.name, stmt.name))
+                defs.append((source_name, stmt.name, stmt.name, names))
             if isinstance(stmt, ast.ClassDef):
                 defs.extend(
-                    (source_name, f"{stmt.name}.{item.name}", item.name)
+                    (source_name, f"{stmt.name}.{item.name}", item.name,
+                     attributes)
                     for item in stmt.body
                     if isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)))
-    # each definition names itself once
-    defined = Counter(name for _, _, name in defs)
     return sorted(f"{source_name}: {qualified}"
-                  for source_name, qualified, name in defs
+                  for source_name, qualified, name, index in defs
                   if not (name.startswith("__") and name.endswith("__"))
-                  and words[name] <= defined[name])
+                  and name not in index)
 
 
 def _package_sources() -> dict:
@@ -159,10 +191,26 @@ def called():
 
 def __getattr__(name):
     raise AttributeError(name)
+
+class MeasureSpace:
+    def mass(self, i):
+        return i
+
+def total(masses):
+    return sum(mass for mass in masses)
+
+def traced(x):
+    return x
 '''
-    user = "from lib import called\ncalled()\n"
+    user = ("from lib import MeasureSpace, called, total\n"
+            "called()\ntotal([MeasureSpace()])\n"
+            "HOOKS = {'lib.traced': None}\n")
     test = "from lib import tested\nassert tested(1) == 1\n"
+    # the local variable ``mass`` does not name the method; the dotted
+    # string names ``traced``
     assert unnamed_definitions({"lib.py": lib}, [lib, user, test]) \
-        == ["lib.py: Used.dropped", "lib.py: lonely"]
+        == ["lib.py: MeasureSpace.mass", "lib.py: Used.dropped",
+            "lib.py: lonely"]
     assert unnamed_definitions({"lib.py": lib}, [lib, user]) \
-        == ["lib.py: Used.dropped", "lib.py: lonely", "lib.py: tested"]
+        == ["lib.py: MeasureSpace.mass", "lib.py: Used.dropped",
+            "lib.py: lonely", "lib.py: tested"]
