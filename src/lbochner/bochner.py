@@ -10,6 +10,7 @@ carry certified brackets.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -22,7 +23,6 @@ from .falgebra import (
     LElement,
     ToleranceConfig,
     axpy,
-    first_envelope_violation,
 )
 from .lmodule import (
     ModuleSpace,
@@ -50,7 +50,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@functools.lru_cache(maxsize=32)
 def conjugate_exponent(p: Exponent) -> Exponent:
+    # cached: the checkers derive q from p on every call, and a run takes
+    # only a few exponents
     if p is INF:
         return Fraction(1)
     if p == 1:
@@ -61,13 +64,6 @@ def conjugate_exponent(p: Exponent) -> Exponent:
 def _check_exponent(p: Exponent) -> None:
     if p is not INF and p < 1:
         raise ValueError("exponent must be >= 1 or INF")
-
-
-def is_conjugate_pair(p: Exponent, q: Exponent) -> bool:
-    # 1/p + 1/q = 1 with 1/INF = 0, cross-multiplied
-    an, ad = (0, 1) if p is INF else (p.denominator, p.numerator)
-    bn, bd = (0, 1) if q is INF else (q.denominator, q.numerator)
-    return an * bd + bn * ad == ad * bd
 
 
 class LFunction(Frozen):
@@ -353,18 +349,17 @@ def _first_sup_rep_failure(lo: Sequence[Sequence[int]],
     return None, pairs_checked
 
 
-def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
+def check_holder(u: LFunction, v: LFunction, p: Exponent,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Integral of |<u, v>| against ||u||_p * ||v||_q for a dual function v,
-    one into ``u.codomain.dual()`` as in ``duality.pairing``.
+    """Integral of |<u, v>| against ||u||_p * ||v||_q, q the conjugate
+    exponent of p, for a dual function v, one into ``u.codomain.dual()`` as
+    in ``duality.pairing``.
 
     Each factor is measured in its own codomain's norm kind, so v's is the
     dual of u's (for rank one all kinds coincide with the modulus, so this
     is invisible there); that is the pairing for which the bound is a
     theorem.  A v into any other module is refused with ``SpaceMismatch``.
     """
-    if not is_conjugate_pair(p, q):
-        raise ValueError("non-conjugate exponents")
     u._check_pairable(v)
     d = u.codomain.scalar_dim
     lhs = [certified.exact(0)] * d
@@ -378,7 +373,7 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent, q: Exponent,
                for acc, n, dn in zip(lhs, val.nums, val.dens)]
 
     nu = lp_norm_ends(u, p, cfg)
-    nv = lp_norm_ends(v, q, cfg)
+    nv = lp_norm_ends(v, conjugate_exponent(p), cfg)
     rhs = [certified.mul(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
@@ -554,8 +549,17 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
     the pointwise limit, and the closing norm estimate with the exact
     residual 2**-n ||w||_p.
 
-    Only the envelope 2**(1-k) ||w||_p depends on k, so each pairwise
-    distance ||u_a - u_b||_p, a <= b, is computed once."""
+    An anchor gives ||w||_p a second source, the Bochner integral
+    ||w||_1 = sum mu(t) ||w(t)|| of w's atom norms, with no power sum and
+    no root: at p = 1 the two are equal, and above it Lyapunov's
+    ||w||_1 mu(S)**(1/p) <= mu(S) ||w||_p and ||w||_p <= mu(S)**(1/p) *
+    max ||w(t)|| over positive-mass atoms hold.
+
+    Both envelopes, 2**(1-k) ||w||_p and |w(t)_i| 2**-k, shrink as k
+    grows, so each distance ||u_a - u_b||_p, a <= b, and each
+    |u_n(t)_i - u*(t)_i| is computed once and compared once, at k = a and
+    at k = n.  Only a failing comparison searches for its first failing k,
+    which names the witness in (k, a, b, coordinate) order."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     _check_exponent(p)
@@ -577,41 +581,73 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
         series=[],
     )
 
-    # pairwise envelope: ||u_n - u_m||_p <= 2**(1-k) ||w||_p for n, m >= k
-    dist = {(a, b): lp_norm_ends(terms[a - 1] - terms[b - 1], p, cfg)
-            for a in range(1, n_terms + 1) for b in range(a, n_terms + 1)}
-    for k in range(1, n_terms + 1):
-        eps = [certified.scale(e, 1, 2 ** (k - 1)) for e in norm_w]
-        for a in range(k, n_terms + 1):
-            for b in range(a, n_terms + 1):
-                diff = dist[a, b]
-                for j in range(d):
-                    if not certified.leq_with_slack(diff[j], eps[j], tol)[0]:
-                        report.fail({"stage": "pairwise", "k": k, "n": a,
-                                     "m": b, "coordinate": j})
+    # anchor: ||w||_1 and the largest atom norm, from w's atom norms
+    mu = space.total_mass
+    mu_root = certified.pow_ends(mu, (p.denominator, p.numerator),
+                                 cfg.root_bits + 2)
+    l1 = top = [certified.exact(0)] * d
+    for x, mass in zip(w.values, space.masses):
+        if mass:
+            norms = norm_ends(x, cfg)
+            l1 = [certified.add(a, certified.scale(e, mass.numerator,
+                                                   mass.denominator))
+                  for a, e in zip(l1, norms)]
+            top = [certified.imax(a, e) for a, e in zip(top, norms)]
+    for j in range(d):
+        if p == 1:
+            tol_j = certified.tol_for(cfg.compare_tol, (l1[j], norm_w[j]))
+            ok = certified.eq_within(l1[j], norm_w[j], tol_j)[0]
+        else:
+            mu_w = certified.scale(norm_w[j], mu.numerator, mu.denominator)
+            lyapunov = ((certified.mul(l1[j], mu_root), mu_w),
+                        (norm_w[j], certified.mul(mu_root, top[j])))
+            ok = all(certified.leq_with_slack(lhs, rhs, certified.tol_for(
+                cfg.compare_tol, (lhs, rhs)))[0] for lhs, rhs in lyapunov)
+        if not ok:
+            report.fail({"stage": "anchor", "coordinate": j})
 
-    # pointwise limit: per atom and entry, an envelope certificate
+    # pairwise envelope: ||u_a - u_b||_p <= 2**(1-k) ||w||_p for b >= a >= k
+    envelope = [[certified.scale(e, 1, 2 ** (k - 1)) for e in norm_w]
+                for k in range(1, n_terms + 1)]
+
+    def beyond(x: Ends, k: int, j: int) -> bool:
+        return not certified.leq_with_slack(x, envelope[k - 1][j], tol)[0]
+
+    failing = []
+    for a in range(1, n_terms + 1):
+        for b in range(a, n_terms + 1):
+            dist = lp_norm_ends(terms[a - 1] - terms[b - 1], p, cfg)
+            for j in range(d):
+                if beyond(dist[j], a, j):
+                    k = next(k for k in range(1, a + 1)
+                             if beyond(dist[j], k, j))
+                    failing.append((k, a, b, j))
+    if failing:
+        k, a, b, j = min(failing)
+        report.fail({"stage": "pairwise", "k": k, "n": a, "m": b,
+                     "coordinate": j})
+
+    # pointwise limit: |u_n(t)_i - u*(t)_i| <= |w(t)_i| 2**-k for n >= k
     for t in range(space.size):
         for i in range(codomain.rank):
-            seq = [terms[n - 1].values[t].entries[i] for n in range(1, n_terms + 1)]
+            limit = u_star.values[t].entries[i]
             wt = abs(w.values[t].entries[i])
-            envelope = [(wt.scale(Fraction(1, 2 ** n)), n - 1)
-                        for n in range(1, n_terms + 1)]
-            violation = first_envelope_violation(
-                seq, u_star.values[t].entries[i], envelope)
-            if violation is not None:
-                report.fail({"stage": "pointwise", "atom": t, "entry": i,
-                             "violation": violation})
+            bounds = [wt.scale(Fraction(1, 2 ** n))
+                      for n in range(1, n_terms + 1)]
+            gaps = [abs(term.values[t].entries[i] - limit) for term in terms]
+            if all(g <= e for g, e in zip(gaps, bounds)):
+                continue
+            violation = next(
+                (n, j) for k, e in enumerate(bounds) for n in range(k, n_terms)
+                for j in range(d) if gaps[n][j] > e[j])
+            report.fail({"stage": "pointwise", "atom": t, "entry": i,
+                         "violation": violation})
 
     # closing estimate and exact residual
-    mu_root = certified.pow_ends(space.total_mass,
-                                 (p.denominator, p.numerator),
-                                 cfg.root_bits + 2)
     for n in range(1, n_terms + 1):
         resid = lp_norm_ends(u_star - terms[n - 1], p, cfg)
         expected = [certified.scale(e, 1, 2 ** n) for e in norm_w]
-        bound = [certified.mul(certified.scale(e, 1, 2 ** (n - 1)), mu_root)
-                 for e in norm_w]
+        bound = [certified.mul(e, mu_root) for e in envelope[n - 1]]
         for j in range(d):
             eq_tol = certified.tol_for(cfg.compare_tol, (resid[j], expected[j]))
             ok_eq, gap = certified.eq_within(resid[j], expected[j], eq_tol)

@@ -147,7 +147,7 @@ def _cmd_check_holder(args) -> list[reports.CheckReport]:
     check = reports.CheckReport(name="holder", details={
         "pairs": n, "p": _exponent_str(p), "q": _exponent_str(q)})
     return _over_trials(check, n, lambda trial: bochner.check_holder(
-        *_function_pair(args, rng, dual=True), p, q, cfg))
+        *_function_pair(args, rng, dual=True), p, cfg))
 
 
 def _cmd_check_minkowski(args) -> list[reports.CheckReport]:
@@ -289,7 +289,7 @@ def _cmd_dual_isometry(args) -> list[reports.CheckReport]:
         "trials": n, "p": _exponent_str(p), "q": _exponent_str(q)})
 
     def trial_isometry(trial):
-        rep = duality.isometry_check(_dual_function(args, rng), p, q, cfg)
+        rep = duality.isometry_check(_dual_function(args, rng), p, cfg)
         check.series.append({"trial": trial, "gap": rep.details["gaps"]})
         return rep
 
@@ -313,10 +313,9 @@ def _cmd_dual_represent(args) -> list[reports.CheckReport]:
 
 
 def _cmd_dual_roundtrip(args) -> list[reports.CheckReport]:
-    p = _parse_exponent(args.p)
     return [duality.roundtrip_check(
-        p, bochner.conjugate_exponent(p), args.trials, args.seed,
-        m=args.atoms, rank=args.rank, scalar_dim=args.dim,
+        _parse_exponent(args.p), args.trials, args.seed, m=args.atoms,
+        rank=args.rank, scalar_dim=args.dim,
         norm_kind=lmodule.NormKind(args.norm), cfg=_tolerances(args))]
 
 
@@ -362,7 +361,6 @@ def _holder_minkowski(args) -> list[reports.CheckReport]:
     command runs."""
     cfg = _tolerances(args)
     p = _parse_exponent(args.p)
-    q = bochner.conjugate_exponent(p)
     rng = sampling.rng_for(args.seed, 67, int(p * 2))
     check = reports.CheckReport(name=f"holder-minkowski-p{args.p}",
                                 details={"pairs": 50})
@@ -371,8 +369,8 @@ def _holder_minkowski(args) -> list[reports.CheckReport]:
         codomain = lmodule.ModuleSpace(1, 2, lmodule.NormKind.SUP)
         u = _random_lfunction(rng, space, codomain)
         v = _random_lfunction(rng, space, codomain)
-        for rep in (bochner.check_holder(u, v.moved_to(codomain.dual()),
-                                         p, q, cfg),
+        for rep in (bochner.check_holder(u, v.moved_to(codomain.dual()), p,
+                                         cfg),
                     bochner.check_minkowski(u, v, p, cfg)):
             if not rep.passed:
                 check.fail({"pair": pair, "check": rep.name, **rep.witness})

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from ._kernel import _pykernel as _k
 from .certified import Ends, mid
@@ -132,9 +132,6 @@ class LElement:
     def is_zero(self) -> bool:
         return all(n == 0 for n in self.nums)
 
-    def is_nonnegative(self) -> bool:
-        return all(n >= 0 for n in self.nums)
-
 
 def sgn(a: LElement) -> LElement:
     nums = tuple((n > 0) - (n < 0) for n in a.nums)
@@ -223,41 +220,3 @@ class ApproxReal(Frozen):
         if self.is_exact:
             return f"ApproxReal({self.value})"
         return f"ApproxReal({self.value} +- {self.abs_error_bound})"
-
-
-Envelope = Sequence[Tuple[LElement, int]]
-
-
-def _validate_envelope(envelope: Envelope, d: int) -> None:
-    if not envelope:
-        raise ValueError("envelope must be nonempty")
-    prev = None
-    for eps, idx in envelope:
-        if eps.dim != d:
-            raise DimensionMismatch("envelope epsilon has wrong dimension")
-        if not eps.is_nonnegative():
-            raise ValueError("envelope epsilons must be nonnegative")
-        if idx < 0:
-            raise ValueError("index thresholds must be nonnegative")
-        if prev is not None and not (eps <= prev):
-            raise ValueError("envelope epsilons must be componentwise nonincreasing")
-        prev = eps
-
-
-def first_envelope_violation(seq: Sequence[LElement], limit: LElement,
-                             envelope: Envelope) -> Optional[Tuple[int, int]]:
-    """The first (n, coordinate) with |seq[n] - limit| > eps for some
-    (eps, threshold) in the envelope and n >= threshold, or None if the
-    envelope certifies the convergence.  Thresholds index the supplied
-    list."""
-    if not seq:
-        raise ValueError("empty sequence")
-    d = limit.dim
-    _validate_envelope(envelope, d)
-    for eps, idx in envelope:
-        for n in range(idx, len(seq)):
-            diff = abs(seq[n] - limit)
-            j = _k.vfirst_above(diff.nums, diff.dens, eps.nums, eps.dens)
-            if j is not None:
-                return n, j
-    return None

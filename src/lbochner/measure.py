@@ -1,4 +1,4 @@
-"""Finite atomic measure spaces and their set algebra.
+"""Finite atomic measure spaces and their measurable sets.
 
 The sigma-algebra is the full power set of the atom set; sets are frozen
 index subsets.  Zero-mass atoms are allowed (they drive the absolute-
@@ -23,7 +23,7 @@ class TooManySubsets(ValueError):
 
 
 class SpaceMismatch(ValueError):
-    """Set operation across different measure spaces."""
+    """Objects on different measure spaces combined."""
 
 
 class MeasureSpace(Frozen):
@@ -74,31 +74,6 @@ class MeasurableSet(Frozen):
             raise ValueError("member index out of range")
         self._set("space", space)
         self._set("members", members)
-
-    def _check(self, other: "MeasurableSet") -> None:
-        if self.space is not other.space and self.space != other.space:
-            raise SpaceMismatch("sets live on different measure spaces")
-
-    def union(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check(other)
-        return MeasurableSet(self.space, self.members | other.members)
-
-    def intersection(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check(other)
-        return MeasurableSet(self.space, self.members & other.members)
-
-    def difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check(other)
-        return MeasurableSet(self.space, self.members - other.members)
-
-    def symmetric_difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        self._check(other)
-        return MeasurableSet(self.space, self.members ^ other.members)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __xor__ = symmetric_difference
 
     def names(self) -> List[str]:
         return sorted(self.space.atom_names[i] for i in self.members)

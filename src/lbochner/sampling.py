@@ -23,15 +23,14 @@ def rng_for(seed: int, *stream: int) -> random.Random:
     return random.Random(x)
 
 
-def random_lelement(rng: random.Random, d: int, max_num: int = 12,
-                    max_den: int = 12) -> LElement:
-    """d coordinates, each a numerator in [-max_num, max_num] drawn before
-    its denominator in [1, max_den], reduced as integers."""
+def random_lelement(rng: random.Random, d: int) -> LElement:
+    """d coordinates, each a numerator in [-12, 12] drawn before its
+    denominator in [1, 12], reduced as integers."""
     nums = []
     dens = []
     for _ in range(d):
-        num = rng.randint(-max_num, max_num)
-        den = rng.randint(1, max_den)
+        num = rng.randint(-12, 12)
+        den = rng.randint(1, 12)
         g = gcd(num, den)
         nums.append(num // g)
         dens.append(den // g)

@@ -39,6 +39,20 @@ def measure_of(F):
     return sum((F.space.masses[i] for i in F.members), Fraction(0))
 
 
+def first_envelope_violation(seq, limit, envelope):
+    """The first (n, coordinate) with |seq[n] - limit| > eps, over the
+    (eps, threshold) pairs of the envelope in order and n >= threshold, or
+    None; coordinates are compared as fractions.  The reference for the
+    completeness harness's pointwise witness."""
+    for eps, threshold in envelope:
+        for n in range(threshold, len(seq)):
+            diff = abs(seq[n] - limit)
+            for j in range(limit.dim):
+                if diff[j] > eps[j]:
+                    return n, j
+    return None
+
+
 # the document writers, inverse to the loaders of ``serialize``
 
 def lelement_to_doc(x):

@@ -14,14 +14,12 @@ import pytest
 
 from lbochner import cli
 from lbochner.bochner import (
-    INF,
     DominatorViolation,
     LFunction,
     TruncatedSequenceSpec,
     check_holder,
     check_minkowski,
     check_chebyshev_step,
-    conjugate_exponent,
     run_completeness_harness,
     run_dct_experiment,
     verify_sup_representation,
@@ -75,12 +73,16 @@ def criterion(number, title):
 @criterion(1, "f-algebra ring/lattice laws, 10000 triples, exact, <5s")
 def test_criterion_01_falgebra_laws():
     rng = rng_for(1001)
+
+    def draw(d):
+        # each numerator in [-9, 9] drawn before its denominator in [1, 9]
+        return LElement([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for _ in range(d)])
+
     start = time.monotonic()
     for i in range(10_000):
         d = 1 + i % 8
-        a = random_lelement(rng, d, max_num=9, max_den=9)
-        b = random_lelement(rng, d, max_num=9, max_den=9)
-        c = random_lelement(rng, d, max_num=9, max_den=9)
+        a, b, c = draw(d), draw(d), draw(d)
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
@@ -115,7 +117,6 @@ def test_criterion_02_norm_axioms():
 def test_criterion_03_holder_minkowski():
     codomain = ModuleSpace(1, 2, NormKind.SUP)
     for p in (Fraction(1), Fraction(2), Fraction(3)):
-        q = conjugate_exponent(p)
         rng = rng_for(1003, int(p))
         for _ in range(1000):
             space = random_measure_space(rng, 3)
@@ -123,7 +124,7 @@ def test_criterion_03_holder_minkowski():
                 random_module_vector(rng, codomain) for _ in range(3)))
             v = LFunction(space, codomain, tuple(
                 random_module_vector(rng, codomain) for _ in range(3)))
-            hrep = check_holder(u, v.moved_to(codomain.dual()), p, q, CFG)
+            hrep = check_holder(u, v.moved_to(codomain.dual()), p, CFG)
             assert hrep.passed, (p, hrep.witness)
             if p == 1:
                 assert hrep.details["tolerance"] == 0
@@ -270,7 +271,7 @@ def test_criterion_10_isometry_and_bootstrap():
         for _ in range(500):
             space = random_measure_space(rng, 3)
             v = random_dual_function(rng, space, primal)
-            rep = isometry_check(v, Fraction(1), INF, CFG)
+            rep = isometry_check(v, Fraction(1), CFG)
             assert rep.passed
             assert all(g == 0 for g in rep.details["gaps"])
 
@@ -280,7 +281,7 @@ def test_criterion_10_isometry_and_bootstrap():
     for _ in range(500):
         space = random_measure_space(rng, 3)
         v = random_dual_function(rng, space, primal)
-        rep = isometry_check(v, Fraction(2), Fraction(2), CFG, bootstrap_n=2)
+        rep = isometry_check(v, Fraction(2), CFG, bootstrap_n=2)
         assert rep.passed
         assert all(g <= COMPARE_TOL for g in rep.details["gaps"])
 
@@ -295,7 +296,7 @@ def test_criterion_10_isometry_and_bootstrap():
 
 @criterion(11, "surjectivity round-trip on 500 trials, exact")
 def test_criterion_11_surjectivity_roundtrip():
-    rep = roundtrip_check(Fraction(1), INF, trials=500, seed=1011)
+    rep = roundtrip_check(Fraction(1), trials=500, seed=1011)
     assert rep.passed, rep.witness
     for row in rep.series:
         assert all(g == 0 for g in row["gap"])

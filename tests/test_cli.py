@@ -229,6 +229,25 @@ class TestFailurePaths:
             "stage": "martingale", "level": 0, "density": {"subset": [""]}}
         assert "partition" in checks["variation"]["witness"]
 
+    @pytest.mark.parametrize("name", ["lp_norm_ends", "lp_from_atom_ends"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "completeness", "--seed", "42"],
+        ["run", "completeness", "--seed", "42", "--p", "3", "--norm", "two"],
+        ["suite", "all", "--seed", "42"],
+    ], ids=" ".join)
+    def test_doubled_p_norm_fails_completeness_anchor(self, argv, name,
+                                                      tmp_path, monkeypatch):
+        # negative control: every other stage of the harness scales with
+        # the p-norm code; the anchor's ||w||_1 comes from the atom norms
+        real = getattr(bochner, name)
+        monkeypatch.setattr(bochner, name, lambda *args: [
+            certified.scale(e, 2, 1) for e in real(*args)])
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 1
+        check = self._checks(out)["completeness-harness"]
+        assert check["verdict"] == "FAIL"
+        assert check["witness"]["stage"] == "anchor"
+
     @pytest.mark.parametrize("argv,name,witness", [
         (["dual", "represent"], "represent",
          {"stage": "density", "subset": ["a0"]}),

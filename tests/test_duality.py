@@ -6,7 +6,6 @@ from lbochner import duality, vecmeasure
 from lbochner.bochner import (
     INF,
     LFunction,
-    conjugate_exponent,
     lp_norm,
 )
 from lbochner.duality import (
@@ -188,7 +187,7 @@ class TestOperatorNorm:
 class TestIsometry:
     def test_p1_example(self, two_atoms):
         v = dual_fn(two_atoms, L(3, 1), L(4, 1))
-        rep = isometry_check(v, Fraction(1), INF)
+        rep = isometry_check(v, Fraction(1))
         assert rep.passed
         assert rep.details["operator_norm"] == L(4, 1)
         assert rep.details["dual_norm"] == L(4, 1)
@@ -196,7 +195,7 @@ class TestIsometry:
 
     def test_zero_dual(self, two_atoms):
         v = dual_fn(two_atoms, L(0, 0), L(0, 0))
-        rep = isometry_check(v, Fraction(1), INF)
+        rep = isometry_check(v, Fraction(1))
         assert rep.passed
 
     def test_sup_primal_is_measured_in_the_one_norm(self):
@@ -207,7 +206,7 @@ class TestIsometry:
         v = LFunction(space, primal.dual(), (
             ModuleVector(primal.dual(), (L(1), L(-2))),))
         assert build_F(v, Fraction(1)).codomain == primal
-        rep = isometry_check(v, Fraction(1), INF)
+        rep = isometry_check(v, Fraction(1))
         assert rep.passed
         assert rep.details["operator_norm"] == L(3)
         assert rep.details["dual_norm"] == L(3)
@@ -215,7 +214,7 @@ class TestIsometry:
     def test_p2_single_atom(self):
         space = MeasureSpace.build(["a"], [1])
         v = dual_fn(space, L(3, 4))
-        rep = isometry_check(v, Fraction(2), Fraction(2))
+        rep = isometry_check(v, Fraction(2))
         assert rep.passed
         for iv in value_brackets(rep.details["operator_norm"]):
             assert iv[0] <= 3 or iv[0] <= 4  # brackets around |coefficient|
@@ -237,7 +236,7 @@ class TestIsometry:
         monkeypatch.setattr(duality, "power_sums_from_atom_ends", lifted)
         space = MeasureSpace.build(["a"], [1])
         v = dual_fn(space, L(3, 4))
-        rep = isometry_check(v, Fraction(2), Fraction(2))
+        rep = isometry_check(v, Fraction(2))
         assert not rep.passed
         assert rep.witness == {"stage": "bootstrap", "n": 2, "coordinate": 1}
         assert all(g == 0 for g in rep.details["gaps"])
@@ -250,7 +249,7 @@ class TestIsometry:
             for _ in range(100):
                 space = random_measure_space(rng, 3)
                 v = random_dual(rng, space, primal)
-                rep = isometry_check(v, Fraction(1), INF)
+                rep = isometry_check(v, Fraction(1))
                 assert rep.passed
                 assert all(g == 0 for g in rep.details["gaps"])
 
@@ -297,7 +296,7 @@ class TestChainVerdictAgainstFullBootstrap:
             primal = ModuleSpace(2, 2, kind)
             for _ in range(2):
                 v = random_dual(rng, random_measure_space(rng, 3), primal)
-                rep = isometry_check(v, p, conjugate_exponent(p))
+                rep = isometry_check(v, p)
                 try:
                     full = self._full_run(v, p)
                 except ZeroNorm:
@@ -491,14 +490,14 @@ class TestBasisRowsAgainstEvaluation:
 
 class TestRoundtrip:
     def test_p1_sup_exact(self):
-        rep = roundtrip_check(Fraction(1), INF, trials=30, seed=77)
+        rep = roundtrip_check(Fraction(1), trials=30, seed=77)
         assert rep.passed
         for row in rep.series:
             assert all(g == 0 for g in row["gap"])
 
     def test_p2_within_tolerance(self):
         cfg = ToleranceConfig()
-        rep = roundtrip_check(Fraction(2), Fraction(2), trials=30, seed=78)
+        rep = roundtrip_check(Fraction(2), trials=30, seed=78)
         assert rep.passed
         for row in rep.series:
             assert all(g <= cfg.compare_tol for g in row["gap"])
@@ -516,7 +515,7 @@ class TestRoundtrip:
                 for f in v.values))
 
         monkeypatch.setattr(duality, "represent", shifted)
-        rep = roundtrip_check(Fraction(2), Fraction(2), 3, 42)
+        rep = roundtrip_check(Fraction(2), 3, 42)
         assert not rep.passed
         space = random_measure_space(rng_for(42, 0), 3, null_atoms=1)
         first = next(t for t, mass in enumerate(space.masses) if mass > 0)
@@ -524,9 +523,10 @@ class TestRoundtrip:
                                "stage": "dual-roundtrip"}
 
     def test_trivial_space_scalar_duality(self):
-        # one atom, rank one, scalar dimension one: |F_v| = |v|
-        rep = roundtrip_check(Fraction(1), INF, trials=10, seed=79,
-                              m=1, rank=1, scalar_dim=1, null_atoms=0)
+        # one positive-mass atom beside the null one, rank one, scalar
+        # dimension one: |F_v| = |v|
+        rep = roundtrip_check(Fraction(1), trials=10, seed=79,
+                              m=2, rank=1, scalar_dim=1)
         assert rep.passed
 
 

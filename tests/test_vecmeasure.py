@@ -12,7 +12,6 @@ from lbochner.measure import (
     subset_sums,
 )
 from lbochner.sampling import (
-    random_lelement,
     random_measure_space,
     random_module_vector,
     rng_for,
@@ -73,7 +72,7 @@ class TestEvaluate:
             for E in subsets:
                 if F.members & E.members:
                     continue
-                lhs = evaluate(G, F | E)
+                lhs = evaluate(G, space.subset(F.members | E.members))
                 rhs = evaluate(G, F) + evaluate(G, E)
                 assert lhs == rhs
 
@@ -223,7 +222,10 @@ def wide_measure(seed, m, kind, rank, d):
               for _ in range(m)]
     codomain = ModuleSpace(rank, d, kind)
     values = [ModuleVector(codomain, tuple(
-                  random_lelement(rng, d, bound, bound) for _ in range(rank)))
+                  LElement([Fraction(rng.randint(-bound, bound),
+                                     rng.randint(1, bound))
+                            for _ in range(d)])
+                  for _ in range(rank)))
               for _ in range(m)]
     if m > 1:
         masses[1] = Fraction(0)
