@@ -41,10 +41,16 @@ precision, so one ladder per (base, precision) is built, memoised, and
 shared by every exponent taken of that base: the exponent bootstrap takes
 one base to every s_n.  All of its entries are nonnegative, so each level
 holds only the side it needs (the lower root of the lower end, the upper
-root of the upper end).  The chain multiplies the levels its exponent's
-bits select as plain integers and returns the unreduced ends to
-``pow_ends``, which reduces each end once (by a shift when, as usual, its
-denominator is a power of two).
+root of the upper end).  From the first inexact level on, each side is a
+fixed-point integer t over 2**w, w the working precision, and its next
+root is ``isqrt(t << w)``, rounded up on the upper side unless exact: no
+division and no denominator.  The chain multiplies the numerators of the
+levels its exponent's bits select and shifts the denominator left by w per
+selected fixed-point level, so it multiplies no power of two; only the
+exact levels before fixed point (a base whose first roots are exact) carry
+a denominator.  It returns the unreduced ends to ``pow_ends``, which
+reduces each end once (by a shift when, as usual, its denominator is a
+power of two).
 
 Comparison semantics used by all checkers:
 
@@ -82,6 +88,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 from typing import Sequence, Tuple, Union
 
@@ -282,21 +289,51 @@ def _sqrt_side(num: int, den: int, bits: int, upper: bool) -> Ratio:
 
 @functools.lru_cache(maxsize=128)
 def _sqrt_ladder(num: int, den: int, work_bits: int,
-                 levels: int) -> Tuple[Ends, ...]:
+                 levels: int) -> Tuple[Tuple[int, ...], Tuple[int, ...],
+                                       Tuple[int, ...]]:
     """The nested square roots q ** (2 ** -i), i = 1 .. levels, of
-    q = num/den >= 0 in lowest terms, as per-level (ln, ld, hn, hd): the
+    q = num/den >= 0 in lowest terms, as columns (lows, highs, dens): the
     lower root of the level above's lower end and the upper root of its
-    upper end, each in lowest terms.
+    upper end, the two sides of ``_sqrt_side``.
+
+    Both sides agree until a level is inexact, and each is t / 2**w
+    (w = work_bits) from the first inexact level on, or from an exact one
+    whose denominator is a power of two of at most 2**w.  Up to there
+    ``_sqrt_side`` takes each level in lowest terms, and ``dens`` holds
+    their denominators; from there on a level holds t alone, over the
+    implicit 2**w, and takes its root on integers: q * 2**(2w) is t << w,
+    an exact square exactly when t/2**w is one, so the lower side is
+    isqrt(t << w) and the upper one that root, plus one unless it is exact.
+    The levels from index ``len(dens)`` on are in fixed point.
 
     The ladder depends on the base and the precision only, so one ladder
     serves every exponent taken of the same base."""
-    ladder = []
+    w = work_bits
+    lows, highs, dens = [], [], []
     ln, ld = hn, hd = num, den
-    for _ in range(levels):
-        ln, ld = _sqrt_side(ln, ld, work_bits, False)
-        hn, hd = _sqrt_side(hn, hd, work_bits, True)
-        ladder.append((ln, ld, hn, hd))
-    return tuple(ladder)
+    while ld & (ld - 1) or ld.bit_length() > w + 1:
+        if len(lows) == levels:
+            return tuple(lows), tuple(highs), tuple(dens)
+        ln, ld = _sqrt_side(ln, ld, w, False)
+        hn, hd = _sqrt_side(hn, hd, w, True)
+        lows.append(ln)
+        highs.append(hn)
+        dens.append(ld)
+    # both sides are t / 2**w from here on
+    lo = ln << (w + 1 - ld.bit_length())
+    hi = hn << (w + 1 - hd.bit_length())
+    if dens:
+        dens.pop()
+        lows[-1], highs[-1] = lo, hi
+    for _ in range(levels - len(lows)):
+        lo = isqrt(lo << w)
+        s = hi << w
+        hi = isqrt(s)
+        if hi * hi != s:
+            hi += 1
+        lows.append(lo)
+        highs.append(hi)
+    return tuple(lows), tuple(highs), tuple(dens)
 
 
 def _pow_via_chain(num: int, den: int, u: int, v: int,
@@ -312,30 +349,50 @@ def _pow_via_chain(num: int, den: int, u: int, v: int,
     Every entry of the chain is nonnegative, so the interval product is the
     endpoint-wise product: the lower side multiplies the lower ends of the
     ``_sqrt_ladder`` levels the exponent's bits select, and likewise above.
-    A bracket wider than 2**-bits asks for a deeper, finer ladder.
+    Each selected fixed-point level adds w to a shift of the denominators
+    instead of a factor 2**w.  A bracket wider than 2**-bits asks for a
+    deeper, finer ladder.
     """
     work_bits = bits + 24
     levels = bits + 8
     while True:
         k, rem = divmod(u << levels, v)
-        ladder = _sqrt_ladder(num, den, work_bits, levels)
-        lo_num = lo_den = hi_num = hi_den = 1
-        for i, (ln, ld, hn, hd) in enumerate(ladder, 1):
-            if (k >> (levels - i)) & 1:
-                lo_num *= ln
-                lo_den *= ld
-                hi_num *= hn
-                hi_den *= hd
+        lows, highs, dens = _sqrt_ladder(num, den, work_bits, levels)
+        mask = [c == "1" for c in format(k, f"0{levels}b")]
+        lo_num = math.prod(compress(lows, mask))
+        hi_num = math.prod(compress(highs, mask))
+        lo_den = hi_den = math.prod(compress(dens, mask))
+        lo_shift = hi_shift = work_bits * sum(mask[len(dens):])
         if rem:
             # widen by [min(1, lo), max(1, hi)] of the last level
-            ln, ld, hn, hd = ladder[-1]
-            if ln < ld:
-                lo_num *= ln
-                lo_den *= ld
-            if hn > hd:
-                hi_num *= hn
-                hi_den *= hd
-        if (hi_num * lo_den - lo_num * hi_den) << bits <= hi_den * lo_den:
+            ln, hn = lows[-1], highs[-1]
+            if len(dens) == levels:
+                d = dens[-1]
+                if ln < d:
+                    lo_num *= ln
+                    lo_den *= d
+                if hn > d:
+                    hi_num *= hn
+                    hi_den *= d
+            else:
+                one = 1 << work_bits
+                if ln < one:
+                    lo_num *= ln
+                    lo_shift += work_bits
+                if hn > one:
+                    hi_num *= hn
+                    hi_shift += work_bits
+        lo_den <<= lo_shift
+        hi_den <<= hi_shift
+        if lo_den & (lo_den - 1) == 0 == hi_den & (hi_den - 1):
+            a = lo_den.bit_length() - 1
+            b = hi_den.bit_length() - 1
+            accepted = (((hi_num << a) - (lo_num << b)) << bits
+                        <= 1 << (a + b))
+        else:
+            accepted = ((hi_num * lo_den - lo_num * hi_den) << bits
+                        <= hi_den * lo_den)
+        if accepted:
             return lo_num, lo_den, hi_num, hi_den
         work_bits += 32
         levels += 16

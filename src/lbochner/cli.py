@@ -463,24 +463,27 @@ def _positive_int(s: str) -> int:
     return n
 
 
-# the options every subcommand has, with their defaults; a subcommand's
+# the common options' defaults, which every report echoes; a subcommand's
 # entry in _commands() overrides some of them
 COMMON_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "tol": None,
                    "atoms": 4, "rank": 2, "dim": 2, "norm": "sup"}
 
 
-def _add_common(sub, common: dict) -> None:
+def _add_common(sub, common: dict, draws: bool) -> None:
+    """The common options; the ones that shape drawn data only where
+    ``draws``.  Every default is set either way: the report echoes them."""
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--trials", type=_positive_int)
     sub.add_argument("--tol", type=str,
                      help="comparison tolerance as a rational, "
                           "e.g. 1/1073741824")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--atoms", type=int)
-    sub.add_argument("--rank", type=int)
-    sub.add_argument("--dim", type=int)
-    sub.add_argument("--norm", choices=("sup", "one", "two"))
+    if draws:
+        sub.add_argument("--trials", type=_positive_int)
+        sub.add_argument("--atoms", type=int)
+        sub.add_argument("--rank", type=int)
+        sub.add_argument("--dim", type=int)
+        sub.add_argument("--norm", choices=("sup", "one", "two"))
     sub.set_defaults(**{**COMMON_DEFAULTS, **common})
 
 
@@ -557,22 +560,27 @@ def _commands() -> dict:
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every group and subcommand is registered,
-    so help and choice errors list them all, but only the subcommand that
-    ``argv[:2]`` names gets its options: no other one can parse ``argv``."""
+    """The parser for ``argv``.  Every group is registered, so help and
+    choice errors list them all; only the group that ``argv[0]`` names gets
+    its subcommands, which its own help and choice errors list, and only
+    the subcommand that ``argv[:2]`` names gets its options: no other group
+    or subcommand can parse ``argv``.  ``suite all`` draws nothing itself
+    and takes only ``--seed``, ``--tol``, ``--out`` and ``--format``."""
     parser = argparse.ArgumentParser(
         prog="lbochner",
         description="Exact checks for lattice-valued function spaces")
     top = parser.add_subparsers(dest="group", required=True)
     wanted = tuple(argv[:2])
     for group, (group_help, table) in _commands().items():
-        group_sub = top.add_parser(group, help=group_help).add_subparsers(
-            dest="cmd", required=True)
+        group_parser = top.add_parser(group, help=group_help)
+        if wanted[:1] != (group,):
+            continue
+        group_sub = group_parser.add_subparsers(dest="cmd", required=True)
         for cmd, (func, common, options) in table.items():
             sub = group_sub.add_parser(cmd)
             if (group, cmd) != wanted:
                 continue
-            _add_common(sub, common)
+            _add_common(sub, common, draws=group != "suite")
             for flag, default, *doc in options:
                 sub.add_argument(
                     flag, type=int if isinstance(default, int) else str,

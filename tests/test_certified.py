@@ -223,6 +223,17 @@ def _chain_grid():
         den_exp = rng.choice([3 ** 10, 65, 1000])
         frac_exp = Fraction(rng.randrange(1, den_exp), den_exp)
         cases.append((q, frac_exp, rng.choice([20, 42])))
+    cases += [
+        # exact roots for several levels, then fixed point: 2**256 and
+        # 2**64 are t / 2**w from the base on, the exact roots of 2**-200
+        # have denominators above 2**w for two levels
+        (Fraction(2 ** 256), Fraction(999, 1000), 42),
+        (Fraction(1, 2 ** 200), Fraction(37, 65), 42),
+        (Fraction(2 ** 64), Fraction(22342, 3 ** 10), 20),
+        # a perfect square with an odd denominator: four exact levels
+        (Fraction(2 ** 32, 3 ** 16), Fraction(1, 65), 42),
+        (Fraction(3 ** 40, 2049), Fraction(40, 81), 42),
+    ]
     return cases
 
 
@@ -241,6 +252,15 @@ def _chain_brackets(cases):
             frac_exp.denominator, bits)
         out.append((Fraction(ln, ld), Fraction(hn, hd)))
     return out
+
+
+def ladder_fractions(ladder, work_bits):
+    """``certified._sqrt_ladder``'s columns as per-level (lo, hi)
+    fractions: the levels past the denominators are over 2**work_bits."""
+    lows, highs, dens = ladder
+    dens = dens + (1 << work_bits,) * (len(lows) - len(dens))
+    return [(Fraction(ln, d), Fraction(hn, d))
+            for ln, hn, d in zip(lows, highs, dens, strict=True)]
 
 
 class TestPowChainOracle:
@@ -319,13 +339,61 @@ class TestSqrtLadder:
 
     def test_ladder_levels_and_precision(self):
         ladder = certified._sqrt_ladder(2, 1, 40, 30)
-        assert len(ladder) == 30
+        assert len(ladder_fractions(ladder, 40)) == 30
         assert certified._sqrt_ladder(2, 1, 72, 30) != ladder
         lo, hi = Fraction(2), Fraction(2)
-        for ln, ld, hn, hd in ladder:
+        for level in ladder_fractions(ladder, 40):
             lo = root_fractions(lo, 2, 40)[0]
             hi = root_fractions(hi, 2, 40)[1]
-            assert (Fraction(ln, ld), Fraction(hn, hd)) == (lo, hi)
+            assert level == (lo, hi)
+
+    @pytest.mark.parametrize("q,exact_levels,prefix", [
+        (Fraction(2), 0, 0),                   # t / 2**w from the base on
+        (Fraction(2 ** 256), 8, 0),
+        (Fraction(4, 9), 1, 1),                # 2/3, then fixed point
+        (Fraction(2 ** 32, 3 ** 16), 4, 4),
+        (Fraction(1, 2 ** 200), 3, 2),         # 2**100, 2**50 > 2**44
+        (Fraction(3 ** 256, 5 ** 256), 8, 8),  # exact to the last level
+        (Fraction(0), 8, 0),
+    ])
+    def test_fixed_point_starts_where_a_side_is_t_over_2_to_the_w(
+            self, q, exact_levels, prefix):
+        w = 44
+        ladder = certified._sqrt_ladder(q.numerator, q.denominator, w, 8)
+        assert len(ladder[2]) == prefix
+        lo = hi = q
+        for i, level in enumerate(ladder_fractions(ladder, w)):
+            lo = root_fractions(lo, 2, w)[0]
+            hi = root_fractions(hi, 2, w)[1]
+            assert level == (lo, hi)
+            assert (lo == hi) == (i < exact_levels)
+
+    @pytest.mark.parametrize("q", [Fraction(3 ** 256, 5 ** 256),
+                                   Fraction(5 ** 256, 3 ** 256)])
+    def test_chain_on_a_ladder_without_fixed_point(self, q):
+        # at bits = 0 the first round has 8 levels, all exact with the
+        # denominators 5**128 .. 5 (or 3**128 .. 3): the widening by the
+        # last level reads its denominator from the ladder
+        certified._sqrt_ladder.cache_clear()
+        for frac_exp in (Fraction(1, 3), Fraction(255, 256)):
+            assert _chain_brackets([(q, frac_exp, 0)]) \
+                == [fraction_chain(q, frac_exp, 0)]
+
+
+class TestPowEndsThroughTheChain:
+    def test_large_base_at_a_non_dyadic_exponent(self, monkeypatch):
+        # 3**40/2049 ** (121/81): the integer factor raises the chain's
+        # precision by the bits of 3**40/2049
+        q, r = Fraction(3 ** 40, 2049), Fraction(121, 81)
+        certified._sqrt_ladder.cache_clear()
+        actual = certified.pow_ends(q, r, 42)
+        with monkeypatch.context() as m:
+            m.setattr(certified, "_pow_via_chain", fraction_chain_ends)
+            expected = certified.pow_ends(q, r, 42)
+        assert actual == expected
+        lo, hi = fractions_of(actual)
+        assert lo <= decimal_pow(q, r, 90) <= hi
+        assert lo < hi
 
 
 class TestIntervalOps:

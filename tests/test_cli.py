@@ -808,6 +808,66 @@ class TestSuiteTable:
             assert suite[i] == check, argv
 
 
+class TestSuiteOptions:
+    """``suite all`` takes the seed, the tolerance and the output options;
+    its rows draw their own data, so it has no option that would shape it."""
+
+    @pytest.mark.parametrize("option,value", [
+        ("--trials", "5"), ("--atoms", "7"), ("--rank", "1"), ("--dim", "3"),
+        ("--norm", "two")])
+    def test_data_option_is_usage_error(self, option, value, tmp_path,
+                                        capsys):
+        out = tmp_path / "report.json"
+        assert main(["suite", "all", "--seed", "42", option, value,
+                     "--out", str(out)]) == 2
+        assert (f"lbochner: error: unrecognized arguments: {option} {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_seed_tol_out_and_format_apply(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["suite", "all", "--seed", "7", "--tol", "1/1073741824",
+                     "--out", str(out), "--format", "json"]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert config == {"atoms": 4, "dim": 2, "norm": "sup", "rank": 2,
+                          "seed": 7, "tol": "1/1073741824", "trials": 100}
+        csv = tmp_path / "series.csv"
+        assert main(["suite", "all", "--seed", "7", "--out", str(csv),
+                     "--format", "csv"]) == 0
+        assert csv.read_text().splitlines()[0] \
+            == "n,coordinate,level_measure,integral,slack"
+
+    def test_bad_seed_is_usage_error(self, capsys):
+        assert main(["suite", "all", "--seed", "x"]) == 2
+        assert "argument --seed: invalid int value: 'x'" \
+            in capsys.readouterr().err
+
+
+class TestParserSize:
+    """``build_parser(argv)`` builds the top parser, one per group, and the
+    subcommand parsers of the group ``argv[0]`` names, and no other."""
+
+    @pytest.mark.parametrize("argv,parsers", [
+        ([], 6), (["--help"], 6), (["nonsense"], 6),
+        (["check", "holder"], 11), (["run", "dct"], 10),
+        (["dual", "isometry"], 9), (["rn"], 8), (["suite", "all"], 7)],
+        ids=lambda a: (" ".join(a) or "no argv") if isinstance(a, list)
+        else str(a))
+    def test_only_the_named_group_is_built(self, argv, parsers, monkeypatch):
+        import argparse
+
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser(argv)
+        assert len(built) == parsers
+
+
 class TestHelp:
     def test_top_level_lists_every_group(self, capsys):
         assert main(["--help"]) == 0
