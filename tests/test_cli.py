@@ -1184,6 +1184,72 @@ class TestGoldenReports:
         "values": {"a": [["1/1", "1/1"], ["1/1", "1/1"]]},
     }
 
+    # each check of ``suite all --seed 42`` on its own, as canonical JSON
+    # (sorted keys, no spaces): a change to one check names that check
+    SUITE_CHECK_DIGESTS = [
+        ("norm-axioms-sup",
+         "07f4d412c8e6a2e5cb668da08486e9406d91fdd9aeb775c3874690725005ddd6"),
+        ("norm-axioms-one",
+         "f7b2ee5dcf964f47ca52c91ec2e147951fa4a4ed35c98503123a45fc373f3d09"),
+        ("norm-axioms-two",
+         "1695490596871277fc218a2cde92c0ee6d076fdf6eb2c899ac95f3acf445ad47"),
+        ("holder-minkowski-p1",
+         "45eefaab1ab0daf369ff0a48c88b822639e1368ce6660c38f91111d9eb366b11"),
+        ("holder-minkowski-p2",
+         "21a65e4b6a804203757dbf548db22631f976bc33db861590f5c84cffbe2e5c50"),
+        ("holder-minkowski-p3",
+         "130fd105ff931148e380e407c386848812ffc5fca3bd88511a32ab104def11c0"),
+        ("sup-representation",
+         "7a00b03e5c645e2793ef7dab93564425cd8e8f7748327cc6a9e5fe368b979ccf"),
+        ("chebyshev-step",
+         "d882b426782cc77cc70b38ce7fb4ddcbaa9468119a8208584e47ef4467e06ade"),
+        ("dominated-convergence",
+         "9a3a7e6ab23712506fe6122a7a22b330d5a4ac02df7770440c0044f878ece178"),
+        ("completeness-harness",
+         "e13237148dbd4d9af65d8fc272ad644d4d2703034eb64659acb760e33c049d24"),
+        ("bootstrap-chain",
+         "938e1789a1585783b6f57c05c71149b3853f6e182a82b8f1a27e259d90d64beb"),
+        ("rnp-probe",
+         "3cdafffc59328c6d918c90391a5c664f19ba7f4723835ae934493e7c455a702e"),
+        ("rn-density",
+         "f2e3347e49f81e1fc826389fc65f748819f93c4a1da1ad225c4898efc2f3f7a0"),
+        ("variation",
+         "7d8c23639de2f9f09b97bd245be9a0591b8f279d0582c95d6385d61a399731ed"),
+        ("duality-roundtrip",
+         "f76b7a70053d8984d6648f903214e697dd7b1ad836c5b1fe0ad8e85c1026e1d4"),
+        ("duality-roundtrip",
+         "f427e40b2702cbe9c1f1b5e1a9800a1d7e111569fdea0bb1d4086200fe019c3b"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def suite_checks(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("suite") / "report.json"
+        assert main(["suite", "all", "--seed", "42", "--out", str(out)]) == 0
+        return json.loads(out.read_text())["checks"]
+
+    @pytest.mark.parametrize(
+        "index,name,digest",
+        [(i, name, digest)
+         for i, (name, digest) in enumerate(SUITE_CHECK_DIGESTS)],
+        ids=[f"{i:02d}-{name}"
+             for i, (name, _) in enumerate(SUITE_CHECK_DIGESTS)])
+    def test_suite_check_sha256(self, index, name, digest, suite_checks):
+        assert len(suite_checks) == len(self.SUITE_CHECK_DIGESTS)
+        check = suite_checks[index]
+        assert check["name"] == name
+        canonical = json.dumps(check, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("hashseed", ["0", "1"])
+    def test_suite_all_independent_of_hash_seed(self, hashseed):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-m", "lbochner", "suite", "all", "--seed", "42"],
+            env=env, check=True, capture_output=True).stdout
+        assert hashlib.sha256(out).hexdigest() == (
+            "583b600845a98d43848208c3987dfd87fe069479f095c51f8269c2c59c75283e")
+
     def test_holder_dual_document_report_sha256(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_json(tmp_path / "u.json", self.ONES_SUP_DOC)
