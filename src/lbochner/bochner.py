@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import certified
-from .certified import Ends
+from .certified import Ends, Ratio
 from .falgebra import (
     DEFAULT_TOLERANCES,
     Frozen,
@@ -377,17 +377,12 @@ def check_holder(u: LFunction, v: LFunction, p: Exponent,
     rhs = [certified.mul(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, nu, nv)
 
-    verdicts = [certified.leq_with_slack(a, b, tol) for a, b in zip(lhs, rhs)]
-    report = CheckReport(
-        name="holder",
-        details={"lhs": collapse(lhs), "rhs": collapse(rhs),
-                 "slack": [Fraction(*s) for _, s in verdicts],
-                 "tolerance": tol},
-    )
-    for j, (ok, _) in enumerate(verdicts):
-        if not ok:
-            report.fail({"coordinate": j, "lhs": certified.mid(lhs[j]),
-                         "rhs": certified.mid(rhs[j])})
+    report = CheckReport(name="holder")
+    slack = [Fraction(*report.at_most(lhs[j], rhs[j], tol, lambda _: {
+        "coordinate": j, "lhs": certified.mid(lhs[j]),
+        "rhs": certified.mid(rhs[j])})) for j in range(d)]
+    report.details = {"lhs": collapse(lhs), "rhs": collapse(rhs),
+                      "slack": slack, "tolerance": tol}
     return report
 
 
@@ -402,28 +397,22 @@ def check_minkowski(u: LFunction, v: LFunction, p: Fraction,
     rhs = [certified.add(a, b) for a, b in zip(nu, nv)]
     tol = certified.tol_for(cfg.compare_tol, ns, nu, nv)
 
-    verdicts = [certified.leq_with_slack(a, b, tol) for a, b in zip(ns, rhs)]
-    report = CheckReport(
-        name="minkowski",
-        details={"lhs": collapse(ns), "rhs": collapse(rhs),
-                 "slack": [Fraction(*s) for _, s in verdicts],
-                 "tolerance": tol},
-    )
-    for j, (ok, _) in enumerate(verdicts):
-        if not ok:
-            report.fail({"coordinate": j})
+    report = CheckReport(name="minkowski")
+    slack = [Fraction(*report.at_most(ns[j], rhs[j], tol,
+                                      lambda _: {"coordinate": j}))
+             for j in range(len(ns))]
+    report.details = {"lhs": collapse(ns), "rhs": collapse(rhs),
+                      "slack": slack, "tolerance": tol}
     return report
 
 
 def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
                          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Per coordinate and per term: gamma * mu([||h_n - h|| >= gamma]) is at
-    most the integral of ||h_n - h||; also reports whether the level-set
-    measure must vanish once the integrals drop below gamma times the
-    smallest positive atom mass."""
+    most the integral of ||h_n - h||.  The series reports each term's
+    level-set measure, integral and slack."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    floor = gamma * min((mass for mass in h.space.masses if mass > 0))
     gn, gd = gamma.numerator, gamma.denominator
     report = CheckReport(name="chebyshev-step",
                          details={"gamma": gamma, "terms": len(hs)}, series=[])
@@ -437,18 +426,13 @@ def check_chebyshev_step(hs: Sequence[LFunction], h: LFunction, gamma: Fraction,
                      if norms[t][j][0] * gd >= gn * norms[t][j][1]]
             mu_level = sum((h.space.masses[t] for t in level), Fraction(0))
             weight = gamma * mu_level
-            ok, slack = certified.leq_with_slack(
+            slack = report.at_most(
                 certified.exact(weight.numerator, weight.denominator), total,
-                _ZERO)
-            vanishes = total[2] * floor.denominator < floor.numerator * total[3]
-            if vanishes and mu_level != 0:
-                ok = False
+                _ZERO, lambda _: {"n": n, "coordinate": j,
+                                  "level_measure": mu_level})
             report.series.append({
                 "n": n, "coordinate": j, "level_measure": mu_level,
                 "integral": certified.mid(total), "slack": Fraction(*slack)})
-            if not ok:
-                report.fail({"n": n, "coordinate": j,
-                             "level_measure": mu_level})
     return report
 
 
@@ -526,14 +510,12 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                                             _ONE, cfg)]
         tol = certified.tol_for(cfg.compare_tol, err, bound)
         for j in range(d):
-            if not certified.leq_with_slack(err[j], bound[j], tol)[0]:
-                report.fail({"n": n, "coordinate": j})
+            report.at_most(err[j], bound[j], tol,
+                           lambda _: {"n": n, "coordinate": j})
         if prev_bound is not None:
             for j in range(d):
-                if not certified.leq_with_slack(bound[j], prev_bound[j],
-                                                tol)[0]:
-                    report.fail({"n": n, "coordinate": j,
-                                 "bound_not_monotone": True})
+                report.at_most(bound[j], prev_bound[j], tol, lambda _: {
+                    "n": n, "coordinate": j, "bound_not_monotone": True})
         prev_bound = bound
         report.series.append({"n": n,
                               "error": [certified.mid(e) for e in err],
@@ -594,17 +576,18 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
                   for a, e in zip(l1, norms)]
             top = [certified.imax(a, e) for a, e in zip(top, norms)]
     for j in range(d):
+        def anchor(_: Ratio) -> dict:
+            return {"stage": "anchor", "coordinate": j}
+
         if p == 1:
-            tol_j = certified.tol_for(cfg.compare_tol, (l1[j], norm_w[j]))
-            ok = certified.eq_within(l1[j], norm_w[j], tol_j)[0]
-        else:
-            mu_w = certified.scale(norm_w[j], mu.numerator, mu.denominator)
-            lyapunov = ((certified.mul(l1[j], mu_root), mu_w),
-                        (norm_w[j], certified.mul(mu_root, top[j])))
-            ok = all(certified.leq_with_slack(lhs, rhs, certified.tol_for(
-                cfg.compare_tol, (lhs, rhs)))[0] for lhs, rhs in lyapunov)
-        if not ok:
-            report.fail({"stage": "anchor", "coordinate": j})
+            report.within(l1[j], norm_w[j], certified.tol_for(
+                cfg.compare_tol, (l1[j], norm_w[j])), anchor)
+            continue
+        mu_w = certified.scale(norm_w[j], mu.numerator, mu.denominator)
+        for lhs, rhs in ((certified.mul(l1[j], mu_root), mu_w),
+                         (norm_w[j], certified.mul(mu_root, top[j]))):
+            report.at_most(lhs, rhs, certified.tol_for(
+                cfg.compare_tol, (lhs, rhs)), anchor)
 
     # pairwise envelope: ||u_a - u_b||_p <= 2**(1-k) ||w||_p for b >= a >= k
     envelope = [[certified.scale(e, 1, 2 ** (k - 1)) for e in norm_w]
@@ -649,13 +632,14 @@ def run_completeness_harness(space: MeasureSpace, codomain: ModuleSpace,
         expected = [certified.scale(e, 1, 2 ** n) for e in norm_w]
         bound = [certified.mul(e, mu_root) for e in envelope[n - 1]]
         for j in range(d):
-            eq_tol = certified.tol_for(cfg.compare_tol, (resid[j], expected[j]))
-            ok_eq, gap = certified.eq_within(resid[j], expected[j], eq_tol)
-            le_tol = certified.tol_for(cfg.compare_tol, (bound[j],))
-            ok_le, _ = certified.leq_with_slack(resid[j], bound[j], le_tol)
-            if not ok_eq or not ok_le:
-                report.fail({"stage": "closing", "n": n, "coordinate": j,
-                             "gap": Fraction(*gap)})
+            def closing(gap: Ratio) -> dict:
+                return {"stage": "closing", "n": n, "coordinate": j,
+                        "gap": Fraction(*gap)}
+
+            gap = report.within(resid[j], expected[j], certified.tol_for(
+                cfg.compare_tol, (resid[j], expected[j])), closing)
+            report.at_most(resid[j], bound[j], certified.tol_for(
+                cfg.compare_tol, (bound[j],)), lambda _: closing(gap))
         report.series.append({
             "n": n,
             "residual": [certified.mid(e) for e in resid],

@@ -52,7 +52,8 @@ a denominator.  It returns the unreduced ends to ``pow_ends``, which
 reduces each end once (by a shift when, as usual, its denominator is a
 power of two).
 
-Comparison semantics used by all checkers:
+Comparison semantics used by all checkers, which reach these two
+functions through ``reports.CheckReport.at_most`` and ``within``:
 
 * ``leq_with_slack(a, b, tol)`` passes iff ``lo(a) <= hi(b) + tol``.  A true
   inequality always passes (the bracket contains the true value); a false one

@@ -128,12 +128,10 @@ def _function_pair(args, rng, dual: bool):
 def _over_trials(check: reports.CheckReport, n: int,
                  run_trial) -> list[reports.CheckReport]:
     """Runs run_trial(trial) for each of n trials; every failing trial
-    counts, and the first names the witness together with the trial
-    report's own, if it has one."""
+    counts, and the first names the witness: the trial, then the trial
+    report's own."""
     for trial in range(n):
-        rep = run_trial(trial)
-        if not rep.passed:
-            check.fail({"trial": trial, **(rep.witness or {})})
+        check.absorb(run_trial(trial), trial=trial)
     check.details["failures"] = check.failures
     return [check]
 
@@ -301,11 +299,9 @@ def _cmd_dual_represent(args) -> list[reports.CheckReport]:
     v = _dual_function(args, sampling.rng_for(args.seed, 43))
     check = reports.CheckReport(name="represent", details={
         "atoms": v.space.size, "p": _exponent_str(p)})
-    try:
-        v_back = duality.represent(duality.build_F(v, p))
-    except duality.RepresentationMismatch as exc:
-        check.fail(exc.witness)
-    else:
+    v_back, density = duality.represent(duality.build_F(v, p))
+    check.absorb(density, stage="density")
+    if density.passed:
         for t, mass in enumerate(v.space.masses):
             if mass > 0 and v_back.values[t] != v.values[t]:
                 check.fail({"atom": v.space.atom_names[t]})
@@ -372,8 +368,7 @@ def _holder_minkowski(args) -> list[reports.CheckReport]:
         for rep in (bochner.check_holder(u, v.moved_to(codomain.dual()), p,
                                          cfg),
                     bochner.check_minkowski(u, v, p, cfg)):
-            if not rep.passed:
-                check.fail({"pair": pair, "check": rep.name, **rep.witness})
+            check.absorb(rep, pair=pair, check=rep.name)
     check.details["failures"] = check.failures
     return [check]
 

@@ -62,15 +62,6 @@ class ZeroNorm(ValueError):
     """The bootstrap's division needs strictly positive atom norms."""
 
 
-class RepresentationMismatch(AssertionError):
-    """``represent`` failed its density verification; ``witness`` is
-    ``{"stage": "density"}`` with the failing subset."""
-
-    def __init__(self, witness: dict):
-        super().__init__(f"representation failed: {witness}")
-        self.witness = witness
-
-
 class LpOperator(Frozen):
     """A bounded linear map from the p-norm functions into ``codomain`` (a
     primal module space) to the scalars, stored by its action on the
@@ -172,13 +163,10 @@ def bootstrap_lower_bound(v: LFunction, p: Fraction, n_max: int,
     bits = cfg.root_bits + 2
     inv_s = (s.denominator, s.numerator)
     limit = [certified.ipow_ends(e[:2], e[2:], inv_s, bits) for e in lhs]
-    limit_gaps = []
-    for j in range(v.codomain.scalar_dim):
-        ok, gap = certified.eq_within(limit[j], fv[j], limit_tol)
-        gap = Fraction(*gap)
-        limit_gaps.append(gap)
-        if not ok:
-            report.fail({"stage": "limit", "coordinate": j, "gap": gap})
+    limit_gaps = [Fraction(*report.within(
+        limit[j], fv[j], limit_tol,
+        lambda g: {"stage": "limit", "coordinate": j, "gap": Fraction(*g)}))
+        for j in range(v.codomain.scalar_dim)]
 
     report.details = {"p": p, "n_max": n_max, "limit_tol": limit_tol,
                       "limit_gaps": limit_gaps,
@@ -221,8 +209,8 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int, cfg: ToleranceConfig,
                              mass_corr) for e in map(certified.iabs, fv)]
         tol = certified.tol_for(cfg.compare_tol, lhs, rhs)
         for j in range(d):
-            if not certified.leq_with_slack(lhs[j], rhs[j], tol)[0]:
-                report.fail({"n": n, "coordinate": j})
+            report.at_most(lhs[j], rhs[j], tol,
+                           lambda _: {"n": n, "coordinate": j})
         steps.append((s, lhs, rhs))
     return report, steps
 
@@ -249,14 +237,10 @@ def isometry_check(v: LFunction, p: Exponent,
 
     tol = certified.tol_for(cfg.compare_tol, fv, nv)
     report = CheckReport(name="isometry")
-    gaps = []
-    for j in range(d):
-        ok, gap = certified.eq_within(fv[j], nv[j], tol)
-        gap = Fraction(*gap)
-        gaps.append(gap)
-        if not ok:
-            report.fail({"coordinate": j, "operator_norm": certified.mid(fv[j]),
-                         "dual_norm": certified.mid(nv[j]), "gap": gap})
+    gaps = [Fraction(*report.within(fv[j], nv[j], tol, lambda g: {
+        "coordinate": j, "operator_norm": certified.mid(fv[j]),
+        "dual_norm": certified.mid(nv[j]), "gap": Fraction(*g)}))
+        for j in range(d)]
     report.details = {"operator_norm": collapse(fv),
                       "dual_norm": collapse(nv), "gaps": gaps}
 
@@ -265,26 +249,23 @@ def isometry_check(v: LFunction, p: Exponent,
             # only the chain inequalities are asserted: the limit would
             # repeat the norm equality checked above
             chain, _ = _bootstrap(v, p, bootstrap_n, cfg, atom_norms, nv)
-            if not chain.passed:
-                report.fail({"stage": "bootstrap", **chain.witness})
+            report.absorb(chain, stage="bootstrap")
         except ZeroNorm:
             pass
     return report
 
 
-def represent(H: LpOperator) -> LFunction:
-    """Surjectivity construction: the density v of ``induced_measure(H)``,
-    verified once, by ``rn_density`` on every singleton.
+def represent(H: LpOperator) -> Tuple[LFunction, CheckReport]:
+    """Surjectivity construction: the density v of ``induced_measure(H)``
+    and its one verification, ``rn_density``'s check on every singleton,
+    as the pair ``(v, check)``.
 
     Both sides are linear, so agreement on the basis is agreement
     everywhere: H(e_i * 1_t) is H's row entry at atom t, the pairing gives
     mu(t) * v(t)_i there, and the singleton check compares exactly those.
-    A failed check raises ``RepresentationMismatch`` with the failing
-    subset as its witness."""
-    v, check = rn_density(induced_measure(H))
-    if not check.passed:
-        raise RepresentationMismatch({"stage": "density", **check.witness})
-    return v
+    A failed check names the failing subset as its witness; a caller
+    absorbs it and reads v only when it passed."""
+    return rn_density(induced_measure(H))
 
 
 def _represent_back(report: CheckReport, trial: int, v: LFunction,
@@ -292,10 +273,9 @@ def _represent_back(report: CheckReport, trial: int, v: LFunction,
     """Fails ``report`` where v does not come back from its operator: a
     failed density verification, or a positive-mass atom whose value
     moved."""
-    try:
-        v_back = represent(build_F(v, p))
-    except RepresentationMismatch as exc:
-        report.fail({"trial": trial, **exc.witness})
+    v_back, check = represent(build_F(v, p))
+    report.absorb(check, trial=trial, stage="density")
+    if not check.passed:
         return
     for t, mass in enumerate(v.space.masses):
         if mass != 0 and v_back.values[t] != v.values[t]:
@@ -332,8 +312,7 @@ def roundtrip_check(p: Exponent, trials: int, seed: int,
             report.fail({"trial": trial, "stage": "density",
                          "error": str(exc)})
             continue
-        if not iso.passed:
-            report.fail({"trial": trial, "stage": "isometry", **iso.witness})
+        report.absorb(iso, trial=trial, stage="isometry")
         report.series.append({"trial": trial,
                               "p": Fraction(0) if p is INF else p,
                               "gap": iso.details["gaps"]})

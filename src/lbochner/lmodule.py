@@ -200,9 +200,9 @@ def check_norm_axioms(space: ModuleSpace,
         details={"trials": len(samples),
                  "axiom1": True, "axiom2": True, "axiom3": True})
 
-    def violated(axiom: str, witness: dict) -> None:
+    def violated(axiom: str, witness: dict) -> dict:
         report.details[axiom] = False
-        report.fail(witness)
+        return witness
 
     for idx, (lam, x, y) in enumerate(samples):
         nx = norm_ends(x, cfg)
@@ -210,7 +210,8 @@ def check_norm_axioms(space: ModuleSpace,
         # axiom 1: ||x|| = 0 iff x = 0
         norm_zero = all(e[0] == 0 and e[2] == 0 for e in nx)
         if norm_zero != x.is_zero():
-            violated("axiom1", {"sample": idx, "x_is_zero": x.is_zero()})
+            report.fail(violated("axiom1", {"sample": idx,
+                                            "x_is_zero": x.is_zero()}))
             continue
 
         # axiom 2: ||lam x|| = |lam| ||x||
@@ -218,20 +219,18 @@ def check_norm_axioms(space: ModuleSpace,
         rhs = [certified.scale(e, abs(n), d)
                for e, n, d in zip(nx, lam.nums, lam.dens)]
         for j in range(space.scalar_dim):
-            ok, gap = certified.eq_within(lhs[j], rhs[j], tol)
-            if not ok:
-                violated("axiom2", {"sample": idx, "coordinate": j,
-                                    "gap": Fraction(*gap)})
+            report.within(lhs[j], rhs[j], tol, lambda gap: violated(
+                "axiom2", {"sample": idx, "coordinate": j,
+                           "gap": Fraction(*gap)}))
 
         # axiom 3: ||x + y|| <= ||x|| + ||y||
         ns = norm_ends(x + y, cfg)
         ny = norm_ends(y, cfg)
         for j in range(space.scalar_dim):
-            ok, slack = certified.leq_with_slack(
-                ns[j], certified.add(nx[j], ny[j]), tol)
-            if not ok:
-                violated("axiom3", {"sample": idx, "coordinate": j,
-                                    "slack": Fraction(*slack)})
+            report.at_most(ns[j], certified.add(nx[j], ny[j]), tol,
+                           lambda slack: violated(
+                               "axiom3", {"sample": idx, "coordinate": j,
+                                          "slack": Fraction(*slack)}))
 
     return report
 

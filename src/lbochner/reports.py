@@ -13,13 +13,21 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from . import certified
+from .certified import Ends, Ratio
+
+Witness = Callable[[Ratio], Dict[str, Any]]
+
 TOOL_VERSION = "lbochner 0.1.0"
 
 
 class CheckReport:
     """One check's verdict.  A check starts passing; ``fail`` is the one
     place the first-failure rule lives: every call counts, and the first
-    call's witness is the one reported."""
+    call's witness is the one reported.  A toleranced bracket comparison
+    reaches it through ``at_most`` or ``within``, which build the witness
+    from the margin on a miss only, and a failed sub-report through
+    ``absorb``, which puts ``context`` before the sub-report's witness."""
 
     __slots__ = ("name", "passed", "details", "witness", "series", "failures")
 
@@ -37,6 +45,28 @@ class CheckReport:
             self.passed = False
             self.witness = witness
         self.failures += 1
+
+    def _judge(self, verdict: tuple, witness: Witness) -> Ratio:
+        ok, margin = verdict
+        if not ok:
+            self.fail(witness(margin))
+        return margin
+
+    def at_most(self, lhs: Ends, rhs: Ends, tol: Fraction,
+                witness: Witness) -> Ratio:
+        """lo(lhs) <= hi(rhs) + tol (``certified.leq_with_slack``); returns
+        the slack."""
+        return self._judge(certified.leq_with_slack(lhs, rhs, tol), witness)
+
+    def within(self, lhs: Ends, rhs: Ends, tol: Fraction,
+               witness: Witness) -> Ratio:
+        """Midpoints within tol (``certified.eq_within``); returns the
+        gap."""
+        return self._judge(certified.eq_within(lhs, rhs, tol), witness)
+
+    def absorb(self, sub: "CheckReport", **context: Any) -> None:
+        if not sub.passed:
+            self.fail({**context, **sub.witness})
 
 
 class Report:

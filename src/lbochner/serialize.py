@@ -55,7 +55,13 @@ def module_space_from_doc(doc: Any, where: str = "codomain") -> ModuleSpace:
         raise ValueError(f"{where}: expected an object")
     try:
         kind = NormKind(doc["norm_kind"])
-        return ModuleSpace(int(doc["rank"]), int(doc["d"]), kind)
+        rank, d = doc["rank"], doc["d"]
+        # JSON integers only: a bool is no integer here, and int() would
+        # read 2.9 as 2
+        if type(rank) is not int or type(d) is not int:
+            raise ValueError(f"rank and d must be integers, got {rank!r} "
+                             f"and {d!r}")
+        return ModuleSpace(rank, d, kind)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{where}: bad module space: {exc}") from exc
 

@@ -162,10 +162,9 @@ def variation(G: VectorMeasure,
         for partition in enumerate_partitions(G.space):
             candidate = _partition_norm_sum(G, partition, cfg)
             for j in range(G.codomain.scalar_dim):
-                if not certified.leq_with_slack(candidate[j], total[j], tol)[0]:
-                    report.fail({"partition": [B.names()
-                                               for B in partition.blocks],
-                                 "coordinate": j})
+                report.at_most(candidate[j], total[j], tol, lambda _: {
+                    "partition": [B.names() for B in partition.blocks],
+                    "coordinate": j})
     return report
 
 
@@ -259,8 +258,7 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
                          details={"levels": levels, "n_sets": n_sets})
 
     var = variation(G, cfg)
-    if not var.passed:
-        report.fail({"stage": "variation", **var.witness})
+    report.absorb(var, stage="variation")
     # an L1 norm, so exact: an LElement
     for j, value in enumerate(var.details["variation"].coords):
         if value != 1:

@@ -92,6 +92,30 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: invalid JSON: ")
         assert "can't decode byte 0xff" in err
 
+    # rank 2 and d = 1: int() would read 2.9 and "2" as the rank, and True
+    # and 1.0 as d, of this very document
+    @pytest.mark.parametrize("key,value", [
+        ("rank", None), ("rank", [1]), ("rank", {}), ("rank", 2.9),
+        ("rank", "2"), ("d", True), ("d", 1.0)])
+    @pytest.mark.parametrize("argv,values", [
+        (["check", "sup-rep", "--fn"], "values"),
+        (["dual", "isometry", "--v"], "values"),
+        (["rn", "variation", "--measure"], "atom_values"),
+    ], ids=["sup-rep", "dual-isometry", "rn-variation"])
+    def test_non_integer_module_shape_is_usage_error(
+            self, argv, values, key, value, tmp_path, capsys):
+        codomain = {"rank": 2, "d": 1, "norm_kind": "sup", key: value}
+        doc = write_json(tmp_path / "doc.json", {
+            "space": {"atoms": ["a", "b"], "masses": ["1/2", "1/2"]},
+            "codomain": codomain,
+            values: {"a": [["1/2"], ["-1/3"]], "b": [["2/1"], ["1/4"]]}})
+        out = tmp_path / "report.json"
+        assert main([*argv, doc, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {doc}.codomain: bad module space: "
+                              "rank and d must be integers")
+        assert not out.exists()
+
     def test_malformed_document_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")

@@ -360,13 +360,15 @@ class TestRepresent:
         rng = rng_for(56, 6)
         v = dual_fn(two_atoms, random_lelement(rng, 2), random_lelement(rng, 2))
         H = build_F(v, Fraction(1))
-        back = represent(H)
+        back, check = represent(H)
+        assert check.passed
         assert back == v
 
     def test_zero_operator(self, two_atoms):
         H = LpOperator(two_atoms, PRIMAL,
                        ((L(0, 0),), (L(0, 0),)), Fraction(1))
-        v = represent(H)
+        v, check = represent(H)
+        assert check.passed
         assert all(f.is_zero() for f in v.values)
 
     def test_null_atom_concentration_rejected(self):
@@ -393,7 +395,8 @@ class TestRepresentOffBasis:
     @pytest.mark.parametrize("p", [Fraction(1), Fraction(2)])
     def test_agrees_on_random_inputs(self, p, kind):
         H, rng = self._operator(p, kind)
-        v = represent(H)
+        v, check = represent(H)
+        assert check.passed
         for _ in range(25):
             u = LFunction(H.space, H.codomain, tuple(
                 random_module_vector(rng, H.codomain)
@@ -508,11 +511,11 @@ class TestRoundtrip:
         real = duality.represent
 
         def shifted(H):
-            v = real(H)
+            v, check = real(H)
             return LFunction(v.space, v.codomain, tuple(
                 ModuleVector(f.space, tuple(c + LElement.unit(c.dim)
                                             for c in f.entries))
-                for f in v.values))
+                for f in v.values)), check
 
         monkeypatch.setattr(duality, "represent", shifted)
         rep = roundtrip_check(Fraction(2), 3, 42)
