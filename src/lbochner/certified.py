@@ -77,11 +77,8 @@ P = sum max(lo_i - hi_i, 0), the passes fail exactly when
 
 Only when one holds does it sum the 2**m subset tables, as integers, to
 name the first witness.  The mu-continuity table of
-``vecmeasure.check_mu_continuity`` sums the masses over their least
-common multiple and every atom value's entries over the coordinate's
-denominator, takes each subset's norm with
-``lmodule.column_norms`` and reduces each reported number once, into its
-``Fraction`` (a two-norm's through ``root_bracket`` and ``mid``).
+``vecmeasure.check_mu_continuity`` sums each coordinate over one common
+denominator as well and reads every subset's norm off the integer sums.
 """
 
 from __future__ import annotations

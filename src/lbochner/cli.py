@@ -585,7 +585,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # "--tol -1/2" as "--tol=-1/2": argparse takes "-1/2" for an option
+    for i in range(len(argv) - 1, 0, -1):
+        flag, word = argv[i - 1], argv[i]
+        if (flag[:2] == "--" and "=" not in flag and flag != "--help"
+                and word[:1] == "-" and word[1:2].isdigit()):
+            argv[i - 1:i + 1] = [f"{flag}={word}"]
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)

@@ -126,7 +126,7 @@ def column_norms(kind: NormKind, columns: Iterable[Column]) -> List[Ratio]:
     sup-norm's value, a maximum by cross-multiplication (one of the
     entries, so in lowest terms when they are); the one-norm's value,
     summed over one common denominator; or the two-norm's radicand, the sum
-    of squares over one common denominator.  Each caller reduces every
+    of squares over one common denominator.  ``norm_ends`` reduces every
     pair once, in the form it needs."""
     if kind is NormKind.SUP:
         out = []

@@ -109,14 +109,6 @@ class Partition(Frozen):
             raise ValueError("partition blocks must cover the space")
         self._set("blocks", blocks)
 
-    @property
-    def space(self) -> MeasureSpace:
-        return self.blocks[0].space
-
-
-def atomic_partition(space: MeasureSpace) -> Partition:
-    return Partition(tuple(space.singleton(i) for i in range(space.size)))
-
 
 PARTITION_MAX_ATOMS = 10
 

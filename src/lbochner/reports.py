@@ -89,7 +89,15 @@ def format_rational(q: Fraction) -> str:
 
 def to_jsonable(obj: Any) -> Any:
     """Recursive conversion to JSON-safe values; duck-typed so the core
-    modules never need to import this one."""
+    modules never need to import this one.  Exact types first: a subclass,
+    ``bool`` among them, takes the isinstance chain."""
+    kind = type(obj)
+    if kind is Fraction:
+        return f"{obj.numerator}/{obj.denominator}"
+    if kind is dict:
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if kind is list:
+        return [to_jsonable(v) for v in obj]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -189,11 +197,7 @@ def series_to_csv(rows: Sequence[Dict[str, Any]]) -> str:
     """Plot-ready CSV: one column per scalar field, list-valued fields
     expanded into numbered columns, rationals as num/den strings."""
     flat = [_flatten_row(r) for r in rows]
-    headers: List[str] = []
-    for fr in flat:
-        for key in fr:
-            if key not in headers:
-                headers.append(key)
+    headers = list(dict.fromkeys(key for fr in flat for key in fr))
     lines = [",".join(headers)]
     for fr in flat:
         lines.append(",".join(fr.get(h, "") for h in headers))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
-from typing import List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import certified
 from .falgebra import DEFAULT_TOLERANCES, Frozen, LElement, ToleranceConfig
@@ -21,16 +20,13 @@ from .lmodule import (
     ModuleVector,
     NormKind,
     collapse,
-    column_norms,
     norm,
     norm_ends,
 )
 from .measure import (
     MeasurableSet,
     MeasureSpace,
-    Partition,
     SpaceMismatch,
-    atomic_partition,
     dyadic_space,
     enumerate_partitions,
     rademacher_set,
@@ -90,10 +86,10 @@ def check_mu_continuity(G: VectorMeasure,
     The table is summed in integers: the masses over their least common
     multiple, and for each scalar coordinate every entry of every atom
     value over one common denominator, one ``subset_sums`` per rank entry.
-    Each subset's coordinate norm is ``column_norms`` of those integer sums,
-    and each reported number is reduced once, into its ``Fraction``; a
-    two-norm's radicand goes through ``root_bracket`` and ``mid`` as in
-    ``norm_ends``."""
+    Each subset's coordinate norm is taken from those integer sums
+    directly, with no further common denominator, and each reported number
+    is reduced once, into its ``Fraction``; a two-norm's radicand goes
+    through ``root_bracket`` and ``mid`` as in ``norm_ends``."""
     report = CheckReport(name="mu-continuity",
                          details={"atoms": G.space.size})
     for t, mass in enumerate(G.space.masses):
@@ -115,30 +111,22 @@ def check_mu_continuity(G: VectorMeasure,
 
 def _norm_column(G: VectorMeasure, j: int,
                  cfg: ToleranceConfig) -> List[Fraction]:
-    """Coordinate j of ||G(F)|| for every subset F, in bitmask order."""
-    kind = G.codomain.norm_kind
+    """Coordinate j of ||G(F)|| for every subset F, in bitmask order.  Every
+    subset sum is over den: the sup and one-norm are the largest and the
+    summed modulus over den, the two-norm's radicand n**2 over den**2."""
     entries = [v.entries for v in G.atom_values]
     rank = range(G.codomain.rank)
     den = math.lcm(*(e[i].dens[j] for e in entries for i in rank))
-    sums = [subset_sums([e[i].nums[j] * (den // e[i].dens[j])
-                         for e in entries])
-            for i in rank]
-    pairs = column_norms(kind, zip(zip(*sums), repeat((den,) * len(rank))))
+    rows = zip(*(subset_sums([e[i].nums[j] * (den // e[i].dens[j])
+                              for e in entries]) for i in rank))
+    kind = G.codomain.norm_kind
     if kind is NormKind.TWO:
-        bits = cfg.root_bits + 2
+        bits, den2 = cfg.root_bits + 2, den * den
         return [certified.mid(lo + hi) for lo, hi in (
-            certified.root_bracket(Fraction(n, d), 2, bits) for n, d in pairs)]
-    return [Fraction(n, d) for n, d in pairs]
-
-
-def _partition_norm_sum(G: VectorMeasure, partition: Partition,
-                        cfg: ToleranceConfig) -> List[certified.Ends]:
-    d = G.codomain.scalar_dim
-    total = [certified.exact(0)] * d
-    for block in partition.blocks:
-        norms = norm_ends(evaluate(G, block), cfg)
-        total = [certified.add(a, b) for a, b in zip(total, norms)]
-    return total
+            certified.root_bracket(Fraction(sum(n * n for n in row), den2),
+                                   2, bits) for row in rows)]
+    step = max if kind is NormKind.SUP else sum
+    return [Fraction(step(map(abs, row)), den) for row in rows]
 
 
 VARIATION_EXHAUSTIVE_MAX_ATOMS = 5
@@ -146,22 +134,34 @@ VARIATION_EXHAUSTIVE_MAX_ATOMS = 5
 
 def variation(G: VectorMeasure,
               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Total variation: the norm sum over the atomic partition.  Up to
+    """Total variation: the norm sum over the atoms.  Up to
     ``VARIATION_EXHAUSTIVE_MAX_ATOMS`` atoms every partition is enumerated
     and certified dominated by it; the witness names the first partition
-    and coordinate that is not."""
-    atomic = atomic_partition(G.space)
-    total = _partition_norm_sum(G, atomic, cfg)
-    exhaustive = G.space.size <= VARIATION_EXHAUSTIVE_MAX_ATOMS
+    and coordinate that is not.  Each block's norm is taken once: at m = 5
+    the 52 partitions have 151 blocks, 31 of them distinct."""
+    d = G.codomain.scalar_dim
+    norms: Dict[FrozenSet[int], List[certified.Ends]] = {}
+
+    def norm_sum(blocks) -> List[certified.Ends]:
+        total = [certified.exact(0)] * d
+        for B in blocks:
+            if B.members not in norms:
+                norms[B.members] = norm_ends(evaluate(G, B), cfg)
+            total = list(map(certified.add, total, norms[B.members]))
+        return total
+
+    m = G.space.size
+    total = norm_sum(G.space.singleton(t) for t in range(m))
+    exhaustive = m <= VARIATION_EXHAUSTIVE_MAX_ATOMS
     report = CheckReport(name="variation", details={
         "variation": collapse(total),
         "exhaustive_checked": exhaustive,
-        "blocks": len(atomic.blocks)})
+        "blocks": m})
     if exhaustive:
         tol = certified.tol_for(cfg.compare_tol, total)
         for partition in enumerate_partitions(G.space):
-            candidate = _partition_norm_sum(G, partition, cfg)
-            for j in range(G.codomain.scalar_dim):
+            candidate = norm_sum(partition.blocks)
+            for j in range(d):
                 report.at_most(candidate[j], total[j], tol, lambda _: {
                     "partition": [B.names() for B in partition.blocks],
                     "coordinate": j})

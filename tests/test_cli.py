@@ -385,10 +385,19 @@ class TestFailurePaths:
         (["run", "completeness", "--terms", "0"], "n_terms must be >= 1"),
         (["suite", "all", "--tol", "0"], "compare_tol must be > 0"),
         (["dual", "roundtrip", "--tol=-1/2"], "compare_tol must be > 0"),
+        # a negative rational as its own word reaches the same check
+        (["rn", "variation", "--tol", "-1/2"], "compare_tol must be > 0"),
+        (["suite", "all", "--tol", "-3/4"], "compare_tol must be > 0"),
+        (["run", "bootstrap", "--limit-tol", "-1/2"], "limit_tol must be > 0"),
+        (["check", "holder", "--p", "-3/2"],
+         "exponent must be >= 1 or inf, got -3/2"),
     ], ids=["run bootstrap", "run dct", "run rnp-probe",
             "run rnp-probe over the cap", "run bootstrap negative limit-tol",
             "run bootstrap zero limit-tol", "run completeness zero terms",
-            "suite all zero tol", "dual roundtrip negative tol"])
+            "suite all zero tol", "dual roundtrip negative tol",
+            "rn variation negative tol word", "suite all negative tol word",
+            "run bootstrap negative limit-tol word",
+            "check holder negative p word"])
     def test_negative_nmax_is_usage_error(self, argv, error, tmp_path,
                                           capsys):
         # an empty exponent chain, series or set family would end in a

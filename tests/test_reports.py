@@ -1,13 +1,22 @@
+import enum
 import importlib
 import inspect
 import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
 
 import lbochner
 from lbochner import certified
-from lbochner.reports import CheckReport, check_to_doc
+from lbochner.falgebra import ApproxReal, LElement
+from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind
+from lbochner.reports import (
+    CheckReport,
+    check_to_doc,
+    format_rational,
+    to_jsonable,
+)
 
 
 def _package_classes():
@@ -189,3 +198,103 @@ class TestOneVerdictType:
             "<locals>.ByInit",
             "TestOneVerdictType.test_a_second_verdict_type_is_flagged."
             "<locals>.ByProperty"]
+
+
+def isinstance_to_jsonable(obj):
+    """``to_jsonable`` as it was before its exact-type dispatch: the
+    isinstance chain alone."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if isinstance(obj, float):
+        raise TypeError("binary floating point is not allowed in reports")
+    if isinstance(obj, dict):
+        return {str(k): isinstance_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
+        return [isinstance_to_jsonable(v) for v in items]
+    if hasattr(obj, "abs_error_bound") and hasattr(obj, "value"):
+        return {"value": format_rational(obj.value),
+                "error_bound": format_rational(obj.abs_error_bound)}
+    if hasattr(obj, "coords") and hasattr(obj, "nums"):
+        return [format_rational(q) for q in obj.coords]
+    if hasattr(obj, "entries"):
+        return [isinstance_to_jsonable(e) for e in obj.entries]
+    if hasattr(obj, "value") and hasattr(obj, "name"):
+        return isinstance_to_jsonable(obj.value)
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+class Third(Fraction):
+    """A Fraction subclass: rendered through the isinstance chain."""
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    GREEN = 2
+
+
+class FlagDict(dict):
+    pass
+
+
+class TestRendering:
+    """The exact-type dispatch of ``to_jsonable`` renders every value kind
+    as the isinstance chain alone does."""
+
+    MODULE = ModuleSpace(2, 2, NormKind.ONE)
+    VALUES = {
+        "fraction": Fraction(-3, 4),
+        "integral fraction": Fraction(5),
+        "fraction subclass": Third(1, 3),
+        "int": 7,
+        "bool": True,
+        "bool in a dict": {"passed": False, 3: True},
+        "none": None,
+        "str": "a0",
+        "enum": Colour.RED,
+        "int enum value": Colour.GREEN,
+        "norm kind": NormKind.TWO,
+        "lelement": LElement([Fraction(1, 2), -3]),
+        "approx real": ApproxReal(Fraction(7, 5), Fraction(1, 1 << 40)),
+        "module vector": ModuleVector(MODULE, (
+            LElement([1, Fraction(-2, 3)]), LElement([0, 5]))),
+        "tuple": (Fraction(1, 3), "x", None),
+        "set": {3, 1, 2},
+        "frozenset": frozenset({"b", "a"}),
+        "dict subclass": FlagDict(a=Fraction(1, 2)),
+        "nested": {"series": [{"mu": Fraction(1, 6), "value_norm": [
+            Fraction(2, 3), (ApproxReal(Fraction(1), Fraction(0)),)]}],
+            "witness": {"partition": [["a0", "a1"], ["a2"]],
+                        "coordinate": 1, "set": frozenset({2, 0})}},
+    }
+
+    @pytest.mark.parametrize("value", list(VALUES.values()), ids=list(VALUES))
+    def test_same_as_the_isinstance_chain(self, value):
+        got = to_jsonable(value)
+        assert got == isinstance_to_jsonable(value)
+        assert type(got) is type(isinstance_to_jsonable(value))
+
+    def test_bool_stays_a_bool(self):
+        assert to_jsonable({"ok": True}) == {"ok": True}
+        assert to_jsonable([False])[0] is False
+
+    @pytest.mark.parametrize("value", [
+        0.5, [1, 0.5], {"x": 0.5}, (Fraction(1), 0.5)],
+        ids=["float", "in a list", "in a dict", "in a tuple"])
+    def test_float_is_refused(self, value):
+        with pytest.raises(TypeError, match="binary floating point"):
+            to_jsonable(value)
+
+    def test_number_above_the_digit_cap_names_the_check(self):
+        cap = sys.get_int_max_str_digits()
+        check = CheckReport(name="mu-continuity",
+                            details={"mu": Fraction(10 ** cap, 3)})
+        with pytest.raises(ValueError, match=(
+                f"^mu-continuity: a reported number has more than "
+                f"{cap} digits$")):
+            check_to_doc(check)
+        check.details = {"mu": Fraction(10 ** (cap - 1), 3)}
+        assert check_to_doc(check)["details"]["mu"] \
+            == f"{10 ** (cap - 1)}/3"

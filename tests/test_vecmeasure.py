@@ -5,12 +5,19 @@ import pytest
 from lbochner import bochner, certified, vecmeasure
 from lbochner.bochner import LFunction, integrate_over
 from lbochner.falgebra import DEFAULT_TOLERANCES, LElement
-from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind, norm_ends
+from lbochner.lmodule import (
+    ModuleSpace,
+    ModuleVector,
+    NormKind,
+    collapse,
+    norm_ends,
+)
 from lbochner.measure import (
     MeasureSpace,
     enumerate_partitions,
     subset_sums,
 )
+from lbochner.reports import CheckReport, check_to_doc
 from lbochner.sampling import (
     random_measure_space,
     random_module_vector,
@@ -158,6 +165,84 @@ class TestVariation:
                 assert total <= result.details["variation"]
 
 
+def per_partition_variation(G, cfg=DEFAULT_TOLERANCES):
+    """``variation`` as it was before blocks shared their norms: every
+    partition's norm sum recomputed block by block through
+    ``vecmeasure.evaluate``, so a doctored ``evaluate`` reaches it too."""
+    d = G.codomain.scalar_dim
+
+    def norm_sum(blocks):
+        total = [certified.exact(0)] * d
+        for block in blocks:
+            norms = norm_ends(vecmeasure.evaluate(G, block), cfg)
+            total = [certified.add(a, b) for a, b in zip(total, norms)]
+        return total
+
+    atoms = [G.space.singleton(t) for t in range(G.space.size)]
+    total = norm_sum(atoms)
+    exhaustive = G.space.size <= vecmeasure.VARIATION_EXHAUSTIVE_MAX_ATOMS
+    report = CheckReport(name="variation", details={
+        "variation": collapse(total), "exhaustive_checked": exhaustive,
+        "blocks": len(atoms)})
+    if exhaustive:
+        tol = certified.tol_for(cfg.compare_tol, total)
+        for partition in enumerate_partitions(G.space):
+            candidate = norm_sum(partition.blocks)
+            for j in range(d):
+                report.at_most(candidate[j], total[j], tol, lambda _: {
+                    "partition": [B.names() for B in partition.blocks],
+                    "coordinate": j})
+    return report
+
+
+def _heavy_blocks(real):
+    """``evaluate``, ten units heavier in every coordinate of entry 0 on
+    every block of two or more atoms: the atomic sum no longer dominates."""
+    def evaluate(G, F):
+        value = real(G, F)
+        if len(F.members) > 1:
+            return value + basis_vector(G.codomain, 0).scale_rational(10)
+        return value
+    return evaluate
+
+
+class TestBlockSweep:
+    """``variation`` takes each distinct block's norm once and reports what
+    the per-partition recomputation reports: details, verdict, witness and
+    failure count, and the rendered check."""
+
+    @staticmethod
+    def assert_same(G):
+        got, want = variation(G), per_partition_variation(G)
+        assert got.details == want.details
+        assert (got.passed, got.witness, got.failures) \
+            == (want.passed, want.witness, want.failures)
+        assert check_to_doc(got) == check_to_doc(want)
+        return got
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_per_partition_sums(self, m, kind):
+        self.assert_same(seeded_measure(601, m, kind, null_atoms=m > 1))
+        self.assert_same(wide_measure(602, m, kind, 2, 2))
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    def test_heavy_blocks_fail_alike(self, kind, monkeypatch):
+        monkeypatch.setattr(vecmeasure, "evaluate",
+                            _heavy_blocks(vecmeasure.evaluate))
+        got = self.assert_same(seeded_measure(603, 4, kind))
+        assert not got.passed and got.failures > 1
+
+    def test_each_block_is_evaluated_once(self, monkeypatch):
+        # the 52 partitions of five atoms have 151 blocks, 31 distinct
+        calls = []
+        real = vecmeasure.evaluate
+        monkeypatch.setattr(vecmeasure, "evaluate", lambda G, F: (
+            calls.append(F.members), real(G, F))[1])
+        assert variation(seeded_measure(604, 5, NormKind.SUP)).passed
+        assert len(calls) == len(set(calls)) == 31
+
+
 class TestRnDensity:
     def test_spec_example(self, space3, G3):
         g, result = rn_density(G3)
@@ -260,7 +345,8 @@ class TestSubsetTables:
             norms = [certified.mid(e)
                      for e in norm_ends(value, DEFAULT_TOLERANCES)]
             if G.codomain.norm_kind is not NormKind.TWO:
-                # the table and norm_ends share their column step
+                # the table reads its norms off the integer subset sums,
+                # norm_ends through column_norms: both are the exact norm
                 assert norms == [exact_norm(value, j)
                                  for j in range(G.codomain.scalar_dim)]
             expected.append({"mu": measure_of(F), "value_norm": norms})
