@@ -589,8 +589,12 @@ def main(argv: list[str] | None = None) -> int:
     # "--tol -1/2" as "--tol=-1/2": argparse takes "-1/2" for an option
     for i in range(len(argv) - 1, 0, -1):
         flag, word = argv[i - 1], argv[i]
-        if (flag[:2] == "--" and "=" not in flag and flag != "--help"
-                and word[:1] == "-" and word[1:2].isdigit()):
+        if (flag[:2] == "--" and flag[2:3].isalpha() and "=" not in flag
+                and word[:1] == "-"):
+            try:
+                serialize.parse_rational(word)
+            except ValueError:
+                continue
             argv[i - 1:i + 1] = [f"{flag}={word}"]
     parser = build_parser(argv)
     try:

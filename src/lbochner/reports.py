@@ -89,26 +89,19 @@ def format_rational(q: Fraction) -> str:
 
 def to_jsonable(obj: Any) -> Any:
     """Recursive conversion to JSON-safe values; duck-typed so the core
-    modules never need to import this one.  Exact types first: a subclass,
-    ``bool`` among them, takes the isinstance chain."""
-    kind = type(obj)
-    if kind is Fraction:
-        return f"{obj.numerator}/{obj.denominator}"
-    if kind is dict:
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if kind is list:
-        return [to_jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
-    if isinstance(obj, float):
-        raise TypeError("binary floating point is not allowed in reports")
+    modules never need to import this one.  The containers and rationals
+    that make up almost every report come first."""
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [to_jsonable(v) for v in items]
+    if isinstance(obj, Fraction):
+        return format_rational(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        raise TypeError("binary floating point is not allowed in reports")
     # ApproxReal
     if hasattr(obj, "abs_error_bound") and hasattr(obj, "value"):
         return {"value": format_rational(obj.value),

@@ -16,6 +16,18 @@ def basis_vector(space, i):
     return ModuleVector(space, tuple(entries))
 
 
+def heavy_blocks(real):
+    """``real`` (a vector measure's ``evaluate``), ten units heavier in
+    every coordinate of entry 0 on every block of two or more atoms: the
+    atomic sum no longer dominates, so the variation check must fail."""
+    def evaluate(G, F):
+        value = real(G, F)
+        if len(F.members) > 1:
+            return value + basis_vector(G.codomain, 0).scale_rational(10)
+        return value
+    return evaluate
+
+
 def indicator_times(x, F):
     """The function x * 1_F."""
     return LFunction(F.space, x.space, tuple(

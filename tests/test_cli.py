@@ -18,6 +18,7 @@ from lbochner.measure import MeasureSpace
 from lbochner.vecmeasure import VectorMeasure
 from support import (
     basis_vector,
+    heavy_blocks,
     lfunction_to_doc,
     measure_space_to_doc,
     vector_measure_to_doc,
@@ -179,16 +180,8 @@ class TestFailurePaths:
 
     @staticmethod
     def _heavy_blocks(monkeypatch):
-        # every block of two or more atoms 10 heavier than its atoms
-        real = vecmeasure.evaluate
-
-        def evaluate(G, F):
-            value = real(G, F)
-            if len(F.members) > 1:
-                return value + basis_vector(G.codomain, 0).scale_rational(10)
-            return value
-
-        monkeypatch.setattr(vecmeasure, "evaluate", evaluate)
+        monkeypatch.setattr(vecmeasure, "evaluate",
+                            heavy_blocks(vecmeasure.evaluate))
 
     @staticmethod
     def _measure_doc(tmp_path):
@@ -407,6 +400,16 @@ class TestFailurePaths:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: {error}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("word", ["-1.json", "-x"])
+    def test_negative_word_joins_only_as_rational(self, word, tmp_path,
+                                                  monkeypatch, capsys):
+        # a dash word that is no rational stays its own word, and argparse
+        # refuses it as a value
+        monkeypatch.chdir(tmp_path)
+        assert main(["rn", "variation", "--out", word]) == 2
+        assert "--out: expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,option", [
         (["suite", "all", "--tol", "1/0"], "--tol"),

@@ -201,8 +201,8 @@ class TestOneVerdictType:
 
 
 def isinstance_to_jsonable(obj):
-    """``to_jsonable`` as it was before its exact-type dispatch: the
-    isinstance chain alone."""
+    """``to_jsonable`` as it was with the scalar test first and the
+    containers and rationals after it."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -227,7 +227,7 @@ def isinstance_to_jsonable(obj):
 
 
 class Third(Fraction):
-    """A Fraction subclass: rendered through the isinstance chain."""
+    """A Fraction subclass: rendered as its value, like a Fraction."""
 
 
 class Colour(enum.Enum):
@@ -240,8 +240,9 @@ class FlagDict(dict):
 
 
 class TestRendering:
-    """The exact-type dispatch of ``to_jsonable`` renders every value kind
-    as the isinstance chain alone does."""
+    """``to_jsonable``, which tests containers and rationals before the
+    scalars, renders every value kind as the scalar-first order did:
+    ``bool`` is neither a container nor a rational."""
 
     MODULE = ModuleSpace(2, 2, NormKind.ONE)
     VALUES = {

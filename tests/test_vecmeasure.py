@@ -35,6 +35,7 @@ from lbochner.vecmeasure import (
 from support import (
     all_subsets,
     basis_vector,
+    heavy_blocks,
     measure_of,
     subset_of_mask,
     subset_of_names,
@@ -136,15 +137,8 @@ class TestVariation:
         # the atomic sum
         space = MeasureSpace.build(["a", "b"], [1, 1])
         G = vm(space, L(1, -1), L(-2, 3))
-        real = vecmeasure.evaluate
-
-        def heavy_blocks(G, F):
-            value = real(G, F)
-            if len(F.members) > 1:
-                return value + ModuleVector(MOD, (L(10, 0),))
-            return value
-
-        monkeypatch.setattr(vecmeasure, "evaluate", heavy_blocks)
+        monkeypatch.setattr(vecmeasure, "evaluate",
+                            heavy_blocks(vecmeasure.evaluate))
         result = variation(G)
         assert not result.passed
         assert result.witness == {"partition": [["a", "b"]], "coordinate": 0}
@@ -195,17 +189,6 @@ def per_partition_variation(G, cfg=DEFAULT_TOLERANCES):
     return report
 
 
-def _heavy_blocks(real):
-    """``evaluate``, ten units heavier in every coordinate of entry 0 on
-    every block of two or more atoms: the atomic sum no longer dominates."""
-    def evaluate(G, F):
-        value = real(G, F)
-        if len(F.members) > 1:
-            return value + basis_vector(G.codomain, 0).scale_rational(10)
-        return value
-    return evaluate
-
-
 class TestBlockSweep:
     """``variation`` takes each distinct block's norm once and reports what
     the per-partition recomputation reports: details, verdict, witness and
@@ -229,7 +212,7 @@ class TestBlockSweep:
     @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
     def test_heavy_blocks_fail_alike(self, kind, monkeypatch):
         monkeypatch.setattr(vecmeasure, "evaluate",
-                            _heavy_blocks(vecmeasure.evaluate))
+                            heavy_blocks(vecmeasure.evaluate))
         got = self.assert_same(seeded_measure(603, 4, kind))
         assert not got.passed and got.failures > 1
 
