@@ -194,6 +194,8 @@ def _cmd_check_chebyshev(args, stream=23) -> list[reports.CheckReport]:
 def _dct_spec(seed: int, levels: int) -> bochner.TruncatedSequenceSpec:
     from fractions import Fraction
 
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     names = tuple(f"t{t}" for t in range(1, levels + 1))
     masses = tuple(Fraction(1, 2 ** t) for t in range(1, levels + 1))
     space = measure.MeasureSpace(names, masses)
@@ -451,35 +453,60 @@ def _emit(report: reports.Report, args) -> None:
 
 
 def _positive_int(s: str) -> int:
-    n = int(s)
+    try:
+        n = int(s)
+    except ValueError:
+        # in argparse's own words for an int option, which would otherwise
+        # name this function
+        raise argparse.ArgumentTypeError(f"invalid int value: {s!r}") from None
     if n < 1:
         # zero trials would check nothing and still print PASS
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
-# the common options' defaults, which every report echoes; a subcommand's
-# entry in _commands() overrides some of them
+# the common options' defaults; every report echoes all but the output
+# options, and a subcommand's entry in _commands() overrides some of them
 COMMON_DEFAULTS = {"seed": DEFAULT_SEED, "trials": 100, "tol": None,
-                   "atoms": 4, "rank": 2, "dim": 2, "norm": "sup"}
+                   "atoms": 4, "rank": 2, "dim": 2, "norm": "sup",
+                   "out": None, "format": "json"}
+
+# the common options as argparse keywords: one grammar, which build_parser
+# registers and _read reads; the last five only where a subcommand draws
+# data
+_COMMON_OPTIONS = (
+    ("--seed", {"type": int}),
+    ("--tol", {"type": str, "help": "comparison tolerance as a rational, "
+                                    "e.g. 1/1073741824"}),
+    ("--out", {"type": str}),
+    ("--format", {"choices": ("json", "csv")}),
+    ("--trials", {"type": _positive_int}),
+    ("--atoms", {"type": int}),
+    ("--rank", {"type": int}),
+    ("--dim", {"type": int}),
+    ("--norm", {"choices": ("sup", "one", "two")}),
+)
 
 
-def _add_common(sub, common: dict, draws: bool) -> None:
-    """The common options; the ones that shape drawn data only where
-    ``draws``.  Every default is set either way: the report echoes them."""
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--tol", type=str,
-                     help="comparison tolerance as a rational, "
-                          "e.g. 1/1073741824")
-    sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if draws:
-        sub.add_argument("--trials", type=_positive_int)
-        sub.add_argument("--atoms", type=int)
-        sub.add_argument("--rank", type=int)
-        sub.add_argument("--dim", type=int)
-        sub.add_argument("--norm", choices=("sup", "one", "two"))
-    sub.set_defaults(**{**COMMON_DEFAULTS, **common})
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _grammar(group: str, options) -> list:
+    """(flag, argparse keywords) for each option of a subcommand of
+    ``group`` with own ``options``: the common ones, of which ``suite``
+    takes only the first four, then its own."""
+    return [*_COMMON_OPTIONS[:4 if group == "suite" else None],
+            *((flag, {"type": int if isinstance(default, int) else str,
+                      "help": doc[0] if doc else None})
+              for flag, default, *doc in options)]
+
+
+def _defaults(common: dict, options) -> dict:
+    """A subcommand's options before its command line: the common
+    defaults, ``common`` over them, and its own options' defaults."""
+    return {**COMMON_DEFAULTS, **common,
+            **{_dest(flag): default for flag, default, *_ in options}}
 
 
 def _options(commands: dict, command: str, overrides: dict,
@@ -490,10 +517,8 @@ def _options(commands: dict, command: str, overrides: dict,
     group, cmd = command.split()
     _, common, options = commands[group][1][cmd]
     return argparse.Namespace(**{
-        **COMMON_DEFAULTS, **common,
-        **{flag[2:].replace("-", "_"): default
-           for flag, default, *_ in options},
-        **overrides, "seed": args.seed, "tol": args.tol})
+        **_defaults(common, options), **overrides,
+        "seed": args.seed, "tol": args.tol})
 
 
 _PAIR_OPTIONS = (("--space", None), ("--u", None), ("--v", None),
@@ -511,9 +536,9 @@ def _commands() -> dict:
     builders on options built from these defaults (``_suite_rows``); a
     builder that the suite draws at another rng stream label also takes
     ``stream``, defaulting to the subcommand's own.  Built
-    on each call, so the builders are looked up when a parser or the suite
-    is built: a builder rebound after import (the per-layer tracer wraps
-    them all) is the one that runs."""
+    on each call, so the builders are looked up when a command line is read
+    or the suite is built: a builder rebound after import (the per-layer
+    tracer wraps them all) is the one that runs."""
     return {
         "check": ("inequality and axiom checkers", {
             "norm-axioms": (_cmd_check_norm_axioms, {}, ()),
@@ -555,12 +580,13 @@ def _commands() -> dict:
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  Every group is registered, so help and
-    choice errors list them all; only the group that ``argv[0]`` names gets
-    its subcommands, which its own help and choice errors list, and only
-    the subcommand that ``argv[:2]`` names gets its options: no other group
-    or subcommand can parse ``argv``.  ``suite all`` draws nothing itself
-    and takes only ``--seed``, ``--tol``, ``--out`` and ``--format``."""
+    """The parser for ``argv``, which ``main`` builds only for help and
+    usage errors.  Every group is registered, so help and choice errors
+    list them all; only the group that ``argv[0]`` names gets its
+    subcommands, which its own help and choice errors list, and only the
+    subcommand that ``argv[:2]`` names gets its options: no other group or
+    subcommand can parse ``argv``.  ``suite all`` draws nothing itself and
+    takes only ``--seed``, ``--tol``, ``--out`` and ``--format``."""
     parser = argparse.ArgumentParser(
         prog="lbochner",
         description="Exact checks for lattice-valued function spaces")
@@ -575,16 +601,53 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
             sub = group_sub.add_parser(cmd)
             if (group, cmd) != wanted:
                 continue
-            _add_common(sub, common, draws=group != "suite")
-            for flag, default, *doc in options:
-                sub.add_argument(
-                    flag, type=int if isinstance(default, int) else str,
-                    default=default, help=doc[0] if doc else None)
-            sub.set_defaults(func=func, command_path=f"{group} {cmd}")
+            for flag, keywords in _grammar(group, options):
+                sub.add_argument(flag, **keywords)
+            sub.set_defaults(**_defaults(common, options), func=func,
+                             command_path=f"{group} {cmd}")
     return parser
 
 
+def _read(argv: list) -> argparse.Namespace | None:
+    """``build_parser(argv).parse_args(argv)`` for an ``argv`` of a known
+    subcommand and ``--flag value`` or ``--flag=value`` pairs, each flag
+    exactly one of its options and each value not led by a dash and taken
+    by the option's type or choices; read from the command table without
+    building a parser.  None for anything else, help and usage errors
+    included, which only argparse answers."""
+    try:
+        group, cmd, *words = argv
+        func, common, options = _commands()[group][1][cmd]
+    except (ValueError, KeyError):
+        return None
+    grammar = dict(_grammar(group, options))
+    values = {"group": group, "cmd": cmd, **_defaults(common, options),
+              "func": func, "command_path": f"{group} {cmd}"}
+    words = iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if not eq:
+            value = next(words, "-")  # a missing value reads as dash-led
+        keywords = grammar.get(flag)
+        if keywords is None or value[:1] == "-":
+            return None
+        if "choices" in keywords:
+            if value not in keywords["choices"]:
+                return None
+        else:
+            try:
+                value = keywords["type"](value)
+            except (ValueError, argparse.ArgumentTypeError):
+                return None
+        values[_dest(flag)] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Runs the command line ``argv`` (``sys.argv[1:]`` by default) and
+    returns its exit code.  A well-formed command line is read straight
+    from the command table (``_read``); only help and usage errors build a
+    parser, so their text and exit codes are argparse's own."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # "--tol -1/2" as "--tol=-1/2": argparse takes "-1/2" for an option
     for i in range(len(argv) - 1, 0, -1):
@@ -596,11 +659,12 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 continue
             argv[i - 1:i + 1] = [f"{flag}={word}"]
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         report = _report(args, args.func(args))
         _emit(report, args)

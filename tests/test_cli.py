@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lbochner import bochner, certified, cli, duality, vecmeasure
 from lbochner.bochner import LFunction
@@ -365,6 +369,13 @@ class TestFailurePaths:
         assert "--trials: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_int_trials_names_int(self, capsys):
+        # as --seed says it, not by the name of the helper that checks it
+        assert main(["check", "norm-axioms", "--trials", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --trials: invalid int value: 'x'" in err
+        assert "_positive_int" not in err
+
     @pytest.mark.parametrize("argv,error", [
         (["run", "bootstrap", "--nmax", "-1"], "n_max must be >= 0"),
         (["run", "dct", "--nmax", "-1"], "n_max must be >= 0"),
@@ -376,6 +387,8 @@ class TestFailurePaths:
         (["run", "bootstrap", "--limit-tol", "-1"], "limit_tol must be > 0"),
         (["run", "bootstrap", "--limit-tol", "0"], "limit_tol must be > 0"),
         (["run", "completeness", "--terms", "0"], "n_terms must be >= 1"),
+        (["run", "dct", "--levels", "0"], "levels must be >= 1"),
+        (["run", "dct", "--levels", "-1"], "levels must be >= 1"),
         (["suite", "all", "--tol", "0"], "compare_tol must be > 0"),
         (["dual", "roundtrip", "--tol=-1/2"], "compare_tol must be > 0"),
         # a negative rational as its own word reaches the same check
@@ -387,6 +400,7 @@ class TestFailurePaths:
     ], ids=["run bootstrap", "run dct", "run rnp-probe",
             "run rnp-probe over the cap", "run bootstrap negative limit-tol",
             "run bootstrap zero limit-tol", "run completeness zero terms",
+            "run dct zero levels", "run dct negative levels",
             "suite all zero tol", "dual roundtrip negative tol",
             "rn variation negative tol word", "suite all negative tol word",
             "run bootstrap negative limit-tol word",
@@ -1006,6 +1020,124 @@ print(json.dumps({{
     "loaded": loaded}}))
 """)
         assert doc == {"not_run": [], "loaded": []}
+
+    def test_well_formed_command_builds_no_parser(self, tmp_path):
+        # a parser is built only for help and usage errors; its first
+        # message lookup imports locale
+        doc = _fresh_python(f"""
+import argparse, json, sys
+import lbochner.cli
+built = []
+real = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    real(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+runs = {{}}
+for name, argv in (("read", ["--trials", "1", "--seed=7"]),
+                   ("usage error", ["--trials", "0"])):
+    code = lbochner.cli.main(["check", "norm-axioms", *argv, "--out",
+                              {str(tmp_path / "r.json")!r}])
+    runs[name] = [code, len(built), "locale" in sys.modules]
+print(json.dumps(runs))
+""")
+        assert doc == {"read": [0, 0, False], "usage error": [2, 11, True]}
+
+
+# every option flag of the command table, and words that are none
+_FLAGS = sorted({flag for _, table in cli._commands().values()
+                 for _, _, options in table.values()
+                 for flag, *_ in options}
+                | {flag for flag, _ in cli._COMMON_OPTIONS})
+_NOT_FLAGS = ["--help", "-h", "--bogus", "--se", "--tri", "--limit", "--",
+              "-s", "--seed ", "seed", "x"]
+_WORDS = ["0", "-1", "+3", " 4", "7", "4_0", "1/2", "-1/2", "3/2", "inf",
+          "", "--help", "-h", "json", "csv", "xml", "sup", "one", "two",
+          "SUP", "x", "r.json", "a=b"]
+_HEADS = [[group, cmd] for group, cmds in SUBCOMMANDS.items()
+          for cmd in cmds] + [[], ["check"], ["--help"], ["nonsense", "all"],
+                              ["check", "holde"], ["suite", "--seed"]]
+
+
+@st.composite
+def _argvs(draw):
+    """A command head, then flags (mostly the command's own) in both
+    forms, alone or as bare words, with values from a pool of words."""
+    argv = list(draw(st.sampled_from(_HEADS)))
+    try:
+        group, cmd = argv
+        _, _, options = cli._commands()[group][1][cmd]
+        own = [flag for flag, _ in cli._grammar(group, options)]
+    except (ValueError, KeyError):
+        own = _FLAGS
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(own) if draw(st.integers(0, 3))
+                    else st.sampled_from(_FLAGS + _NOT_FLAGS))
+        word = draw(st.sampled_from(_WORDS))
+        argv += draw(st.sampled_from((
+            [flag, word], [f"{flag}={word}"], [flag], [word])))
+    return argv
+
+
+def _argparse_reads(argv):
+    """vars of what argparse parses from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestReader:
+    """``main`` reads a well-formed command line from the command table
+    into what argparse would parse from it, and leaves every other command
+    line to argparse."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_argvs())
+    def test_reader_agrees_with_argparse(self, argv):
+        read = cli._read(argv)
+        if read is not None:
+            assert vars(read) == _argparse_reads(argv), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "norm-axioms"],
+        ["check", "holder", "--p", "3/2", "--seed=+3", "--p", "2"],
+        ["run", "bootstrap", "--limit-tol", "1/2", "--nmax", " 4"],
+        ["suite", "all", "--out", "", "--format=csv"],
+        ["dual", "isometry", "--norm", "two", "--trials", "4_0"]],
+        ids=" ".join)
+    def test_well_formed_lines_are_read(self, argv):
+        read = cli._read(argv)
+        assert read is not None and vars(read) == _argparse_reads(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["check"], ["check", "holde"], ["check", "holder", "--help"],
+        ["check", "holder", "--se", "1"], ["check", "holder", "--seed"],
+        ["check", "holder", "--seed", "x"], ["check", "holder", "--seed=-1"],
+        ["check", "holder", "--trials", "0"], ["check", "holder", "--fn", "f"],
+        ["check", "holder", "--format", "xml"], ["suite", "all", "--dim", "2"],
+        ["check", "holder", "--out", "-x"], ["check", "holder", "x"]],
+        ids=lambda a: " ".join(a) or "no argv")
+    def test_everything_else_is_left_to_argparse(self, argv):
+        assert cli._read(argv) is None
+
+    @pytest.mark.parametrize("workload", ["suite", "roots", "exhaustive"])
+    def test_benchmark_commands_are_read_to_the_same_bytes(
+            self, workload, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        for command in workloads.build(workload, 303, str(tmp_path)):
+            assert cli._read(command.argv) is not None, command.name
+            out = Path(workloads.output_path(command))
+            code = main(command.argv)
+            read = out.read_bytes()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_read", lambda argv: None)
+                assert main(command.argv) == code, command.name
+            assert out.read_bytes() == read, command.name
 
 
 class TestOutputs:
