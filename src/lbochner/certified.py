@@ -12,10 +12,16 @@ comparisons cross-multiply.  The same reduced-pair sum and product
 ``falgebra.LElement``, through the kernel loops.  A ``Fraction`` is built
 only for a value that enters a report (``mid``, a slack or a gap) and for
 a ``root_bracket`` radicand; the root's two ends come back as reduced
-(num, den) pairs, one pair twice when the root is exact.  Roots and
-rational powers are bracketed with integer Newton iteration
-(``math.isqrt`` for square roots), so no binary floating point ever
-enters a result.
+(num, den) pairs, one pair twice when the root is exact.  Every reduction
+goes through ``_cancel``, which takes a long power of two off a
+denominator by shifts and runs the gcd against its odd part only, so the
+square-root chain's long ends reduce in linear time; ``mid`` and
+``falgebra.ApproxReal.from_ends`` reduce their pair before they build the
+``Fraction``.  Roots and rational powers are bracketed with integer Newton
+iteration (``math.isqrt`` for square roots).  A float only seeds Newton:
+odd orders start from 2 ** (log2(x) / n) rounded up, and the integer
+steps from any seed end at the same floor root, so no binary floating
+point ever decides a result.
 
 The p-norm pipeline, norm -> power sum -> root, runs on these ends:
 
@@ -49,8 +55,9 @@ levels its exponent's bits select and shifts the denominator left by w per
 selected fixed-point level, so it multiplies no power of two; only the
 exact levels before fixed point (a base whose first roots are exact) carry
 a denominator.  It returns the unreduced ends to ``pow_ends``, which
-reduces each end once (by a shift when, as usual, its denominator is a
-power of two).
+reduces each end once: by a shift when its denominator ends in a long
+power of two (the usual case), with a gcd against the denominator's odd
+part only, and by a plain gcd otherwise.
 
 Comparison semantics used by all checkers, which reach these two
 functions through ``reports.CheckReport.at_most`` and ``within``:
@@ -102,15 +109,37 @@ def exact(num: int, den: int = 1) -> Ends:
     return (num, den, num, den)
 
 
+# a denominator with no set bit in its low 64 ends in a power of two long
+# enough that shifts and a gcd against its odd part beat one plain gcd; on
+# shorter ones (operands of about 100 bits) the plain gcd is faster
+_LOW_WORD = (1 << 64) - 1
+
+
+def _cancel(x: int, y: int) -> Ratio:
+    """x/g and y/g for g = gcd(x, y), y > 0.
+
+    ``math.gcd`` is quadratic in the length of its arguments.  A
+    denominator of the square-root chain is a short odd factor times a long
+    power of two: the power of two x shares with it comes off by shifts,
+    and the gcd runs against the short odd part alone (the first step of
+    the binary gcd)."""
+    if y & _LOW_WORD or not x:
+        g = gcd(x, y)
+    else:
+        z = (y & -y).bit_length() - 1
+        k = min(z, (x & -x).bit_length() - 1)
+        x >>= k
+        y >>= k
+        g = gcd(x, y >> (z - k))
+    return (x // g, y // g) if g != 1 else (x, y)
+
+
 def reduced(num: int, den: int) -> Ratio:
-    """num/den, den > 0, in lowest terms.  A power-of-two denominator (the
-    square-root chain's) shares only factors two, which a shift removes
-    in linear time."""
-    if den & (den - 1) == 0 and num:
-        shift = min((num & -num).bit_length(), den.bit_length()) - 1
-        return num >> shift, den >> shift
-    g = gcd(num, den)
-    return (num // g, den // g) if g != 1 else (num, den)
+    """num/den, den > 0, in lowest terms: by a shift when the denominator
+    ends in a long power of two (the square-root chain's), followed by a
+    gcd against its odd part only, and by a plain gcd otherwise
+    (``_cancel``)."""
+    return _cancel(num, den)
 
 
 def is_exact(e: Ends) -> bool:
@@ -140,15 +169,12 @@ def _add(an: int, ad: int, bn: int, bd: int) -> Ratio:
 
 
 def _mul(an: int, ad: int, bn: int, bd: int) -> Ratio:
-    # a * b for reduced a, b: reduced, as Fraction's own multiplication
-    g1 = gcd(an, bd)
-    if g1 > 1:
-        an //= g1
-        bd //= g1
-    g2 = gcd(bn, ad)
-    if g2 > 1:
-        bn //= g2
-        ad //= g2
+    # a * b for reduced a, b: reduced, as Fraction's own multiplication (a
+    # denominator 1, an integer coordinate, shares no factor)
+    if bd != 1:
+        an, bd = _cancel(an, bd)
+    if ad != 1:
+        bn, ad = _cancel(bn, ad)
     return an * bn, ad * bd
 
 
@@ -205,7 +231,8 @@ def imax(a: Ends, b: Ends) -> Ends:
 
 
 def int_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for x >= 0, n >= 1, by Newton iteration on integers."""
+    """floor(x ** (1/n)) for x >= 0, n >= 1, by Newton iteration on
+    integers."""
     if x < 0:
         raise ValueError("negative radicand")
     if n <= 0:
@@ -219,7 +246,15 @@ def int_nth_root(x: int, n: int) -> int:
         return int_nth_root(isqrt(x), n // 2)
     if x.bit_length() <= n:  # x < 2**n  =>  root is 1
         return 1
-    r = 1 << -(-x.bit_length() // n)
+    # seed: 2 ** (log2(x) / n) to about 52 bits, rounded up by a relative
+    # 2**-30 (the float's error is about log2(root) * 2**-53) plus 2, so at
+    # least the root, which keeps the descent to a few steps;
+    # the first Newton step lands at or above floor(x ** (1/n)) from any
+    # seed (arithmetic-geometric mean), so the float never decides a result
+    e = math.log2(x) / n
+    k = max(int(e) - 52, 0)
+    r = int(2.0 ** (e - k) * (1 + 2.0 ** -30) + 2) << k
+    r = ((n - 1) * r + x // r ** (n - 1)) // n
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
         if nr >= r:
@@ -476,7 +511,7 @@ def _mid_ratio(e: Ends) -> Ratio:
 
 def mid(e: Ends) -> Fraction:
     """The bracket's midpoint, for a report."""
-    return Fraction(*_mid_ratio(e))
+    return Fraction(*reduced(*_mid_ratio(e)))
 
 
 def eq_within(lhs: Ends, rhs: Ends, tol: Fraction) -> Tuple[bool, Ratio]:

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Iterable, Tuple, Union
 
 from ._kernel import _pykernel as _k
-from .certified import Ends, mid
+from .certified import Ends, mid, reduced
 
 RationalLike = Union[Fraction, int, str]
 
@@ -210,7 +210,8 @@ class ApproxReal(Frozen):
         """The midpoint and half-width of the bracket with integer ends
         (lo_num, lo_den, hi_num, hi_den)."""
         ln, ld, hn, hd = e
-        return cls(mid(e), Fraction(hn * ld - ln * hd, 2 * ld * hd))
+        half_width = reduced(hn * ld - ln * hd, 2 * ld * hd)
+        return cls(mid(e), Fraction(*half_width))
 
     @property
     def is_exact(self) -> bool:

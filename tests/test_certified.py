@@ -471,6 +471,20 @@ def brackets(draw):
     return (min(lo, hi), max(lo, hi))
 
 
+@st.composite
+def wide_ratios(draw):
+    """(num, den) pairs past one machine word: den a factor up to 2**256
+    times a power of two up to 2**6000, alone and with the factor, and num
+    zero or a signed integer times its own power of two, so that either
+    side may hold the shorter power."""
+    shift = draw(st.integers(min_value=0, max_value=6000))
+    factor = draw(st.integers(min_value=1, max_value=2 ** 256))
+    num = draw(st.one_of(st.just(0), st.integers(
+        min_value=-2 ** 300, max_value=2 ** 300))) << draw(
+            st.integers(min_value=0, max_value=6000))
+    return [(num, 1 << shift), (num, factor << shift)]
+
+
 class TestEndsAgainstFractions:
     """Each integer-end primitive returns exactly the rationals, in lowest
     terms, of its Fraction reference."""
@@ -510,14 +524,26 @@ class TestEndsAgainstFractions:
         assert (ok, Fraction(*gap)) == fraction_eq(a, b, tol)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
-           st.integers(min_value=0, max_value=120),
-           st.integers(min_value=1, max_value=10 ** 6))
-    def test_reduced(self, num, shift, odd):
-        # power-of-two denominators take the shift, others the gcd
-        for den in (1 << shift, odd << shift):
+    @given(wide_ratios())
+    def test_reduced(self, pairs):
+        # a denominator ending in 64 or more zero bits sheds the power of
+        # two it shares with the numerator by a shift and takes the gcd
+        # against its odd part only; any other takes the plain gcd
+        for num, den in pairs:
             q = Fraction(num, den)
-            assert certified.reduced(num, den) == (q.numerator, q.denominator)
+            got = certified.reduced(num, den)
+            assert got == (q.numerator, q.denominator)
+            assert got[1] > 0 and math.gcd(*got) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_ratios(), wide_ratios())
+    def test_mul_past_one_word(self, a_pairs, b_pairs):
+        for a, b in zip(a_pairs, b_pairs):
+            a, b = Fraction(*a), Fraction(*b)
+            got = certified._mul(a.numerator, a.denominator,
+                                 b.numerator, b.denominator)
+            assert got == ((a * b).numerator, (a * b).denominator)
+            assert got[1] > 0 and math.gcd(*got) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(
@@ -585,10 +611,25 @@ def _radicands(rng, count):
     return out
 
 
+def _odd_order_radicands(rng):
+    """Odd orders 27 to 729, whose Newton iteration starts from a float
+    seed: radicands up to about 5,000 bits with perfect powers and perfect
+    powers +- 1 among them, and the roots 1 to 3 at every order, where a
+    seed below the root would overshoot by about (root / seed) ** (n - 1)."""
+    out = []
+    for n in (27, 81, 243, 729):
+        out += [(r ** n + d, n) for r in (1, 2, 3) for d in (-1, 0, 1)]
+        for _ in range(100):
+            r = rng.getrandbits(rng.randint(2, 5000 // n))
+            out += [(max(r ** n + d, 0), n) for d in (-1, 0, 1)]
+            out.append((rng.getrandbits(rng.randint(1, 5000)), n))
+    return out
+
+
 class TestRootKernelAgainstPrevious:
     def test_int_nth_root(self):
         rng = random.Random(1401)
-        for x, n in _radicands(rng, 3000):
+        for x, n in _radicands(rng, 3000) + _odd_order_radicands(rng):
             assert certified.int_nth_root(x, n) == \
                 previous_int_nth_root(x, n), (x, n)
 

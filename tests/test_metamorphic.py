@@ -1,6 +1,7 @@
-"""Metamorphic relations of the Radon-Nikodym commands: a transformed input
-document, run again, must report what the relation predicts, so no
-independent oracle is needed.
+"""Metamorphic relations: a transformed input, run again, must give what
+the relation predicts, so no independent oracle is needed.
+
+The Radon-Nikodym commands, on a transformed input document:
 
 * Splitting atom t of a vector measure into two atoms of masses mu(t)/3 and
   2 mu(t)/3 that carry G({t})/3 and 2 G({t})/3: the density takes the old
@@ -11,6 +12,13 @@ independent oracle is needed.
 * Permuting the atoms: the variation is unchanged, and the rows of the
   mu-continuity table are permuted by bitmask: with new atom k the old
   atom perm[k], new row M is old row sum(2**perm[k] for k in M).
+
+The p-norm of a scaled indicator, at the ``bochner.lp_norm_ends`` level:
+
+* f = c 1_S, the module vector c on the atoms of S and zero elsewhere, has
+  the norm ||c|| mu(S) ** (1/p), coordinate by coordinate, within the
+  comparison tolerance; the right side is built from ``lmodule.norm_ends``
+  of c, ``certified.pow_ends`` and ``certified.mul``.
 """
 
 import json
@@ -19,10 +27,11 @@ from fractions import Fraction
 
 import pytest
 
-from lbochner import serialize, vecmeasure
-from lbochner.bochner import LFunction
+from lbochner import certified, serialize, vecmeasure
+from lbochner.bochner import LFunction, lp_norm_ends
+from lbochner.falgebra import ToleranceConfig
 from lbochner.cli import main
-from lbochner.lmodule import ModuleSpace, NormKind
+from lbochner.lmodule import ModuleSpace, NormKind, norm_ends
 from lbochner.measure import MeasureSpace
 from lbochner.sampling import random_measure_space, random_module_vector
 from lbochner.vecmeasure import VectorMeasure
@@ -138,3 +147,28 @@ class TestPermuteAtoms:
         for mask, row in enumerate(new_rows):
             old = sum(1 << perm[k] for k in range(10) if mask >> k & 1)
             assert row == rows[old]
+
+
+@KINDS
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(3, 2), Fraction(2),
+                               Fraction(7, 3), Fraction(3)], ids=str)
+def test_norm_of_a_scaled_indicator(kind, p):
+    cfg = ToleranceConfig()
+    bits = cfg.root_bits + 2
+    codomain = ModuleSpace(2, 3, kind)
+    for trial in range(3):
+        rng = random.Random(f"indicator:{trial}:{kind.value}:{p}")
+        space = random_measure_space(rng, 5, null_atoms=1)
+        c = random_module_vector(rng, codomain)
+        S = set(rng.sample(range(5), rng.randint(1, 5)))
+        f = LFunction(space, codomain, tuple(
+            c if t in S else codomain.zero() for t in range(5)))
+        mu_S = sum((space.masses[t] for t in S), Fraction(0))
+        root = certified.pow_ends(mu_S, (p.denominator, p.numerator), bits)
+        want = [certified.mul(e, root) for e in norm_ends(c, cfg)]
+        got = lp_norm_ends(f, p, cfg)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            # the two brackets meet within the tolerance
+            assert certified.leq_with_slack(g, w, cfg.compare_tol)[0]
+            assert certified.leq_with_slack(w, g, cfg.compare_tol)[0]

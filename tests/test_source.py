@@ -285,3 +285,45 @@ SPREAD = {**check.witness}
         "lib.py: check: eq_within",
         "lib.py: check: **witness",
         "lib.py: <module>: **witness"]
+
+
+def gcd_users(source: str) -> list:
+    """The enclosing function of every use of ``gcd`` in ``source``, called
+    or passed, as ``gcd`` or ``math.gcd``, in order."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (isinstance(node, ast.Name) and node.id == "gcd"
+                or isinstance(node, ast.Attribute) and node.attr == "gcd"):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_certified_takes_gcds_in_cancel_and_add_only():
+    # ``_cancel`` shifts a long power of two off a denominator before its
+    # gcd, which is then linear in the length of the chain's ends; a gcd
+    # elsewhere on those ends would be quadratic again.  ``_add`` takes
+    # gcds of denominators and of a sum with a gcd of denominators.
+    source = (SRC / "certified.py").read_text(encoding="utf-8")
+    assert sorted(set(gcd_users(source))) == ["_add", "_cancel"]
+
+
+def test_gcd_user_is_found():
+    source = '''
+import math
+from math import gcd
+
+def outer(a, b):
+    def inner():
+        return math.gcd(a, b)
+    return functools.reduce(gcd, (a, b))
+
+G = gcd(4, 6)
+'''
+    assert gcd_users(source) == ["inner", "outer", "<module>"]
