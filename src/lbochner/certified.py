@@ -12,16 +12,16 @@ comparisons cross-multiply.  The same reduced-pair sum and product
 ``falgebra.LElement``, through the kernel loops.  A ``Fraction`` is built
 only for a value that enters a report (``mid``, a slack or a gap) and for
 a ``root_bracket`` radicand; the root's two ends come back as reduced
-(num, den) pairs, one pair twice when the root is exact.  Every reduction
-goes through ``_cancel``, which takes a long power of two off a
-denominator by shifts and runs the gcd against its odd part only, so the
-square-root chain's long ends reduce in linear time; ``mid`` and
-``falgebra.ApproxReal.from_ends`` reduce their pair before they build the
-``Fraction``.  Roots and rational powers are bracketed with integer Newton
-iteration (``math.isqrt`` for square roots).  A float only seeds Newton:
-odd orders start from 2 ** (log2(x) / n) rounded up, and the integer
-steps from any seed end at the same floor root, so no binary floating
-point ever decides a result.
+(num, den) pairs, one pair twice when the root is exact.  Every
+reduction, of a pair and of a product's two cross factors, is ``reduced``:
+it takes a long power of two off a denominator by shifts and runs the gcd
+against its odd part only, so the square-root chain's long ends reduce in
+linear time; ``mid`` and ``falgebra.ApproxReal.from_ends`` reduce their
+pair before they build the ``Fraction``.  Roots and rational powers are
+bracketed with integer Newton iteration (``math.isqrt`` for square
+roots).  A float only seeds Newton: odd orders start from
+2 ** (log2(x) / n) rounded up, and the integer steps from any seed end at
+the same floor root, so no binary floating point ever decides a result.
 
 The p-norm pipeline, norm -> power sum -> root, runs on these ends:
 
@@ -115,31 +115,24 @@ def exact(num: int, den: int = 1) -> Ends:
 _LOW_WORD = (1 << 64) - 1
 
 
-def _cancel(x: int, y: int) -> Ratio:
-    """x/g and y/g for g = gcd(x, y), y > 0.
+def reduced(num: int, den: int) -> Ratio:
+    """num/den, den > 0, in lowest terms.
 
     ``math.gcd`` is quadratic in the length of its arguments.  A
     denominator of the square-root chain is a short odd factor times a long
-    power of two: the power of two x shares with it comes off by shifts,
-    and the gcd runs against the short odd part alone (the first step of
-    the binary gcd)."""
-    if y & _LOW_WORD or not x:
-        g = gcd(x, y)
+    power of two: when it ends in at least 64 zero bits, the power of two
+    num shares with it comes off by shifts, and the gcd runs against the
+    short odd part alone (the first step of the binary gcd).  Any other
+    pair takes the plain gcd."""
+    if den & _LOW_WORD or not num:
+        g = gcd(num, den)
     else:
-        z = (y & -y).bit_length() - 1
-        k = min(z, (x & -x).bit_length() - 1)
-        x >>= k
-        y >>= k
-        g = gcd(x, y >> (z - k))
-    return (x // g, y // g) if g != 1 else (x, y)
-
-
-def reduced(num: int, den: int) -> Ratio:
-    """num/den, den > 0, in lowest terms: by a shift when the denominator
-    ends in a long power of two (the square-root chain's), followed by a
-    gcd against its odd part only, and by a plain gcd otherwise
-    (``_cancel``)."""
-    return _cancel(num, den)
+        z = (den & -den).bit_length() - 1
+        k = min(z, (num & -num).bit_length() - 1)
+        num >>= k
+        den >>= k
+        g = gcd(num, den >> (z - k))
+    return (num // g, den // g) if g != 1 else (num, den)
 
 
 def is_exact(e: Ends) -> bool:
@@ -172,9 +165,9 @@ def _mul(an: int, ad: int, bn: int, bd: int) -> Ratio:
     # a * b for reduced a, b: reduced, as Fraction's own multiplication (a
     # denominator 1, an integer coordinate, shares no factor)
     if bd != 1:
-        an, bd = _cancel(an, bd)
+        an, bd = reduced(an, bd)
     if ad != 1:
-        bn, ad = _cancel(bn, ad)
+        bn, ad = reduced(bn, ad)
     return an * bn, ad * bd
 
 
@@ -231,8 +224,7 @@ def imax(a: Ends, b: Ends) -> Ends:
 
 
 def int_nth_root(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for x >= 0, n >= 1, by Newton iteration on
-    integers."""
+    """floor(x ** (1/n)) for x >= 0, n >= 1, by Newton iteration on integers."""
     if x < 0:
         raise ValueError("negative radicand")
     if n <= 0:
@@ -247,10 +239,11 @@ def int_nth_root(x: int, n: int) -> int:
     if x.bit_length() <= n:  # x < 2**n  =>  root is 1
         return 1
     # seed: 2 ** (log2(x) / n) to about 52 bits, rounded up by a relative
-    # 2**-30 (the float's error is about log2(root) * 2**-53) plus 2, so at
-    # least the root, which keeps the descent to a few steps;
-    # the first Newton step lands at or above floor(x ** (1/n)) from any
-    # seed (arithmetic-geometric mean), so the float never decides a result
+    # 2**-30 (the float's error is about log2(root) * 2**-53) plus 2, so it
+    # is above the root and the descent takes a few steps.  The first
+    # Newton step lands at or above floor(x ** (1/n)) from any seed (the
+    # mean of n - 1 copies of r and x / r ** (n - 1) is at least their
+    # geometric mean), so the float never decides a result.
     e = math.log2(x) / n
     k = max(int(e) - 52, 0)
     r = int(2.0 ** (e - k) * (1 + 2.0 ** -30) + 2) << k

@@ -29,8 +29,8 @@ import pytest
 
 from lbochner import certified, serialize, vecmeasure
 from lbochner.bochner import LFunction, lp_norm_ends
-from lbochner.falgebra import ToleranceConfig
 from lbochner.cli import main
+from lbochner.falgebra import ToleranceConfig
 from lbochner.lmodule import ModuleSpace, NormKind, norm_ends
 from lbochner.measure import MeasureSpace
 from lbochner.sampling import random_measure_space, random_module_vector

@@ -305,13 +305,13 @@ def gcd_users(source: str) -> list:
     return found
 
 
-def test_certified_takes_gcds_in_cancel_and_add_only():
-    # ``_cancel`` shifts a long power of two off a denominator before its
+def test_certified_takes_gcds_in_reduced_and_add_only():
+    # ``reduced`` shifts a long power of two off a denominator before its
     # gcd, which is then linear in the length of the chain's ends; a gcd
     # elsewhere on those ends would be quadratic again.  ``_add`` takes
     # gcds of denominators and of a sum with a gcd of denominators.
     source = (SRC / "certified.py").read_text(encoding="utf-8")
-    assert sorted(set(gcd_users(source))) == ["_add", "_cancel"]
+    assert sorted(set(gcd_users(source))) == ["_add", "reduced"]
 
 
 def test_gcd_user_is_found():
