@@ -27,7 +27,6 @@ _MODULE_OF = {
     "TooManyAtoms": "measure",
     "INF": "bochner",
     "LFunction": "bochner",
-    "NotAbsolutelyContinuous": "vecmeasure",
     "VectorMeasure": "vecmeasure",
     "LpOperator": "duality",
     "ZeroNorm": "duality",

@@ -459,13 +459,6 @@ class TruncatedSequenceSpec:
         self.tail_mass = tail_mass
 
 
-class DominatorViolation(ValueError):
-    def __init__(self, n: int, t: int):
-        super().__init__(f"dominator violated at term {n}, atom {t}")
-        self.n = n
-        self.t = t
-
-
 def _term_function(spec: TruncatedSequenceSpec, n: int) -> LFunction:
     return LFunction(spec.space, spec.codomain, tuple(
         spec.term(n, t) for t in range(spec.space.size)))
@@ -474,7 +467,10 @@ def _term_function(spec: TruncatedSequenceSpec, n: int) -> LFunction:
 def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Tracks e_n = ||integral(g_n) - integral(g)|| against the computable
-    bound integral of ||g_n - g|| plus twice the truncated tail allowance."""
+    bound integral of ||g_n - g|| plus twice the truncated tail allowance.
+    A term whose norm leaves the dominator at an atom fails the report
+    with ``{"n": n, "atom": name, "dominator_violated": True}`` and ends
+    the experiment there: the bound assumes the domination."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     d = spec.codomain.scalar_dim
@@ -502,7 +498,9 @@ def run_dct_experiment(spec: TruncatedSequenceSpec, n_max: int,
             dominator = spec.dominator[t]
             for e, dn, dd in zip(norms[t], dominator.nums, dominator.dens):
                 if e[0] * dd > dn * e[1]:
-                    raise DominatorViolation(n, t)
+                    report.fail({"n": n, "atom": spec.space.atom_names[t],
+                                 "dominator_violated": True})
+                    return report
         err = norm_ends(integrate(gn) - lim_integral, cfg)
         diff_norms = atom_norm_ends(gn - spec.limit, cfg)
         bound = [certified.add(e, tail)

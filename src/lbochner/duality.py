@@ -50,12 +50,7 @@ from .sampling import (
     random_module_vector,
     rng_for,
 )
-from .vecmeasure import (
-    NotAbsolutelyContinuous,
-    VectorMeasure,
-    density,
-    rn_density,
-)
+from .vecmeasure import VectorMeasure, density, rn_density
 
 
 class ZeroNorm(ValueError):
@@ -65,7 +60,11 @@ class ZeroNorm(ValueError):
 class LpOperator(Frozen):
     """A bounded linear map from the p-norm functions into ``codomain`` (a
     primal module space) to the scalars, stored by its action on the
-    canonical basis e_i * 1_atom as ``basis_action[atom][entry]``."""
+    canonical basis e_i * 1_atom as ``basis_action[atom][entry]``.
+
+    A nonzero row at a null atom is refused with a ValueError that names
+    the atom: functions that differ only there are one class of L^p(mu),
+    and such a map would tell them apart.  ``build_F`` never builds one."""
 
     __slots__ = ("space", "codomain", "basis_action", "declared_p")
 
@@ -74,9 +73,13 @@ class LpOperator(Frozen):
                  declared_p: Exponent):
         if len(basis_action) != space.size:
             raise ValueError("one basis row per atom required")
-        for row in basis_action:
+        for t, row in enumerate(basis_action):
             if len(row) != codomain.rank:
                 raise ValueError("basis row length must equal the rank")
+            if space.masses[t] == 0 and not all(c.is_zero() for c in row):
+                raise ValueError(
+                    f"atom {space.atom_names[t]!r} has zero mass but a "
+                    f"nonzero basis row: the map is not defined on L^p")
         self._set("space", space)
         self._set("codomain", codomain)
         self._set("basis_action", basis_action)
@@ -121,8 +124,9 @@ def induced_measure(H: LpOperator) -> VectorMeasure:
 def operator_norm_ends(H: LpOperator,
                        cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> List[Ends]:
     """Closed form for the least bound: the conjugate-exponent norm of the
-    representing dual function.  An operator charging a null atom is not
-    induced by any density and raises ``NotAbsolutelyContinuous``."""
+    representing dual function, ``density(induced_measure(H))``.  H is
+    zero at every null atom (``LpOperator`` refuses anything else), so that
+    density exists and is taken unchecked."""
     v = density(induced_measure(H))
     return lp_norm_ends(v, conjugate_exponent(H.declared_p), cfg)
 
@@ -264,22 +268,29 @@ def represent(H: LpOperator) -> Tuple[LFunction, CheckReport]:
     everywhere: H(e_i * 1_t) is H's row entry at atom t, the pairing gives
     mu(t) * v(t)_i there, and the singleton check compares exactly those.
     A failed check names the failing subset as its witness; a caller
-    absorbs it and reads v only when it passed."""
+    absorbs it and reads v only when it passed, as ``represent_back``
+    does."""
     return rn_density(induced_measure(H))
 
 
-def _represent_back(report: CheckReport, trial: int, v: LFunction,
-                    p: Exponent) -> None:
-    """Fails ``report`` where v does not come back from its operator: a
-    failed density verification, or a positive-mass atom whose value
-    moved."""
+def represent_back(report: CheckReport, v: LFunction, p: Exponent,
+                   **context) -> bool:
+    """The one represent comparison: v through its operator ``build_F(v,
+    p)`` and back through ``represent``.  Fails ``report`` with
+    ``{**context, "stage": "density", ...}`` and the failed verification's
+    witness, or else with ``{**context, "stage": "dual-roundtrip", "atom":
+    name}`` at every positive-mass atom whose value moved, the first one
+    named.  Returns whether the density check passed; v_back is compared
+    only then."""
     v_back, check = represent(build_F(v, p))
-    report.absorb(check, trial=trial, stage="density")
+    report.absorb(check, **context, stage="density")
     if not check.passed:
-        return
+        return False
     for t, mass in enumerate(v.space.masses):
         if mass != 0 and v_back.values[t] != v.values[t]:
-            report.fail({"trial": trial, "atom": t, "stage": "dual-roundtrip"})
+            report.fail({**context, "stage": "dual-roundtrip",
+                         "atom": v.space.atom_names[t]})
+    return True
 
 
 def roundtrip_check(p: Exponent, trials: int, seed: int,
@@ -288,11 +299,10 @@ def roundtrip_check(p: Exponent, trials: int, seed: int,
                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
     """Bijectivity of the representation on seeded data, m atoms of which
     one is null: dual functions round-trip through their operators exactly
-    at positive-mass atoms, and every trial is isometric.  ``represent``
-    verifies the operator side, H's rows against mu(t) * v(t); a trial
-    whose verification fails fails the check with that witness, and a
-    trial whose operator charges a null atom, so that no density exists,
-    fails it at stage "density"."""
+    at positive-mass atoms, and every trial is isometric.  Each trial goes
+    through ``represent_back`` with the trial as context; a trial whose
+    density check fails, as where its operator charges a null atom, stops
+    there, with no isometry check and no series row."""
     dual = ModuleSpace(rank, scalar_dim, norm_kind).dual()
     report = CheckReport(
         name="duality-roundtrip",
@@ -305,13 +315,9 @@ def roundtrip_check(p: Exponent, trials: int, seed: int,
         space = random_measure_space(rng, m, null_atoms=1)
         v = LFunction(space, dual, tuple(
             random_module_vector(rng, dual) for _ in range(m)))
-        try:
-            _represent_back(report, trial, v, p)
-            iso = isometry_check(v, p, cfg, bootstrap_n=4)
-        except NotAbsolutelyContinuous as exc:
-            report.fail({"trial": trial, "stage": "density",
-                         "error": str(exc)})
+        if not represent_back(report, v, p, trial=trial):
             continue
+        iso = isometry_check(v, p, cfg, bootstrap_n=4)
         report.absorb(iso, trial=trial, stage="isometry")
         report.series.append({"trial": trial,
                               "p": Fraction(0) if p is INF else p,

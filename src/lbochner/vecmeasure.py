@@ -35,10 +35,6 @@ from .measure import (
 from .reports import CheckReport
 
 
-class NotAbsolutelyContinuous(ValueError):
-    """A zero-mass atom carries a nonzero value: no density can exist."""
-
-
 class VectorMeasure(Frozen):
     __slots__ = ("space", "codomain", "atom_values")
 
@@ -170,15 +166,12 @@ def variation(G: VectorMeasure,
 
 def density(G: VectorMeasure) -> LFunction:
     """The solution g of G(F) = integral of g over F, by atomwise division:
-    g(t) = G({t}) / mu(t), and zero at a null atom.  A null atom that G
-    charges has no density."""
+    g(t) = G({t}) / mu(t), and zero at every null atom.  A null atom that G
+    charges has no density; g is zero there all the same, and
+    ``rn_density``'s singleton check is what fails on it."""
     vals = []
     for t, mass in enumerate(G.space.masses):
         if mass == 0:
-            if not G.atom_values[t].is_zero():
-                raise NotAbsolutelyContinuous(
-                    f"atom {G.space.atom_names[t]!r} has zero mass but "
-                    f"nonzero value")
             vals.append(G.codomain.zero())
         else:
             vals.append(G.atom_values[t].scale_rational(
@@ -195,7 +188,8 @@ def rn_density(G: VectorMeasure) -> Tuple[LFunction, CheckReport]:
     is agreement on all 2**m subsets.  In bitmask order the first failing
     subset is the singleton of the smallest failing atom t, mask 2**t, so
     the witness is that singleton with 2**t subsets verified before it; a
-    pass verifies all 2**m."""
+    pass verifies all 2**m.  A null atom that G charges, where no density
+    exists, fails here: its integral is zero and its value is not."""
     g = density(G)
     report = CheckReport(name="rn-density",
                          details={"verified_sets": 1 << G.space.size})

@@ -14,7 +14,6 @@ import pytest
 
 from lbochner import cli
 from lbochner.bochner import (
-    DominatorViolation,
     LFunction,
     TruncatedSequenceSpec,
     check_holder,
@@ -44,7 +43,6 @@ from lbochner.sampling import (
     rng_for,
 )
 from lbochner.vecmeasure import (
-    NotAbsolutelyContinuous,
     VectorMeasure,
     rn_density,
     rnp_probe,
@@ -186,14 +184,22 @@ def test_criterion_06_dct():
     assert final["n"] == 12
     for coord in final["error"]:
         assert coord < threshold
-    # negative control: an undersized dominator must trip the error path
+    # negative control: an undersized dominator fails the report at the
+    # first term and atom whose value leaves it, and ends the series there
+    small = Fraction(1, 4096)
     bad = TruncatedSequenceSpec(
         space=spec.space, codomain=spec.codomain, term=spec.term,
-        limit=spec.limit, dominator=tuple(LElement(["1/4096", "1/4096"])
+        limit=spec.limit, dominator=tuple(LElement([small, small])
                                           for _ in range(spec.space.size)),
         scalar_bound=spec.scalar_bound, tail_mass=spec.tail_mass)
-    with pytest.raises(DominatorViolation):
-        run_dct_experiment(bad, 4, CFG)
+    rep = run_dct_experiment(bad, 4, CFG)
+    assert not rep.passed
+    n, t = next((n, t) for n in range(5) for t in range(spec.space.size)
+                if any(abs(c) > small
+                       for c in spec.term(n, t).entries[0].coords))
+    assert rep.witness == {"n": n, "atom": spec.space.atom_names[t],
+                           "dominator_violated": True}
+    assert [row["n"] for row in rep.series] == list(range(n))
 
 
 @criterion(7, "completeness: residual 2**-n ||w||_1 exact on 100 instances")
@@ -248,9 +254,10 @@ def test_criterion_09_rn_density():
         while values[null_atom].is_zero():
             values[null_atom] = random_module_vector(rng, codomain)
         G = VectorMeasure(space, codomain, tuple(values))
-        try:
-            rn_density(G)
-        except NotAbsolutelyContinuous:
+        _, check = rn_density(G)
+        # the charged null atom is the one failing singleton
+        if (check.witness == {"subset": [space.atom_names[null_atom]]}
+                and check.details["verified_sets"] == 1 << null_atom):
             rejected += 1
     assert rejected == 100
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lbochner import bochner, certified
 from lbochner.bochner import (
     INF,
-    DominatorViolation,
     LFunction,
     TruncatedSequenceSpec,
     check_chebyshev_step,
@@ -1048,7 +1047,7 @@ class TestDct:
         for row in rep.series:
             assert all(c == 0 for c in row["error"])
 
-    def test_dominator_violation_raises_with_witness(self):
+    def test_dominator_violation_fails_with_witness(self):
         spec = geometric_spec(7, 8)
         small = TruncatedSequenceSpec(
             space=spec.space, codomain=spec.codomain, term=spec.term,
@@ -1056,9 +1055,15 @@ class TestDct:
             dominator=tuple(LElement(["1/1000", "1/1000"])
                             for _ in range(8)),
             scalar_bound=spec.scalar_bound, tail_mass=spec.tail_mass)
-        with pytest.raises(DominatorViolation) as err:
-            run_dct_experiment(small, 6)
-        assert err.value.n >= 0 and err.value.t >= 0
+        rep = run_dct_experiment(small, 6)
+        assert not rep.passed and rep.failures == 1
+        # the first term whose sup norm leaves 1/1000 at some atom
+        n, t = next((n, t) for n in range(7) for t in range(8)
+                    if any(abs(c) > Fraction(1, 1000)
+                           for c in spec.term(n, t).entries[0].coords))
+        assert rep.witness == {"n": n, "atom": spec.space.atom_names[t],
+                               "dominator_violated": True}
+        assert [row["n"] for row in rep.series] == list(range(n))
 
 
 class TestCompleteness:

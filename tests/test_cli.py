@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbochner import bochner, certified, cli, duality, vecmeasure
+from lbochner import bochner, certified, cli, duality, sampling, vecmeasure
 from lbochner.bochner import LFunction
 from lbochner.cli import main
 from lbochner.falgebra import LElement
@@ -292,16 +293,16 @@ class TestFailurePaths:
         assert check["verdict"] == "FAIL"
         assert check["witness"] == witness
 
-    @pytest.mark.parametrize("argv,name,witness", [
-        (["dual", "represent"], "represent",
-         lambda space, t: {"atom": space.atom_names[t]}),
+    @pytest.mark.parametrize("argv,name,context", [
+        (["dual", "represent"], "represent", {}),
         (["dual", "roundtrip", "--trials", "2"], "duality-roundtrip",
-         lambda space, t: {"trial": 0, "atom": t, "stage": "dual-roundtrip"}),
+         {"trial": 0}),
     ], ids=["represent", "roundtrip"])
-    def test_off_density(self, argv, name, witness, tmp_path, monkeypatch):
+    def test_off_density(self, argv, name, context, tmp_path, monkeypatch):
         # the density represent returns is one too large in coordinate 0 of
         # entry 0 at the first positive-mass atom while its own check
-        # passes: the comparison of v_back with v names that atom
+        # passes: duality.represent_back, the one comparison of v_back with
+        # v, names that atom in one shape for both commands
         real = duality.rn_density
         raised = []
 
@@ -320,7 +321,9 @@ class TestFailurePaths:
         assert main([*argv, "--out", str(out)]) == 1
         check = self._checks(out)[name]
         assert check["verdict"] == "FAIL"
-        assert check["witness"] == witness(*raised[0])
+        space, t = raised[0]
+        assert check["witness"] == {**context, "stage": "dual-roundtrip",
+                                    "atom": space.atom_names[t]}
 
     @pytest.mark.parametrize("argv", [
         ["dual", "roundtrip", "--seed", "42"],
@@ -328,7 +331,8 @@ class TestFailurePaths:
     ], ids=" ".join)
     def test_density_refusal(self, argv, tmp_path, monkeypatch):
         # negative control: the induced measure charges every null atom, so
-        # no density exists; the round trip fails that trial at stage
+        # no density exists; rn_density's singleton check fails at the
+        # first one, and the round trip stops that trial at stage
         # "density" instead of ending as a usage error
         real = duality.induced_measure
 
@@ -348,13 +352,13 @@ class TestFailurePaths:
         roundtrips = [c for c in doc["checks"]
                       if c["name"] == "duality-roundtrip"]
         assert roundtrips and all(c["verdict"] == "FAIL" for c in roundtrips)
+        space = sampling.random_measure_space(sampling.rng_for(42, 0), 3,
+                                              null_atoms=1)
+        null = space.atom_names[space.masses.index(0)]
         for check in roundtrips:
             assert check["series"] == []  # no trial reached its gaps
-            witness = check["witness"]
-            assert {k: witness[k] for k in ("trial", "stage")} == {
-                "trial": 0, "stage": "density"}
-            assert witness["error"].endswith(
-                "has zero mass but nonzero value")
+            assert check["witness"] == {"trial": 0, "stage": "density",
+                                        "subset": [null]}
         assert {c["name"] for c in doc["checks"] if c["verdict"] == "FAIL"} \
             == {"duality-roundtrip"}
 
@@ -741,6 +745,29 @@ class TestFailurePaths:
         assert main(["run", "dct", "--out", str(out)]) == 1
         check = self._checks(out)["dominated-convergence"]
         assert check["witness"] == {"n": 0, "coordinate": 0}
+
+    def test_dct_dominator_violation(self, tmp_path, monkeypatch):
+        # an undersized dominator is a failing check, exit 1, whose witness
+        # names the first term and atom that leave it
+        real = cli._dct_spec
+        small = Fraction(1, 4096)
+
+        def undersized(seed, levels):
+            spec = real(seed, levels)
+            spec.dominator = tuple(LElement([small, small])
+                                   for _ in spec.dominator)
+            return spec
+
+        monkeypatch.setattr(cli, "_dct_spec", undersized)
+        out = tmp_path / "report.json"
+        assert main(["run", "dct", "--out", str(out)]) == 1
+        check = self._checks(out)["dominated-convergence"]
+        spec = real(cli.DEFAULT_SEED, 20)
+        n, t = next((n, t) for n in range(15) for t in range(20)
+                    if any(abs(c) > small
+                           for c in spec.term(n, t).entries[0].coords))
+        assert check["witness"] == {"n": n, "atom": spec.space.atom_names[t],
+                                    "dominator_violated": True}
 
     @pytest.mark.parametrize("cmd", ["holder", "minkowski"])
     def test_v_document_alone_draws_u_on_its_space(self, cmd, tmp_path,
@@ -1140,6 +1167,125 @@ class TestReader:
             assert out.read_bytes() == read, command.name
 
 
+# valid documents of the two kinds that commands read: a function (--fn,
+# --u, and --v as a dual function) and a vector measure (--measure)
+_VALUES = {"a": [["1/2", "-3/4"], ["2/1", "1/5"]],
+           "b": [["-1/3", "5/2"], ["0/1", "7/4"]],
+           "c": [["1/1", "-1/1"], ["3/2", "1/1"]]}
+_SPACE = {"atoms": ["a", "b", "c"], "masses": ["1/2", "1/3", "1/6"]}
+_CODOMAIN = {"rank": 2, "d": 2, "norm_kind": "sup"}
+_FUNCTION_DOC = {"space": _SPACE, "codomain": _CODOMAIN, "values": _VALUES}
+_MEASURE_DOC = {"space": _SPACE, "codomain": _CODOMAIN,
+                "atom_values": _VALUES}
+# the command lines that read them; a document is mutated at its option's
+# slot, and holder's other document stays valid
+_DOCUMENT_COMMANDS = [
+    (["check", "sup-rep"], "--fn", _FUNCTION_DOC, {}),
+    (["check", "holder"], "--u", _FUNCTION_DOC, {"--v": _FUNCTION_DOC}),
+    (["check", "holder"], "--v", _FUNCTION_DOC, {"--u": _FUNCTION_DOC}),
+    (["dual", "isometry"], "--v", _FUNCTION_DOC, {}),
+    (["dual", "represent"], "--v", _FUNCTION_DOC, {}),
+    (["rn", "density"], "--measure", _MEASURE_DOC, {}),
+    (["rn", "variation"], "--measure", _MEASURE_DOC, {}),
+]
+# wrong values for any field: JSON's kinds, a bad rational, an unreadable
+# one, an empty string and a large integer
+_WRONG_VALUES = [None, 0, -1, "x", [], {}, "1/0", 2.5, True, [["1/2"]],
+                 10 ** 6, "", "1e5000"]
+# option values beside the documents, valid and not
+_EXPONENTS = ["1", "3/2", "2", "3", "inf", "0", "1/2", "1/0", "-1", "x"]
+_TOLERANCES = ["1/2", "2", "1/1073741824", "0", "-1/2", "x"]
+
+
+def _paths(doc, path=()):
+    """Every path into ``doc``, the empty path (the document) first."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    *head, last = path
+    target = copy
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return copy
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A command line of ``_DOCUMENT_COMMANDS`` and its documents, one of
+    them mutated: a field replaced by a wrong value, an atom name
+    repeated, the atoms (or the atoms and masses) emptied, or a null atom
+    that the document still charges.  ``--p``, where the command takes
+    it, and ``--tol`` are left at their defaults or drawn."""
+    head, option, doc, others = draw(st.sampled_from(_DOCUMENT_COMMANDS))
+    if head[0] != "rn" and draw(st.booleans()):
+        head = [*head, "--p", draw(st.sampled_from(_EXPONENTS))]
+    if draw(st.booleans()):
+        head = [*head, "--tol", draw(st.sampled_from(_TOLERANCES))]
+    kind = draw(st.sampled_from(["field", "duplicate", "empty", "charged"]))
+    if kind == "field":
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = _replaced(doc, path, draw(st.sampled_from(_WRONG_VALUES)))
+    elif kind == "duplicate":
+        i, j = draw(st.permutations(range(3)))[:2]
+        doc = _replaced(doc, ("space", "atoms", j), _SPACE["atoms"][i])
+    elif kind == "empty":
+        doc = _replaced(doc, ("space", "atoms"), [])
+        if draw(st.booleans()):
+            doc = _replaced(doc, ("space", "masses"), [])
+    else:
+        t = draw(st.integers(0, 2))
+        doc = _replaced(doc, ("space", "masses", t), "0/1")
+    return head, {option: doc, **others}
+
+
+def _run_on_documents(head, documents, directory):
+    """``main``'s exit code on ``head`` with each document written to a
+    file, its report document (or None) and its stderr."""
+    argv = list(head)
+    for n, (option, doc) in enumerate(sorted(documents.items())):
+        argv += [option, write_json(Path(directory) / f"doc{n}.json", doc)]
+    out = Path(directory) / "report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(out)])
+    report = json.loads(out.read_text()) if out.exists() else None
+    return code, report, err.getvalue()
+
+
+def _assert_documented_ending(code, report, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: "), err
+    else:
+        assert report is not None
+        failing = [c for c in report["checks"] if c["verdict"] == "FAIL"]
+        assert bool(failing) == (code == 1)
+        assert all(c.get("witness") is not None for c in failing)
+
+
+class TestDocumentMutations:
+    """Every mutated input document ends in exit 0, a failing check with a
+    witness (exit 1) or an ``error:`` line (exit 2); no other exception
+    leaves ``main``."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_mutated_documents())
+    def test_documented_ending(self, case):
+        head, documents = case
+        with tempfile.TemporaryDirectory() as directory:
+            _assert_documented_ending(
+                *_run_on_documents(head, documents, directory))
+
+
 class TestOutputs:
     def test_rnp_probe_csv(self, tmp_path, capsys):
         out = tmp_path / "matrix.csv"
@@ -1341,6 +1487,31 @@ class TestGoldenReports:
         digest_now = hashlib.sha256(
             (tmp_path / "report.json").read_bytes()).hexdigest()
         assert digest_now == digest
+
+    # atom b is null and charged: G is not absolutely continuous, so no
+    # density exists
+    CHARGED_NULL_DOC = {
+        "space": {"atoms": ["a", "b", "c"], "masses": ["1/2", "0/1", "1/3"]},
+        "codomain": {"rank": 1, "d": 2, "norm_kind": "sup"},
+        "atom_values": {"a": [["1/2", "-1/3"]], "b": [["1/1", "0/1"]],
+                        "c": [["2/3", "1/4"]]},
+    }
+
+    def test_charged_null_atom_report_sha256(self, tmp_path, monkeypatch):
+        # the refusal is two failing checks with witnesses, not an error
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "g.json", self.CHARGED_NULL_DOC)
+        assert main(["rn", "density", "--measure", "g.json",
+                     "--out", "report.json"]) == 1
+        data = (tmp_path / "report.json").read_bytes()
+        continuity, density = json.loads(data)["checks"]
+        assert continuity["name"] == "mu-continuity"
+        assert continuity["witness"] == {"atom": "b"}
+        assert density["name"] == "rn-density"
+        assert density["witness"] == {"subset": ["b"]}
+        assert density["details"] == {"verified_sets": 2 ** 1}
+        assert hashlib.sha256(data).hexdigest() == (
+            "cf4b37d6356fd83c17587c042aec7118f487e43d6f051f3d19c529bb53a3ca3e")
 
     # one atom of mass 1, rank 2, d = 2, every entry 1, sup norm: as v, the
     # document names the dual of this module, so ||v||_inf is measured in

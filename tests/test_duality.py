@@ -34,7 +34,7 @@ from lbochner.sampling import (
     random_module_vector,
     rng_for,
 )
-from lbochner.vecmeasure import NotAbsolutelyContinuous, rn_density
+from lbochner.vecmeasure import VectorMeasure, rn_density
 from support import all_subsets, basis_vector, indicator_times
 
 
@@ -177,11 +177,11 @@ class TestOperatorNorm:
         assert collapse(operator_norm_ends(H)) == L(2, 3)
 
     def test_null_atom_charge_rejected(self):
+        # a map that charges a null atom is not defined on L^p: it never
+        # reaches operator_norm_ends
         space = MeasureSpace.build(["a", "b"], [1, 0])
-        H = LpOperator(space, PRIMAL,
-                       ((L(1, 1),), (L(1, 0),)), Fraction(1))
-        with pytest.raises(NotAbsolutelyContinuous):
-            collapse(operator_norm_ends(H))
+        with pytest.raises(ValueError, match="atom 'b' has zero mass"):
+            LpOperator(space, PRIMAL, ((L(1, 1),), (L(1, 0),)), Fraction(1))
 
 
 class TestIsometry:
@@ -372,11 +372,18 @@ class TestRepresent:
         assert all(f.is_zero() for f in v.values)
 
     def test_null_atom_concentration_rejected(self):
+        # no operator concentrates on a null atom; the measure it would
+        # induce has no density, and represent's verification fails there
         space = MeasureSpace.build(["a", "b"], [1, 0])
-        H = LpOperator(space, PRIMAL,
-                       ((L(0, 0),), (L(1, 0),)), Fraction(1))
-        with pytest.raises(NotAbsolutelyContinuous):
-            represent(H)
+        rows = ((L(0, 0),), (L(1, 0),))
+        with pytest.raises(ValueError, match="atom 'b' has zero mass"):
+            LpOperator(space, PRIMAL, rows, Fraction(1))
+        dual = PRIMAL.dual()
+        G = VectorMeasure(space, dual, tuple(
+            ModuleVector(dual, row) for row in rows))
+        v, check = rn_density(G)
+        assert all(f.is_zero() for f in v.values)
+        assert check.witness == {"subset": ["b"]}
 
 
 class TestRepresentOffBasis:
@@ -430,8 +437,8 @@ def checked_basis_witness(H, v, monkeypatch):
 class TestBasisRowsAgainstEvaluation:
     """The singleton check that ``represent`` runs compares H's rows with
     mu(t) * v(t); it gives the evaluating loop's verdict and atom on seeded
-    pairs and on every single doctored coefficient of v.  An operator that
-    charges a null atom has no density at all."""
+    pairs and on every single doctored coefficient of v.  No operator
+    charges a null atom, and a measure that does fails the check there."""
 
     @staticmethod
     def _pairs(kind, null_atoms):
@@ -478,17 +485,21 @@ class TestBasisRowsAgainstEvaluation:
         for H, v in self._pairs(kind, 1):
             t = H.space.masses.index(0)
             name = H.space.atom_names[t]
+            G = duality.induced_measure(H)
             for i in range(H.codomain.rank):
                 rows = list(H.basis_action)
                 rows[t] = tuple(L(0, 0) if k != i else L(0, -3)
                                 for k in range(H.codomain.rank))
-                doctored = LpOperator(H.space, H.codomain, tuple(rows),
-                                      H.declared_p)
-                assert evaluated_basis_witness(doctored, v) == name
-                with pytest.raises(NotAbsolutelyContinuous, match=name):
-                    represent(doctored)
-                with pytest.raises(NotAbsolutelyContinuous, match=name):
-                    duality.operator_norm_ends(doctored)
+                with pytest.raises(ValueError,
+                                   match=f"atom {name!r} has zero mass"):
+                    LpOperator(H.space, H.codomain, tuple(rows),
+                               H.declared_p)
+                values = list(G.atom_values)
+                values[t] = ModuleVector(G.codomain, rows[t])
+                _, check = rn_density(VectorMeasure(G.space, G.codomain,
+                                                    tuple(values)))
+                assert check.witness == {"subset": [name]}
+                assert check.details["verified_sets"] == 1 << t
 
 
 class TestRoundtrip:
@@ -522,8 +533,10 @@ class TestRoundtrip:
         assert not rep.passed
         space = random_measure_space(rng_for(42, 0), 3, null_atoms=1)
         first = next(t for t, mass in enumerate(space.masses) if mass > 0)
-        assert rep.witness == {"trial": 0, "atom": first,
-                               "stage": "dual-roundtrip"}
+        # represent_back's one witness shape, as dual represent gives it
+        # (tests/test_cli.py::TestFailurePaths::test_off_density)
+        assert rep.witness == {"trial": 0, "stage": "dual-roundtrip",
+                               "atom": space.atom_names[first]}
 
     def test_trivial_space_scalar_duality(self):
         # one positive-mass atom beside the null one, rank one, scalar

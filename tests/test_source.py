@@ -327,3 +327,88 @@ def outer(a, b):
 G = gcd(4, 6)
 '''
     assert gcd_users(source) == ["inner", "outer", "<module>"]
+
+
+def _caught(node) -> str:
+    """The names an ``except`` clause catches, as written."""
+    if node is None:
+        return "<bare>"
+    types = node.elts if isinstance(node, ast.Tuple) else [node]
+    return ", ".join(ast.unparse(t) for t in types)
+
+
+def except_handlers(source_name: str, source: str) -> list:
+    """Every ``except`` handler of ``source`` as "file: enclosing.function:
+    caught names", in order."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.ExceptHandler):
+            found.append(f"{source_name}: {'.'.join(scope) or '<module>'}: "
+                         f"{_caught(node.type)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+# every handler in the package, each with its reason: a verdict is a failing
+# check with a witness, never an exception caught and rebuilt into a report
+EXCEPT_ALLOWED = [
+    # the input boundary: a command line and its documents, refused with
+    # exit 2 and an ``error:`` line
+    "cli.py: _positive_int: ValueError",
+    "cli.py: _read: ValueError, KeyError",
+    "cli.py: _read: ValueError, argparse.ArgumentTypeError",
+    "cli.py: main: ValueError",  # the negative-word join
+    "cli.py: main: SystemExit",
+    "cli.py: main: ValueError, OSError",
+    # the report boundary: a number past the digit cap, named by its check
+    "reports.py: rendered: ValueError",
+    # the input boundary: located messages for malformed documents
+    "serialize.py: parse_rational: ValueError, ZeroDivisionError",
+    "serialize.py: module_space_from_doc: KeyError, ValueError",
+    "serialize.py: load_json: json.JSONDecodeError, UnicodeDecodeError",
+    # a zero atom norm only skips the bootstrap chain, whose division needs
+    # positive norms; the isometry's own verdict does not depend on it
+    "duality.py: isometry_check: ZeroNorm",
+]
+
+
+def test_except_handlers_are_allowlisted():
+    found = [site for name, source in _package_sources().items()
+             for site in except_handlers(name, source)]
+    assert sorted(found) == sorted(EXCEPT_ALLOWED)
+
+
+def test_except_handler_is_found():
+    source = '''
+import json
+
+def outer(s):
+    def inner():
+        try:
+            return int(s)
+        except ValueError:
+            return None
+    try:
+        return json.loads(s)
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise ValueError(s) from exc
+    except:
+        pass
+
+try:
+    import fast
+except ImportError:
+    fast = None
+'''
+    assert except_handlers("lib.py", source) == [
+        "lib.py: outer.inner: ValueError",
+        "lib.py: outer: json.JSONDecodeError, KeyError",
+        "lib.py: outer: <bare>",
+        "lib.py: <module>: ImportError"]

@@ -24,7 +24,6 @@ from lbochner.sampling import (
     rng_for,
 )
 from lbochner.vecmeasure import (
-    NotAbsolutelyContinuous,
     VectorMeasure,
     check_mu_continuity,
     evaluate,
@@ -235,9 +234,14 @@ class TestRnDensity:
         assert result.details["verified_sets"] == 8
 
     def test_not_absolutely_continuous(self, space3):
+        # the null atom c is charged: the density is zero there, and its
+        # singleton, the third in bitmask order, fails the check
         bad = vm(space3, L(2, 2), L(4, 6), L(1, 0))
-        with pytest.raises(NotAbsolutelyContinuous):
-            rn_density(bad)
+        g, result = rn_density(bad)
+        assert g.values[2].is_zero()
+        assert not result.passed
+        assert result.witness == {"subset": [space3.atom_names[2]]}
+        assert result.details["verified_sets"] == 4
 
     def test_construct_then_solve_roundtrip(self):
         rng = rng_for(43, 3)
