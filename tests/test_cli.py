@@ -1247,31 +1247,6 @@ def _mutated_documents(draw):
     return head, {option: doc, **others}
 
 
-def _run_on_documents(head, documents, directory):
-    """``main``'s exit code on ``head`` with each document written to a
-    file, its report document (or None) and its stderr."""
-    argv = list(head)
-    for n, (option, doc) in enumerate(sorted(documents.items())):
-        argv += [option, write_json(Path(directory) / f"doc{n}.json", doc)]
-    out = Path(directory) / "report.json"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([*argv, "--out", str(out)])
-    report = json.loads(out.read_text()) if out.exists() else None
-    return code, report, err.getvalue()
-
-
-def _assert_documented_ending(code, report, err):
-    assert code in (0, 1, 2)
-    if code == 2:
-        assert err.startswith("error: "), err
-    else:
-        assert report is not None
-        failing = [c for c in report["checks"] if c["verdict"] == "FAIL"]
-        assert bool(failing) == (code == 1)
-        assert all(c.get("witness") is not None for c in failing)
-
-
 class TestDocumentMutations:
     """Every mutated input document ends in exit 0, a failing check with a
     witness (exit 1) or an ``error:`` line (exit 2); no other exception
@@ -1281,9 +1256,22 @@ class TestDocumentMutations:
     @given(_mutated_documents())
     def test_documented_ending(self, case):
         head, documents = case
+        argv, err = list(head), io.StringIO()
         with tempfile.TemporaryDirectory() as directory:
-            _assert_documented_ending(
-                *_run_on_documents(head, documents, directory))
+            for n, (option, doc) in enumerate(sorted(documents.items())):
+                argv += [option,
+                         write_json(Path(directory) / f"doc{n}.json", doc)]
+            out = Path(directory) / "report.json"
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(out)])
+            report = json.loads(out.read_text()) if out.exists() else None
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+        else:
+            failing = [c for c in report["checks"] if c["verdict"] == "FAIL"]
+            assert bool(failing) == (code == 1)
+            assert all(c.get("witness") is not None for c in failing)
 
 
 class TestOutputs:
