@@ -23,13 +23,10 @@ _MODULE_OF = {
     "NormKind": "lmodule",
     "MeasurableSet": "measure",
     "MeasureSpace": "measure",
-    "Partition": "measure",
-    "TooManyAtoms": "measure",
     "INF": "bochner",
     "LFunction": "bochner",
     "VectorMeasure": "vecmeasure",
     "LpOperator": "duality",
-    "ZeroNorm": "duality",
 }
 
 __all__ = sorted(_MODULE_OF) + ["__version__"]

@@ -83,9 +83,10 @@ P = sum max(lo_i - hi_i, 0), the passes fail exactly when
 * every subset pair, at m <= 6: sum max(lo_i - hi_i, -hi_i, 0) > tol.
 
 Only when one holds does it sum the 2**m subset tables, as integers, to
-name the first witness.  The mu-continuity table of
-``vecmeasure.check_mu_continuity`` sums each coordinate over one common
-denominator as well and reads every subset's norm off the integer sums.
+name the first witness.  ``vecmeasure._subset_norms``, which the
+mu-continuity table and the variation sweep share, sums each coordinate
+over one common denominator as well and reads every subset's norm off the
+integer sums.
 """
 
 from __future__ import annotations

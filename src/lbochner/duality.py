@@ -53,10 +53,6 @@ from .sampling import (
 from .vecmeasure import VectorMeasure, density, rn_density
 
 
-class ZeroNorm(ValueError):
-    """The bootstrap's division needs strictly positive atom norms."""
-
-
 class LpOperator(Frozen):
     """A bounded linear map from the p-norm functions into ``codomain`` (a
     primal module space) to the scalars, stored by its action on the
@@ -184,18 +180,10 @@ def _bootstrap(v: LFunction, p: Fraction, n_max: int, cfg: ToleranceConfig,
     """The exponent chain of ``bootstrap_lower_bound`` for 1 < p < infinity,
     given v's dual atom norms and the brackets fv of its conjugate-exponent
     norm: a report with the chain steps' verdict and witness alone, and
-    each step's exponent s with the integer ends of its two sides."""
+    each step's exponent s with the integer ends of its two sides.  Each
+    step is Hölder's sum of mu * x**s <= (sum of mu * x**q)**(s/q) *
+    mu(S)**(1 - s/q), with no division, so zero atom norms take part."""
     d = v.codomain.scalar_dim
-    for t, mass in enumerate(v.space.masses):
-        if mass == 0:
-            continue
-        for j in range(d):
-            e = atom_norms[t][j]
-            if e[2] <= 0 or (certified.is_exact(e) and e[0] == 0):
-                raise ZeroNorm(
-                    f"atom {v.space.atom_names[t]!r} has a zero norm "
-                    f"coordinate; the bootstrap divides by it")
-
     bits = cfg.root_bits + 2
     mu_total = v.space.total_mass
     inv_p = Fraction(p.denominator, p.numerator)
@@ -224,11 +212,10 @@ def isometry_check(v: LFunction, p: Exponent,
                    bootstrap_n: int = 6) -> CheckReport:
     """Per-coordinate equality of the operator norm of the pairing against
     the conjugate-exponent norm of v; exact where both sides are rational,
-    within compare_tol otherwise.  For 1 < p < infinity with strictly
-    positive atom norms the exponent-chain inequalities are asserted as
-    well; only the chain steps are built here, since its reported series
-    and limit come from ``bootstrap_lower_bound`` alone.  ``details``
-    carries both norms and the per-coordinate gaps.  A
+    within compare_tol otherwise.  For 1 < p < infinity the exponent-chain
+    inequalities are asserted as well; only the chain steps are built here,
+    since its reported series and limit come from ``bootstrap_lower_bound``
+    alone.  ``details`` carries both norms and the per-coordinate gaps.  A
     failing report's witness names the first unequal coordinate with both
     bracket midpoints and their gap, or else the first failing chain step
     as ``{"stage": "bootstrap", "n": ..., "coordinate": ...}``."""
@@ -249,13 +236,10 @@ def isometry_check(v: LFunction, p: Exponent,
                       "dual_norm": collapse(nv), "gaps": gaps}
 
     if p is not INF and p > 1:
-        try:
-            # only the chain inequalities are asserted: the limit would
-            # repeat the norm equality checked above
-            chain, _ = _bootstrap(v, p, bootstrap_n, cfg, atom_norms, nv)
-            report.absorb(chain, stage="bootstrap")
-        except ZeroNorm:
-            pass
+        # only the chain inequalities are asserted: the limit would repeat
+        # the norm equality checked above
+        chain, _ = _bootstrap(v, p, bootstrap_n, cfg, atom_norms, nv)
+        report.absorb(chain, stage="bootstrap")
     return report
 
 

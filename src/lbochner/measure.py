@@ -14,10 +14,6 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 from .falgebra import Frozen, RationalLike, as_rational
 
 
-class TooManyAtoms(ValueError):
-    """Partition enumeration refused: Bell-number growth."""
-
-
 class TooManySubsets(ValueError):
     """Subset table refused: 2**m growth."""
 
@@ -89,54 +85,6 @@ def subset_sums(terms: Sequence[int]) -> List[int]:
         low = mask & -mask
         sums[mask] = sums[mask ^ low] + terms[low.bit_length() - 1]
     return sums
-
-
-class Partition(Frozen):
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: Tuple[MeasurableSet, ...]):
-        if not blocks:
-            raise ValueError("partition needs at least one block")
-        space = blocks[0].space
-        seen: set = set()
-        for b in blocks:
-            if b.space != space:
-                raise SpaceMismatch("partition blocks on different spaces")
-            if seen & b.members:
-                raise ValueError("partition blocks must be disjoint")
-            seen |= b.members
-        if seen != set(range(space.size)):
-            raise ValueError("partition blocks must cover the space")
-        self._set("blocks", blocks)
-
-
-PARTITION_MAX_ATOMS = 10
-
-
-def enumerate_partitions(space: MeasureSpace) -> List[Partition]:
-    """Every set partition of the atoms, exactly once (Bell(m) of them);
-    refused above ``PARTITION_MAX_ATOMS`` atoms."""
-    m = space.size
-    if m > PARTITION_MAX_ATOMS:
-        raise TooManyAtoms(f"{m} atoms exceeds cap {PARTITION_MAX_ATOMS}")
-
-    out: List[Partition] = []
-
-    def extend(i: int, blocks: List[List[int]]) -> None:
-        if i == m:
-            out.append(Partition(tuple(
-                space.subset(b) for b in blocks)))
-            return
-        for b in blocks:
-            b.append(i)
-            extend(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        extend(i + 1, blocks)
-        blocks.pop()
-
-    extend(0, [])
-    return out
 
 
 def dyadic_space(levels: int) -> MeasureSpace:

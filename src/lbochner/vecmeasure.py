@@ -4,13 +4,13 @@ Radon-Nikodym property in L1 on dyadic spaces.
 
 A set function is stored by its atom values, which makes it finitely
 additive by construction; on a finite space the variation supremum is
-attained at the atomic partition (certified by refinement monotonicity)."""
+attained at the atomic partition (certified by the subset sweep)."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from typing import List, Tuple
 
 from . import certified
 from .falgebra import DEFAULT_TOLERANCES, Frozen, LElement, ToleranceConfig
@@ -21,14 +21,13 @@ from .lmodule import (
     NormKind,
     collapse,
     norm,
-    norm_ends,
 )
 from .measure import (
     MeasurableSet,
     MeasureSpace,
     SpaceMismatch,
+    TooManySubsets,
     dyadic_space,
-    enumerate_partitions,
     rademacher_set,
     subset_sums,
 )
@@ -79,13 +78,10 @@ def check_mu_continuity(G: VectorMeasure,
     null, and G(F) is the sum of their values, so a subset can fail only
     through a null atom that already failed on its own.
 
-    The table is summed in integers: the masses over their least common
-    multiple, and for each scalar coordinate every entry of every atom
-    value over one common denominator, one ``subset_sums`` per rank entry.
-    Each subset's coordinate norm is taken from those integer sums
-    directly, with no further common denominator, and each reported number
-    is reduced once, into its ``Fraction``; a two-norm's radicand goes
-    through ``root_bracket`` and ``mid`` as in ``norm_ends``."""
+    The masses are summed in integers over their least common multiple,
+    and the norms are ``_subset_norms``'s brackets.  Each reported number
+    is reduced once, into its ``Fraction``: an exact norm from its
+    unreduced ends, a two-norm as its bracket's ``mid``."""
     report = CheckReport(name="mu-continuity",
                          details={"atoms": G.space.size})
     for t, mass in enumerate(G.space.masses):
@@ -97,19 +93,26 @@ def check_mu_continuity(G: VectorMeasure,
         mass_den = math.lcm(*(q.denominator for q in masses))
         mus = subset_sums([q.numerator * (mass_den // q.denominator)
                            for q in masses])
-        columns = [_norm_column(G, j, cfg)
+        two = G.codomain.norm_kind is NormKind.TWO
+        columns = [_subset_norms(G, j, cfg)
                    for j in range(G.codomain.scalar_dim)]
         report.series = [
-            {"mu": Fraction(mu, mass_den), "value_norm": list(norms)}
-            for mu, norms in zip(mus, zip(*columns))]
+            {"mu": Fraction(mu, mass_den),
+             "value_norm": [certified.mid(e) if two else Fraction(e[0], e[1])
+                            for e in ends]}
+            for mu, ends in zip(mus, zip(*columns))]
     return report
 
 
-def _norm_column(G: VectorMeasure, j: int,
-                 cfg: ToleranceConfig) -> List[Fraction]:
-    """Coordinate j of ||G(F)|| for every subset F, in bitmask order.  Every
-    subset sum is over den: the sup and one-norm are the largest and the
-    summed modulus over den, the two-norm's radicand n**2 over den**2."""
+def _subset_norms(G: VectorMeasure, j: int,
+                  cfg: ToleranceConfig) -> List[certified.Ends]:
+    """Coordinate j of ||G(F)|| for every subset F, in bitmask order, as
+    brackets; the one source of subset norms for the mu-continuity table
+    and the variation sweep.  Each entry of G(F) is one integer subset sum
+    over a common denominator den: the sup and one-norm are exact, the
+    largest and the summed modulus over den, and left unreduced; the
+    two-norm brackets the root of the radicand n**2 over den**2, with ends
+    in lowest terms."""
     entries = [v.entries for v in G.atom_values]
     rank = range(G.codomain.rank)
     den = math.lcm(*(e[i].dens[j] for e in entries for i in rank))
@@ -118,50 +121,72 @@ def _norm_column(G: VectorMeasure, j: int,
     kind = G.codomain.norm_kind
     if kind is NormKind.TWO:
         bits, den2 = cfg.root_bits + 2, den * den
-        return [certified.mid(lo + hi) for lo, hi in (
+        return [lo + hi for lo, hi in (
             certified.root_bracket(Fraction(sum(n * n for n in row), den2),
                                    2, bits) for row in rows)]
     step = max if kind is NormKind.SUP else sum
-    return [Fraction(step(map(abs, row)), den) for row in rows]
-
-
-VARIATION_EXHAUSTIVE_MAX_ATOMS = 5
+    return [(n, den, n, den) for n in (step(map(abs, row)) for row in rows)]
 
 
 def variation(G: VectorMeasure,
               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CheckReport:
-    """Total variation: the norm sum over the atoms.  Up to
-    ``VARIATION_EXHAUSTIVE_MAX_ATOMS`` atoms every partition is enumerated
-    and certified dominated by it; the witness names the first partition
-    and coordinate that is not.  Each block's norm is taken once: at m = 5
-    the 52 partitions have 151 blocks, 31 of them distinct."""
-    d = G.codomain.scalar_dim
-    norms: Dict[FrozenSet[int], List[certified.Ends]] = {}
+    """Total variation |G|(S), the supremum over partitions of the sum of
+    their blocks' norms, reported as the atomic sum and certified to be
+    it: the atomic partition attains the supremum exactly when ||G(B)|| <=
+    the sum of ||G({t})|| over t in B for every B of two or more atoms
+    (Diestel & Uhl, *Vector Measures*, ch. I.1).  A partition's slack
+    against the atomic sum is the sum of its blocks' slacks, so the sweep
+    over those 2**m - m - 1 subsets decides what every partition decides;
+    with a tolerance, blocks that each miss by less than it pass, though
+    a partition of several of them may miss by more.  The witness is the
+    first failing B in bitmask order and its coordinate, named as the
+    partition of B and singletons.
 
-    def norm_sum(blocks) -> List[certified.Ends]:
-        total = [certified.exact(0)] * d
-        for B in blocks:
-            if B.members not in norms:
-                norms[B.members] = norm_ends(evaluate(G, B), cfg)
-            total = list(map(certified.add, total, norms[B.members]))
-        return total
+    Every norm comes from ``_subset_norms``; each B's atom sum is an
+    integer subset sum of the atoms' ends over their common denominator.
+    Refused above ``CONTINUITY_TABLE_MAX_ATOMS`` atoms, where no subset
+    table is built."""
+    space = G.space
+    m = space.size
+    if m > CONTINUITY_TABLE_MAX_ATOMS:
+        raise TooManySubsets(f"variation: {m} atoms exceeds the subset "
+                             f"table cap {CONTINUITY_TABLE_MAX_ATOMS}")
+    columns, sums, total = [], [], []
+    for j in range(G.codomain.scalar_dim):
+        norms = _subset_norms(G, j, cfg)
+        atoms = [norms[1 << t] for t in range(m)]
+        lo_den = math.lcm(*(e[1] for e in atoms))
+        hi_den = math.lcm(*(e[3] for e in atoms))
+        los = subset_sums([e[0] * (lo_den // e[1]) for e in atoms])
+        his = subset_sums([e[2] * (hi_den // e[3]) for e in atoms])
+        columns.append(norms)
+        sums.append((los, lo_den, his, hi_den))
+        total.append(certified.reduced(los[-1], lo_den)
+                     + certified.reduced(his[-1], hi_den))
 
-    m = G.space.size
-    total = norm_sum(G.space.singleton(t) for t in range(m))
-    exhaustive = m <= VARIATION_EXHAUSTIVE_MAX_ATOMS
     report = CheckReport(name="variation", details={
-        "variation": collapse(total),
-        "exhaustive_checked": exhaustive,
+        "variation": collapse(total), "exhaustive_checked": True,
         "blocks": m})
-    if exhaustive:
-        tol = certified.tol_for(cfg.compare_tol, total)
-        for partition in enumerate_partitions(G.space):
-            candidate = norm_sum(partition.blocks)
-            for j in range(d):
-                report.at_most(candidate[j], total[j], tol, lambda _: {
-                    "partition": [B.names() for B in partition.blocks],
-                    "coordinate": j})
+    tol = certified.tol_for(cfg.compare_tol, total)
+    for mask in range(3, 1 << m):
+        if not mask & (mask - 1):
+            continue  # a singleton is its own atomic sum
+        for j, (norms, (los, lo_den, his, hi_den)) in enumerate(
+                zip(columns, sums)):
+            report.at_most(
+                norms[mask], (los[mask], lo_den, his[mask], hi_den), tol,
+                lambda _: {"partition": _with_singletons(space, mask),
+                           "coordinate": j})
     return report
+
+
+def _with_singletons(space: MeasureSpace, mask: int) -> List[List[str]]:
+    """The partition of the atoms into the subset ``mask`` and singletons,
+    each block's names sorted, blocks in the order of their least atom."""
+    low = (mask & -mask).bit_length() - 1
+    block = space.subset(t for t in range(space.size) if mask >> t & 1)
+    return [block.names() if t == low else [space.atom_names[t]]
+            for t in range(space.size) if t == low or not mask >> t & 1]
 
 
 def density(G: VectorMeasure) -> LFunction:
@@ -229,7 +254,9 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
     Uhl, *Vector Measures*, ch. III) on the level-``levels`` dyadic space
     with G(F) = 1_F, in three exact stages, each of which can fail:
 
-    1. variation: |G|(S) = mu(S) = 1 in every coordinate;
+    1. variation: |G|(S) = mu(S) = 1 in every coordinate, with |G|(S) the
+       atomic sum of the norms, which on a finite space it is wherever
+       ``variation`` passes; that sweep is not run on the 2**levels atoms;
     2. separation: ||G(A_a) - G(A_b)|| = 1/2 for the first ``n_sets``
        fair-sign sets, a != b; the series is the distance matrix;
     3. martingale: the density g_n of G on the level-n dyadic algebra
@@ -251,10 +278,10 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
     report = CheckReport(name="rnp-probe",
                          details={"levels": levels, "n_sets": n_sets})
 
-    var = variation(G, cfg)
-    report.absorb(var, stage="variation")
-    # an L1 norm, so exact: an LElement
-    for j, value in enumerate(var.details["variation"].coords):
+    # the atomic sum of L1 norms, so exact: an LElement
+    var = sum((norm(value, cfg) for value in G.atom_values),
+              LElement.zero(d))
+    for j, value in enumerate(var.coords):
         if value != 1:
             report.fail({"stage": "variation", "coordinate": j,
                          "value": value})
@@ -285,6 +312,5 @@ def rnp_probe(levels: int, n_sets: int, d: int = 1,
     for n, gap in enumerate(gaps):
         if gap != LElement.unit(d):
             report.fail({"stage": "martingale", "level": n, "value": gap})
-    report.details.update(variation=var.details["variation"],
-                          martingale_gaps=gaps)
+    report.details.update(variation=var, martingale_gaps=gaps)
     return report

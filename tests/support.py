@@ -3,10 +3,12 @@ that the package itself has no use for."""
 
 from fractions import Fraction
 
+from lbochner import certified
 from lbochner.bochner import LFunction
-from lbochner.falgebra import LElement
-from lbochner.lmodule import ModuleVector
-from lbochner.reports import format_rational
+from lbochner.falgebra import DEFAULT_TOLERANCES, LElement
+from lbochner.lmodule import ModuleVector, collapse, norm_ends
+from lbochner.reports import CheckReport, format_rational
+from lbochner.vecmeasure import evaluate
 
 
 def basis_vector(space, i):
@@ -16,16 +18,86 @@ def basis_vector(space, i):
     return ModuleVector(space, tuple(entries))
 
 
-def heavy_blocks(real):
-    """``real`` (a vector measure's ``evaluate``), ten units heavier in
-    every coordinate of entry 0 on every block of two or more atoms: the
-    atomic sum no longer dominates, so the variation check must fail."""
-    def evaluate(G, F):
-        value = real(G, F)
-        if len(F.members) > 1:
-            return value + basis_vector(G.codomain, 0).scale_rational(10)
-        return value
-    return evaluate
+def heavier(e, weight):
+    """The bracket e, ``weight`` heavier at both ends, in lowest terms."""
+    w = Fraction(weight)
+    return (certified.reduced(e[0] * w.denominator + w.numerator * e[1],
+                              e[1] * w.denominator)
+            + certified.reduced(e[2] * w.denominator + w.numerator * e[3],
+                                e[3] * w.denominator))
+
+
+def _weighs(mask, masks):
+    # the default: every block of two or more atoms
+    return mask in masks if masks is not None else bool(mask & (mask - 1))
+
+
+def heavy_blocks(real, weight=10, masks=None):
+    """``real`` (``vecmeasure._subset_norms``), ``weight`` heavier in every
+    coordinate on the blocks ``masks``, by default every block of two or
+    more atoms: the atomic sum no longer dominates, so the variation check
+    must fail."""
+    def subset_norms(G, j, cfg):
+        return [heavier(e, weight) if _weighs(mask, masks) else e
+                for mask, e in enumerate(real(G, j, cfg))]
+    return subset_norms
+
+
+def enumerate_partitions(m):
+    """Every set partition of the atoms 0..m-1 exactly once, Bell(m) of
+    them, each a list of blocks in the order of their least atom, each
+    block a list of atoms in increasing order."""
+    out = []
+
+    def extend(i, blocks):
+        if i == m:
+            out.append([list(b) for b in blocks])
+            return
+        for b in blocks:
+            b.append(i)
+            extend(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        extend(i + 1, blocks)
+        blocks.pop()
+
+    extend(0, [])
+    return out
+
+
+def partition_variation(G, cfg=DEFAULT_TOLERANCES, weight=0, masks=None):
+    """The reference for ``vecmeasure.variation``: the atomic sum of the
+    norms, compared against the norm sum of every partition, each block's
+    norm taken by ``norm_ends`` of ``evaluate``, with the blocks ``masks``
+    ``weight`` heavier as ``heavy_blocks`` makes them.  The witness is the
+    first failing partition in ``enumerate_partitions`` order and its
+    coordinate."""
+    space, d = G.space, G.codomain.scalar_dim
+    norms = {}
+
+    def norm_sum(blocks):
+        total = [certified.exact(0)] * d
+        for block in blocks:
+            mask = sum(1 << t for t in block)
+            if mask not in norms:
+                ends = norm_ends(evaluate(G, space.subset(block)), cfg)
+                norms[mask] = [heavier(e, weight) if _weighs(mask, masks)
+                               else e for e in ends]
+            total = list(map(certified.add, total, norms[mask]))
+        return total
+
+    total = norm_sum([t] for t in range(space.size))
+    report = CheckReport(name="variation", details={
+        "variation": collapse(total), "exhaustive_checked": True,
+        "blocks": space.size})
+    tol = certified.tol_for(cfg.compare_tol, total)
+    for partition in enumerate_partitions(space.size):
+        candidate = norm_sum(partition)
+        for j in range(d):
+            report.at_most(candidate[j], total[j], tol, lambda _: {
+                "partition": [space.subset(b).names() for b in partition],
+                "coordinate": j})
+    return report
 
 
 def indicator_times(x, F):

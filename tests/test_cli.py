@@ -185,8 +185,8 @@ class TestFailurePaths:
 
     @staticmethod
     def _heavy_blocks(monkeypatch):
-        monkeypatch.setattr(vecmeasure, "evaluate",
-                            heavy_blocks(vecmeasure.evaluate))
+        monkeypatch.setattr(vecmeasure, "_subset_norms",
+                            heavy_blocks(vecmeasure._subset_norms))
 
     @staticmethod
     def _measure_doc(tmp_path):
@@ -224,8 +224,33 @@ class TestFailurePaths:
         assert code == 1
         check = self._checks(out)["variation"]
         assert check["verdict"] == "FAIL"
-        assert check["witness"] == {"partition": [["a", "b", "c"]],
+        assert check["witness"] == {"partition": [["a", "b"], ["c"]],
                                     "coordinate": 0}
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_variation_heavy_blocks_fail_at_every_size(self, m, tmp_path,
+                                                       monkeypatch):
+        # the sweep compares at every size up to the cap: the first block
+        # swept, {a0, a1}, outweighs its atoms
+        self._heavy_blocks(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["rn", "variation", "--atoms", str(m), "--seed", "42",
+                     "--out", str(out)]) == 1
+        check = self._checks(out)["variation"]
+        assert check["details"]["exhaustive_checked"] is True
+        assert check["witness"] == {
+            "partition": [["a0", "a1"]] + [[f"a{t}"] for t in range(2, m)],
+            "coordinate": 0}
+
+    def test_variation_refused_above_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        assert main(["rn", "variation", "--atoms", "11", "--out",
+                     str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error: variation: 11 atoms exceeds the subset table cap 10\n")
+        assert not out.exists()
 
     def test_suite_all_takes_density_and_variation_verdicts(
             self, tmp_path, monkeypatch):
@@ -499,17 +524,59 @@ class TestFailurePaths:
             f"{sys.get_int_max_str_digits()} digits\n")
         assert not out.exists()
 
-    def test_rnp_probe_variation_refinement_violation(self, tmp_path,
-                                                      monkeypatch):
-        # at 4 atoms every partition is enumerated; the heavy blocks beat
-        # the atomic one, so the variation report itself fails
-        self._heavy_blocks(monkeypatch)
+    def test_rnp_probe_variation_is_the_atomic_sum(self, tmp_path,
+                                                   monkeypatch):
+        # stage 1 sums the atoms' norms and sweeps no block: heavy blocks
+        # leave the report as it is; the corrupted measure below is the
+        # stage's negative control
+        reports = []
+        for heavy in (False, True):
+            if heavy:
+                self._heavy_blocks(monkeypatch)
+            out = tmp_path / f"report{heavy}.json"
+            assert main(["run", "rnp-probe", "--levels", "2", "--sets", "2",
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("levels,digest", [
+        (1, "c91702913626e6283520edc9117edf80d3f2e8b0b688e3a2f60040f20fffb2a2"),
+        (2, "12f99388bd2e4533a3f9e643e56ceb445caab5afdee43d8d533ac2a3963a22ba"),
+        (3, "aead605346701e64dc9c3c7bc68a44ec4262c15b6dbc987504a6d6aca71e6f54"),
+        (4, "8adfe89e84b1e680855af8c1041fcc9f9cbb2a25a4fb19f3b81350b5589ff012"),
+        (5, "b41cddf8181fc2b41812a0f29133a87b879598147b4c0610f548eab4c5c8f2eb"),
+        (6, "5b6ea39dc5a6f30f32b6ead3d03bc6ec8b7c2221db321bf92ac1803667b8fe73"),
+        (7, "b19271f28cd3a4a4aa1e96a38b5d6fcf51bbb3dc6fe2c43d97d33fb61d4de6d6"),
+        (8, "56a5eab8c7a98fcf97b7d853fd1313d7f39cd6256fb6f8cf9c7656a5ca0c58c4"),
+    ])
+    def test_rnp_probe_every_level_passes(self, levels, digest, tmp_path):
+        # up to the level cap, 256 atoms, above the subset table's
         out = tmp_path / "report.json"
-        assert main(["run", "rnp-probe", "--levels", "2", "--sets", "2",
-                     "--out", str(out)]) == 1
-        check = self._checks(out)["rnp-probe"]
-        assert check["witness"] == {"stage": "variation", "coordinate": 0,
-                                    "partition": [["00", "01", "10", "11"]]}
+        assert main(["run", "rnp-probe", "--levels", str(levels), "--sets",
+                     "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_zero_norm_coordinate_runs_the_bootstrap_chain(self, tmp_path,
+                                                            monkeypatch):
+        # atom a's norm is zero in coordinate 1; the chain never divides,
+        # so it runs there too, and a doctored step (both sides' left end
+        # doubled) fails it
+        v = write_json(tmp_path / "v.json", {
+            "space": {"atoms": ["a", "b"], "masses": ["1/2", "1/2"]},
+            "codomain": {"rank": 1, "d": 2, "norm_kind": "one"},
+            "values": {"a": [["1/1", "0/1"]], "b": [["1/1", "1/1"]]}})
+        argv = ["dual", "isometry", "--v", v, "--p", "2"]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        real = duality.power_sums_from_atom_ends
+        monkeypatch.setattr(
+            duality, "power_sums_from_atom_ends",
+            lambda *args: [(2 * e[0], e[1], 2 * e[2], e[3])
+                           for e in real(*args)])
+        assert main([*argv, "--out", str(out)]) == 1
+        check = self._checks(out)["isometry"]
+        assert check["witness"] == {"trial": 0, "stage": "bootstrap",
+                                    "n": 0, "coordinate": 0}
 
     def test_rnp_probe_rnp_codomain(self, tmp_path, monkeypatch):
         # negative control: G(F) = mu(F) in the rank-1 sup module, a
@@ -1393,9 +1460,9 @@ class TestGoldenReports:
         # the toleranced two-norm axiom comparisons
         (["check", "norm-axioms", "--norm", "two", "--seed", "7"], 0,
          "5fe4aa7210324cf4c8315749d7fda1f9dae383d22550f6f685163bba5ac66094"),
-        # above the exhaustive cap: no partition enumeration, bracketed sums
+        # six atoms, bracketed sums: 57 blocks swept
         (["rn", "variation", "--atoms", "6", "--norm", "two", "--seed", "7"],
-         0, "c95c6f2b7c084a0ea591dcd4d53bacd5b886f891e6d7cb711e4873fa5732d781"),
+         0, "b09e6873d2e7d94892c1d0078a2f9e27083d6c75e9df1ed18f9fbab9251ca8e8"),
         # primal and dual norm kinds differ (two-norm cases cannot tell)
         (["dual", "represent", "--norm", "sup", "--p", "1", "--seed", "42"],
          0,

@@ -140,7 +140,7 @@ def _value_type_samples():
     from lbochner.bochner import LFunction
     from lbochner.duality import LpOperator
     from lbochner.lmodule import ModuleSpace, ModuleVector, NormKind
-    from lbochner.measure import MeasureSpace, Partition
+    from lbochner.measure import MeasureSpace
     from lbochner.vecmeasure import VectorMeasure
 
     def space(k):
@@ -161,9 +161,6 @@ def _value_type_samples():
         "ApproxReal": lambda k: ApproxReal(Fraction(1), Fraction(k, 8)),
         "MeasureSpace": space,
         "MeasurableSet": lambda k: space(0).subset([k]),
-        "Partition": lambda k: Partition(
-            (space(0).subset([0, 1]),) if k else
-            (space(0).singleton(0), space(0).singleton(1))),
         "ModuleSpace": module,
         "ModuleVector": vector,
         "LFunction": function,

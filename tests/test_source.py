@@ -373,9 +373,6 @@ EXCEPT_ALLOWED = [
     "serialize.py: parse_rational: ValueError, ZeroDivisionError",
     "serialize.py: module_space_from_doc: KeyError, ValueError",
     "serialize.py: load_json: json.JSONDecodeError, UnicodeDecodeError",
-    # a zero atom norm only skips the bootstrap chain, whose division needs
-    # positive norms; the isometry's own verdict does not depend on it
-    "duality.py: isometry_check: ZeroNorm",
 ]
 
 

@@ -9,15 +9,11 @@ from lbochner.lmodule import (
     ModuleSpace,
     ModuleVector,
     NormKind,
-    collapse,
     norm_ends,
 )
-from lbochner.measure import (
-    MeasureSpace,
-    enumerate_partitions,
-    subset_sums,
-)
-from lbochner.reports import CheckReport, check_to_doc
+from lbochner.falgebra import ToleranceConfig
+from lbochner.measure import MeasureSpace, TooManySubsets, subset_sums
+from lbochner.reports import check_to_doc
 from lbochner.sampling import (
     random_measure_space,
     random_module_vector,
@@ -34,8 +30,10 @@ from lbochner.vecmeasure import (
 from support import (
     all_subsets,
     basis_vector,
+    enumerate_partitions,
     heavy_blocks,
     measure_of,
+    partition_variation,
     subset_of_mask,
     subset_of_names,
 )
@@ -132,12 +130,12 @@ class TestVariation:
 
     def test_refinement_violation_fails_with_witness(self, monkeypatch):
         # every block of two or more atoms weighs 10 more: the first
-        # partition enumerated, the single block {a, b}, already exceeds
-        # the atomic sum
+        # subset swept, the single block {a, b}, already exceeds the
+        # atomic sum
         space = MeasureSpace.build(["a", "b"], [1, 1])
         G = vm(space, L(1, -1), L(-2, 3))
-        monkeypatch.setattr(vecmeasure, "evaluate",
-                            heavy_blocks(vecmeasure.evaluate))
+        monkeypatch.setattr(vecmeasure, "_subset_norms",
+                            heavy_blocks(vecmeasure._subset_norms))
         result = variation(G)
         assert not result.passed
         assert result.witness == {"partition": [["a", "b"]], "coordinate": 0}
@@ -149,80 +147,113 @@ class TestVariation:
             G = VectorMeasure(space, MOD, tuple(
                 random_module_vector(rng, MOD) for _ in range(5)))
             result = variation(G)
-            assert result.details["exhaustive_checked"]
+            assert result.passed and result.details["exhaustive_checked"]
             # atomic partition dominates every coarser one in the order
-            for partition in enumerate_partitions(space):
+            for partition in enumerate_partitions(5):
                 total = LElement.zero(2)
-                for block in partition.blocks:
-                    total = total + abs(evaluate(G, block).entries[0])
+                for block in partition:
+                    total = total + abs(evaluate(G, space.subset(block))
+                                        .entries[0])
                 assert total <= result.details["variation"]
 
-
-def per_partition_variation(G, cfg=DEFAULT_TOLERANCES):
-    """``variation`` as it was before blocks shared their norms: every
-    partition's norm sum recomputed block by block through
-    ``vecmeasure.evaluate``, so a doctored ``evaluate`` reaches it too."""
-    d = G.codomain.scalar_dim
-
-    def norm_sum(blocks):
-        total = [certified.exact(0)] * d
-        for block in blocks:
-            norms = norm_ends(vecmeasure.evaluate(G, block), cfg)
-            total = [certified.add(a, b) for a, b in zip(total, norms)]
-        return total
-
-    atoms = [G.space.singleton(t) for t in range(G.space.size)]
-    total = norm_sum(atoms)
-    exhaustive = G.space.size <= vecmeasure.VARIATION_EXHAUSTIVE_MAX_ATOMS
-    report = CheckReport(name="variation", details={
-        "variation": collapse(total), "exhaustive_checked": exhaustive,
-        "blocks": len(atoms)})
-    if exhaustive:
-        tol = certified.tol_for(cfg.compare_tol, total)
-        for partition in enumerate_partitions(G.space):
-            candidate = norm_sum(partition.blocks)
-            for j in range(d):
-                report.at_most(candidate[j], total[j], tol, lambda _: {
-                    "partition": [B.names() for B in partition.blocks],
-                    "coordinate": j})
-    return report
+    def test_refused_above_the_cap(self, monkeypatch):
+        # refused before any subset table is built
+        monkeypatch.setattr(vecmeasure, "_subset_norms", None)
+        G = seeded_measure(510, vecmeasure.CONTINUITY_TABLE_MAX_ATOMS + 1,
+                           NormKind.SUP)
+        with pytest.raises(TooManySubsets, match="cap 10"):
+            variation(G)
 
 
 class TestBlockSweep:
-    """``variation`` takes each distinct block's norm once and reports what
-    the per-partition recomputation reports: details, verdict, witness and
-    failure count, and the rendered check."""
+    """``variation`` sweeps the blocks of two or more atoms and decides
+    what the partition reference, ``support.partition_variation``,
+    decides; on a pass it renders the same check byte for byte."""
 
     @staticmethod
-    def assert_same(G):
-        got, want = variation(G), per_partition_variation(G)
+    def assert_same(G, cfg=DEFAULT_TOLERANCES, **weights):
+        want = partition_variation(G, cfg, **weights)
+        with pytest.MonkeyPatch.context() as patch:
+            if weights:
+                patch.setattr(vecmeasure, "_subset_norms", heavy_blocks(
+                    vecmeasure._subset_norms, **weights))
+            got = variation(G, cfg)
         assert got.details == want.details
-        assert (got.passed, got.witness, got.failures) \
-            == (want.passed, want.witness, want.failures)
-        assert check_to_doc(got) == check_to_doc(want)
-        return got
+        assert got.passed == want.passed
+        if got.passed:
+            assert check_to_doc(got) == check_to_doc(want)
+        return got, want
 
     @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_per_partition_sums(self, m, kind):
-        self.assert_same(seeded_measure(601, m, kind, null_atoms=m > 1))
-        self.assert_same(wide_measure(602, m, kind, 2, 2))
+        for G in (seeded_measure(601, m, kind, null_atoms=m > 1),
+                  wide_measure(602, m, kind, 2, 2)):
+            got, _ = self.assert_same(G)
+            assert got.passed and got.details["blocks"] == m
 
     @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
-    def test_heavy_blocks_fail_alike(self, kind, monkeypatch):
-        monkeypatch.setattr(vecmeasure, "evaluate",
-                            heavy_blocks(vecmeasure.evaluate))
-        got = self.assert_same(seeded_measure(603, 4, kind))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_agrees_with_partition_oracle(self, m, kind):
+        # 5 seeded measures, each as drawn and with heavier blocks: 180
+        # verdicts over the sizes and kinds; one atom has no block to weigh
+        for seed in range(5):
+            G = seeded_measure(611 + seed, m, kind, null_atoms=m > 2)
+            assert self.assert_same(G)[0].passed
+            got, want = self.assert_same(G, weight=10)
+            assert got.passed == (m == 1)
+
+    @pytest.mark.parametrize("kind", [NormKind.SUP, NormKind.ONE],
+                             ids=lambda k: k.value)
+    def test_block_at_its_exact_slack(self, kind):
+        # an exact kind compares at tolerance 0: the full block made
+        # heavier by its least slack still passes, by a hair more fails
+        G = seeded_measure(621, 4, kind)
+        full = G.space.full_set()
+        slack = min(sum((exact_norm(G.atom_values[t], j) for t in range(4)),
+                        Fraction(0)) - exact_norm(evaluate(G, full), j)
+                    for j in range(2))
+        for weight, passed in ((slack, True),
+                               (slack + Fraction(1, 10 ** 9), False)):
+            got, want = self.assert_same(G, weight=weight, masks={15})
+            assert got.passed == want.passed == passed
+
+    def test_near_misses_within_the_tolerance(self):
+        # with tol > 0 the sweep and the partitions part: {a, b} and
+        # {c, d} each miss by 3/5 of tol, which passes, but the partition
+        # of both misses by 6/5 of tol
+        space = MeasureSpace.build(list("abcd"), [1] * 4)
+        codomain = ModuleSpace(2, 1, NormKind.TWO)
+        G = VectorMeasure(space, codomain, tuple(
+            ModuleVector(codomain, (L(1), L(x))) for x in (1, 1, 2, 2)))
+        cfg = ToleranceConfig(compare_tol=Fraction(1, 1000))
+        weights = {"weight": Fraction(3, 5000), "masks": {0b0011, 0b1100}}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vecmeasure, "_subset_norms", heavy_blocks(
+                vecmeasure._subset_norms, **weights))
+            assert variation(G, cfg).passed
+        want = partition_variation(G, cfg, **weights)
+        assert not want.passed
+        assert want.witness == {"partition": [["a", "b"], ["c", "d"]],
+                                "coordinate": 0}
+
+    @pytest.mark.parametrize("kind", list(NormKind), ids=lambda k: k.value)
+    def test_heavy_blocks_fail_alike(self, kind):
+        got, _ = self.assert_same(seeded_measure(603, 4, kind), weight=10)
         assert not got.passed and got.failures > 1
+        assert got.witness == {"partition": [["a0", "a1"], ["a2"], ["a3"]],
+                               "coordinate": 0}
 
     def test_each_block_is_evaluated_once(self, monkeypatch):
-        # the 52 partitions of five atoms have 151 blocks, 31 distinct
+        # one subset table per coordinate holds every block's norm, and no
+        # block is evaluated as a vector
         calls = []
-        real = vecmeasure.evaluate
-        monkeypatch.setattr(vecmeasure, "evaluate", lambda G, F: (
-            calls.append(F.members), real(G, F))[1])
+        real = vecmeasure._subset_norms
+        monkeypatch.setattr(vecmeasure, "_subset_norms", lambda G, j, cfg: (
+            calls.append(j), real(G, j, cfg))[1])
+        monkeypatch.setattr(vecmeasure, "evaluate", None)
         assert variation(seeded_measure(604, 5, NormKind.SUP)).passed
-        assert len(calls) == len(set(calls)) == 31
+        assert calls == [0, 1]
 
 
 class TestRnDensity:
