@@ -93,14 +93,16 @@ def check_mu_continuity(G: VectorMeasure,
         mass_den = math.lcm(*(q.denominator for q in masses))
         mus = subset_sums([q.numerator * (mass_den // q.denominator)
                            for q in masses])
-        two = G.codomain.norm_kind is NormKind.TWO
         columns = [_subset_norms(G, j, cfg)
                    for j in range(G.codomain.scalar_dim)]
+        if G.codomain.norm_kind is NormKind.TWO:
+            columns = [list(map(certified.mid, ends)) for ends in columns]
+        else:
+            columns = [[Fraction(n, d) for n, d, _, _ in ends]
+                       for ends in columns]
         report.series = [
-            {"mu": Fraction(mu, mass_den),
-             "value_norm": [certified.mid(e) if two else Fraction(e[0], e[1])
-                            for e in ends]}
-            for mu, ends in zip(mus, zip(*columns))]
+            {"mu": Fraction(mu, mass_den), "value_norm": list(norms)}
+            for mu, norms in zip(mus, zip(*columns))]
     return report
 
 
@@ -125,7 +127,7 @@ def _subset_norms(G: VectorMeasure, j: int,
             certified.root_bracket(Fraction(sum(n * n for n in row), den2),
                                    2, bits) for row in rows)]
     step = max if kind is NormKind.SUP else sum
-    return [(n, den, n, den) for n in (step(map(abs, row)) for row in rows)]
+    return [(n := step(map(abs, row)), den, n, den) for row in rows]
 
 
 def variation(G: VectorMeasure,
@@ -151,32 +153,29 @@ def variation(G: VectorMeasure,
     if m > CONTINUITY_TABLE_MAX_ATOMS:
         raise TooManySubsets(f"variation: {m} atoms exceeds the subset "
                              f"table cap {CONTINUITY_TABLE_MAX_ATOMS}")
-    columns, sums, total = [], [], []
+    columns, total = [], []
     for j in range(G.codomain.scalar_dim):
         norms = _subset_norms(G, j, cfg)
         atoms = [norms[1 << t] for t in range(m)]
         lo_den = math.lcm(*(e[1] for e in atoms))
         hi_den = math.lcm(*(e[3] for e in atoms))
-        los = subset_sums([e[0] * (lo_den // e[1]) for e in atoms])
-        his = subset_sums([e[2] * (hi_den // e[3]) for e in atoms])
-        columns.append(norms)
-        sums.append((los, lo_den, his, hi_den))
-        total.append(certified.reduced(los[-1], lo_den)
-                     + certified.reduced(his[-1], hi_den))
+        sums = [(lo, lo_den, hi, hi_den) for lo, hi in zip(
+            subset_sums([e[0] * (lo_den // e[1]) for e in atoms]),
+            subset_sums([e[2] * (hi_den // e[3]) for e in atoms]))]
+        columns.append((norms, sums))
+        total.append(certified.reduced(*sums[-1][:2])
+                     + certified.reduced(*sums[-1][2:]))
 
     report = CheckReport(name="variation", details={
         "variation": collapse(total), "exhaustive_checked": True,
         "blocks": m})
     tol = certified.tol_for(cfg.compare_tol, total)
     for mask in range(3, 1 << m):
-        if not mask & (mask - 1):
-            continue  # a singleton is its own atomic sum
-        for j, (norms, (los, lo_den, his, hi_den)) in enumerate(
-                zip(columns, sums)):
-            report.at_most(
-                norms[mask], (los[mask], lo_den, his[mask], hi_den), tol,
-                lambda _: {"partition": _with_singletons(space, mask),
-                           "coordinate": j})
+        if mask & (mask - 1):  # two or more atoms
+            for j, (norms, sums) in enumerate(columns):
+                report.at_most(norms[mask], sums[mask], tol, lambda _: {
+                    "partition": _with_singletons(space, mask),
+                    "coordinate": j})
     return report
 
 
